@@ -30,7 +30,7 @@ pipelines" (§1). This module models their semantics at cycle granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.errors import ChannelDepthError, ChannelUsageError
 from repro.sim.core import Event, Simulator
@@ -85,7 +85,12 @@ class Channel:
         #: Depth the "compiler" actually implemented (§3.1 limitation 1).
         self.depth = depth if compiled_depth is None else compiled_depth
         self.width_bits = width_bits
-        self.stats = ChannelStats()
+        self._stats = ChannelStats()
+        #: Wake-up of the consumer parked on this channel (see :meth:`park`),
+        #: fired by the next value to arrive.
+        self._arrival: Optional[Callable[[], None]] = None
+        #: Last cycle whose poll by the parked consumer is already counted.
+        self._parked_through: Optional[int] = None
         self._producer: Any = None
         self._consumer: Any = None
         if self.depth > 0:
@@ -139,8 +144,42 @@ class Channel:
 
     def _note_occupancy(self) -> None:
         occ = self.occupancy
-        if occ > self.stats.max_occupancy:
-            self.stats.max_occupancy = occ
+        if occ > self._stats.max_occupancy:
+            self._stats.max_occupancy = occ
+
+    # -- statistics and parked consumers -------------------------------------
+
+    @property
+    def stats(self) -> ChannelStats:
+        """Dynamic statistics, including a parked consumer's skipped polls."""
+        if self._parked_through is not None:
+            self._credit_parked_polls()
+        return self._stats
+
+    def park(self, on_arrival: Callable[[], None]) -> None:
+        """Park the consumer that polled this (empty) channel this cycle.
+
+        A late-phase autorun that would otherwise fail a non-blocking read
+        here every cycle parks instead: the model stops polling, and
+        ``on_arrival`` fires on the next successful write. Each skipped
+        poll still counts as a read failure, credited lazily — when the
+        stats are read, and at :meth:`unpark`.
+        """
+        self._arrival = on_arrival
+        self._parked_through = self.sim.now
+
+    def unpark(self) -> None:
+        """Credit the parked consumer's skipped polls and detach it."""
+        self._credit_parked_polls()
+        self._arrival = None
+        self._parked_through = None
+
+    def _credit_parked_polls(self) -> None:
+        # Every late phase begun since the park held one failed poll.
+        through = self.sim.last_late_phase()
+        if through > self._parked_through:
+            self._stats.read_failures += through - self._parked_through
+            self._parked_through = through
 
     # -- non-blocking API (write_channel_nb_altera / read_channel_nb_altera)
 
@@ -152,9 +191,11 @@ class Channel:
         """
         if self._fifo is not None:
             ok = self._fifo.try_put(value)
-            self.stats.writes += 1 if ok else 0
-            self.stats.write_failures += 0 if ok else 1
+            self._stats.writes += 1 if ok else 0
+            self._stats.write_failures += 0 if ok else 1
             self._note_occupancy()
+            if ok and self._arrival is not None:
+                self._arrival()
             return ok
         # depth 0: serve a blocked reader directly, else update the register.
         if self._pending_readers:
@@ -162,27 +203,29 @@ class Channel:
             reader.succeed(value)
         else:
             self._register = value
-        self.stats.writes += 1
+        self._stats.writes += 1
         self._note_occupancy()
+        if self._arrival is not None:
+            self._arrival()
         return True
 
     def read_nb(self) -> Tuple[Any, bool]:
         """Non-blocking read. Returns ``(value, valid)``."""
         if self._fifo is not None:
             value, ok = self._fifo.try_get()
-            self.stats.reads += 1 if ok else 0
-            self.stats.read_failures += 0 if ok else 1
+            self._stats.reads += 1 if ok else 0
+            self._stats.read_failures += 0 if ok else 1
             return value, ok
         # depth 0: prefer a waiting rendezvous writer, else the register.
         if self._pending_writers:
             event, value = self._pending_writers.pop(0)
             event.succeed()
-            self.stats.reads += 1
+            self._stats.reads += 1
             return value, True
         if self._register is not Channel._UNSET:
-            self.stats.reads += 1
+            self._stats.reads += 1
             return self._register, True
-        self.stats.read_failures += 1
+        self._stats.read_failures += 1
         return None, False
 
     # -- blocking API (write_channel_altera / read_channel_altera) ---------
@@ -212,7 +255,10 @@ class Channel:
                 fifo._getters.popleft().succeed(value)
             elif len(fifo.items) < fifo.capacity and not fifo._putters:
                 fifo.items.append(value)
+                if self._arrival is not None:
+                    self._arrival()
             else:
+                # Full: the consumer is polling, not parked.
                 yield fifo.put(value)
         else:
             if self._pending_readers:
@@ -221,8 +267,10 @@ class Channel:
             else:
                 event = Event(self.sim)
                 self._pending_writers.append((event, value))
+                if self._arrival is not None:
+                    self._arrival()
                 yield event
-        stats = self.stats
+        stats = self._stats
         stats.writes += 1
         stats.write_stall_cycles += self.sim.now - start
         occ = len(fifo.items) if fifo is not None else (
@@ -261,7 +309,7 @@ class Channel:
                 event = Event(self.sim)
                 self._pending_readers.append(event)
                 value = yield event
-        stats = self.stats
+        stats = self._stats
         stats.reads += 1
         stats.read_stall_cycles += self.sim.now - start
         return value
@@ -337,9 +385,10 @@ class CounterRegisterChannel(Channel):
         self._stats.max_occupancy = 1 if elapsed else 0
         return self._stats
 
-    @stats.setter
-    def stats(self, value: ChannelStats) -> None:
-        self._stats = value
+    def park(self, on_arrival: Callable[[], None]) -> None:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by a free-running counter; "
+            "its values arrive without writes, so a consumer cannot park on it")
 
     # -- channel API --------------------------------------------------------
 

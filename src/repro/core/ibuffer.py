@@ -5,7 +5,12 @@ Implements the framework of §4 / Listing 8 / Figures 1 and 3:
 * a **stall-free, single-cycle-launch outer loop** — every cycle the kernel
   polls its data-in, command, and (optionally) auxiliary channels, so
   producers' non-blocking writes are always drained and the design under
-  test is never back-pressured;
+  test is never back-pressured. The hardware polls every cycle; the model
+  skips only polls it can prove are empty: an idle unit (not in READ, all
+  polled channels empty) parks until a value arrives, resuming in the
+  cycle and phase in which a poll would first have seen it, with every
+  skipped poll still counted as a channel read failure (see
+  ``docs/PERFORMANCE.md``, "Parked autorun polling");
 * a **state machine** (RESET / SAMPLE / STOP / READ) driven by commands
   from the host interface kernel and by internal events (read drained);
 * a **trace buffer in local memory** written in linear or cyclic mode;
@@ -127,8 +132,17 @@ class IBuffer(AutorunKernel):
         self.samples_dropped[cu] = 0
         state = self.config.initial_state
         self.states[cu] = state
+        polled = [self.data_c[cu], self.cmd_c[cu]]
+        if self.addr_c is not None:
+            polled.insert(0, self.addr_c[cu])
+        idle = ctx.await_data(*polled)
+        wpe = self.layout.words_per_entry
+        readout_words = self.words_per_readout
         read_slots: List[int] = []
         read_pos = 0  # word index within the fixed-length readout
+        # The entry being drained, decoded once: its index and its words.
+        entry_index = -1
+        entry_words: List[int] = []
 
         while True:
             now = self.timestamp.synthesize_behavior()
@@ -152,6 +166,7 @@ class IBuffer(AutorunKernel):
                     elif state == IBufferState.READ:
                         read_slots = trace.chronological_slots()
                         read_pos = 0
+                        entry_index = -1
                     elif (state == IBufferState.STOP
                           and previous == IBufferState.SAMPLE):
                         # Processing blocks materialize running summaries
@@ -170,11 +185,12 @@ class IBuffer(AutorunKernel):
                     self.samples_dropped[cu] += 1
 
             if state == IBufferState.READ:
-                if read_pos < self.words_per_readout:
-                    wpe = self.layout.words_per_entry
-                    slot = read_slots[read_pos // wpe]
-                    word = trace.read_slot(slot)[read_pos % wpe]
-                    if ctx.write_channel_nb(self.out_c[cu], word):
+                if read_pos < readout_words:
+                    if read_pos // wpe != entry_index:
+                        entry_index = read_pos // wpe
+                        entry_words = trace.read_slot(read_slots[entry_index])
+                    if ctx.write_channel_nb(self.out_c[cu],
+                                            entry_words[read_pos % wpe]):
                         read_pos += 1
                 else:
                     # Event-driven transition: "The state moves to stop when
@@ -182,7 +198,9 @@ class IBuffer(AutorunKernel):
                     state = IBufferState.STOP
                     self.states[cu] = state
 
-            yield ctx.cycle()
+            # READ drains one word per cycle; any other state has nothing
+            # to do until a value arrives on a polled channel.
+            yield ctx.cycle() if state == IBufferState.READ else idle
 
     # -- synthesis accounting -------------------------------------------
 

@@ -2008,6 +2008,8 @@ def compile_batch_plan(definition: ast.KernelDef, *,
     values, so plan sites match the closure backend's LSU identities.
     """
     if autorun:
+        # Also the static rejection of the autorun-only ops (cycle
+        # boundaries, ``await_data`` parking).
         return None, "autorun kernel"
     reason = _batch_bail_reason(definition.body, hdl_names)
     if reason is not None:

@@ -145,6 +145,19 @@ class KernelContext:
         """
         return _CYCLE_BOUNDARY
 
+    def await_data(self, *channels: Any) -> ops.AwaitData:
+        """Park until a value arrives on one of ``channels``.
+
+        Yield it instead of :meth:`cycle` when this cycle's non-blocking
+        polls of ``channels`` all came back empty: the body resumes in the
+        first cycle whose poll would see a value, and each skipped poll is
+        still counted as a read failure. Late-phase autorun kernels only.
+        """
+        owner = self._instance.endpoint_owner
+        for channel in channels:
+            channel.bind_consumer(owner)
+        return ops.AwaitData(channels)
+
     def barrier(self, site: Optional[str] = None) -> ops.Barrier:
         """OpenCL ``barrier(CLK_LOCAL_MEM_FENCE)``: group-wide sync point."""
         return ops.Barrier(site)

@@ -29,8 +29,9 @@ Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
 * the **fast executor** (default): a type-keyed dispatch table
   (:data:`OP_DISPATCH`) with the dominant ops inlined straight into the
   drive loop, zero-latency compute runs fused into one scheduler visit,
-  and autorun ``CycleBoundary`` steps parked on one shared broadcast tick
-  per ``(cycle, phase)``;
+  autorun ``CycleBoundary`` steps parked on one shared broadcast tick
+  per ``(cycle, phase)``, and idle ``AwaitData`` units parked on their
+  channels' arrival hook with no per-cycle event at all;
 * the **reference executor** (``executor="reference"``): the original
   one-generator-per-op interpretation loop, kept as the semantic oracle
   for the dispatch property suite.
@@ -65,6 +66,7 @@ _Store = ops.Store
 _LoadLocal = ops.LoadLocal
 _StoreLocal = ops.StoreLocal
 _MemFence = ops.MemFence
+_AwaitData = ops.AwaitData
 
 
 class _NonOpYield(Exception):
@@ -148,6 +150,11 @@ class _OpExecutor:
         self._tick_priority = (PRIORITY_URGENT
                                if getattr(kernel, "phase", "late") == "early"
                                else PRIORITY_LATE)
+        #: Only late-phase autorun units may park (see :meth:`_park`).
+        self._can_park = (isinstance(kernel, AutorunKernel)
+                          and self._tick_priority == PRIORITY_LATE)
+        #: Parked units: compute id -> the channels they wait on.
+        self._parked: Dict[int, Tuple[Any, ...]] = {}
         if executor == "reference":
             self._drive = self._drive_reference
         elif executor != "fast":
@@ -186,6 +193,40 @@ class _OpExecutor:
 
     def _cycle_priority(self) -> int:
         return self._tick_priority
+
+    def _check_can_park(self) -> None:
+        if not self._can_park:
+            raise KernelBuildError(
+                f"kernel {self.kernel.name!r}: await_data() is only valid in "
+                "a late-phase autorun kernel")
+
+    def _park(self, channels: Tuple[Any, ...], compute_id: int) -> Event:
+        """The event an idle unit waits on for an ``AwaitData`` op.
+
+        With a value already buffered this is the next cycle's tick, as for
+        ``cycle()``. Otherwise the unit parks on the channels' arrival hook
+        and schedules nothing: the first write wakes it at the head of the
+        first LATE phase that has not begun — the phase in which a
+        per-cycle poll would first have seen the value.
+        """
+        self._check_can_park()
+        sim = self.sim
+        for channel in channels:
+            if channel.has_data:
+                return sim.broadcast_tick(PRIORITY_LATE)
+        wake = Event(sim)
+        parked = self._parked
+
+        def arrived() -> None:
+            del parked[compute_id]
+            for channel in channels:
+                channel.unpark()
+            sim.wake_at_late_phase(wake)
+
+        for channel in channels:
+            channel.park(arrived)
+        parked[compute_id] = channels
+        return wake
 
     def _drive(self, generator: Generator, compute_id: int,
                ctx: Optional[KernelContext] = None) -> Generator:
@@ -242,6 +283,9 @@ class _OpExecutor:
                     send_value = None
                 elif cls is _CycleBoundary:
                     yield sim.broadcast_tick(self._tick_priority)
+                    send_value = None
+                elif cls is _AwaitData:
+                    yield self._park(op.channels, compute_id)
                     send_value = None
                 elif cls is _LoadLocal:
                     send_value = yield op.memory.load(op.index)
@@ -379,6 +423,12 @@ class _OpExecutor:
         yield self.sim.broadcast_tick(self._tick_priority)
         return None
 
+    def _op_await_data(self, generator: Generator, op: ops.Op,
+                       compute_id: int,
+                       ctx: Optional[KernelContext]) -> Generator:
+        yield self._park(op.channels, compute_id)
+        return None
+
     def _execute(self, op: ops.Op, site: str,
                  ctx: Optional[KernelContext] = None) -> Generator:
         """Execute one op; returns its result value (generator protocol)."""
@@ -421,6 +471,16 @@ class _OpExecutor:
             # The dominant event of autorun stepping: use the pooled tick.
             yield self.sim.tick(self._cycle_priority())
             return None
+        if isinstance(op, ops.AwaitData):
+            # Semantic oracle: keep polling once per cycle, failing one
+            # non-blocking read per channel, until a value is there.
+            self._check_can_park()
+            yield self.sim.tick(self._cycle_priority())
+            while not any(channel.has_data for channel in op.channels):
+                for channel in op.channels:
+                    channel.read_nb()
+                yield self.sim.tick(self._cycle_priority())
+            return None
         raise KernelBuildError(f"unknown op {op!r} from kernel {self.kernel.name!r}")
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
@@ -448,6 +508,7 @@ OP_DISPATCH: Dict[type, Any] = {
     ops.CollectReduction: _OpExecutor._op_collect,
     ops.MemFence: _OpExecutor._op_mem_fence,
     ops.CycleBoundary: _OpExecutor._op_cycle_boundary,
+    ops.AwaitData: _OpExecutor._op_await_data,
 }
 
 
@@ -646,7 +707,15 @@ class AutorunEngine(_OpExecutor):
             return
 
     def stop(self) -> None:
-        """Interrupt all compute units (tears the persistent kernels down)."""
+        """Interrupt all compute units (tears the persistent kernels down).
+
+        Parked units are settled first: their skipped polls are credited
+        up to now, and later writes no longer wake them.
+        """
+        for channels in self._parked.values():
+            for channel in channels:
+                channel.unpark()
+        self._parked.clear()
         for process in self._processes:
             if process.is_alive:
                 process.interrupt("autorun stop")

@@ -172,9 +172,31 @@ class CycleBoundary(Op):
     __slots__ = ()
 
 
+class AwaitData(Op):
+    """Skip a late-phase autorun's idle polls until one of ``channels`` fills.
+
+    Yielded right after the body polled every one of ``channels`` with a
+    non-blocking read this cycle. It stands for ``cycle()`` repeated, with
+    one failed non-blocking read of each channel per skipped cycle, up to
+    the first cycle in which a poll would find data; the body resumes in
+    that cycle's LATE phase and polls for real. The skipped polls cost no
+    events: the unit parks on the channels' arrival hook, and their read
+    failures are credited lazily (see :meth:`repro.channels.channel.
+    Channel.park`).
+    """
+
+    __slots__ = ("channels",)
+
+    def __init__(self, channels: Sequence[Any],
+                 site: Optional[str] = None) -> None:
+        super().__init__(site)
+        self.channels = tuple(channels)
+
+
 #: Every concrete op class a kernel body may yield. The batch executor's
 #: plan compiler must either lower or statically reject each of these;
 #: ``tests/test_batch_divergence.py`` holds an exhaustiveness guard over
 #: this tuple so a new op cannot silently miss batch handling.
 ALL_OPS = (Load, Store, LoadLocal, StoreLocal, ReadChannel, WriteChannel,
-           Call, Compute, CollectReduction, MemFence, Barrier, CycleBoundary)
+           Call, Compute, CollectReduction, MemFence, Barrier, CycleBoundary,
+           AwaitData)

@@ -338,6 +338,9 @@ class Simulator:
         self._tick_pool: List[_TickTimeout] = []
         #: Shared one-cycle ticks, one per priority lane: (created_at, event).
         self._broadcast_ticks: dict = {}
+        #: Equals ``now`` once the current cycle's LATE phase is under way
+        #: (see :meth:`last_late_phase`).
+        self._late_phase_at = -1
 
     @property
     def now(self) -> int:
@@ -402,6 +405,34 @@ class Simulator:
         self._broadcast_ticks[priority] = (self._now, event)
         return event
 
+    def last_late_phase(self) -> int:
+        """The latest cycle whose LATE phase has begun.
+
+        ``now`` once a LATE-lane event of the current cycle has been
+        dequeued, else ``now - 1``. A parked late-phase poller (see
+        :meth:`wake_at_late_phase`) polls first in every LATE phase, so
+        this is also the last cycle whose skipped poll it has missed.
+        """
+        now = self._now
+        return now if self._late_phase_at == now else now - 1
+
+    def wake_at_late_phase(self, event: Event) -> None:
+        """Trigger ``event`` at the head of the next LATE phase to begin.
+
+        That is the LATE phase of the current cycle if it has not begun,
+        else that of the next cycle. The event goes to the *head* of the
+        lane, so a woken poller runs before every other LATE event of its
+        cycle: the position a per-cycle poller holds relative to the
+        late-phase producers started after it.
+        """
+        event._ok = True
+        event._value = None
+        time = self.last_late_phase() + 1
+        if type(time) is int:
+            self._schedule_front(event, time, PRIORITY_LATE)
+        else:
+            self._schedule(event, time - self._now, PRIORITY_LATE)
+
     def process(self, generator: Generator, name: str = "",
                 inline: bool = False) -> Process:
         """Start a new process from ``generator``.
@@ -433,6 +464,20 @@ class Simulator:
         else:
             self._eid += 1
             heapq.heappush(self._far, (time, priority, self._eid, event))
+
+    def _schedule_front(self, event: Event, time: int, priority: int) -> None:
+        """Put ``event`` at the head of its wheel lane at integer ``time``
+        (which must lie within the horizon)."""
+        index = time & _WHEEL_MASK
+        slot = self._wheel[index]
+        if slot is None:
+            slot = [time, deque(), deque(), deque()]
+            self._wheel[index] = slot
+        elif slot[0] != time:
+            slot[0] = time
+        slot[priority + 1].appendleft(event)
+        self._wheel_count += 1
+        self._occupied |= 1 << index
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
@@ -500,6 +545,7 @@ class Simulator:
                         lane_priority, lane = 1, slot[2]
                     elif slot[3]:
                         lane_priority, lane = 2, slot[3]
+                        self._late_phase_at = now
                     else:
                         lane = None
                     if lane is not None:
@@ -511,6 +557,10 @@ class Simulator:
                             # scheduled earlier (lower sequence number).
                             if head[0] == now and head[1] <= lane_priority:
                                 heapq.heappop(far)
+                                if head[1] < PRIORITY_LATE:
+                                    # An earlier lane of this cycle is still
+                                    # running: the LATE phase has not begun.
+                                    self._late_phase_at = -1
                                 return head[3]
                         self._wheel_count -= 1
                         event = lane.popleft()
@@ -518,7 +568,10 @@ class Simulator:
                             self._occupied &= ~(1 << index)
                         return event
             if far and far[0][0] == now:
-                return heapq.heappop(far)[3]
+                entry = heapq.heappop(far)
+                if entry[1] >= PRIORITY_LATE:
+                    self._late_phase_at = now
+                return entry[3]
             # Nothing left at the current time: advance to the next one.
             next_time = self._next_wheel_time() if self._wheel_count else None
             if far:
@@ -583,14 +636,7 @@ class Simulator:
                 callbacks[i](event)
                 continue
             event.callbacks = callbacks[i:]
-            if slot is None:
-                slot = [now, deque(), deque(), deque()]
-                wheel[index] = slot
-            elif slot[0] != now:
-                slot[0] = now
-            slot[pri + 1].appendleft(event)
-            self._wheel_count += 1
-            self._occupied |= 1 << index
+            self._schedule_front(event, now, pri)
             return
 
     def run(self, until: Optional[Any] = None) -> Any:

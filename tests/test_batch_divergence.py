@@ -243,6 +243,9 @@ class TestOpCoverage:
         "WriteChannel": "static-bail (channel operation)",
         "Call": "static-bail (HDL library call)",
         "Barrier": "static-bail (work-group barrier)",
+        # Parks late-phase autorun units only; compile_batch_plan rejects
+        # every autorun kernel before planning.
+        "AwaitData": "static-bail (autorun kernel)",
         # Python-IR only: never emitted by the codegen op stream, so any
         # kernel producing them has no plan at all.
         "MemFence": "no-plan (Python-IR kernels only)",
@@ -252,3 +255,14 @@ class TestOpCoverage:
 
     def test_every_op_has_a_disposition(self):
         assert set(self.DISPOSITION) == {cls.__name__ for cls in ALL_OPS}
+
+    def test_autorun_kernels_bail_before_planning(self):
+        program_cache_clear()
+        program = compile_source(Fabric(), """
+            channel int c __attribute__((depth(4)));
+            __attribute__((autorun))
+            __kernel void srv(void) {
+                while (1) { bool ok = write_channel_nb_altera(c, 1); }
+            }
+        """)
+        assert program.kernel("srv").batch_plan() == (None, "autorun kernel")
