@@ -30,10 +30,10 @@ pipelines" (§1). This module models their semantics at cycle granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 from repro.errors import ChannelDepthError, ChannelUsageError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import PRIORITY_LATE, Event, Simulator
 from repro.sim.resources import Store
 
 
@@ -59,6 +59,25 @@ class ChannelStats:
             "read_stall_cycles": self.read_stall_cycles,
             "max_occupancy": self.max_occupancy,
         }
+
+
+class Feed:
+    """The writes a parked producer handed to its channel (see
+    :meth:`Channel.feed`)."""
+
+    __slots__ = ("words", "position", "through", "on_end", "end_fixed",
+                 "write_requested")
+
+    def __init__(self, words: Sequence[Any], position: int, through: int,
+                 on_end: Callable[[], None]) -> None:
+        self.words = words
+        #: Index of the next word to write.
+        self.position = position
+        #: Last LATE phase whose write (or failed write) is settled.
+        self.through = through
+        self.on_end = on_end
+        self.end_fixed = False
+        self.write_requested = False
 
 
 class Channel:
@@ -91,6 +110,8 @@ class Channel:
         self._arrival: Optional[Callable[[], None]] = None
         #: Last cycle whose poll by the parked consumer is already counted.
         self._parked_through: Optional[int] = None
+        #: The parked producer's pending writes (see :meth:`feed`).
+        self._feed: Optional[Feed] = None
         self._producer: Any = None
         self._consumer: Any = None
         if self.depth > 0:
@@ -133,12 +154,16 @@ class Channel:
     def occupancy(self) -> int:
         """Number of values currently buffered."""
         if self._fifo is not None:
+            if self._feed is not None:
+                self._settle_feed()
             return len(self._fifo)
         return 0 if self._register is Channel._UNSET else 1
 
     @property
     def has_data(self) -> bool:
         if self._fifo is not None:
+            if self._feed is not None:
+                self._settle_feed()
             return len(self._fifo) > 0
         return self._register is not Channel._UNSET or bool(self._pending_writers)
 
@@ -151,9 +176,12 @@ class Channel:
 
     @property
     def stats(self) -> ChannelStats:
-        """Dynamic statistics, including a parked consumer's skipped polls."""
+        """Dynamic statistics, including a parked consumer's skipped polls
+        and a parked producer's fed writes."""
         if self._parked_through is not None:
             self._credit_parked_polls()
+        if self._feed is not None:
+            self._settle_feed()
         return self._stats
 
     def park(self, on_arrival: Callable[[], None]) -> None:
@@ -167,6 +195,8 @@ class Channel:
         """
         self._arrival = on_arrival
         self._parked_through = self.sim.now
+        if self._feed is not None:
+            self._request_write()
 
     def unpark(self) -> None:
         """Credit the parked consumer's skipped polls and detach it."""
@@ -180,6 +210,123 @@ class Channel:
         if through > self._parked_through:
             self._stats.read_failures += through - self._parked_through
             self._parked_through = through
+
+    # -- parked producers ---------------------------------------------------
+
+    def feed(self, words: Sequence[Any], start: int,
+             on_end: Callable[[], None]) -> Feed:
+        """Hand ``words[start:]`` over as a parked producer's writes.
+
+        The feed stands for the producer running ``write_nb(words[i])`` at
+        the head of every LATE phase after the current one, advancing
+        ``i`` on success, until the words run out. Nothing is scheduled
+        per word: every consumer-side access (``read``, ``read_nb``,
+        ``has_data``, ``occupancy``, ``stats``) first settles the phases
+        begun since the last access. Nothing drains the FIFO between two
+        accesses, so a settle is closed-form: ``min(phases, room, left)``
+        writes, and one write failure for every other phase while words
+        remain. Only a consumer that blocks on (or parks on) the empty
+        FIFO costs an event: one write at the head of the next LATE phase.
+
+        ``on_end`` is called in the LATE phase of the final write; the
+        returned :class:`Feed` holds the position reached. Detach with
+        :meth:`unfeed`. FIFO channels only (depth >= 1).
+        """
+        if self._fifo is None:
+            raise ChannelUsageError(
+                f"channel {self.name!r} has no FIFO (depth 0) to feed")
+        feed = Feed(words, start, self.sim.last_late_phase(), on_end)
+        self._feed = feed
+        self._fix_feed_end()
+        if self._arrival is not None or self._fifo._getters:
+            self._request_write()
+        return feed
+
+    def unfeed(self) -> None:
+        """Settle the feed through the last LATE phase begun and detach it."""
+        self._settle_feed()
+        self._feed = None
+
+    def _settle_feed(self) -> None:
+        """Apply the feed's writes of the LATE phases begun since the last
+        settle (see :meth:`feed`)."""
+        feed = self._feed
+        through = self.sim.last_late_phase()
+        phases = through - feed.through
+        if phases <= 0:
+            return
+        feed.through = through
+        words = feed.words
+        position = feed.position
+        left = len(words) - position
+        if not left:
+            return
+        fifo = self._fifo
+        stats = self._stats
+        # A blocked reader takes the first word straight off the write,
+        # without using room.
+        handed = 1 if fifo._getters and not fifo.items else 0
+        if handed:
+            fifo._getters.popleft().succeed(words[position])
+        written = handed
+        count = min(phases, fifo.capacity - len(fifo.items) + handed, left)
+        if count > written:
+            fifo.items.extend(words[position + written:position + count])
+            written = count
+            if len(fifo.items) > stats.max_occupancy:
+                stats.max_occupancy = len(fifo.items)
+        feed.position = position + written
+        stats.writes += written
+        if written < left:
+            # The FIFO filled up: every later phase failed its write.
+            stats.write_failures += phases - written
+        if written and self._arrival is not None:
+            self._arrival()
+        if handed:
+            self._fix_feed_end()
+
+    def _fix_feed_end(self) -> None:
+        """Schedule ``on_end`` once the free room covers the words left.
+
+        Called whenever room grows against the words left (a read, or a
+        write taken straight by a blocked reader). From then on every
+        LATE phase writes one word, so the final write's phase is known.
+        """
+        feed = self._feed
+        if feed.end_fixed:
+            return
+        fifo = self._fifo
+        left = len(feed.words) - feed.position
+        if fifo.capacity - len(fifo.items) < left:
+            return
+        feed.end_fixed = True
+        last = feed.through + left
+
+        def end(_event: Event) -> None:
+            if self._feed is feed:
+                feed.on_end()
+
+        self.sim.timeout(last - self.sim.now,
+                         priority=PRIORITY_LATE).add_callback(end)
+
+    def _request_write(self) -> None:
+        """Settle the feed at the head of the next LATE phase, for a
+        consumer waiting on the empty FIFO."""
+        feed = self._feed
+        if feed.write_requested or feed.position == len(feed.words):
+            return
+        feed.write_requested = True
+        event = Event(self.sim)
+
+        def write(_event: Event) -> None:
+            feed.write_requested = False
+            if self._feed is feed:
+                self._settle_feed()
+                if self._fifo._getters:
+                    self._request_write()
+
+        event.callbacks.append(write)
+        self.sim.wake_at_late_phase(event)
 
     # -- non-blocking API (write_channel_nb_altera / read_channel_nb_altera)
 
@@ -212,9 +359,14 @@ class Channel:
     def read_nb(self) -> Tuple[Any, bool]:
         """Non-blocking read. Returns ``(value, valid)``."""
         if self._fifo is not None:
+            feed = self._feed
+            if feed is not None:
+                self._settle_feed()
             value, ok = self._fifo.try_get()
             self._stats.reads += 1 if ok else 0
             self._stats.read_failures += 0 if ok else 1
+            if ok and feed is not None:
+                self._fix_feed_end()
             return value, ok
         # depth 0: prefer a waiting rendezvous writer, else the register.
         if self._pending_writers:
@@ -289,6 +441,9 @@ class Channel:
         start = self.sim.now
         fifo = self._fifo
         if fifo is not None:
+            feed = self._feed
+            if feed is not None:
+                self._settle_feed()
             if fifo.items:
                 value = fifo.items.popleft()
                 if fifo._putters:
@@ -297,7 +452,11 @@ class Channel:
                     putter = fifo._putters.popleft()
                     fifo.items.append(putter.item)
                     putter.succeed()
+                if feed is not None:
+                    self._fix_feed_end()
             else:
+                if feed is not None:
+                    self._request_write()
                 value = yield fifo.get()
         else:
             if self._pending_writers:

@@ -6,11 +6,13 @@ Implements the framework of §4 / Listing 8 / Figures 1 and 3:
   polls its data-in, command, and (optionally) auxiliary channels, so
   producers' non-blocking writes are always drained and the design under
   test is never back-pressured. The hardware polls every cycle; the model
-  skips only polls it can prove are empty: an idle unit (not in READ, all
-  polled channels empty) parks until a value arrives, resuming in the
-  cycle and phase in which a poll would first have seen it, with every
-  skipped poll still counted as a channel read failure (see
-  ``docs/PERFORMANCE.md``, "Parked autorun polling");
+  skips only polls it can prove are empty: a unit whose polled channels
+  are all empty parks until a value arrives, resuming in the cycle and
+  phase in which a poll would first have seen it, with every skipped
+  poll still counted as a channel read failure (see
+  ``docs/PERFORMANCE.md``, "Parked autorun polling"). In READ the parked
+  unit's one-word-per-cycle writes are handed to its out channel, which
+  settles them when the host reads ("Lazy READ drain");
 * a **state machine** (RESET / SAMPLE / STOP / READ) driven by commands
   from the host interface kernel and by internal events (read drained);
 * a **trace buffer in local memory** written in linear or cyclic mode;
@@ -136,13 +138,9 @@ class IBuffer(AutorunKernel):
         if self.addr_c is not None:
             polled.insert(0, self.addr_c[cu])
         idle = ctx.await_data(*polled)
-        wpe = self.layout.words_per_entry
-        readout_words = self.words_per_readout
-        read_slots: List[int] = []
+        out = self.out_c[cu]
+        readout: List[int] = []
         read_pos = 0  # word index within the fixed-length readout
-        # The entry being drained, decoded once: its index and its words.
-        entry_index = -1
-        entry_words: List[int] = []
 
         while True:
             now = self.timestamp.synthesize_behavior()
@@ -164,9 +162,8 @@ class IBuffer(AutorunKernel):
                         trace.reset()
                         logic.on_reset()
                     elif state == IBufferState.READ:
-                        read_slots = trace.chronological_slots()
+                        readout = trace.readout_words()
                         read_pos = 0
-                        entry_index = -1
                     elif (state == IBufferState.STOP
                           and previous == IBufferState.SAMPLE):
                         # Processing blocks materialize running summaries
@@ -184,23 +181,23 @@ class IBuffer(AutorunKernel):
                     # is still drained — the caller must never stall).
                     self.samples_dropped[cu] += 1
 
-            if state == IBufferState.READ:
-                if read_pos < readout_words:
-                    if read_pos // wpe != entry_index:
-                        entry_index = read_pos // wpe
-                        entry_words = trace.read_slot(read_slots[entry_index])
-                    if ctx.write_channel_nb(self.out_c[cu],
-                                            entry_words[read_pos % wpe]):
-                        read_pos += 1
-                else:
-                    # Event-driven transition: "The state moves to stop when
-                    # all the data in the trace buffer are read."
-                    state = IBufferState.STOP
-                    self.states[cu] = state
+            if state == IBufferState.READ and read_pos == len(readout):
+                # Event-driven transition: "The state moves to stop when
+                # all the data in the trace buffer are read."
+                state = IBufferState.STOP
+                self.states[cu] = state
 
-            # READ drains one word per cycle; any other state has nothing
-            # to do until a value arrives on a polled channel.
-            yield ctx.cycle() if state == IBufferState.READ else idle
+            if state == IBufferState.READ:
+                if ctx.write_channel_nb(out, readout[read_pos]):
+                    read_pos += 1
+                # READ writes one word per cycle; the following cycles'
+                # writes are handed to the out channel, and the unit
+                # resumes when a polled value arrives or the cycle after
+                # the final write.
+                read_pos = yield ctx.drain(out, readout, read_pos, polled)
+            else:
+                # Nothing to do until a value arrives on a polled channel.
+                yield idle
 
     # -- synthesis accounting -------------------------------------------
 

@@ -126,6 +126,12 @@ class TraceBuffer:
         return [self.memory.peek(base + offset)
                 for offset in range(self.layout.words_per_entry)]
 
+    def readout_words(self) -> List[int]:
+        """The READ-state drain stream: every slot's words, oldest first."""
+        wpe = self.layout.words_per_entry
+        slots = self.memory.data[:self.depth * wpe].reshape(self.depth, wpe)
+        return slots[self.chronological_slots()].ravel().tolist()
+
     def chronological_slots(self) -> List[int]:
         """Physical slot indices oldest-first.
 

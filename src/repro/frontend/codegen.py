@@ -2009,7 +2009,7 @@ def compile_batch_plan(definition: ast.KernelDef, *,
     """
     if autorun:
         # Also the static rejection of the autorun-only ops (cycle
-        # boundaries, ``await_data`` parking).
+        # boundaries, ``await_data`` parking, ``drain`` feeds).
         return None, "autorun kernel"
     reason = _batch_bail_reason(definition.body, hdl_names)
     if reason is not None:

@@ -169,7 +169,9 @@ class GlobalMemory:
         self.stats.loads += 1
         self.stats.total_load_latency += latency
         self.stats.bytes_read += store.itemsize
-        traffic = self.traffic.setdefault(buffer_name, BufferTraffic())
+        traffic = self.traffic.get(buffer_name)
+        if traffic is None:
+            traffic = self.traffic[buffer_name] = BufferTraffic()
         traffic.loads += 1
         traffic.bytes_read += store.itemsize
         return store, latency
@@ -209,7 +211,9 @@ class GlobalMemory:
         latency = self._service_latency(store.address_of(index), now=now)
         self.stats.stores += 1
         self.stats.bytes_written += store.itemsize
-        traffic = self.traffic.setdefault(buffer_name, BufferTraffic())
+        traffic = self.traffic.get(buffer_name)
+        if traffic is None:
+            traffic = self.traffic[buffer_name] = BufferTraffic()
         traffic.stores += 1
         traffic.bytes_written += store.itemsize
         self.post_commit_at(store, index, value,

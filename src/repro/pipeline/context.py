@@ -158,6 +158,24 @@ class KernelContext:
             channel.bind_consumer(owner)
         return ops.AwaitData(channels)
 
+    def drain(self, channel: Any, words: Any, start: int,
+              polled: Any) -> ops.Drain:
+        """Write ``words[start:]`` to ``channel`` one per cycle while the
+        ``polled`` channels stay empty.
+
+        Yield it instead of :meth:`cycle` after this cycle's polls of
+        ``polled`` and write to ``channel``: the body resumes in the first
+        cycle whose poll would see a value, or the cycle after the final
+        write, and receives the index of the next unwritten word. Skipped
+        polls and failed writes are still counted. Late-phase autorun
+        kernels only.
+        """
+        owner = self._instance.endpoint_owner
+        channel.bind_producer(owner)
+        for polled_channel in polled:
+            polled_channel.bind_consumer(owner)
+        return ops.Drain(channel, words, start, polled)
+
     def barrier(self, site: Optional[str] = None) -> ops.Barrier:
         """OpenCL ``barrier(CLK_LOCAL_MEM_FENCE)``: group-wide sync point."""
         return ops.Barrier(site)

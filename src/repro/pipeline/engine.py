@@ -31,7 +31,8 @@ Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
   drive loop, zero-latency compute runs fused into one scheduler visit,
   autorun ``CycleBoundary`` steps parked on one shared broadcast tick
   per ``(cycle, phase)``, and idle ``AwaitData`` units parked on their
-  channels' arrival hook with no per-cycle event at all;
+  channels' arrival hook with no per-cycle event at all (a ``Drain`` unit
+  also hands its remaining words to its output channel as a feed);
 * the **reference executor** (``executor="reference"``): the original
   one-generator-per-op interpretation loop, kept as the semantic oracle
   for the dispatch property suite.
@@ -39,8 +40,9 @@ Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import KernelBuildError, KernelError
 from repro.memory.lsu import LoadStoreUnit
@@ -153,8 +155,8 @@ class _OpExecutor:
         #: Only late-phase autorun units may park (see :meth:`_park`).
         self._can_park = (isinstance(kernel, AutorunKernel)
                           and self._tick_priority == PRIORITY_LATE)
-        #: Parked units: compute id -> the channels they wait on.
-        self._parked: Dict[int, Tuple[Any, ...]] = {}
+        #: Parked units: compute id -> detach (settles and unhooks the unit).
+        self._parked: Dict[int, Callable[[], None]] = {}
         if executor == "reference":
             self._drive = self._drive_reference
         elif executor != "fast":
@@ -197,36 +199,48 @@ class _OpExecutor:
     def _check_can_park(self) -> None:
         if not self._can_park:
             raise KernelBuildError(
-                f"kernel {self.kernel.name!r}: await_data() is only valid in "
-                "a late-phase autorun kernel")
+                f"kernel {self.kernel.name!r}: await_data() and drain() are "
+                "only valid in a late-phase autorun kernel")
 
-    def _park(self, channels: Tuple[Any, ...], compute_id: int) -> Event:
-        """The event an idle unit waits on for an ``AwaitData`` op.
+    def _park(self, channels: Tuple[Any, ...], compute_id: int,
+              drain: Optional[ops.Drain] = None) -> Tuple[Event, Any]:
+        """The event an idle unit waits on for an ``AwaitData`` op, and
+        for a ``Drain`` op its feed (None when it does not park).
 
         With a value already buffered this is the next cycle's tick, as for
         ``cycle()``. Otherwise the unit parks on the channels' arrival hook
         and schedules nothing: the first write wakes it at the head of the
         first LATE phase that has not begun — the phase in which a
-        per-cycle poll would first have seen the value.
+        per-cycle poll would first have seen the value. A draining unit
+        also feeds its words to the drain channel; the feed's final write
+        wakes it the same way, one LATE phase later.
         """
         self._check_can_park()
         sim = self.sim
         for channel in channels:
             if channel.has_data:
-                return sim.broadcast_tick(PRIORITY_LATE)
+                return sim.broadcast_tick(PRIORITY_LATE), None
         wake = Event(sim)
         parked = self._parked
+        out = drain.channel if drain is not None else None
 
-        def arrived() -> None:
+        def detach() -> None:
             del parked[compute_id]
             for channel in channels:
                 channel.unpark()
+            if out is not None:
+                out.unfeed()
+
+        def arrived() -> None:
+            detach()
             sim.wake_at_late_phase(wake)
 
         for channel in channels:
             channel.park(arrived)
-        parked[compute_id] = channels
-        return wake
+        feed = (out.feed(drain.words, drain.start, arrived)
+                if out is not None else None)
+        parked[compute_id] = detach
+        return wake, feed
 
     def _drive(self, generator: Generator, compute_id: int,
                ctx: Optional[KernelContext] = None) -> Generator:
@@ -285,7 +299,7 @@ class _OpExecutor:
                     yield sim.broadcast_tick(self._tick_priority)
                     send_value = None
                 elif cls is _AwaitData:
-                    yield self._park(op.channels, compute_id)
+                    yield self._park(op.channels, compute_id)[0]
                     send_value = None
                 elif cls is _LoadLocal:
                     send_value = yield op.memory.load(op.index)
@@ -426,8 +440,34 @@ class _OpExecutor:
     def _op_await_data(self, generator: Generator, op: ops.Op,
                        compute_id: int,
                        ctx: Optional[KernelContext]) -> Generator:
-        yield self._park(op.channels, compute_id)
+        yield self._park(op.channels, compute_id)[0]
         return None
+
+    def _op_drain(self, generator: Generator, op: ops.Op, compute_id: int,
+                  ctx: Optional[KernelContext]) -> Generator:
+        if op.start == len(op.words) or not op.channel.depth:
+            # Nothing left to feed, or a depth-0 register (no FIFO whose
+            # writes could be settled later): step the cycles.
+            return (yield from self._drain_per_cycle(op))
+        wake, feed = self._park(op.polled, compute_id, op)
+        yield wake
+        return op.start if feed is None else feed.position
+
+    def _drain_per_cycle(self, op: ops.Drain) -> Generator:
+        """The cycle loop a ``Drain`` op stands for: how the reference
+        executor runs it, and the fast one when there is nothing to feed."""
+        self._check_can_park()
+        words = op.words
+        position = op.start
+        while True:
+            yield self.sim.tick(self._cycle_priority())
+            if position == len(words) or any(
+                    channel.has_data for channel in op.polled):
+                return position
+            for channel in op.polled:
+                channel.read_nb()
+            if op.channel.write_nb(words[position]):
+                position += 1
 
     def _execute(self, op: ops.Op, site: str,
                  ctx: Optional[KernelContext] = None) -> Generator:
@@ -481,6 +521,8 @@ class _OpExecutor:
                     channel.read_nb()
                 yield self.sim.tick(self._cycle_priority())
             return None
+        if isinstance(op, ops.Drain):
+            return (yield from self._drain_per_cycle(op))
         raise KernelBuildError(f"unknown op {op!r} from kernel {self.kernel.name!r}")
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
@@ -509,6 +551,7 @@ OP_DISPATCH: Dict[type, Any] = {
     ops.MemFence: _OpExecutor._op_mem_fence,
     ops.CycleBoundary: _OpExecutor._op_cycle_boundary,
     ops.AwaitData: _OpExecutor._op_await_data,
+    ops.Drain: _OpExecutor._op_drain,
 }
 
 
@@ -680,7 +723,8 @@ class AutorunEngine(_OpExecutor):
             KernelInstance(fabric, kernel, args or {}, compute_id)
             for compute_id in range(kernel.num_compute_units)
         ]
-        self._processes: List[Process] = []
+        #: (process, unit generator) per compute unit.
+        self._processes: List[Tuple[Process, Generator]] = []
         self._started = False
 
     def start(self) -> None:
@@ -689,19 +733,21 @@ class AutorunEngine(_OpExecutor):
             raise KernelError(f"autorun kernel {self.kernel.name!r} already started")
         self._started = True
         for instance in self.instances:
-            self._processes.append(self.sim.process(
-                self._unit(instance),
-                name=f"{self.kernel.name}.cu{instance.compute_id}"))
+            unit = self._unit(instance)
+            self._processes.append((self.sim.process(
+                unit, name=f"{self.kernel.name}.cu{instance.compute_id}"),
+                unit))
 
     def _unit(self, instance: KernelInstance) -> Generator:
-        skew = getattr(self.kernel, "launch_skew", 0)
-        if skew:
-            yield self.sim.timeout(skew)
-        # Align the unit to its intra-cycle phase from the very first cycle.
-        yield self.sim.timeout(0, priority=self._tick_priority)
-        ctx = KernelContext(instance, iteration=None)
-        body = self.kernel.body(ctx)
         try:
+            skew = getattr(self.kernel, "launch_skew", 0)
+            if skew:
+                yield self.sim.timeout(skew)
+            # Align the unit to its intra-cycle phase from the very first
+            # cycle.
+            yield self.sim.timeout(0, priority=self._tick_priority)
+            ctx = KernelContext(instance, iteration=None)
+            body = self.kernel.body(ctx)
             yield from self._drive(body, instance.compute_id)
         except Interrupt:
             return
@@ -709,18 +755,23 @@ class AutorunEngine(_OpExecutor):
     def stop(self) -> None:
         """Interrupt all compute units (tears the persistent kernels down).
 
-        Parked units are settled first: their skipped polls are credited
-        up to now, and later writes no longer wake them.
+        Parked units are settled first: their skipped polls and fed writes
+        are credited up to now, and later writes no longer wake them. A
+        unit that has not taken its first step yet just never runs.
         """
-        for channels in self._parked.values():
-            for channel in channels:
-                channel.unpark()
-        self._parked.clear()
-        for process in self._processes:
-            if process.is_alive:
+        for detach in list(self._parked.values()):
+            detach()
+        for process, unit in self._processes:
+            if not process.is_alive:
+                continue
+            if inspect.getgeneratorstate(unit) == inspect.GEN_CREATED:
+                # An interrupt would be thrown in before its first line,
+                # outside the handler; closed, it returns at its start.
+                unit.close()
+            else:
                 process.interrupt("autorun stop")
         self._processes = []
 
     @property
     def running(self) -> bool:
-        return any(process.is_alive for process in self._processes)
+        return any(process.is_alive for process, _ in self._processes)

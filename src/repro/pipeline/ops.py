@@ -193,10 +193,37 @@ class AwaitData(Op):
         self.channels = tuple(channels)
 
 
+class Drain(Op):
+    """Write ``words[start:]`` to ``channel``, one word a cycle, while
+    nothing arrives on ``polled``.
+
+    Yielded by a late-phase autorun right after it polled every one of
+    ``polled`` and wrote (or tried to write) ``channel`` this cycle. It
+    stands for ``cycle()`` repeated, with one failed non-blocking read of
+    each polled channel and one ``write_nb(words[i])`` per cycle,
+    advancing ``i`` on success. The body resumes in the LATE phase of the
+    first cycle in which a poll would find data, or of the cycle after
+    the final write, and receives the next ``i``. The fast executor hands
+    the words to the channel as a feed (see :meth:`repro.channels.
+    channel.Channel.feed`) and parks the unit, so the skipped cycles cost
+    no events.
+    """
+
+    __slots__ = ("channel", "words", "start", "polled")
+
+    def __init__(self, channel: Any, words: Sequence[Any], start: int,
+                 polled: Sequence[Any], site: Optional[str] = None) -> None:
+        super().__init__(site)
+        self.channel = channel
+        self.words = words
+        self.start = int(start)
+        self.polled = tuple(polled)
+
+
 #: Every concrete op class a kernel body may yield. The batch executor's
 #: plan compiler must either lower or statically reject each of these;
 #: ``tests/test_batch_divergence.py`` holds an exhaustiveness guard over
 #: this tuple so a new op cannot silently miss batch handling.
 ALL_OPS = (Load, Store, LoadLocal, StoreLocal, ReadChannel, WriteChannel,
            Call, Compute, CollectReduction, MemFence, Barrier, CycleBoundary,
-           AwaitData)
+           AwaitData, Drain)

@@ -1,10 +1,12 @@
 """Per-cycle polling oracle for the parked ibuffer.
 
-:class:`PollingIBuffer` runs the real ibuffer body but turns every idle
-park (``ctx.await_data``) back into a plain ``ctx.cycle()``, so each
-compute unit polls its channels every cycle exactly as Listing 8's loop
-does. Tests run the same script against both and require identical
-observables: states, trace contents, channel statistics and ``sim.now``.
+:class:`PollingIBuffer` runs Listing 8's loop literally: every compute
+unit polls its channels every cycle, and in READ it tries one
+``write_nb`` of the next trace word per cycle, never parking and never
+handing words to its out channel as a feed. Tests run the same script
+against it and the real :class:`~repro.core.ibuffer.IBuffer` and require
+identical observables: states, trace contents, channel statistics and
+``sim.now``.
 """
 
 from __future__ import annotations
@@ -13,20 +15,73 @@ import contextlib
 from unittest import mock
 
 from repro.core import stall_monitor, watchpoint
+from repro.core.commands import IBufferState, next_state
 from repro.core.ibuffer import IBuffer
-from repro.pipeline.ops import AwaitData
+from repro.core.trace_buffer import TraceBuffer
 
 
 class PollingIBuffer(IBuffer):
-    """An ibuffer whose compute units never park: one poll per cycle."""
+    """An ibuffer whose compute units step every cycle."""
 
     def body(self, ctx):
-        body = super().body(ctx)
-        op = body.send(None)
+        cu = ctx.compute_id
+        logic = self.logic[cu]
+        trace = TraceBuffer(ctx.local("trace"), logic.layout,
+                            self.config.depth, self.config.mode)
+        self.trace_buffers[cu] = trace
+        self.samples_dropped[cu] = 0
+        state = self.config.initial_state
+        self.states[cu] = state
+        wpe = self.layout.words_per_entry
+        read_slots = []
+        read_pos = 0
+
         while True:
-            if isinstance(op, AwaitData):
-                op = ctx.cycle()
-            op = body.send((yield op))
+            now = self.timestamp.synthesize_behavior()
+
+            if self.addr_c is not None:
+                aux, has_aux = ctx.read_channel_nb(self.addr_c[cu])
+                if has_aux:
+                    logic.on_aux(now, aux)
+
+            data, has_data = ctx.read_channel_nb(self.data_c[cu])
+            command, has_command = ctx.read_channel_nb(self.cmd_c[cu])
+
+            if has_command:
+                new_state = next_state(state, command)
+                if new_state != state:
+                    previous = state
+                    state = new_state
+                    if state == IBufferState.RESET:
+                        trace.reset()
+                        logic.on_reset()
+                    elif state == IBufferState.READ:
+                        read_slots = trace.chronological_slots()
+                        read_pos = 0
+                    elif (state == IBufferState.STOP
+                          and previous == IBufferState.SAMPLE):
+                        for entry in logic.on_flush(now):
+                            trace.write(entry)
+                self.states[cu] = state
+
+            if has_data:
+                if state == IBufferState.SAMPLE:
+                    for entry in logic.on_data(now, data):
+                        trace.write(entry)
+                else:
+                    self.samples_dropped[cu] += 1
+
+            if state == IBufferState.READ:
+                if read_pos < self.words_per_readout:
+                    word = trace.read_slot(read_slots[read_pos // wpe])[
+                        read_pos % wpe]
+                    if ctx.write_channel_nb(self.out_c[cu], word):
+                        read_pos += 1
+                else:
+                    state = IBufferState.STOP
+                    self.states[cu] = state
+
+            yield ctx.cycle()
 
 
 @contextlib.contextmanager

@@ -243,9 +243,10 @@ class TestOpCoverage:
         "WriteChannel": "static-bail (channel operation)",
         "Call": "static-bail (HDL library call)",
         "Barrier": "static-bail (work-group barrier)",
-        # Parks late-phase autorun units only; compile_batch_plan rejects
+        # Park late-phase autorun units only; compile_batch_plan rejects
         # every autorun kernel before planning.
         "AwaitData": "static-bail (autorun kernel)",
+        "Drain": "static-bail (autorun kernel)",
         # Python-IR only: never emitted by the codegen op stream, so any
         # kernel producing them has no plan at all.
         "MemFence": "no-plan (Python-IR kernels only)",

@@ -1,9 +1,10 @@
-"""Idle ibuffer units park instead of polling every cycle.
+"""Idle ibuffer units park instead of polling every cycle, and READ hands
+its words to the out channel instead of writing one per cycle.
 
-Pins the cost side of parking with exact counts (simulator events, body
-iterations), the paper experiments' outputs against the per-cycle
-polling oracle (:mod:`tests.polling_oracle`), and the contract of the
-``await_data`` op itself.
+Pins the cost side of parking and of the lazy READ drain with exact
+counts (simulator events, body iterations), the paper experiments'
+outputs against the per-cycle polling oracle (:mod:`tests.polling_oracle`),
+and the contracts of the ``await_data`` and ``drain`` ops themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from repro.hdl.counter import GetTimeModule
 from repro.pipeline import fabric as fabric_module
 from repro.pipeline.engine import AutorunEngine
 from repro.pipeline.fabric import Fabric
-from repro.pipeline.kernel import AutorunKernel, SingleTaskKernel
+from repro.pipeline.kernel import (
+    AutorunKernel,
+    PipelineConfig,
+    SingleTaskKernel,
+)
 from repro.sim.core import PRIORITY_LATE, Simulator
 from tests.polling_oracle import polling_ibuffers
 
@@ -62,22 +67,73 @@ class TestEventCost:
         fabric.advance(10_000)
         assert steps[0] == 10_003
 
-    @pytest.mark.parametrize("polling,iterations", [(False, 18_427),
+    @pytest.mark.parametrize("polling,iterations", [(False, 2_055),
                                                     (True, 59_532)])
     def test_sec51_body_iterations(self, monkeypatch, polling, iterations):
-        # One timestamp read per loop iteration of the ibuffer body.
-        count = [0]
+        assert _body_iterations(monkeypatch, sec51.run, "stall_monitor",
+                                polling) == iterations
+
+    @pytest.mark.parametrize("polling,iterations", [(False, 56),
+                                                    (True, 17_176)])
+    def test_sec52_body_iterations(self, monkeypatch, polling, iterations):
+        assert _body_iterations(monkeypatch, sec52.run, "watchpoint",
+                                polling) == iterations
+
+    @pytest.mark.parametrize("depth", [16, 256])
+    def test_read_schedules_no_per_word_tick(self, monkeypatch, depth):
+        # A READ of `depth` entries: the unit wakes for the command, writes
+        # the first word and hands over the rest, and wakes once more
+        # after the last one to take READ -> STOP.
+        fabric = Fabric()
+        monitor = StallMonitor(fabric, sites=1, depth=depth)
+        for value in range(depth):
+            monitor.ibuffer.data_c[0].write_nb(value)
+            fabric.advance(1)
+        monitor.host.stop(0)
+        sim = fabric.sim
+        late = [0]
+        broadcast_tick = sim.broadcast_tick
+        wake_at_late_phase = sim.wake_at_late_phase
+
+        def counting_tick(priority):
+            late[0] += priority == PRIORITY_LATE
+            return broadcast_tick(priority)
+
+        def counting_wake(event):
+            late[0] += 1
+            wake_at_late_phase(event)
+
+        monkeypatch.setattr(sim, "broadcast_tick", counting_tick)
+        monkeypatch.setattr(sim, "wake_at_late_phase", counting_wake)
+        iterations = [0]
         original = GetTimeModule.synthesize_behavior
 
         def counting(module, *args):
-            if module.name == "stall_monitor_get_time":
-                count[0] += 1
+            iterations[0] += 1
             return original(module, *args)
 
         monkeypatch.setattr(GetTimeModule, "synthesize_behavior", counting)
-        with _oracle(polling):
-            sec51.run()
-        assert count[0] == iterations
+        entries = monitor.host.read_trace(0)
+        assert [entry["value"] for entry in entries] == list(range(depth))
+        assert iterations[0] == 2
+        # The two wakes; no LATE tick or wake per word.
+        assert late[0] == 2
+
+
+def _body_iterations(monkeypatch, run, ibuffer, polling):
+    """Ibuffer body iterations in ``run()``: one timestamp read each."""
+    count = [0]
+    original = GetTimeModule.synthesize_behavior
+
+    def counting(module, *args):
+        if module.name == f"{ibuffer}_get_time":
+            count[0] += 1
+        return original(module, *args)
+
+    monkeypatch.setattr(GetTimeModule, "synthesize_behavior", counting)
+    with _oracle(polling):
+        run()
+    return count[0]
 
 
 class TestExperimentsMatchPollingOracle:
@@ -259,3 +315,149 @@ class TestAwaitDataOp:
         assert src.stats.read_failures == 50
         assert echo.seen == []
 
+
+
+class _Feeder(AutorunKernel):
+    """Late-phase producer: drains ``words`` into ``out`` with ``drain``,
+    polling ``cmd``; logs ``(cycle, command, position)`` per iteration."""
+
+    def __init__(self, out, cmd, words):
+        super().__init__(name="feeder", phase="late")
+        self.out = out
+        self.cmd = cmd
+        self.words = words
+        self.log = []
+
+    def body(self, ctx):
+        position = 0
+        while True:
+            command, ok = ctx.read_channel_nb(self.cmd)
+            if position < len(self.words) and ctx.write_channel_nb(
+                    self.out, self.words[position]):
+                position += 1
+            self.log.append((ctx.now, command if ok else None, position))
+            position = yield ctx.drain(self.out, self.words, position,
+                                       [self.cmd])
+
+
+class _Reader(SingleTaskKernel):
+    """Reads ``src`` once per iteration after ``gaps[i]`` cycles, blocking
+    or with ``read_nb``; up to ``inflight`` iterations wait at once."""
+
+    def __init__(self, src, gaps, blocking, inflight):
+        super().__init__(name="reader", pipeline=PipelineConfig(
+            ii=1, max_inflight=inflight))
+        self.src = src
+        self.gaps = gaps
+        self.blocking = blocking
+        self.seen = []
+
+    def iteration_space(self, args):
+        return range(len(self.gaps))
+
+    def body(self, ctx):
+        if self.gaps[ctx.iteration]:
+            yield ctx.compute(self.gaps[ctx.iteration])
+        if self.blocking:
+            value = yield ctx.read_channel(self.src)
+        else:
+            value, ok = ctx.read_channel_nb(self.src)
+            value = value if ok else None
+        self.seen.append((ctx.now, ctx.iteration, value))
+
+
+class TestDrainOp:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    @pytest.mark.parametrize("reader", ["none", "paced", "nb", "burst",
+                                        "twin"])
+    def test_executors_agree(self, depth, reader):
+        # The fast executor's feed against the reference executor's cycle
+        # loop: a command lands mid-drain, readers block on the empty
+        # FIFO (one at a time, or two launches issuing together, even
+        # before the first word), poll it, or never come.
+        def observe(executor):
+            fabric = Fabric()
+            out = fabric.channels.declare("out", depth=depth)
+            cmd = fabric.channels.declare("cmd", depth=2)
+            feeder = _Feeder(out, cmd, list(range(100, 130)))
+            AutorunEngine(fabric, feeder, executor=executor).start()
+            gaps = {"paced": [0, 0, 0, 3, 0, 7, 1, 0, 0, 2] * 3,
+                    "nb": [1, 0, 2, 0, 0, 5, 1, 3] * 4,
+                    "burst": [0] * 12, "twin": [0]}.get(reader)
+            readers = []
+            if gaps is not None:
+                readers.append(_Reader(out, gaps, reader != "nb",
+                                       8 if reader == "burst" else 1))
+                for _ in range(2 if reader in ("burst", "twin") else 1):
+                    fabric.launch(readers[0], {}, executor=executor)
+            fabric.advance(6)
+            cmd.write_nb(7)
+            fabric.advance(3)
+            middle = fabric.channels.stats_table()
+            fabric.advance(60)
+            return (feeder.log, [r.seen for r in readers], middle,
+                    fabric.channels.stats_table(), fabric.sim.now)
+
+        fast = observe("fast")
+        assert fast == observe("reference")
+        assert (6, 7) in [entry[:2] for entry in fast[0]]
+        if fast[1] and depth:
+            # A FIFO hands each word out once, in order.
+            got = [value for _, _, value in fast[1][0] if value is not None]
+            assert got == list(range(100, 100 + len(got)))
+
+    def test_parked_consumer_gets_every_word(self):
+        # A late-phase consumer parked on a fed channel is not stranded:
+        # the feed writes at the head of the next LATE phase and wakes it.
+        fabric = Fabric()
+        out = fabric.channels.declare("out", depth=2)
+        feeder = _Feeder(out, fabric.channels.declare("cmd"), list(range(9)))
+        echo = _Echo(out)
+        fabric.add_autorun(feeder)
+        fabric.add_autorun(echo)
+        fabric.advance(40)
+        assert [value for _, value in echo.seen] == list(range(9))
+        assert out.stats.writes == out.stats.reads == 9
+
+    def test_stop_settles_the_feed(self):
+        fabric = Fabric()
+        out = fabric.channels.declare("out", depth=2)
+        feeder = _Feeder(out, fabric.channels.declare("cmd"), list(range(9)))
+        fabric.add_autorun(feeder)
+        fabric.advance(10)
+        fabric.stop_autorun()
+        # Two words fit; the other eight cycles each failed a write.
+        stats = out.stats.as_dict()
+        assert (stats["writes"], stats["write_failures"]) == (2, 8)
+        assert out.read_nb() == (0, True)
+        fabric.advance(10)
+        assert out.stats.as_dict()["writes"] == 2
+        assert out.occupancy == 1
+
+
+class TestStopBeforeFirstStep:
+    @pytest.mark.parametrize("executor", ["fast", "reference"])
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_unit_torn_down_cleanly(self, executor, steps):
+        # steps=0: the unit has not started; steps=1: it is waiting for
+        # its phase alignment. Neither ever runs its body.
+        fabric = Fabric()
+        src = fabric.channels.declare("src")
+        echo = _Echo(src)
+        engine = AutorunEngine(fabric, echo, executor=executor)
+        engine.start()
+        for _ in range(steps):
+            fabric.sim.step()
+        engine.stop()
+        src.write_nb(1)
+        fabric.advance(5)
+        assert not engine.running
+        assert echo.seen == []
+        assert src.stats.read_failures == 0
+
+    def test_stall_monitor_stopped_at_construction(self):
+        fabric = Fabric()
+        StallMonitor(fabric, sites=2, depth=16)
+        fabric.stop_autorun()
+        fabric.advance(5)
+        assert fabric.sim.now == 5

@@ -4,16 +4,23 @@ A reference model (the Figure 3 transition function + a Python list)
 predicts the ibuffer's state and recorded entries for any script of
 commands and data arrivals; the hardware model must match.
 
-Idle compute units park instead of polling every cycle; the per-cycle
-polling oracle (:mod:`tests.polling_oracle`) must agree with them on
-every observable, for one raw unit, a 2-site stall monitor and a 2-unit
-watchpoint (aux channel), with channel statistics read mid-park and
-after ``stop_autorun``.
+Idle compute units park instead of polling every cycle, and a unit in
+READ hands its remaining words to its out channel instead of writing one
+per cycle; the per-cycle polling oracle (:mod:`tests.polling_oracle`)
+must agree with them on every observable, for one raw unit, a 2-site
+stall monitor and a 2-unit watchpoint (aux channel), with channel
+statistics read mid-park, mid-drain and after ``stop_autorun``. The out
+channels are drained by the host interface kernel and by a test consumer
+that blocking-reads or ``read_nb``s with random gaps.
+
+Example budget: ``IBUFFER_EQUIV_EXAMPLES`` (default 60) for the oracle
+scripts; CI runs a deep job at 300.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +31,10 @@ from repro.core.logic_blocks import RawRecorderLogic
 from repro.core.stall_monitor import StallMonitor
 from repro.core.watchpoint import SmartWatchpoint
 from repro.pipeline.fabric import Fabric
-from repro.pipeline.kernel import AutorunKernel
+from repro.pipeline.kernel import AutorunKernel, SingleTaskKernel
 from tests.polling_oracle import PollingIBuffer, polling_ibuffers
+
+MAX_EXAMPLES = int(os.environ.get("IBUFFER_EQUIV_EXAMPLES", "60"))
 
 #: Script steps: ("cmd", command) | ("data", value) | ("wait", cycles)
 _steps = st.lists(
@@ -101,28 +110,67 @@ _ALL_COMMANDS = [IBufferCommand.RESET, IBufferCommand.SAMPLE,
 
 #: Steps addressed to one of two units: ("cmd", unit, command) |
 #: ("data", unit, value) | ("aux", unit, value) | ("wait", cycles) |
-#: ("stats",) — snapshot every channel's stats, mid-park — |
-#: ("read", unit) — a host READ through the host interface kernel.
+#: ("stats",) — snapshot every channel's stats, mid-park or mid-drain — |
+#: ("read", unit) — a host READ through the host interface kernel — |
+#: ("consume", unit, pacing) — launch a test consumer of the unit's out
+#: channel, running alongside the later steps (see :class:`_Consumer`).
+_cmd = st.tuples(st.just("cmd"), st.integers(0, 1),
+                st.sampled_from(_ALL_COMMANDS))
+_data = st.tuples(st.just("data"), st.integers(0, 1), st.integers(0, 15))
+_aux = st.tuples(st.just("aux"), st.integers(0, 1), st.integers(0, 7))
+_stats = st.tuples(st.just("stats"))
+#: Gaps of 0 drain a FIFO within one cycle, so the next read finds it empty.
+_consume = st.tuples(st.just("consume"), st.integers(0, 1),
+                     st.lists(st.tuples(st.booleans(),
+                                        st.sampled_from([0, 0, 1, 2, 6])),
+                              min_size=1, max_size=12))
 _unit_steps = st.lists(
-    st.one_of(
-        st.tuples(st.just("cmd"), st.integers(0, 1),
-                  st.sampled_from(_ALL_COMMANDS)),
-        st.tuples(st.just("data"), st.integers(0, 1), st.integers(0, 15)),
-        st.tuples(st.just("aux"), st.integers(0, 1), st.integers(0, 7)),
-        st.tuples(st.just("wait"), st.integers(1, 40)),
-        st.tuples(st.just("stats")),
-        st.tuples(st.just("read"), st.integers(0, 1)),
-    ),
+    st.one_of(_cmd, _data, _aux,
+              st.tuples(st.just("wait"), st.integers(1, 40)), _stats,
+              st.tuples(st.just("read"), st.integers(0, 1)), _consume),
+    min_size=1, max_size=30)
+#: Steps run while READs are under way: short waits, consumers weighted up.
+_drain_steps = st.lists(
+    st.one_of(_cmd, _data, _aux,
+              st.tuples(st.just("wait"), st.integers(1, 6)), _stats,
+              _consume, _consume),
     min_size=1, max_size=30)
 
 
-def _build(design, fabric, initial_state, ibuffer_class):
-    """(ibuffer, host controller or None) of one instrumented design."""
+class _Consumer(SingleTaskKernel):
+    """Reads ``channel`` once per ``(blocking, gap)`` of the launch's
+    ``pacing``: waits ``gap`` cycles, then a blocking read or a
+    ``read_nb`` (which may find the FIFO empty)."""
+
+    def __init__(self, channel):
+        super().__init__(name=f"consume_{channel.name}")
+        self.channel = channel
+        self.seen = []
+
+    def iteration_space(self, args):
+        return [0]
+
+    def body(self, ctx):
+        for blocking, gap in ctx.arg("pacing"):
+            if gap:
+                yield ctx.compute(gap)
+            if blocking:
+                word = yield ctx.read_channel(self.channel)
+            else:
+                word, ok = ctx.read_channel_nb(self.channel)
+                word = word if ok else None
+            self.seen.append((ctx.now, blocking, word))
+
+
+def _build(design, fabric, initial_state, ibuffer_class, out_depth=2):
+    """(ibuffer, host controller or None) of one instrumented design;
+    ``out_depth`` sets the raw unit's out channel depth."""
     if design == "raw":
         ibuffer = ibuffer_class(
             fabric, "fuzz", logic_factory=lambda cu: RawRecorderLogic(),
             config=IBufferConfig(count=1, depth=4,
-                                 initial_state=initial_state))
+                                 initial_state=initial_state,
+                                 output_channel_depth=out_depth))
         return ibuffer, None
     if design == "stall":
         monitor = StallMonitor(fabric, sites=2, depth=4,
@@ -133,14 +181,17 @@ def _build(design, fabric, initial_state, ibuffer_class):
     return unit.ibuffer, unit.host
 
 
-def _run_script(design, steps, initial_state, polling):
+def _run_script(design, steps, initial_state, polling, out_depth=2):
     """Drive one design through ``steps``; return everything observable."""
     fabric = Fabric()
     with polling_ibuffers() if polling else contextlib.nullcontext():
         ibuffer, host = _build(design, fabric, initial_state,
-                               PollingIBuffer if polling else IBuffer)
+                               PollingIBuffer if polling else IBuffer,
+                               out_depth)
     fabric.advance(1)   # the units come up and take their first poll
     units = ibuffer.num_compute_units
+    consumers = [_Consumer(channel) for channel in ibuffer.out_c]
+    launches = []
     seen = []
     for step in steps:
         kind = step[0]
@@ -159,16 +210,30 @@ def _run_script(design, steps, initial_state, polling):
         elif kind == "stats":
             seen.append(("stats", fabric.sim.now,
                          fabric.channels.stats_table()))
+        elif kind == "consume":
+            # One consumer per out channel (SPSC), one launch at a time.
+            unit = step[1] % units
+            consumer = consumers[unit]
+            if (ibuffer.out_c[unit].consumer in (None, consumer)
+                    and not any(engine.kernel is consumer
+                                and not engine.completion.triggered
+                                for engine in launches)):
+                ibuffer.out_c[unit].bind_consumer(consumer)
+                launches.append(fabric.launch(consumer, {"pacing": step[2]}))
         elif host is not None:
             unit = step[1] % units
             # READ is only legal from SAMPLE/STOP with no command queued
             # ahead of it; otherwise the drain would never finish.
             if (ibuffer.states[unit] in (IBufferState.SAMPLE,
                                          IBufferState.STOP)
-                    and not ibuffer.cmd_c[unit].occupancy):
+                    and not ibuffer.cmd_c[unit].occupancy
+                    and ibuffer.out_c[unit].consumer in (None, host.kernel)):
                 seen.append(("read", fabric.sim.now, host.read_trace(unit)))
     observed = {
         "seen": seen,
+        "consumed": [consumer.seen for consumer in consumers],
+        "launches_done": [engine.completion.triggered
+                          for engine in launches],
         "now": fabric.sim.now,
         "states": dict(ibuffer.states),
         "entries": {cu: trace.entries()
@@ -187,11 +252,30 @@ class TestParkedMatchesPollingOracle:
     @given(steps=_unit_steps,
            design=st.sampled_from(["raw", "stall", "watch"]),
            initial_state=st.sampled_from([IBufferState.SAMPLE,
-                                          IBufferState.RESET]))
-    @settings(max_examples=60, deadline=None)
-    def test_scripts_agree(self, steps, design, initial_state):
-        parked = _run_script(design, steps, initial_state, polling=False)
-        polling = _run_script(design, steps, initial_state, polling=True)
+                                          IBufferState.RESET]),
+           out_depth=st.integers(1, 3))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_scripts_agree(self, steps, design, initial_state, out_depth):
+        parked = _run_script(design, steps, initial_state, False, out_depth)
+        polling = _run_script(design, steps, initial_state, True, out_depth)
+        assert parked == polling
+
+    @given(samples=st.integers(0, 5), steps=_drain_steps,
+           design=st.sampled_from(["raw", "stall", "watch"]),
+           out_depth=st.integers(1, 3))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_drain_scripts_agree(self, samples, steps, design, out_depth):
+        # Every unit records `samples` entries and enters READ; the steps
+        # then consume, send commands and data, and read stats mid-drain.
+        script = [("data", unit, value) for unit in (0, 1)
+                  for value in range(samples)]
+        script += [("wait", 2), ("cmd", 0, IBufferCommand.READ),
+                   ("cmd", 1, IBufferCommand.READ), ("wait", 2)]
+        script += steps
+        parked = _run_script(design, script, IBufferState.SAMPLE, False,
+                             out_depth)
+        polling = _run_script(design, script, IBufferState.SAMPLE, True,
+                              out_depth)
         assert parked == polling
 
     @pytest.mark.parametrize("phase", ["early", "late"])
