@@ -247,11 +247,12 @@ class Channel:
         self._settle_feed()
         self._feed = None
 
-    def _settle_feed(self) -> None:
+    def _settle_feed(self, through: Optional[int] = None) -> None:
         """Apply the feed's writes of the LATE phases begun since the last
-        settle (see :meth:`feed`)."""
+        settle (see :meth:`feed`), or through LATE phase ``through``."""
         feed = self._feed
-        through = self.sim.last_late_phase()
+        if through is None:
+            through = self.sim.last_late_phase()
         phases = through - feed.through
         if phases <= 0:
             return
@@ -284,6 +285,37 @@ class Channel:
             self._arrival()
         if handed:
             self._fix_feed_end()
+
+    def can_take_fed(self) -> bool:
+        """True when :meth:`take_fed` may serve reads: a feed is attached
+        whose end is not fixed, and no consumer is parked on the channel
+        and no reader or writer blocked on it."""
+        feed = self._feed
+        # A fed channel always has a FIFO (see feed()).
+        return (feed is not None and not feed.end_fixed
+                and self._arrival is None and not self._fifo._getters
+                and not self._fifo._putters)
+
+    def take_fed(self, through: int) -> Tuple[Any, bool]:
+        """A blocking read computed ahead of the clock: returns
+        ``(value, valid)``.
+
+        It stands for a :meth:`read` at a cycle whose last begun LATE
+        phase is ``through``, with nothing else touching the channel
+        since the clock's present: settle the feed through that phase,
+        then take the head word. It takes nothing (``valid`` False) when
+        the FIFO is empty (the reader would block) or when taking the
+        word would fix the feed's end; :meth:`read` must do those reads
+        at their real cycle. Only valid while :meth:`can_take_fed` holds.
+        """
+        self._settle_feed(through)
+        feed = self._feed
+        items = self._fifo.items
+        if not items or (self._fifo.capacity - len(items) + 1
+                         >= len(feed.words) - feed.position):
+            return None, False
+        self._stats.reads += 1
+        return items.popleft(), True
 
     def _fix_feed_end(self) -> None:
         """Schedule ``on_end`` once the free room covers the words left.

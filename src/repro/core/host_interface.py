@@ -7,6 +7,13 @@ the host to the ibuffer through the command channel. When the command is a
 read, it then reads the data out channel until all the elements in the
 trace buffer are read. This data is written to global memory, which can be
 accessed by the host for further post processing." (§5.1)
+
+The READ loop is one :class:`~repro.pipeline.ops.Transfer` op
+(``ctx.transfer``): a blocking read and a global store per trace word, as
+Listing 10 writes it. The fast executor computes runs of those words in
+closed form while the parked ibuffer's feed is all the simulator has
+left to do (see ``docs/PERFORMANCE.md``, "Closed-form host READ
+transfer").
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from repro.core.trace_buffer import decode_words
 from repro.errors import IBufferError
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import ResourceProfile, SingleTaskKernel
+
+#: Site of the readout's store LSU, as ``{kernel}.cu{id}:`` + this: the
+#: name a per-word store in this body was elaborated under, kept so LSU
+#: statistics and reports keep their keys.
+READOUT_STORE_SITE = "Store@L54"
 
 
 class HostInterfaceKernel(SingleTaskKernel):
@@ -36,8 +48,9 @@ class HostInterfaceKernel(SingleTaskKernel):
         self.ibuffer = ibuffer
 
     def iteration_space(self, args: Dict) -> List[int]:
-        # One logical invocation; the drain loop runs inside the body, as in
-        # Listing 10 where the kernel is a single work-item.
+        # One logical invocation; the drain loop runs inside the body (one
+        # transfer op), as in Listing 10 where the kernel is a single
+        # work-item.
         return [0]
 
     def body(self, ctx):
@@ -48,10 +61,13 @@ class HostInterfaceKernel(SingleTaskKernel):
                 f"ibuffer id {unit} out of range [0, {self.ibuffer.num_compute_units})")
         yield ctx.write_channel(self.ibuffer.cmd_c[unit], int(command))
         if command == IBufferCommand.READ:
-            out = ctx.arg("out")
-            for k in range(self.ibuffer.words_per_readout):
-                word = yield ctx.read_channel(self.ibuffer.out_c[unit])
-                yield ctx.store(out, k, word)
+            yield ctx.transfer(self.ibuffer.out_c[unit], ctx.arg("out"),
+                               self.ibuffer.words_per_readout,
+                               site=self.readout_site(ctx))
+
+    def readout_site(self, ctx) -> str:
+        """The readout store's LSU site for the launch behind ``ctx``."""
+        return f"{self.name}.cu{ctx.compute_id}:{READOUT_STORE_SITE}"
 
     def resource_profile(self) -> ResourceProfile:
         # Unrolled channel muxes across N instances (the #pragma unroll

@@ -192,6 +192,14 @@ class Emulator:
             self.stats.channel_writes += 1
             self._channel(op.channel).write(op.value)
             return None
+        if isinstance(op, ops.Transfer):
+            channel = self._channel(op.channel)
+            store = memory.buffer(op.buffer)
+            for k in range(op.count):
+                self.stats.channel_reads += 1
+                self.stats.stores += 1
+                store.write(k, channel.read(self))
+            return None
         if isinstance(op, ops.Call):
             self.stats.hdl_calls += 1
             # The emulator always uses the OpenCL stub definition.

@@ -107,6 +107,9 @@ class GlobalMemory:
         self._bank_open_row: list = [None] * self.config.banks
         self._inflight = Resource(sim, capacity=self.config.max_outstanding)
         self._pending_commits = 0
+        #: Scheduled commit events not yet fired (a batch flush is one
+        #: event carrying many commits).
+        self._commit_events = 0
         self._drain_waiters: list = []
         #: Per-buffer traffic, keyed by buffer name.
         self.traffic: Dict[str, BufferTraffic] = {}
@@ -231,9 +234,11 @@ class GlobalMemory:
         of :meth:`store_timing` and the batch executor's inlined path.
         """
         self._pending_commits += 1
+        self._commit_events += 1
 
         def _commit(done, _store=store, _index=index, _value=value):
             _store.write(_index, _value)
+            self._commit_events -= 1
             self._pending_commits -= 1
             if self._pending_commits == 0:
                 waiters, self._drain_waiters = self._drain_waiters, []
@@ -260,10 +265,12 @@ class GlobalMemory:
         if not count:
             return
         self._pending_commits += count
+        self._commit_events += 1
 
         def _commit_all(done):
             for store, index, value in commits:
                 store.write(index, value)
+            self._commit_events -= 1
             self._pending_commits -= count
             if self._pending_commits == 0:
                 waiters, self._drain_waiters = self._drain_waiters, []
@@ -293,6 +300,12 @@ class GlobalMemory:
     def pending_commits(self) -> int:
         """Posted stores issued but not yet visible in backing stores."""
         return self._pending_commits
+
+    @property
+    def commit_events(self) -> int:
+        """Scheduled commit events not yet fired: one per
+        :meth:`post_commit_at`, one per :meth:`post_commit_batch` flush."""
+        return self._commit_events
 
     def drained(self) -> Event:
         """Event firing when no posted store remains in flight.

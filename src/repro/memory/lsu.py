@@ -108,13 +108,15 @@ class LoadStoreUnit:
         """Analytically issue one access at cycle ``now``; returns the
         absolute retirement cycle.
 
-        This is the batch executor's entry point: identical accounting to
-        :meth:`issue` (memory-controller bank state, in-order tail, LSU
-        stats) but with stats updated immediately and **no event
-        scheduled** — the caller owns the timeline and resumes the
-        work-item itself at the returned cycle. Because every retirement
-        precedes the launch's completion, omitting the event is
-        unobservable from outside the engine.
+        The analytic entry point of the batch executor and of the fast
+        executor's closed-form host READ transfer windows: identical
+        accounting to :meth:`issue` (memory-controller bank state,
+        in-order tail, LSU stats, and the store's commit event at its
+        exact cycle) but with stats updated immediately and **no retire
+        event scheduled** — the caller owns the timeline and resumes its
+        pipeline itself at the returned cycle. Both callers use it only
+        where nothing can observe the LSU before that cycle, so omitting
+        the event is unobservable from outside the engine.
         """
         stats = self.stats
         stats.issued += 1

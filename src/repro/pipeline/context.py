@@ -176,6 +176,14 @@ class KernelContext:
             polled_channel.bind_consumer(owner)
         return ops.Drain(channel, words, start, polled)
 
+    def transfer(self, channel: Any, buffer: str, count: int,
+                 site: Optional[str] = None) -> ops.Transfer:
+        """Blocking-read ``count`` words of ``channel`` into
+        ``buffer[0:count]``, one global store each (Listing 10's READ
+        loop as one op)."""
+        channel.bind_consumer(self._instance.endpoint_owner)
+        return ops.Transfer(channel, buffer, count, site=site)
+
     def barrier(self, site: Optional[str] = None) -> ops.Barrier:
         """OpenCL ``barrier(CLK_LOCAL_MEM_FENCE)``: group-wide sync point."""
         return ops.Barrier(site)

@@ -71,6 +71,13 @@ _MemFence = ops.MemFence
 _AwaitData = ops.AwaitData
 
 
+#: Longest run of host READ words one closed-form transfer window
+#: computes, in cycles: its commits are scheduled at most this far ahead
+#: of where stepping would schedule them (see :meth:`_OpExecutor.
+#: _op_transfer`).
+_TRANSFER_WINDOW_CYCLES = 128
+
+
 class _NonOpYield(Exception):
     """Internal: a kernel body yielded something that is not an Op."""
 
@@ -469,6 +476,70 @@ class _OpExecutor:
             if op.channel.write_nb(words[position]):
                 position += 1
 
+    def _op_transfer(self, generator: Generator, op: ops.Op,
+                     compute_id: int,
+                     ctx: Optional[KernelContext]) -> Generator:
+        """Listing 10's READ loop, with runs of words in closed form.
+
+        Each word is a blocking read and a posted store, as in the
+        reference executor, except while the simulator provably has
+        nothing else to do: the channel is fed by a parked producer whose
+        end is not fixed, nobody else waits on it, and every pending
+        event is a posted-store commit. Then a window computes the next
+        words without events: per word at read cycle ``r``, settle the
+        feed through the LATE phase before ``r``, take the head word and
+        account its store with :meth:`LoadStoreUnit.issue_at` (bank
+        state, statistics and its commit event at the exact cycle). The
+        next read happens at that store's retire cycle. A window stops
+        when the FIFO is empty, when a read would fix the feed's end
+        (both read for real), after ``_TRANSFER_WINDOW_CYCLES``, or
+        before a store that could retire at or after the stop cycle of a
+        ``run(until=...)`` under way, where the caller observes the
+        model; the op then waits to the last retire cycle and checks
+        again.
+        """
+        site = op.site or self._derive_site(generator, op, compute_id)
+        lsu = self.lsu(site, "store")
+        channel = op.channel
+        buffer = op.buffer
+        count = op.count
+        sim = self.sim
+        memory = self.fabric.memory
+        # Words a window may store: an invalid index must fail at its
+        # real cycle, through a stepped store.
+        limit = (min(count, memory.buffer(buffer).size)
+                 if buffer in memory.address_map else 0)
+        posted = memory.config.posted_write_latency
+        k = 0
+        while k < count:
+            if (k < limit and channel.can_take_fed()
+                    and sim.pending_events == memory.commit_events):
+                start = retire = sim.now
+                # Reads at cycle r retire by r + posted (the LSU's tail is
+                # the previous read's cycle), so every store of the
+                # window retires before `end`.
+                end = start + _TRANSFER_WINDOW_CYCLES
+                stop = sim.stop_cycle
+                if stop is not None and stop - posted < end:
+                    end = stop - posted
+                through = sim.last_late_phase()
+                first = k
+                while k < limit and retire < end:
+                    word, ok = channel.take_fed(through)
+                    if not ok:
+                        break
+                    retire = lsu.issue_at(retire, buffer, k, word)
+                    k += 1
+                    if retire != start:
+                        through = retire - 1
+                if k > first:
+                    yield sim.timeout(retire - start)
+                    continue
+            word = yield from channel.read()
+            yield lsu.issue(buffer, k, word)
+            k += 1
+        return None
+
     def _execute(self, op: ops.Op, site: str,
                  ctx: Optional[KernelContext] = None) -> Generator:
         """Execute one op; returns its result value (generator protocol)."""
@@ -523,6 +594,12 @@ class _OpExecutor:
             return None
         if isinstance(op, ops.Drain):
             return (yield from self._drain_per_cycle(op))
+        if isinstance(op, ops.Transfer):
+            lsu = self.lsu(site, "store")
+            for k in range(op.count):
+                word = yield from op.channel.read()
+                yield lsu.issue(op.buffer, k, word)
+            return None
         raise KernelBuildError(f"unknown op {op!r} from kernel {self.kernel.name!r}")
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
@@ -552,6 +629,7 @@ OP_DISPATCH: Dict[type, Any] = {
     ops.CycleBoundary: _OpExecutor._op_cycle_boundary,
     ops.AwaitData: _OpExecutor._op_await_data,
     ops.Drain: _OpExecutor._op_drain,
+    ops.Transfer: _OpExecutor._op_transfer,
 }
 
 
@@ -636,8 +714,10 @@ class PipelineEngine(_OpExecutor):
         self.stats.iterations_issued += 1
         ctx = KernelContext(self.instance, iteration=tag)
         body = self.kernel.body(ctx)
+        # Nothing waits on an iteration (it retires through _retire), so it
+        # runs detached: no completion event, and no per-tag name.
         self.sim.process(self._iteration(body, ctx, tag, self.sim.now),
-                         name=f"{self.kernel.name}[{tag}]", inline=True)
+                         name=self.kernel.name, inline=True, detached=True)
 
     def _iteration(self, body: Generator, ctx: Optional[KernelContext],
                    tag: Any, issued_at: int) -> Generator:

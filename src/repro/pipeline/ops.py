@@ -220,10 +220,32 @@ class Drain(Op):
         self.polled = tuple(polled)
 
 
+class Transfer(Op):
+    """Blocking-read ``count`` words from ``channel`` into global
+    ``buffer[0:count]``.
+
+    It stands for ``for k in range(count): word = read_channel(channel);
+    store(buffer, k, word)`` — Listing 10's READ loop — with every store
+    through the one store LSU at ``site``. The fast executor computes
+    runs of those words in closed form while nothing else can happen in
+    the simulator (see ``docs/PERFORMANCE.md``, "Closed-form host READ
+    transfer").
+    """
+
+    __slots__ = ("channel", "buffer", "count")
+
+    def __init__(self, channel: Any, buffer: str, count: int,
+                 site: Optional[str] = None) -> None:
+        super().__init__(site)
+        self.channel = channel
+        self.buffer = buffer
+        self.count = int(count)
+
+
 #: Every concrete op class a kernel body may yield. The batch executor's
 #: plan compiler must either lower or statically reject each of these;
 #: ``tests/test_batch_divergence.py`` holds an exhaustiveness guard over
 #: this tuple so a new op cannot silently miss batch handling.
 ALL_OPS = (Load, Store, LoadLocal, StoreLocal, ReadChannel, WriteChannel,
            Call, Compute, CollectReduction, MemFence, Barrier, CycleBoundary,
-           AwaitData, Drain)
+           AwaitData, Drain, Transfer)

@@ -206,10 +206,10 @@ class Process(Event):
     with the generator's return value; it fails if the generator raises.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_stale")
+    __slots__ = ("_generator", "name", "_target", "_stale", "_detached")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
-                 inline: bool = False) -> None:
+                 inline: bool = False, detached: bool = False) -> None:
         super().__init__(sim)
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise ProcessError(f"process body must be a generator, got {generator!r}")
@@ -219,6 +219,9 @@ class Process(Event):
         #: Wait targets this process was detached from by interrupt(); their
         #: wake-ups are dropped without an O(n) callbacks.remove() scan.
         self._stale: Optional[List[Event]] = None
+        #: Nobody waits on a detached process: finishing schedules no
+        #: completion event (a crash is still reported by ``run()``).
+        self._detached = detached
         # Kick off the process at the current time. ``inline`` starts the
         # generator immediately (same cycle, no delay-0 init event through
         # the queue) — used by the pipeline engine's per-iteration
@@ -258,6 +261,16 @@ class Process(Event):
                 self._stale.append(self._target)
         interrupt_event.callbacks.append(self._resume)
 
+    def _finish(self) -> None:
+        """Deliver the result: schedule the completion event, or for a
+        detached process mark it processed (queueing a crash directly)."""
+        if not self._detached:
+            self.sim._schedule(self, delay=0, priority=PRIORITY_NORMAL)
+            return
+        self.callbacks = None
+        if not self._ok:
+            self.sim._crashed.append(self)
+
     def _resume(self, event: Event) -> None:
         stale = self._stale
         if stale is not None and event in stale:
@@ -281,13 +294,13 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
-                    self.sim._schedule(self, delay=0, priority=PRIORITY_NORMAL)
+                    self._finish()
                     break
                 except BaseException as exc:
                     self._ok = False
                     self._value = exc
                     self._defused = False
-                    self.sim._schedule(self, delay=0, priority=PRIORITY_NORMAL)
+                    self._finish()
                     break
 
                 if not isinstance(next_event, Event):
@@ -341,6 +354,9 @@ class Simulator:
         #: Equals ``now`` once the current cycle's LATE phase is under way
         #: (see :meth:`last_late_phase`).
         self._late_phase_at = -1
+        #: Stop cycle of the ``run(until=cycle)`` under way (see
+        #: :attr:`stop_cycle`).
+        self._stop_cycle: Optional[int] = None
 
     @property
     def now(self) -> int:
@@ -434,13 +450,16 @@ class Simulator:
             self._schedule(event, time - self._now, PRIORITY_LATE)
 
     def process(self, generator: Generator, name: str = "",
-                inline: bool = False) -> Process:
+                inline: bool = False, detached: bool = False) -> Process:
         """Start a new process from ``generator``.
 
         ``inline=True`` runs the generator's first segment immediately
         instead of via a delay-0 init event (see :class:`Process`).
+        ``detached=True`` is for a process nobody waits on: it schedules
+        no completion event when it finishes.
         """
-        return Process(self, generator, name=name, inline=inline)
+        return Process(self, generator, name=name, inline=inline,
+                       detached=detached)
 
     # -- scheduling & execution ------------------------------------------
 
@@ -587,6 +606,21 @@ class Simulator:
     def _has_events(self) -> bool:
         return bool(self._wheel_count or self._far)
 
+    @property
+    def stop_cycle(self) -> Optional[int]:
+        """The cycle the ``run(until=cycle)`` under way stops at, else None.
+
+        The caller observes the model there, with no event of that cycle
+        or later processed; work computed ahead of the clock must stay
+        before it.
+        """
+        return self._stop_cycle
+
+    @property
+    def pending_events(self) -> int:
+        """Number of scheduled events not yet processed."""
+        return self._wheel_count + len(self._far)
+
     def step(self) -> None:
         """Process exactly one event."""
         event = self._pop_next()
@@ -663,13 +697,17 @@ class Simulator:
                     f"until={stop_time} is in the past (now={self._now})")
 
         if stop_time is not None:
-            while True:
-                next_time = self.peek()
-                if next_time is None or next_time >= stop_time:
-                    self._now = stop_time
-                    return None
-                self.step()
-                self._raise_crashed()
+            outer_stop, self._stop_cycle = self._stop_cycle, stop_time
+            try:
+                while True:
+                    next_time = self.peek()
+                    if next_time is None or next_time >= stop_time:
+                        self._now = stop_time
+                        return None
+                    self.step()
+                    self._raise_crashed()
+            finally:
+                self._stop_cycle = outer_stop
 
         while self._wheel_count or self._far:
             if stop_event is not None and stop_event.processed:

@@ -1,10 +1,13 @@
-"""Per-cycle polling oracle for the parked ibuffer.
+"""Per-cycle polling oracle for the parked ibuffer and the host READ.
 
 :class:`PollingIBuffer` runs Listing 8's loop literally: every compute
 unit polls its channels every cycle, and in READ it tries one
 ``write_nb`` of the next trace word per cycle, never parking and never
-handing words to its out channel as a feed. Tests run the same script
-against it and the real :class:`~repro.core.ibuffer.IBuffer` and require
+handing words to its out channel as a feed. :class:`SteppingHostInterface`
+runs Listing 10's READ loop literally, one blocking read and one store op
+per word, where the real kernel yields one ``transfer`` op. Tests run the
+same script against the oracle and the real
+:class:`~repro.core.ibuffer.IBuffer` and host interface, and require
 identical observables: states, trace contents, channel statistics and
 ``sim.now``.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-from repro.core import stall_monitor, watchpoint
-from repro.core.commands import IBufferState, next_state
+from repro.core import host_interface, stall_monitor, watchpoint
+from repro.core.commands import IBufferCommand, IBufferState, next_state
+from repro.core.host_interface import HostInterfaceKernel
 from repro.core.ibuffer import IBuffer
 from repro.core.trace_buffer import TraceBuffer
 
@@ -84,9 +88,27 @@ class PollingIBuffer(IBuffer):
             yield ctx.cycle()
 
 
+class SteppingHostInterface(HostInterfaceKernel):
+    """A host interface kernel whose READ stores word by word."""
+
+    def body(self, ctx):
+        command = IBufferCommand(ctx.arg("cmd"))
+        unit = int(ctx.arg("id"))
+        yield ctx.write_channel(self.ibuffer.cmd_c[unit], int(command))
+        if command == IBufferCommand.READ:
+            out = ctx.arg("out")
+            site = self.readout_site(ctx)
+            for k in range(self.ibuffer.words_per_readout):
+                word = yield ctx.read_channel(self.ibuffer.out_c[unit])
+                yield ctx.store(out, k, word, site=site)
+
+
 @contextlib.contextmanager
 def polling_ibuffers():
-    """Build every stall monitor and watchpoint with the polling oracle."""
+    """Build every stall monitor and watchpoint with the polling oracle:
+    per-cycle ibuffers, read by a word-at-a-time host interface."""
     with mock.patch.object(stall_monitor, "IBuffer", PollingIBuffer), \
-            mock.patch.object(watchpoint, "IBuffer", PollingIBuffer):
+            mock.patch.object(watchpoint, "IBuffer", PollingIBuffer), \
+            mock.patch.object(host_interface, "HostInterfaceKernel",
+                              SteppingHostInterface):
         yield

@@ -252,6 +252,7 @@ class TestOpCoverage:
         "MemFence": "no-plan (Python-IR kernels only)",
         "CollectReduction": "no-plan (Python-IR kernels only)",
         "CycleBoundary": "no-plan (Python-IR kernels only)",
+        "Transfer": "no-plan (Python-IR kernels only)",
     }
 
     def test_every_op_has_a_disposition(self):

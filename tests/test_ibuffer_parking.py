@@ -1,10 +1,12 @@
-"""Idle ibuffer units park instead of polling every cycle, and READ hands
-its words to the out channel instead of writing one per cycle.
+"""Idle ibuffer units park instead of polling every cycle, READ hands
+its words to the out channel instead of writing one per cycle, and the
+host READ stores runs of them in closed-form transfer windows.
 
-Pins the cost side of parking and of the lazy READ drain with exact
-counts (simulator events, body iterations), the paper experiments'
-outputs against the per-cycle polling oracle (:mod:`tests.polling_oracle`),
-and the contracts of the ``await_data`` and ``drain`` ops themselves.
+Pins the cost side of parking, of the lazy READ drain and of the
+transfer windows with exact counts (simulator events, body iterations,
+host store retire events), the paper experiments' outputs against the
+per-cycle polling oracle (:mod:`tests.polling_oracle`), and the
+contracts of the ``await_data`` and ``drain`` ops themselves.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from repro.channels.channel import CounterRegisterChannel
 from repro.cli import main
 from repro.core.stall_monitor import StallMonitor
 from repro.errors import ChannelUsageError, KernelBuildError, ProcessError
-from repro.experiments import sec51, sec52
+from repro.experiments import fig2, sec51, sec52
 from repro.hdl.counter import GetTimeModule
+from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline import fabric as fabric_module
 from repro.pipeline.engine import AutorunEngine
 from repro.pipeline.fabric import Fabric
@@ -118,6 +121,51 @@ class TestEventCost:
         assert iterations[0] == 2
         # The two wakes; no LATE tick or wake per word.
         assert late[0] == 2
+
+
+    @pytest.mark.parametrize("run,events", [(fig2.run, 47_182),
+                                            (sec51.run, 12_579),
+                                            (sec52.run, 2_727)])
+    def test_default_call_scheduled_events(self, monkeypatch, run, events):
+        # Exact event cost of one default experiment call: pipeline
+        # iterations start detached (no completion event), and the host
+        # READ computes most words in transfer windows (one commit event
+        # each, no retire event).
+        count = [0]
+        schedule = Simulator._schedule
+
+        def counting(sim, *args, **kwargs):
+            count[0] += 1
+            schedule(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "_schedule", counting)
+        run()
+        assert count[0] == events
+
+    @pytest.mark.parametrize("depth", [16, 256])
+    def test_read_steps_four_host_stores(self, monkeypatch, depth):
+        # Of a READ's 4 * depth words the host steps the first, whose
+        # read blocks until the unit takes the command and starts its
+        # feed, and the last three: the read that fixes the feed's end,
+        # and two more while the feed's end event is pending. Windows
+        # store the rest without a retire event.
+        fabric = Fabric()
+        monitor = StallMonitor(fabric, sites=1, depth=depth)
+        for value in range(depth):
+            monitor.ibuffer.data_c[0].write_nb(value)
+            fabric.advance(1)
+        monitor.host.stop(0)
+        retires = []
+        issue = LoadStoreUnit.issue
+
+        def counting(lsu, *args):
+            retires.append(lsu.site)
+            return issue(lsu, *args)
+
+        monkeypatch.setattr(LoadStoreUnit, "issue", counting)
+        entries = monitor.host.read_trace(0)
+        assert [entry["value"] for entry in entries] == list(range(depth))
+        assert retires == ["stall_monitor_read_host.cu0:Store@L54"] * 4
 
 
 def _body_iterations(monkeypatch, run, ibuffer, polling):

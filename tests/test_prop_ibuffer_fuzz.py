@@ -4,9 +4,11 @@ A reference model (the Figure 3 transition function + a Python list)
 predicts the ibuffer's state and recorded entries for any script of
 commands and data arrivals; the hardware model must match.
 
-Idle compute units park instead of polling every cycle, and a unit in
+Idle compute units park instead of polling every cycle, a unit in
 READ hands its remaining words to its out channel instead of writing one
-per cycle; the per-cycle polling oracle (:mod:`tests.polling_oracle`)
+per cycle, and the host READ stores runs of words in closed-form
+transfer windows; the per-cycle polling oracle
+(:mod:`tests.polling_oracle`, whose host interface stores word by word)
 must agree with them on every observable, for one raw unit, a 2-site
 stall monitor and a 2-unit watchpoint (aux channel), with channel
 statistics read mid-park, mid-drain and after ``stop_autorun``. The out
