@@ -28,8 +28,7 @@ class _SlowVecAdd(VecAddKernel):
 
 def _cycles(compute_units: int, banks: int, n: int = 256) -> int:
     fabric = Fabric(memory_config=GlobalMemoryConfig(
-        banks=banks, row_bytes=64, max_outstanding=256),
-        keep_lsu_samples=False)
+        banks=banks, row_bytes=64), keep_lsu_samples=False)
     fabric.memory.allocate("a", n).fill(np.arange(n))
     fabric.memory.allocate("b", n).fill(np.arange(n))
     c = fabric.memory.allocate("c", n)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 from repro.errors import ChannelDepthError, ChannelUsageError
-from repro.sim.core import PRIORITY_LATE, Event, Simulator
+from repro.sim.core import PRIORITY_LATE, PRIORITY_URGENT, Event, Simulator
 from repro.sim.resources import Store
 
 
@@ -166,6 +166,16 @@ class Channel:
                 self._settle_feed()
             return len(self._fifo) > 0
         return self._register is not Channel._UNSET or bool(self._pending_writers)
+
+    def note_read(self, stall: int = 0) -> None:
+        """Count one completed blocking read that waited ``stall`` cycles.
+
+        For callers that complete a read on their own timeline (the
+        analytic launch replay, see :mod:`repro.pipeline.replay`).
+        """
+        stats = self._stats
+        stats.reads += 1
+        stats.read_stall_cycles += stall
 
     def _note_occupancy(self) -> None:
         occ = self.occupancy
@@ -550,6 +560,11 @@ class CounterRegisterChannel(Channel):
             now = self._frozen_at
         return max(0, now - self.start_cycle + 1)
 
+    def value(self) -> int:
+        """The register's value now: ``now - start_cycle + 1`` (0 before
+        the counter starts, frozen after teardown)."""
+        return self._elapsed()
+
     def freeze(self) -> None:
         """Stop the counter (service teardown); the last value persists."""
         if self._frozen_at is None:
@@ -607,6 +622,146 @@ class CounterRegisterChannel(Channel):
             # Exactly like a blocked reader on the empty register: woken at
             # the cycle of the counter's first write, observing value 1.
             yield self.sim.timeout(self.start_cycle - self.sim.now)
-        self._stats.reads += 1
-        self._stats.read_stall_cycles += self.sim.now - start
+        self.note_read(self.sim.now - start)
         return self._elapsed()
+
+
+class SequenceChannel(Channel):
+    """A depth-0 channel fed by an *analytic* Listing 5 sequence server.
+
+    The server writes ``count`` with a blocking write, increments, and
+    writes again, so it advances exactly once per consumer read. This
+    channel holds that state itself — the value on offer, the cycle the
+    offer was made, and the readers waiting for the next one — instead of
+    a server generator's locals, and reproduces the server's event order:
+
+    * the server starts like an early-phase autorun: its first offer is
+      made after a process start event and a phase-alignment event at
+      the creation cycle;
+    * a read that takes the offer resumes at once; the server's blocking
+      write completes one hop later (a NORMAL event at the read cycle),
+      where it re-offers — so a second reader in the same cycle that
+      comes before that hop waits for it, as with the eager server;
+    * a re-offer hands the value straight to every waiting reader in
+      turn (each resumes one hop later) before it parks the next offer.
+
+    Statistics match the eager server's: one write per completed
+    hand-over, with the cycles the offer waited as write stall cycles.
+    :meth:`take` and :meth:`wait` are the two halves of a blocking read
+    for callers that own the timeline (the analytic launch replay, see
+    :mod:`repro.pipeline.replay`): they pass their own ``hop`` and reader
+    objects instead of scheduling events. ``freeze()`` models tearing
+    the service down: the offer in place stays readable once, and no
+    write completes after it.
+    """
+
+    def __init__(self, sim: Simulator, name: str, start: int = 0,
+                 width_bits: int = 32) -> None:
+        super().__init__(sim, name, depth=0, compiled_depth=None,
+                         width_bits=width_bits)
+        #: The value on offer (or the next one to offer).
+        self._count = start + 1
+        self._offered = False
+        #: Cycle the current offer was made (its write's start).
+        self._offer_cycle = 0
+        self._stopped = False
+        # Mirror the server process's start event and its phase alignment.
+        started = Event(sim)
+        started.callbacks.append(self._started)
+        started.succeed()
+
+    def _started(self, _event: Event) -> None:
+        if self._stopped:
+            return
+        aligned = Event(self.sim)
+        aligned.callbacks.append(lambda _aligned: self._offer())
+        aligned.succeed(priority=PRIORITY_URGENT)
+
+    def freeze(self) -> None:
+        """Stop the server (service teardown)."""
+        self._stopped = True
+
+    # -- the analytic server -------------------------------------------------
+
+    def _offer(self) -> None:
+        """The server's blocking write of the next value, at ``now``."""
+        readers = self._pending_readers
+        while readers:
+            # A waiting reader takes the write at once (no stall).
+            readers.pop(0).succeed(self._count)
+            self._stats.writes += 1
+            self._count += 1
+        self._offered = True
+        self._offer_cycle = self.sim.now
+
+    def _write_done(self) -> None:
+        """The hop after a taken offer: the server's write completes and
+        it re-offers (unless the service was torn down meanwhile)."""
+        if self._stopped:
+            return
+        stats = self._stats
+        stats.writes += 1
+        stats.write_stall_cycles += self.sim.now - self._offer_cycle
+        self._count += 1
+        self._offer()
+
+    def _hop(self, write_done: Callable[[], None]) -> None:
+        event = Event(self.sim)
+        event.callbacks.append(lambda _event: write_done())
+        event.succeed()
+
+    def take(self, hop: Callable[[Callable[[], None]], None]) -> Any:
+        """Take the value on offer (``has_data`` must hold); ``hop``
+        receives the server's write completion to run one hop later."""
+        self._offered = False
+        if not self._stopped:
+            hop(self._write_done)
+        return self._count
+
+    def wait(self, reader: Any) -> None:
+        """Queue ``reader`` for the next offer: its ``succeed(value)`` is
+        called when the server writes."""
+        self._pending_readers.append(reader)
+
+    # -- channel API --------------------------------------------------------
+
+    @property
+    def occupancy(self) -> int:
+        return 0
+
+    @property
+    def has_data(self) -> bool:
+        return self._offered
+
+    def park(self, on_arrival: Callable[[], None]) -> None:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by a sequence server; "
+            "a consumer cannot park on it")
+
+    def write_nb(self, value: Any) -> bool:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by a sequence server; "
+            "kernels cannot write it")
+
+    def write(self, value: Any) -> Generator:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by a sequence server; "
+            "kernels cannot write it")
+
+    def read_nb(self) -> Tuple[Any, bool]:
+        if self._offered:
+            self._stats.reads += 1
+            return self.take(self._hop), True
+        self._stats.read_failures += 1
+        return None, False
+
+    def read(self) -> Generator:
+        start = self.sim.now
+        if self._offered:
+            value = self.take(self._hop)
+        else:
+            event = Event(self.sim)
+            self.wait(event)
+            value = yield event
+        self.note_read(self.sim.now - start)
+        return value

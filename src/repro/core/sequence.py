@@ -9,11 +9,16 @@ Consumers therefore observe a strictly increasing, gap-free sequence whose
 order **is** the dynamic order in which read sites executed — the paper
 uses it both to reveal scheduling order (Figure 2) and as addresses into
 the profiling info buffers (Listings 6–7).
+
+The server is modelled analytically: :class:`SequenceService` installs a
+:class:`~repro.channels.channel.SequenceChannel`, which keeps the
+counter and the rendezvous state itself and reproduces the Listing 5
+kernel's values, statistics and event order, without a server process.
 """
 
 from __future__ import annotations
 
-from repro.channels.channel import Channel
+from repro.channels.channel import Channel, SequenceChannel
 from repro.pipeline.context import KernelContext
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import AutorunKernel, ResourceProfile
@@ -21,7 +26,12 @@ from repro.pipeline import ops
 
 
 class SequenceServerKernel(AutorunKernel):
-    """Listing 5: autorun kernel whose counter advances one per consumer read."""
+    """Listing 5: autorun kernel whose counter advances one per consumer read.
+
+    :class:`SequenceService` registers it as a lazy service: it occupies
+    fabric resources and the emulator discovers it, but the channel
+    computes its effect, so it never runs.
+    """
 
     is_instrumentation = True
 
@@ -49,11 +59,11 @@ class SequenceService:
 
     def __init__(self, fabric: Fabric, name: str = "seq", start: int = 0) -> None:
         self.fabric = fabric
-        self.channel = fabric.channels.declare(f"{name}_ch", depth=0,
-                                               width_bits=32)
+        self.channel = fabric.channels.adopt(SequenceChannel(
+            fabric.sim, f"{name}_ch", start=start, width_bits=32))
         self.kernel = SequenceServerKernel(self.channel, name=f"{name}_srv",
                                            start=start)
-        fabric.add_autorun(self.kernel)
+        fabric.add_lazy_service(self.kernel, self.channel)
 
     def read_op(self, ctx: KernelContext) -> ops.ReadChannel:
         """The read site: ``seq = yield seq_service.read_op(ctx)``.

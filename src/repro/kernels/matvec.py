@@ -14,6 +14,7 @@ for the single-task kernel, work-item-interleaved for NDRange.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.sequence import SequenceService
@@ -32,23 +33,38 @@ def _instrumented_profile(base: ResourceProfile,
                                        logic_ops=2))
 
 
+@lru_cache(maxsize=None)
+def _sites(kernel_name: str, compute_id: int) -> Tuple[str, ...]:
+    """The body's x, y, info1, info2, info3 and z memory sites.
+
+    They keep the names the engine used to derive from each yield's
+    source line, so LSU keys and everything reported per site stay the
+    same however this module is edited.
+    """
+    return tuple(f"{kernel_name}.cu{compute_id}:{suffix}" for suffix in (
+        "Load@L40", "Load@L41", "Store@L46", "Store@L47", "Store@L48",
+        "Store@L51"))
+
+
 def _matvec_body(kernel, ctx):
     """Shared Listing 6/7 body; ``kernel`` supplies the instrumentation."""
     k, i = ctx.iteration
     num = ctx.arg("num")
     l = k * num
-    xv = yield ctx.load("x", i + l)
-    yv = yield ctx.load("y", i)
+    x_site, y_site, info1_site, info2_site, info3_site, z_site = _sites(
+        kernel.name, ctx.compute_id)
+    xv = yield ctx.load("x", i + l, site=x_site)
+    yv = yield ctx.load("y", i, site=y_site)
     ctx.accumulate("sum", k, xv * yv)
     if kernel.instrumented and i < kernel.probe_i:
         seq = yield kernel.sequence.read_op(ctx)
         timestamp = yield kernel.timestamps.read_op(ctx, 0)
-        yield ctx.store("info1", seq, timestamp)
-        yield ctx.store("info2", seq, k)
-        yield ctx.store("info3", seq, i)
+        yield ctx.store("info1", seq, timestamp, site=info1_site)
+        yield ctx.store("info2", seq, k, site=info2_site)
+        yield ctx.store("info3", seq, i, site=info3_site)
     if i == num - 1:
         total = yield ctx.collect("sum", k, expected=num)
-        yield ctx.store("z", k, total)
+        yield ctx.store("z", k, total, site=z_site)
 
 
 class MatVecSingleTask(SingleTaskKernel):
@@ -58,6 +74,9 @@ class MatVecSingleTask(SingleTaskKernel):
     Buffers: ``x`` (N*num), ``y`` (num), ``z`` (N); when instrumented also
     ``info1/2/3`` sized ``N * probe_i + 1`` (sequence numbers start at 1).
     """
+
+    #: The body yields only ops the analytic launch replay runs.
+    replayable = True
 
     def __init__(self, sequence: Optional[SequenceService] = None,
                  timestamps: Optional[PersistentTimestampService] = None,
@@ -88,6 +107,9 @@ class MatVecSingleTask(SingleTaskKernel):
 
 class MatVecNDRange(NDRangeKernel):
     """Listing 7: one work-item per output row (``k = get_global_id(0)``)."""
+
+    #: The body yields only ops the analytic launch replay runs.
+    replayable = True
 
     def __init__(self, sequence: Optional[SequenceService] = None,
                  timestamps: Optional[PersistentTimestampService] = None,

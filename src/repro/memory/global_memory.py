@@ -7,8 +7,7 @@ make load latency *variable*:
 
 * a fixed pipe latency (controller + PHY traversal),
 * per-bank busy time (consecutive accesses to one bank serialize),
-* an open-row model (row hits are cheaper than row misses),
-* a bounded number of outstanding requests (back-pressure), and
+* an open-row model (row hits are cheaper than row misses), and
 * port arbitration across concurrent requesters.
 
 The model is deterministic: identical request streams produce identical
@@ -23,7 +22,6 @@ from typing import Any, Dict, Optional
 from repro.errors import AddressError
 from repro.memory.backing import AddressMap, BackingStore
 from repro.sim.core import PRIORITY_NORMAL, Event, Simulator
-from repro.sim.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,6 @@ class GlobalMemoryConfig:
     row_hit_cycles: int = 6
     #: Extra cycles when the bank must precharge + activate a new row.
     row_miss_cycles: int = 24
-    #: Maximum requests in flight inside the controller.
-    max_outstanding: int = 64
     #: Writes are posted: the issuing pipeline sees this many cycles only.
     posted_write_latency: int = 2
 
@@ -59,8 +55,6 @@ class GlobalMemoryConfig:
             raise AddressError(
                 "a row hit cannot be slower than a row miss "
                 f"({self.row_hit_cycles} > {self.row_miss_cycles})")
-        if self.max_outstanding < 1:
-            raise AddressError("max_outstanding must be >= 1")
 
 
 @dataclass
@@ -105,7 +99,6 @@ class GlobalMemory:
         self.stats = GlobalMemoryStats()
         self._bank_ready = [0] * self.config.banks
         self._bank_open_row: list = [None] * self.config.banks
-        self._inflight = Resource(sim, capacity=self.config.max_outstanding)
         self._pending_commits = 0
         #: Scheduled commit events not yet fired (a batch flush is one
         #: event carrying many commits).
@@ -319,10 +312,3 @@ class GlobalMemory:
         else:
             self._drain_waiters.append(event)
         return event
-
-    def acquire_slot(self):
-        """Reserve an outstanding-request slot (used by LSUs)."""
-        return self._inflight.request()
-
-    def release_slot(self, request) -> None:
-        self._inflight.release(request)

@@ -32,7 +32,7 @@ class Accumulator:
         self._init = init
         self._values: Dict[Any, Any] = {}
         self._counts: Dict[Any, int] = {}
-        self._waiters: Dict[Any, List[Tuple[int, Event]]] = {}
+        self._waiters: Dict[Any, List[Tuple[int, Any]]] = {}
 
     def add(self, key: Any, value: Any) -> None:
         """Fold ``value`` into the register for ``key`` (zero-time)."""
@@ -50,12 +50,22 @@ class Accumulator:
 
     def collect(self, key: Any, expected: int) -> Event:
         """Event that fires with the final value after ``expected`` adds."""
+        event = Event(self.sim)
+        self.wait(key, expected, event)
+        return event
+
+    def wait(self, key: Any, expected: int, waiter: Any) -> None:
+        """Call ``waiter.succeed(value)`` once ``expected`` adds arrived
+        (at once if they already have).
+
+        ``waiter`` is an :class:`Event` for :meth:`collect`; the analytic
+        launch replay passes its own waker, which resumes the body on its
+        private timeline one hop later, as the event would.
+        """
         if expected < 0:
             raise KernelError(f"accumulator {self.name!r}: expected must be >= 0")
-        event = Event(self.sim)
-        self._waiters.setdefault(key, []).append((expected, event))
+        self._waiters.setdefault(key, []).append((expected, waiter))
         self._notify(key)
-        return event
 
     def _notify(self, key: Any) -> None:
         waiters = self._waiters.get(key)

@@ -15,22 +15,22 @@ splits a launch into two phases:
   per-iteration stepping path — reproducing exact oracle semantics,
   including the original failure mode.
 
-* **Phase B (timing)** — an analytic replay of the launcher/LSU event
-  choreography on a private heap. The same memory-controller and LSU
-  accounting calls are made in the same ``(cycle, scheduling-order)``
-  sequence the real event loop would produce — the simulator's wheel is
-  FIFO per (cycle, priority) lane and all launch events are
-  PRIORITY_NORMAL, so one monotone sequence number replicates the merged
-  order exactly. Store commits are scheduled as *real* simulator events
-  (posted-write drain is observable by the host); per-op retirements are
-  not (they all precede the launch's completion and are unobservable
-  from outside the engine).
+* **Phase B (timing)** — the analytic launch replay of
+  :mod:`repro.pipeline.replay` times the recorded ops: the launcher/LSU
+  event choreography on a private heap, in the same ``(cycle,
+  scheduling-order)`` sequence the real event loop would produce, with
+  the posted-store commits landing in one real flush event. The same
+  core replays declared-replayable Python-IR kernels from their body
+  generators, which is how this engine's fallback runs them.
 
-The phases only run when the launch owns the simulator: an empty event
-queue (no autoruns, monitors, or concurrent launches), no undrained
-posted stores, and a kernel that lowered to a :class:`~repro.frontend.codegen.BatchPlan`.
-Anything else falls back to per-iteration stepping with the fast
-executor — ``executor="batch"`` is therefore *always* safe to request.
+The phases only run when the launch owns the simulator (see
+:meth:`~repro.pipeline.engine.PipelineEngine._exclusive_reason`: an
+empty event queue, no undrained posted stores, no ``run(until=...)``
+under way) and the kernel lowered to a
+:class:`~repro.frontend.codegen.BatchPlan`. Anything else falls back to
+the fast executor — which replays a replayable Python-IR kernel and
+steps everything else — so ``executor="batch"`` is *always* safe to
+request.
 
 Equality with ``executor="reference"`` (buffers, ``sim.now``, engine and
 LSU stats, iteration traces) is enforced by
@@ -39,23 +39,18 @@ LSU stats, iteration traces) is enforced by
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.memory.global_memory import BufferTraffic as _BufferTraffic
 from repro.pipeline.context import KernelContext
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.kernel import Kernel
-from repro.sim.core import PRIORITY_NORMAL, Event
+from repro.pipeline.replay import LaunchReplay, Row
 
 #: Phase A control codes 1..3 mirror the closure backend's
 #: ``_BRK/_CNT/_RET``; ``_EXIT`` is the loop-condition-failed code a
 #: ``BTest`` returns (it never escapes the enclosing ``BLoop``).
 _BRK, _CNT, _RET, _EXIT = 1, 2, 3, 4
-
-#: Phase B event kinds, in the tuple slot after ``(time, seq, ...)``.
-_EV_ROW, _EV_LAUNCH = 0, 1
 
 
 class _BatchAbort(Exception):
@@ -82,21 +77,6 @@ class BatchStats:
     divergence: int = 0
 
 
-class _Row:
-    """One work-item's state: frame column values + recorded memory ops."""
-
-    __slots__ = ("tag", "ctx", "frame", "ops", "issued_at", "next_op")
-
-    def __init__(self, tag: Any, ctx: KernelContext, frame: list) -> None:
-        self.tag = tag
-        self.ctx = ctx
-        self.frame = frame
-        #: Issue tuples ``(site, kind, buffer, index, value)`` in body order.
-        self.ops: List[tuple] = []
-        self.issued_at = 0
-        self.next_op = 0
-
-
 class BatchPipelineEngine(PipelineEngine):
     """A :class:`PipelineEngine` whose launcher batches eligible launches.
 
@@ -110,17 +90,6 @@ class BatchPipelineEngine(PipelineEngine):
         super().__init__(fabric, kernel, args, compute_id=compute_id,
                          space=space, executor="fast")
         self.batch = BatchStats()
-        # Phase B launcher state machine.
-        self._b_heap: List[tuple] = []
-        self._b_seq = 0
-        self._b_inflight = 0
-        self._b_finish: Optional[int] = None
-        self._b_launch_done = False
-        self._b_slot_armed = False
-        self._b_stall_start: Optional[int] = None
-        self._b_rows: List[_Row] = []
-        self._b_tag_index = 0
-        self._b_last_issue: Optional[int] = None
         # Phase A intra-launch hazard sets: buffer name -> element indices.
         self._b_read: Dict[str, set] = {}
         self._b_written: Dict[str, set] = {}
@@ -129,16 +98,8 @@ class BatchPipelineEngine(PipelineEngine):
         # the plan-time contents is exact — and a plain list indexes far
         # faster than per-element ``ndarray.item()`` calls.
         self._b_data: Dict[str, tuple] = {}
-        # Per-(site, kind) LSU state boxes and launch-wide accumulators;
-        # flushed into the real LSU/memory objects when the replay ends.
-        self._b_boxes: Dict[tuple, list] = {}
-        self._b_counts = [0, 0, 0, 0]      # loads, stores, bytes r, bytes w
-        self._b_traffic: Dict[str, list] = {}
-        self._b_lat_acc = [0, 0, 0]        # row hits, row misses, load lat
-        # Posted-store commits deferred to one flush event.
-        self._b_commits: List[tuple] = []
-        self._b_last_commit = 0
-        self._advance_op: Any = None
+        #: Phase B's timeline; Phase A fills its LSU boxes and counters.
+        self._replay: Optional[LaunchReplay] = None
         # Bound trace writers per schema (rebuilt if the fabric hub swaps).
         self._writers: Dict[str, Any] = {}
 
@@ -150,21 +111,16 @@ class BatchPipelineEngine(PipelineEngine):
         if plan is None:
             yield from self._fallback(reason, self._iteration_tags())
             return
-        sim = self.sim
         # Exclusivity gate: Phase A reads backing stores at plan time and
         # Phase B owns the timeline, so the launch must be alone on the
         # simulator with memory quiesced.
-        if sim._wheel_count or sim._far:
-            yield from self._fallback("concurrent simulator activity",
-                                      self._iteration_tags(),
-                                      ops=plan.op_count)
-            return
-        if self.fabric.memory.pending_commits:
-            yield from self._fallback("undrained posted stores",
-                                      self._iteration_tags(),
+        reason = self._exclusive_reason()
+        if reason is not None:
+            yield from self._fallback(reason, self._iteration_tags(),
                                       ops=plan.op_count)
             return
         tags = list(self._iteration_tags())
+        self._replay = LaunchReplay(self)
         try:
             rows = self._plan_rows(plan, tags)
         except _BatchAbort as abort:
@@ -179,7 +135,7 @@ class BatchPipelineEngine(PipelineEngine):
         self.batch.rows = len(tags)
         self.batch.ops = plan.op_count
         self._emit("batch.launch", "", 1, len(tags), plan.op_count)
-        self._replay(rows)
+        self._replay.run_planned(rows)
         return
         yield  # pragma: no cover - makes _launcher a generator either way
 
@@ -190,7 +146,7 @@ class BatchPipelineEngine(PipelineEngine):
         self.batch.rows = rows
         self.batch.ops = ops
         self._emit("batch.launch", reason, 0, rows, ops)
-        yield from self._launch_tags(space)
+        yield from self._launch_space(space)
 
     def _emit(self, schema: str, site: str = "", *values: int) -> None:
         # Values are positional in schema field order (batch.launch:
@@ -208,7 +164,7 @@ class BatchPipelineEngine(PipelineEngine):
 
     # -- Phase A: columnar value execution (no shared side effects) --------
 
-    def _plan_rows(self, plan: Any, tags: List[Any]) -> List[_Row]:
+    def _plan_rows(self, plan: Any, tags: List[Any]) -> List[Row]:
         try:
             rows = []
             template = None
@@ -218,7 +174,7 @@ class BatchPipelineEngine(PipelineEngine):
                     # Bindings depend only on launch args/defines/channels,
                     # not the iteration tag: build one frame and copy it.
                     template = plan.make_frame(self.kernel._bindings(ctx))
-                rows.append(_Row(tag, ctx, template[:]))
+                rows.append(Row(tag, ctx, template[:]))
             if rows:
                 ctl = self._exec_nodes(plan.nodes, rows)
                 if ctl is not None and ctl != _RET:
@@ -232,9 +188,10 @@ class BatchPipelineEngine(PipelineEngine):
             # the same error with the oracle's exact failure semantics.
             raise _BatchAbort(f"body raised {type(exc).__name__}") from exc
 
-    def _exec_nodes(self, nodes: tuple, rows: List[_Row],
+    def _exec_nodes(self, nodes: tuple, rows: List[Row],
                     start: int = 0) -> Optional[int]:
         memory = self.fabric.memory
+        replay = self._replay
         read, written = self._b_read, self._b_written
         index = start
         count = len(nodes)
@@ -254,8 +211,8 @@ class BatchPipelineEngine(PipelineEngine):
             elif kind == 1:                                 # BLoad
                 index_fn = node.index_fn
                 base, dst = node.base_slot, node.dst_slot
-                box = self._site_box(node.site, "load")
-                counts = self._b_counts
+                box = replay.site_box(node.site, "load")
+                counts = replay.counts
                 name = None
                 for row in rows:
                     frame = row.frame
@@ -266,7 +223,7 @@ class BatchPipelineEngine(PipelineEngine):
                         itemsize = store.itemsize
                         base_address = store.base_address
                         values, size = self._buffer_values(name, store)
-                        traffic = self._b_traffic.setdefault(
+                        traffic = replay.traffic.setdefault(
                             name, [0, 0, 0, 0])
                         read_set = read.setdefault(name, set())
                         written_set = written.get(name)
@@ -289,8 +246,8 @@ class BatchPipelineEngine(PipelineEngine):
             elif kind == 2:                                 # BStore
                 index_fn, value_fn = node.index_fn, node.value_fn
                 base = node.base_slot
-                box = self._site_box(node.site, "store")
-                counts = self._b_counts
+                box = replay.site_box(node.site, "store")
+                counts = replay.counts
                 name = None
                 for row in rows:
                     frame = row.frame
@@ -301,7 +258,7 @@ class BatchPipelineEngine(PipelineEngine):
                         itemsize = store.itemsize
                         base_address = store.base_address
                         size = store.size
-                        traffic = self._b_traffic.setdefault(
+                        traffic = replay.traffic.setdefault(
                             name, [0, 0, 0, 0])
                         written_set = written.setdefault(name, set())
                         read_set = read.get(name)
@@ -364,214 +321,3 @@ class BatchPipelineEngine(PipelineEngine):
         if info is None:
             info = self._b_data[name] = (store.data.tolist(), store.size)
         return info
-
-    def _site_box(self, site: str, kind: str) -> list:
-        """Mutable per-LSU state ``[tail, count, total, max, stall,
-        samples, lsu]`` seeded from (and flushed back into) the real LSU."""
-        key = (site, kind)
-        box = self._b_boxes.get(key)
-        if box is None:
-            lsu = self.lsu(site, kind)
-            stats = lsu.stats
-            box = self._b_boxes[key] = [
-                lsu._tail_time, 0, 0, stats.max_latency, 0,
-                stats.samples if self.fabric.keep_lsu_samples else None,
-                lsu]
-        return box
-
-    # -- Phase B: analytic replay of the launch timeline -------------------
-
-    def _replay(self, rows: List[_Row]) -> None:
-        """Re-enact the launcher/LSU event choreography analytically.
-
-        The private heap is ordered ``(time, seq)`` with one global
-        monotone ``seq`` assigned at push; pushes happen in the same
-        chronological order the real event loop performs its scheduling
-        calls, so pops replicate the wheel's FIFO-per-cycle merged order.
-        The memory-controller bank model runs inlined in the ``advance``
-        closure below with exactly :meth:`GlobalMemory._service_latency`'s
-        arithmetic and call order; summable statistics accumulate
-        launch-wide and flush once at the end, and posted-store commits
-        land in one flush event at the last commit cycle (no mid-launch
-        observer exists — the exclusivity gate held).
-        """
-        sim = self.sim
-        memory = self.fabric.memory
-        start = sim.now
-        heap = self._b_heap
-        self._b_rows = rows
-        config = memory.config
-        row_bytes = config.row_bytes
-        banks = config.banks
-        busy = config.bank_busy_cycles
-        hit_cycles = config.row_hit_cycles
-        miss_cycles = config.row_miss_cycles
-        pipe = config.pipe_latency
-        posted = config.posted_write_latency
-        bank_ready = memory._bank_ready
-        bank_open_row = memory._bank_open_row
-        accumulator = self._b_lat_acc
-        commits = self._b_commits
-        retire_row = self._b_retire
-        heappush = heapq.heappush
-
-        def advance(row: _Row, now: int) -> None:
-            # Issue ``row``'s next memory op at cycle ``now`` (or retire
-            # it): GlobalMemory._service_latency + LoadStoreUnit.issue_at
-            # inlined — same arithmetic, same call order.
-            ops = row.ops
-            position = row.next_op
-            if position >= len(ops):
-                retire_row(row, now)
-                return
-            row.next_op = position + 1
-            box, address, store, element, value = ops[position]
-            dram_row = address // row_bytes
-            bank = dram_row % banks
-            bstart = bank_ready[bank]
-            if now > bstart:
-                bstart = now
-            if bank_open_row[bank] == dram_row:
-                access = hit_cycles
-                accumulator[0] += 1
-            else:
-                access = miss_cycles
-                accumulator[1] += 1
-                bank_open_row[bank] = dram_row
-            bfinish = bstart + access + busy
-            bank_ready[bank] = bfinish
-            latency = bfinish - now + pipe
-            if store is None:
-                accumulator[2] += latency
-            else:
-                # Posted store: the commit lands at the full latency, but
-                # the pipeline resumes after the posted latency only.
-                commit = now + latency
-                commits.append((store, element, value))
-                if commit > self._b_last_commit:
-                    self._b_last_commit = commit
-                if latency > posted:
-                    latency = posted
-            raw_retire = now + latency
-            tail = box[0]
-            retire = raw_retire if raw_retire >= tail else tail
-            box[0] = retire
-            total = retire - now
-            box[1] += 1
-            box[2] += total
-            if total > box[3]:
-                box[3] = total
-            box[4] += retire - raw_retire
-            samples = box[5]
-            if samples is not None:
-                samples.append(total)
-            self._b_seq += 1
-            heappush(heap, (retire, self._b_seq, _EV_ROW, row))
-
-        self._advance_op = advance
-        self._launch_turn(start)
-        pop = heapq.heappop
-        while heap:
-            when, _, kind, row = pop(heap)
-            if kind == _EV_ROW:
-                advance(row, when)
-            else:
-                if self._b_stall_start is not None:
-                    self.stats.issue_stall_cycles += (
-                        when - self._b_stall_start)
-                    self._b_stall_start = None
-                self._launch_turn(when)
-        finish = self._b_finish
-        if commits:
-            # Same-address commits are same-bank, and bank finish times
-            # are monotone in issue order, so append order is commit
-            # order; one event applies them all at the last commit cycle.
-            memory.post_commit_batch(commits, self._b_last_commit - start)
-        # Flush the launch-wide accumulators into the shared objects.
-        loads, stores, bytes_read, bytes_written = self._b_counts
-        mstats = memory.stats
-        mstats.loads += loads
-        mstats.stores += stores
-        mstats.bytes_read += bytes_read
-        mstats.bytes_written += bytes_written
-        hits, misses, load_latency = self._b_lat_acc
-        mstats.row_hits += hits
-        mstats.row_misses += misses
-        mstats.total_load_latency += load_latency
-        for name, (tl, ts, tbr, tbw) in self._b_traffic.items():
-            traffic = memory.traffic.setdefault(name, _BufferTraffic())
-            traffic.loads += tl
-            traffic.stores += ts
-            traffic.bytes_read += tbr
-            traffic.bytes_written += tbw
-        for tail, count, total, peak, stall, _, lsu in \
-                self._b_boxes.values():
-            lsu._tail_time = tail
-            stats = lsu.stats
-            stats.issued += count
-            stats.completed += count
-            stats.total_latency += total
-            stats.max_latency = peak
-            stats.ordering_stall_cycles += stall
-        # Completion fires through a real (Timeout-style, pre-triggered)
-        # event so `Fabric.run` steps the clock to the finish cycle
-        # exactly as it would draining the fallback's event population.
-        trigger = Event(sim)
-        trigger._value = None
-
-        def _complete(done: Event) -> None:
-            self.stats.finish_cycle = sim.now
-            self.completion.succeed(self.stats)
-
-        trigger.callbacks.append(_complete)
-        sim._schedule(trigger, delay=finish - start,
-                      priority=PRIORITY_NORMAL)
-
-    def _push(self, when: int, kind: int, row: Optional[_Row]) -> None:
-        self._b_seq += 1
-        heapq.heappush(self._b_heap, (when, self._b_seq, kind, row))
-
-    def _launch_turn(self, now: int) -> None:
-        """One launcher wake: issue until a gap, a full pipeline, or done."""
-        rows = self._b_rows
-        config = self.config
-        while True:
-            if self._b_tag_index >= len(rows):
-                self._b_launch_done = True
-                if self._b_inflight == 0 and self._b_finish is None:
-                    self._b_finish = now
-                return
-            if self._b_last_issue is not None:
-                gap = self._b_last_issue + config.ii - now
-                if gap > 0:
-                    self._push(now + gap, _EV_LAUNCH, None)
-                    return
-            if self._b_inflight >= config.max_inflight:
-                self._b_slot_armed = True
-                self._b_stall_start = now
-                return
-            row = rows[self._b_tag_index]
-            self._b_tag_index += 1
-            self._b_issue(row, now)
-            self._b_last_issue = now
-
-    def _b_issue(self, row: _Row, now: int) -> None:
-        self._b_inflight += 1
-        self.stats.iterations_issued += 1
-        row.issued_at = now
-        # Inline start: the first op issues at the issue cycle itself, and
-        # op-free rows retire synchronously (mirrors `inline=True` bodies).
-        self._advance_op(row, now)
-
-    def _b_retire(self, row: _Row, now: int) -> None:
-        if self.fabric.keep_lsu_samples:
-            self.stats.iteration_trace.append((row.tag, row.issued_at, now))
-        self._b_inflight -= 1
-        self.stats.iterations_retired += 1
-        if self._b_slot_armed:
-            # The real retire succeeds the launcher's slot event (delay 0):
-            # the launcher resumes this cycle, after already-queued events.
-            self._b_slot_armed = False
-            self._push(now, _EV_LAUNCH, None)
-        if self._b_launch_done and self._b_inflight == 0:
-            self._b_finish = now

@@ -50,6 +50,7 @@ from repro.pipeline import ops
 from repro.pipeline.accumulator import Accumulator
 from repro.pipeline.context import KernelContext
 from repro.pipeline.kernel import AutorunKernel, Kernel
+from repro.pipeline.replay import LaunchReplay
 from repro.sim.core import (
     PRIORITY_LATE,
     PRIORITY_URGENT,
@@ -660,6 +661,10 @@ class PipelineEngine(_OpExecutor):
         #: give each unit its share of the space).
         self._space = space
         self.config = kernel.pipeline
+        #: Launches of a declared-replayable kernel that own the simulator
+        #: are replayed analytically (fast executor only; see
+        #: :mod:`repro.pipeline.replay`).
+        self._replayable = executor == "fast" and kernel.replayable
         self.stats = EngineStats()
         self.completion: Event = self.sim.event()
         self._inflight = 0
@@ -682,7 +687,33 @@ class PipelineEngine(_OpExecutor):
 
     def _launcher(self) -> Generator:
         self.stats.start_cycle = self.sim.now
-        yield from self._launch_tags(self._iteration_tags())
+        yield from self._launch_space(self._iteration_tags())
+
+    def _launch_space(self, space: Any) -> Generator:
+        """Walk ``space``: replayed analytically when the kernel is
+        replayable and the launch owns the simulator, else stepped."""
+        if self._replayable and self._exclusive_reason() is None:
+            LaunchReplay(self).run_bodies(space)
+            return
+        yield from self._launch_tags(space)
+
+    def _exclusive_reason(self) -> Optional[str]:
+        """Why this launch does not own the simulator, or None if it does.
+
+        An analytic replay computes the whole launch at its first cycle,
+        so nothing may observe the model before it ends: no other event
+        is scheduled (no autorun, monitor or concurrent launch), no
+        posted store is still in flight, and no ``run(until=...)`` will
+        pause the clock mid-launch.
+        """
+        sim = self.sim
+        if sim._wheel_count or sim._far:
+            return "concurrent simulator activity"
+        if self.fabric.memory.pending_commits:
+            return "undrained posted stores"
+        if sim.stop_cycle is not None:
+            return "run(until=...) under way"
+        return None
 
     def _iteration_tags(self) -> Any:
         """The iteration space this launch walks (honouring any CU share)."""

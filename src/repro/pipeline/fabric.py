@@ -39,12 +39,12 @@ class Fabric:
         self.trace = trace
         self.autorun_engines: List[AutorunEngine] = []
         self.engines: List[PipelineEngine] = []
-        #: Persistent service kernels modelled *analytically* (no per-cycle
-        #: process; see CounterRegisterChannel). They occupy fabric
-        #: resources and are discovered by the emulator like autoruns, but
-        #: never consume simulation events.
+        #: Persistent service kernels modelled *analytically* (no server
+        #: process; see CounterRegisterChannel and SequenceChannel). They
+        #: occupy fabric resources and are discovered by the emulator like
+        #: autoruns, but never run.
         self.service_kernels: List[AutorunKernel] = []
-        self._lazy_counters: List[Any] = []
+        self._lazy_channels: List[Any] = []
 
     def enable_tracing(self, hub: Optional[Any] = None, *,
                        flush_rows: int = 0) -> Any:
@@ -72,16 +72,16 @@ class Fabric:
         self.autorun_engines.append(engine)
         return engine
 
-    def add_lazy_service(self, kernel: AutorunKernel, counter: Any) -> None:
+    def add_lazy_service(self, kernel: AutorunKernel, channel: Any) -> None:
         """Install a persistent service whose effect is computed on demand.
 
-        ``counter`` is the lazy register channel standing in for the
-        kernel's per-cycle writes; it is frozen when the device is torn
-        down, exactly as stopping the eager kernel would leave the last
-        written value in the register.
+        ``channel`` is the analytic channel standing in for the kernel's
+        writes (a free-running counter's register, or a sequence server's
+        rendezvous); it is frozen when the device is torn down, exactly
+        as stopping the eager kernel would leave its last write in place.
         """
         self.service_kernels.append(kernel)
-        self._lazy_counters.append(counter)
+        self._lazy_channels.append(channel)
 
     def launch(self, kernel: Kernel, args: Optional[Dict[str, Any]] = None,
                compute_id: int = 0, executor: str = "fast") -> PipelineEngine:
@@ -215,7 +215,7 @@ class Fabric:
         for engine in self.autorun_engines:
             engine.stop()
         self.autorun_engines = []
-        for counter in self._lazy_counters:
-            counter.freeze()
+        for channel in self._lazy_channels:
+            channel.freeze()
         self.service_kernels = []
-        self._lazy_counters = []
+        self._lazy_channels = []

@@ -130,6 +130,15 @@ class Kernel:
     #: kernels with debugging/profiling support do not").
     is_instrumentation = False
 
+    #: True when every :meth:`body` yields only ``Load``, ``Store``,
+    #: ``Compute``, ``MemFence`` and ``CollectReduction`` ops and
+    #: blocking reads of lazy timestamp or sequence channels. The fast
+    #: executor (and the batch tier's Python-IR fallback) then replays a
+    #: launch that owns the simulator analytically instead of stepping it
+    #: (see :mod:`repro.pipeline.replay`); a replayed body that yields any
+    #: other op raises :class:`~repro.errors.KernelBuildError`.
+    replayable = False
+
     def __init__(self, name: Optional[str] = None, num_compute_units: int = 1,
                  pipeline: Optional[PipelineConfig] = None) -> None:
         if num_compute_units < 1:
@@ -157,8 +166,10 @@ class Kernel:
 
         Python-IR kernels have no op-stream plan — their bodies are
         opaque generators — so the batch engine transparently falls back
-        to per-iteration stepping for them. Frontend-compiled kernels
-        override this (:meth:`repro.frontend.compiler._CompiledMixin.batch_plan`).
+        to the fast path for them, which replays a :attr:`replayable`
+        kernel's launch analytically and steps any other. Frontend-compiled
+        kernels override this
+        (:meth:`repro.frontend.compiler._CompiledMixin.batch_plan`).
         """
         return None, "Python-IR kernel (no op-stream plan)"
 

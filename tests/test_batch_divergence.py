@@ -131,6 +131,23 @@ class TestStaticBail:
         self._assert_static_fallback(
             fabric, engine, "concurrent simulator activity")
 
+    def test_run_until_under_way_bails(self):
+        program_cache_clear()
+        hub = TraceHub()
+        fabric = Fabric(trace=hub)
+        program = compile_source(fabric, _CONVERGENT)
+        fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
+        fabric.memory.allocate("OUT", 8)
+        engine = fabric.launch(program.kernel("conv"), {
+            "in": "IN", "out": "OUT", "n": 8, "__global_size": 8},
+            executor="batch")
+        # The launcher first runs inside advance(): a replay would compute
+        # the launch ahead of the cycle the caller pauses at.
+        fabric.advance(1)
+        fabric.run(engine.completion, fabric.memory.drained())
+        self._assert_static_fallback(fabric, engine,
+                                     "run(until=...) under way")
+
 
 class TestDynamicDivergence:
     """Aborts discovered *during* Phase A — these bump ``divergence`` and

@@ -25,9 +25,11 @@ class TestConfigValidation:
         with pytest.raises(AddressError):
             GlobalMemoryConfig(pipe_latency=-1)
 
-    def test_zero_outstanding_rejected(self):
-        with pytest.raises(AddressError):
-            GlobalMemoryConfig(max_outstanding=0)
+    def test_max_outstanding_is_not_a_field(self):
+        # The controller never bounded in-flight requests, so the knob
+        # that claimed to is gone rather than silently accepted.
+        with pytest.raises(TypeError):
+            GlobalMemoryConfig(max_outstanding=64)
 
 
 class TestLoadTiming:

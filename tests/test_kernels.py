@@ -117,6 +117,40 @@ class TestMatVec:
         assert pairs == [(k, i) for k in range(N) for i in range(probe)]
 
 
+class TestMatVecSites:
+    """The matvec bodies name their LSU sites explicitly, with exactly the
+    names the engine derived from the yields' source lines before they
+    did (``<kernel>.cu0:<Op>@L<line>``), so per-site reports and LSU keys
+    are unchanged and no Fig. 2 op pays for deriving its site."""
+
+    SUFFIXES = [("Load@L40", "load"), ("Load@L41", "load"),
+                ("Store@L46", "store"), ("Store@L47", "store"),
+                ("Store@L48", "store"), ("Store@L51", "store")]
+
+    # An eager timestamp service keeps the simulator busy, so the launch
+    # is stepped instead of replayed.
+    @pytest.mark.parametrize("mode", ["lazy", "eager"])
+    @pytest.mark.parametrize("cls,name", [
+        (MatVecSingleTask, "matvec_single_task"),
+        (MatVecNDRange, "matvec_ndrange")])
+    def test_sites_keep_their_derived_names(self, monkeypatch, cls, name,
+                                            mode):
+        from repro.pipeline.engine import _OpExecutor
+
+        def refuse(*args):
+            raise AssertionError("matvec site derived from a frame")
+
+        monkeypatch.setattr(_OpExecutor, "_derive_site", refuse)
+        fabric = Fabric()
+        kernel = cls(SequenceService(fabric),
+                     PersistentTimestampService(fabric, mode=mode),
+                     probe_i=2)
+        allocate_matvec_buffers(fabric, 2, 3, probe_i=2)
+        engine = fabric.run_kernel(kernel, {"N": 2, "num": 3})
+        assert sorted(engine.lsus) == [
+            (f"{name}.cu0:{suffix}", kind) for suffix, kind in self.SUFFIXES]
+
+
 class TestMatMul:
     def test_uninstrumented_correct(self, fabric):
         buffers = allocate_matmul_buffers(fabric, 3, 5, 4)

@@ -207,3 +207,83 @@ class TestListing6:
             orders[number] = classify_order(records)
         assert orders[6] == "program-order"
         assert orders[7] == "interleaved"
+
+
+def _run_listing(number, n_rows, num):
+    """Listing 6 or 7 compiled from source: (z, (k, i) order, engine)."""
+    from repro.analysis.order import order_records
+    from repro.frontend.listings import LISTING_6, LISTING_7
+
+    fabric = Fabric()
+    program = compile_source(fabric, LISTING_6 if number == 6 else LISTING_7)
+    fabric.memory.allocate("X", n_rows * num).fill(np.arange(n_rows * num))
+    fabric.memory.allocate("Y", num).fill(np.arange(num))
+    fabric.memory.allocate("Z", n_rows)
+    for name in ("I1", "I2", "I3"):
+        fabric.memory.allocate(name, n_rows * 10 + 1)
+    args = {"x": "X", "y": "Y", "z": "Z", "info1": "I1", "info2": "I2",
+            "info3": "I3", "num": num}
+    if number == 6:
+        args["n"] = n_rows
+    else:
+        args["__global_size"] = n_rows
+    engine = fabric.run_kernel(program.kernel("matvec"), args)
+    records = order_records(*(fabric.memory.buffer(name).snapshot()
+                              for name in ("I1", "I2", "I3")),
+                            count=n_rows * min(10, num))
+    return list(fabric.memory.buffer("Z").snapshot()), records, engine
+
+
+def _run_python_ir(number, n_rows, num):
+    """The Python-IR Fig. 2 kernel standing for Listing 6 or 7."""
+    from repro.analysis.order import order_records
+    from repro.core.sequence import SequenceService
+    from repro.core.timestamp import PersistentTimestampService
+    from repro.kernels.matvec import (
+        MatVecNDRange,
+        MatVecSingleTask,
+        allocate_matvec_buffers,
+    )
+
+    fabric = Fabric()
+    kind = MatVecSingleTask if number == 6 else MatVecNDRange
+    kernel = kind(SequenceService(fabric), PersistentTimestampService(fabric),
+                  probe_i=10)
+    buffers = allocate_matvec_buffers(fabric, n_rows, num, probe_i=10)
+    engine = fabric.run_kernel(kernel, {"N": n_rows, "num": num})
+    records = order_records(*(buffers[name].snapshot()
+                              for name in ("info1", "info2", "info3")),
+                            count=n_rows * min(10, num))
+    return list(buffers["z"].snapshot()), records, engine
+
+
+class TestListingsAgreeWithPythonIR:
+    """Listings 6/7 from source and the Python-IR Fig. 2 kernels compute
+    the same result and reveal the same issue order, but are timed
+    differently (see EXPERIMENTS.md, "Fig. 2 from source")."""
+
+    @pytest.mark.parametrize("number", [6, 7])
+    @pytest.mark.parametrize("n_rows,num", [(3, 4), (4, 11), (5, 12)])
+    def test_same_result_and_order(self, number, n_rows, num):
+        from repro.analysis.order import classify_order
+
+        z, records, _ = _run_listing(number, n_rows, num)
+        ir_z, ir_records, _ = _run_python_ir(number, n_rows, num)
+        assert z == ir_z
+        assert ([(r.outer, r.inner) for r in records]
+                == [(r.outer, r.inner) for r in ir_records])
+        assert classify_order(records) == classify_order(ir_records)
+
+    @pytest.mark.parametrize("number,cycles,iterations", [
+        (6, 6_276, 1), (7, 1_656, 5)])
+    def test_cycles_differ(self, number, cycles, iterations):
+        # From source, Listing 6 runs its whole loop nest inside one
+        # pipeline iteration and Listing 7 one work-item's inner loop per
+        # iteration; the Python-IR kernels issue every (k, i) as its own
+        # pipelined iteration, so they finish far sooner.
+        _, _, engine = _run_listing(number, 5, 12)
+        _, _, ir_engine = _run_python_ir(number, 5, 12)
+        assert (engine.stats.total_cycles,
+                engine.stats.iterations_issued) == (cycles, iterations)
+        assert (ir_engine.stats.total_cycles,
+                ir_engine.stats.iterations_issued) == (1_258, 60)

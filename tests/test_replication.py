@@ -63,17 +63,15 @@ class TestScaling:
     def test_replication_improves_throughput(self):
         """With a parallel memory system (fine row interleave spreads the
         three buffers across all banks), 4 CUs beat 1 CU clearly."""
-        config = GlobalMemoryConfig(banks=16, row_bytes=64,
-                                    max_outstanding=256)
+        config = GlobalMemoryConfig(banks=16, row_bytes=64)
         _, single, _ = _run(1, n=128, memory_config=config)
         _, quad, _ = _run(4, n=128, memory_config=config)
         assert quad < single
 
     def test_bandwidth_bound_limits_scaling(self):
         """With a single bank, replication cannot buy the same factor."""
-        parallel = GlobalMemoryConfig(banks=16, row_bytes=64,
-                                      max_outstanding=256)
-        serial = GlobalMemoryConfig(banks=1, max_outstanding=256)
+        parallel = GlobalMemoryConfig(banks=16, row_bytes=64)
+        serial = GlobalMemoryConfig(banks=1)
         _, single_p, _ = _run(1, n=128, memory_config=parallel)
         _, quad_p, _ = _run(4, n=128, memory_config=parallel)
         _, quad_s, _ = _run(4, n=128, memory_config=serial)
