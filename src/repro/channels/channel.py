@@ -29,6 +29,7 @@ pipelines" (§1). This module models their semantics at cycle granularity:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
@@ -80,6 +81,21 @@ class Feed:
         self.write_requested = False
 
 
+class Sink:
+    """The per-datum work a parked consumer handed to its channel (see
+    :meth:`Channel.sink`)."""
+
+    __slots__ = ("action", "arrivals", "last")
+
+    def __init__(self, action: Callable[[int, Any], None], last: int) -> None:
+        self.action = action
+        #: LATE phase from which each buffered value is visible, in FIFO
+        #: order.
+        self.arrivals: deque = deque()
+        #: Last LATE phase in which the consumer took a value.
+        self.last = last
+
+
 class Channel:
     """One AOCL channel endpoint pair.
 
@@ -112,6 +128,8 @@ class Channel:
         self._parked_through: Optional[int] = None
         #: The parked producer's pending writes (see :meth:`feed`).
         self._feed: Optional[Feed] = None
+        #: The parked consumer's per-datum work (see :meth:`sink`).
+        self._sink: Optional[Sink] = None
         self._producer: Any = None
         self._consumer: Any = None
         if self.depth > 0:
@@ -156,6 +174,8 @@ class Channel:
         if self._fifo is not None:
             if self._feed is not None:
                 self._settle_feed()
+            if self._sink is not None:
+                self._credit_parked_polls()
             return len(self._fifo)
         return 0 if self._register is Channel._UNSET else 1
 
@@ -164,6 +184,8 @@ class Channel:
         if self._fifo is not None:
             if self._feed is not None:
                 self._settle_feed()
+            if self._sink is not None:
+                self._credit_parked_polls()
             return len(self._fifo) > 0
         return self._register is not Channel._UNSET or bool(self._pending_writers)
 
@@ -187,7 +209,7 @@ class Channel:
     @property
     def stats(self) -> ChannelStats:
         """Dynamic statistics, including a parked consumer's skipped polls
-        and a parked producer's fed writes."""
+        and sunk reads, and a parked producer's fed writes."""
         if self._parked_through is not None:
             self._credit_parked_polls()
         if self._feed is not None:
@@ -201,25 +223,114 @@ class Channel:
         here every cycle parks instead: the model stops polling, and
         ``on_arrival`` fires on the next successful write. Each skipped
         poll still counts as a read failure, credited lazily — when the
-        stats are read, and at :meth:`unpark`.
+        stats are read, and at :meth:`unpark`. The consumer has polled
+        through the last LATE phase begun: this cycle's, or the previous
+        one for a unit parked before its first poll.
         """
         self._arrival = on_arrival
-        self._parked_through = self.sim.now
+        self._parked_through = self.sim.last_late_phase()
         if self._feed is not None:
             self._request_write()
 
     def unpark(self) -> None:
-        """Credit the parked consumer's skipped polls and detach it."""
+        """Credit the parked consumer's skipped polls and detach it (and
+        its sink)."""
         self._credit_parked_polls()
+        self._sink = None
         self._arrival = None
         self._parked_through = None
 
     def _credit_parked_polls(self) -> None:
-        # Every late phase begun since the park held one failed poll.
+        # Every late phase begun since the park held one poll: a sunk
+        # read, else a failed one.
         through = self.sim.last_late_phase()
         if through > self._parked_through:
+            if self._sink is not None:
+                self._settle_sink(through)
+                return
             self._stats.read_failures += through - self._parked_through
             self._parked_through = through
+
+    # -- parked consumers' sinks ---------------------------------------------
+
+    def sink(self, action: Callable[[int, Any], None]) -> None:
+        """Hand the parked consumer's per-datum work to this channel.
+
+        The sink stands for the consumer running ``read_nb`` at the head
+        of every LATE phase and, on success, ``action(cycle, value)``.
+        A write then schedules nothing and does not wake the consumer: a
+        value that becomes visible in LATE phase ``a`` is taken in phase
+        ``c = max(a, previous c + 1)``. Every access settles the phases
+        begun since the last one first (``write_nb`` before it succeeds
+        or drops on the true occupancy; ``stats``, ``has_data`` and
+        ``occupancy``), so reads, read failures and ``max_occupancy``
+        come out as per-cycle polling leaves them. A blocking write
+        wakes the consumer instead (it may have to wait for room).
+        Detached by :meth:`unpark`. Only for a parked consumer of an
+        empty FIFO channel with no feed.
+        """
+        if (self._parked_through is None or self._fifo is None
+                or self._fifo.items or self._feed is not None):
+            raise ChannelUsageError(
+                f"channel {self.name!r}: a sink needs a parked consumer "
+                "of an empty FIFO")
+        self._sink = Sink(action, self._parked_through)
+
+    @property
+    def has_sink(self) -> bool:
+        """True while a parked consumer's sink is attached."""
+        return self._sink is not None
+
+    def settle_sink(self) -> None:
+        """Apply the sink's reads of the LATE phases begun so far (a
+        no-op without a sink)."""
+        if self._sink is not None:
+            self._credit_parked_polls()
+
+    def _settle_sink(self, through: int) -> None:
+        """Apply the sink through LATE phase ``through`` (past the last
+        settled one): take each visible value in its phase, and count one
+        failed read for every other phase."""
+        sink = self._sink
+        phases = through - self._parked_through
+        self._parked_through = through
+        arrivals = sink.arrivals
+        taken = 0
+        if arrivals:
+            items = self._fifo.items
+            action = sink.action
+            cycle = sink.last
+            while arrivals:
+                cycle += 1
+                if arrivals[0] > cycle:
+                    cycle = arrivals[0]
+                if cycle > through:
+                    break
+                arrivals.popleft()
+                taken += 1
+                sink.last = cycle
+                action(cycle, items.popleft())
+        stats = self._stats
+        stats.reads += taken
+        stats.read_failures += phases - taken
+
+    def _sink_write(self, value: Any) -> bool:
+        """``write_nb`` into a sunk channel: settle, then buffer the value
+        for the first LATE phase that has not begun, or drop it."""
+        through = self.sim.last_late_phase()
+        if through > self._parked_through:
+            self._settle_sink(through)
+        items = self._fifo.items
+        stats = self._stats
+        if len(items) >= self._fifo.capacity:
+            stats.write_failures += 1
+            return False
+        items.append(value)
+        self._sink.arrivals.append(through + 1)
+        stats.writes += 1
+        if len(items) > stats.max_occupancy:
+            stats.max_occupancy = len(items)
+        return True
 
     # -- parked producers ---------------------------------------------------
 
@@ -379,6 +490,8 @@ class Channel:
         register value (the free-running-counter usage in Listing 1).
         """
         if self._fifo is not None:
+            if self._sink is not None:
+                return self._sink_write(value)
             ok = self._fifo.try_put(value)
             self._stats.writes += 1 if ok else 0
             self._stats.write_failures += 0 if ok else 1
@@ -401,6 +514,8 @@ class Channel:
     def read_nb(self) -> Tuple[Any, bool]:
         """Non-blocking read. Returns ``(value, valid)``."""
         if self._fifo is not None:
+            if self._sink is not None:
+                self._credit_parked_polls()
             feed = self._feed
             if feed is not None:
                 self._settle_feed()
@@ -443,6 +558,9 @@ class Channel:
         start = self.sim.now
         fifo = self._fifo
         if fifo is not None:
+            if self._sink is not None:
+                # Wake the sunk consumer: a full FIFO needs its reads.
+                self._arrival()
             # Invariant (capacity > 0): readers park only on an empty FIFO,
             # writers only on a full one — so at most one side ever waits.
             if fifo._getters and not fifo.items:

@@ -10,10 +10,10 @@ accessed by the host for further post processing." (§5.1)
 
 The READ loop is one :class:`~repro.pipeline.ops.Transfer` op
 (``ctx.transfer``): a blocking read and a global store per trace word, as
-Listing 10 writes it. The fast executor computes runs of those words in
-closed form while the parked ibuffer's feed is all the simulator has
-left to do (see ``docs/PERFORMANCE.md``, "Closed-form host READ
-transfer").
+Listing 10 writes it. The fast executor computes windows of those words
+in closed form while the parked ibuffer's feed is all the simulator has
+left to do, each window's commits landing in one flush event (see
+``docs/PERFORMANCE.md``, "Closed-form host READ transfer").
 """
 
 from __future__ import annotations

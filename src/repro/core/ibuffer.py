@@ -10,8 +10,13 @@ Implements the framework of §4 / Listing 8 / Figures 1 and 3:
   are all empty parks until a value arrives, resuming in the cycle and
   phase in which a poll would first have seen it, with every skipped
   poll still counted as a channel read failure (see
-  ``docs/PERFORMANCE.md``, "Parked autorun polling"). In READ the parked
-  unit's one-word-per-cycle writes are handed to its out channel, which
+  ``docs/PERFORMANCE.md``, "Parked autorun polling"). A unit starts
+  parked, and while parked it hands its data channel a sink: the
+  per-datum work of SAMPLE (timestamp, logic block, trace write) or of
+  any other state (count a dropped sample), which the channel runs in
+  each datum's LATE phase when it is next accessed, so a probe write
+  schedules nothing ("Lazy SAMPLE sink"). In READ the parked unit's
+  one-word-per-cycle writes are handed to its out channel, which
   settles them when the host reads ("Lazy READ drain");
 * a **state machine** (RESET / SAMPLE / STOP / READ) driven by commands
   from the host interface kernel and by internal events (read drained);
@@ -76,6 +81,7 @@ class IBuffer(AutorunKernel):
     """
 
     is_instrumentation = True
+    starts_idle = True
 
     def __init__(self, fabric: Fabric, name: str,
                  logic_factory: Callable[[int], LogicBlock],
@@ -107,18 +113,48 @@ class IBuffer(AutorunKernel):
         #: Embedded HDL timestamp counter (Figure 4: "using the HDL-based
         #: timestamps and ibuffer framework").
         self.timestamp = GetTimeModule(fabric.sim, name=f"{name}_get_time")
-        #: Introspection: per-CU live state and trace buffer (set at start).
-        self.states: Dict[int, IBufferState] = {}
-        self.trace_buffers: Dict[int, TraceBuffer] = {}
-        self.samples_dropped: Dict[int, int] = {}
+        # Every unit is in its initial state from device programming on;
+        # its trace buffer is made with its local memory.
+        self._states: Dict[int, IBufferState] = dict.fromkeys(
+            range(c.count), c.initial_state)
+        self._trace_buffers: Dict[int, TraceBuffer] = {}
+        self._samples_dropped: Dict[int, int] = dict.fromkeys(
+            range(c.count), 0)
         fabric.add_autorun(self)
+
+    # -- introspection (each settles the data channels' sinks first) --------
+
+    def _settle(self) -> None:
+        for channel in self.data_c:
+            channel.settle_sink()
+
+    @property
+    def states(self) -> Dict[int, IBufferState]:
+        """Per-CU live state."""
+        self._settle()
+        return self._states
+
+    @property
+    def trace_buffers(self) -> Dict[int, TraceBuffer]:
+        """Per-CU trace buffer."""
+        self._settle()
+        return self._trace_buffers
+
+    @property
+    def samples_dropped(self) -> Dict[int, int]:
+        """Per-CU count of data discarded outside SAMPLE."""
+        self._settle()
+        return self._samples_dropped
 
     # -- kernel model hooks ------------------------------------------------
 
     def create_locals(self, fabric: Fabric, compute_id: int) -> Dict[str, Any]:
         words = self.config.depth * self.layout.words_per_entry
-        return {"trace": LocalMemory(fabric.sim,
-                                     f"{self.name}.cu{compute_id}.trace", words)}
+        memory = LocalMemory(fabric.sim, f"{self.name}.cu{compute_id}.trace",
+                             words)
+        self._trace_buffers[compute_id] = TraceBuffer(
+            memory, self.layout, self.config.depth, self.config.mode)
+        return {"trace": memory}
 
     @property
     def words_per_readout(self) -> int:
@@ -128,20 +164,36 @@ class IBuffer(AutorunKernel):
     def body(self, ctx):
         cu = ctx.compute_id
         logic = self.logic[cu]
-        trace = TraceBuffer(ctx.local("trace"), logic.layout,
-                            self.config.depth, self.config.mode)
-        self.trace_buffers[cu] = trace
-        self.samples_dropped[cu] = 0
+        trace = self._trace_buffers[cu]
+        dropped = self._samples_dropped
         state = self.config.initial_state
-        self.states[cu] = state
-        polled = [self.data_c[cu], self.cmd_c[cu]]
+        data_c = self.data_c[cu]
+        polled = [data_c, self.cmd_c[cu]]
         if self.addr_c is not None:
             polled.insert(0, self.addr_c[cu])
-        idle = ctx.await_data(*polled)
+        timestamp = self.timestamp.value_at
+        write = trace.write
+        on_data = logic.on_data
+
+        # What the loop below does with a datum while nothing else
+        # arrives: handed to the data channel as the parked unit's sink.
+        def sample(cycle: int, value: Any) -> None:
+            for entry in on_data(timestamp(cycle), value):
+                write(entry)
+
+        def drop(cycle: int, value: Any) -> None:
+            dropped[cu] += 1
+
+        sampling = ctx.await_data(*polled, sink=(data_c, sample))
+        idle = ctx.await_data(*polled, sink=(data_c, drop))
         out = self.out_c[cu]
         readout: List[int] = []
         read_pos = 0  # word index within the fixed-length readout
 
+        # Every channel is still empty: wait before the first poll.
+        yield ctx.await_data(*polled, sink=(
+            data_c, sample if state == IBufferState.SAMPLE else drop),
+            first=True)
         while True:
             now = self.timestamp.synthesize_behavior()
 
@@ -170,22 +222,22 @@ class IBuffer(AutorunKernel):
                         # into the trace for readout.
                         for entry in logic.on_flush(now):
                             trace.write(entry)
-                self.states[cu] = state
+                self._states[cu] = state
 
             if has_data:
                 if state == IBufferState.SAMPLE:
-                    for entry in logic.on_data(now, data):
-                        trace.write(entry)
+                    for entry in on_data(now, data):
+                        write(entry)
                 else:
                     # Data arriving outside SAMPLE is discarded (the channel
                     # is still drained — the caller must never stall).
-                    self.samples_dropped[cu] += 1
+                    dropped[cu] += 1
 
             if state == IBufferState.READ and read_pos == len(readout):
                 # Event-driven transition: "The state moves to stop when
                 # all the data in the trace buffer are read."
                 state = IBufferState.STOP
-                self.states[cu] = state
+                self._states[cu] = state
 
             if state == IBufferState.READ:
                 if ctx.write_channel_nb(out, readout[read_pos]):
@@ -196,8 +248,9 @@ class IBuffer(AutorunKernel):
                 # the final write.
                 read_pos = yield ctx.drain(out, readout, read_pos, polled)
             else:
-                # Nothing to do until a value arrives on a polled channel.
-                yield idle
+                # Nothing to do until a command or aux value arrives; data
+                # is sampled or dropped by the sink meanwhile.
+                yield sampling if state == IBufferState.SAMPLE else idle
 
     # -- synthesis accounting -------------------------------------------
 

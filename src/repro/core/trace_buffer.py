@@ -41,10 +41,12 @@ class EntryLayout:
 
     def pack(self, values: Dict[str, Any]) -> List[int]:
         """Entry dict -> words (valid first)."""
-        missing = set(self.fields) - set(values)
-        if missing:
-            raise TraceDecodeError(f"entry missing fields {sorted(missing)}")
-        return [1] + [int(values[name]) for name in self.fields]
+        try:
+            return [1] + [int(values[name]) for name in self.fields]
+        except KeyError:
+            missing = set(self.fields) - set(values)
+            raise TraceDecodeError(
+                f"entry missing fields {sorted(missing)}") from None
 
     def unpack(self, words: Sequence[int]) -> Optional[Dict[str, int]]:
         """Words -> entry dict, or None for an invalid (empty) slot."""
@@ -111,9 +113,12 @@ class TraceBuffer:
             self.dropped += 1
             return False
         words = self.layout.pack(values)
-        base = self._write_index * self.layout.words_per_entry
-        for offset, word in enumerate(words):
-            self.memory.poke(base + offset, word)
+        count = len(words)
+        base = self._write_index * count
+        # The slot's words in one slice: the pokes of one entry.
+        memory = self.memory
+        memory.data[base:base + count] = words
+        memory.accesses += count
         self._write_index = (self._write_index + 1) % self.depth
         self._total_writes += 1
         return True

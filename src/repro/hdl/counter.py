@@ -65,7 +65,12 @@ class GetTimeModule(HDLModule):
         """
         if self.eager:
             return self._register
-        return (self.sim.now + self.start_offset) % (1 << self.width_bits)
+        return self.value_at(self.sim.now)
+
+    def value_at(self, cycle: int) -> int:
+        """The counter value a read in ``cycle`` returns (see
+        :meth:`synthesize_behavior`)."""
+        return (cycle + self.start_offset) % (1 << self.width_bits)
 
     def resource_profile(self) -> ResourceProfile:
         # One w-bit counter: w registers + an adder + read mux.

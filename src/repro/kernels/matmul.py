@@ -77,6 +77,22 @@ class MatMulKernel(SingleTaskKernel):
                 self.watchpoint.monitor_address(
                     ctx, 1, buffer_c.address_of(i * col_b + j), total)
 
+    @property
+    def replayable(self) -> bool:
+        """Without a watchpoint the body yields only replayable ops; its
+        snapshot writes are taken by the monitor's parked ibuffer units
+        without events (see :meth:`replay_gate`). A watchpoint's
+        ``add_watch`` wakes its unit, an event."""
+        return self.watchpoint is None
+
+    def replay_gate(self) -> Optional[str]:
+        if self.stall_monitor is not None:
+            for channel in self.stall_monitor.ibuffer.data_c:
+                if not channel.has_sink:
+                    return (f"stall monitor channel {channel.name!r} has no "
+                            "sink (its ibuffer unit is not parked idle)")
+        return None
+
     def resource_profile(self) -> ResourceProfile:
         # A realistically unrolled AOCL matmul: wide vectorized loads, a
         # 128-lane multiply-accumulate array, and banked A/B tiles — this is

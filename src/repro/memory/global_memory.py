@@ -104,6 +104,9 @@ class GlobalMemory:
         #: event carrying many commits).
         self._commit_events = 0
         self._drain_waiters: list = []
+        #: Pending timed batches, each ``[commits, cycles]`` still to land
+        #: (see :meth:`post_commit_batch`).
+        self._timed: list = []
         #: Per-buffer traffic, keyed by buffer name.
         self.traffic: Dict[str, BufferTraffic] = {}
 
@@ -123,17 +126,11 @@ class GlobalMemory:
         row = address // self.config.row_bytes
         return row % self.config.banks, row
 
-    def _service_latency(self, address: int, now: Optional[int] = None) -> int:
-        """Compute this access's latency and update bank state.
-
-        ``now`` defaults to the simulator clock; the batch executor passes
-        the per-work-item issue cycle explicitly so a whole launch can be
-        timed in one pass while producing *exactly* the bank-state
-        trajectory the event-driven executors produce (same call order,
-        same observation times).
-        """
-        if now is None:
-            now = self.sim.now
+    def _service_latency(self, address: int) -> int:
+        """Compute the latency of an access issued now and update bank
+        state (the analytic launch replay inlines the same arithmetic,
+        see :mod:`repro.pipeline.replay`)."""
+        now = self.sim.now
         bank, row = self._bank_and_row(address)
         start = max(now, self._bank_ready[bank])
         if self._bank_open_row[bank] == row:
@@ -149,19 +146,17 @@ class GlobalMemory:
 
     # -- access API ----------------------------------------------------------
 
-    def load_timing(self, buffer_name: str, index: int,
-                    now: Optional[int] = None) -> tuple:
+    def load_timing(self, buffer_name: str, index: int) -> tuple:
         """Account one load; returns ``(backing_store, latency_cycles)``.
 
         Bank state, statistics, and traffic counters are updated at issue
         (as the controller accepts the request). The caller is responsible
         for reading the value *at completion time* — a posted store that
-        commits while the load is in flight must be observed. ``now``
-        overrides the issue cycle for analytic (batch) callers.
+        commits while the load is in flight must be observed.
         """
         store = self.buffer(buffer_name)
         store.check_index(index)
-        latency = self._service_latency(store.address_of(index), now=now)
+        latency = self._service_latency(store.address_of(index))
         self.stats.loads += 1
         self.stats.total_load_latency += latency
         self.stats.bytes_read += store.itemsize
@@ -191,20 +186,16 @@ class GlobalMemory:
         self.sim._schedule(event, delay=latency, priority=PRIORITY_NORMAL)
         return event
 
-    def store_timing(self, buffer_name: str, index: int, value: Any,
-                     now: Optional[int] = None) -> int:
+    def store_timing(self, buffer_name: str, index: int, value: Any) -> int:
         """Account one posted store; returns the pipeline-visible latency.
 
         The commit (value becoming visible in the backing store at the
         access's *full* latency) is scheduled here; the caller only needs
         an event at the returned posted latency to resume the pipeline.
-        ``now`` overrides the issue cycle for analytic (batch) callers;
-        the commit is then scheduled at the absolute cycle ``now + latency``
-        even though the simulator clock has not advanced there yet.
         """
         store = self.buffer(buffer_name)
         store.check_index(index)
-        latency = self._service_latency(store.address_of(index), now=now)
+        latency = self._service_latency(store.address_of(index))
         self.stats.stores += 1
         self.stats.bytes_written += store.itemsize
         traffic = self.traffic.get(buffer_name)
@@ -212,8 +203,7 @@ class GlobalMemory:
             traffic = self.traffic[buffer_name] = BufferTraffic()
         traffic.stores += 1
         traffic.bytes_written += store.itemsize
-        self.post_commit_at(store, index, value,
-                            self.sim.now if now is None else now, latency)
+        self.post_commit_at(store, index, value, self.sim.now, latency)
         return min(latency, self.config.posted_write_latency)
 
     def post_commit_at(self, store: BackingStore, index: int, value: Any,
@@ -223,8 +213,7 @@ class GlobalMemory:
 
         The commit event writes the backing store and releases drain
         waiters when it was the last one in flight. Statistics and bank
-        state are the caller's responsibility — this is the shared tail
-        of :meth:`store_timing` and the batch executor's inlined path.
+        state are the caller's responsibility.
         """
         self._pending_commits += 1
         self._commit_events += 1
@@ -232,11 +221,7 @@ class GlobalMemory:
         def _commit(done, _store=store, _index=index, _value=value):
             _store.write(_index, _value)
             self._commit_events -= 1
-            self._pending_commits -= 1
-            if self._pending_commits == 0:
-                waiters, self._drain_waiters = self._drain_waiters, []
-                for waiter in waiters:
-                    waiter.succeed()
+            self._landed(1)
 
         commit = Event(self.sim)
         commit._value = None
@@ -244,36 +229,70 @@ class GlobalMemory:
         self.sim._schedule(commit, delay=(now - self.sim.now) + latency,
                            priority=PRIORITY_NORMAL)
 
-    def post_commit_batch(self, commits: list, delay: int) -> None:
+    def post_commit_batch(self, commits: list, delay: int,
+                          cycles: Optional[list] = None) -> None:
         """Schedule many posted stores' commits as one flush event.
 
         ``commits`` is a list of ``(store, index, value)`` applied in
-        order at ``now + delay`` (the batch executor passes the last
-        commit cycle of the launch). All entries stay pending until the
-        flush — equivalent to per-store events whenever no other process
-        can observe memory mid-launch, which the batch executor's
-        exclusivity gate guarantees.
+        order at ``now + delay`` (the analytic callers pass their last
+        commit cycle). All entries stay pending until the flush —
+        equivalent to per-store events whenever nothing can observe
+        memory in between, which the callers' gates guarantee. With
+        ``cycles``, each entry's own commit cycle, the batch is *timed*:
+        :meth:`land_commits` applies the entries due by a cycle early.
         """
         count = len(commits)
         if not count:
             return
         self._pending_commits += count
         self._commit_events += 1
+        batch = [commits, cycles]
+        if cycles is not None:
+            self._timed.append(batch)
 
         def _commit_all(done):
-            for store, index, value in commits:
+            left = batch[0]
+            if cycles is not None:
+                self._timed.remove(batch)
+            for store, index, value in left:
                 store.write(index, value)
             self._commit_events -= 1
-            self._pending_commits -= count
-            if self._pending_commits == 0:
-                waiters, self._drain_waiters = self._drain_waiters, []
-                for waiter in waiters:
-                    waiter.succeed()
+            self._landed(len(left))
 
         flush = Event(self.sim)
         flush._value = None
         flush.callbacks.append(_commit_all)
         self.sim._schedule(flush, delay=delay, priority=PRIORITY_NORMAL)
+
+    def land_commits(self, through: int) -> None:
+        """Apply now the timed batches' commits due by cycle ``through``,
+        as their own events would have by then; each flush applies the
+        rest."""
+        landed = 0
+        for batch in self._timed:
+            commits, cycles = batch
+            left = []
+            left_cycles = []
+            for entry, cycle in zip(commits, cycles):
+                if cycle <= through:
+                    entry[0].write(entry[1], entry[2])
+                    landed += 1
+                else:
+                    left.append(entry)
+                    left_cycles.append(cycle)
+            batch[0] = left
+            batch[1] = left_cycles
+        if landed:
+            self._landed(landed)
+
+    def _landed(self, count: int) -> None:
+        """``count`` commits became visible: release the drain waiters
+        when none is left in flight."""
+        self._pending_commits -= count
+        if self._pending_commits == 0:
+            waiters, self._drain_waiters = self._drain_waiters, []
+            for waiter in waiters:
+                waiter.succeed()
 
     def store(self, buffer_name: str, index: int, value: Any) -> Event:
         """Posted store; the event triggers when the pipeline may proceed.

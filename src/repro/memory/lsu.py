@@ -10,7 +10,7 @@ The stall monitor (§5.1) observes exactly this serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.memory.global_memory import GlobalMemory
 from repro.sim.core import PRIORITY_NORMAL, Event, Simulator
@@ -45,7 +45,10 @@ class LoadStoreUnit:
     implementation threaded through the queue per access; same-cycle
     retirements still process in program order because the wheel's
     priority lanes are FIFO within a cycle and earlier accesses schedule
-    their retire events first.
+    their retire events first. Callers that own the timeline — the
+    analytic launch replay and the host READ transfer windows — inline
+    the same bank and in-order arithmetic instead (see
+    :mod:`repro.pipeline.replay`).
     """
 
     def __init__(self, sim: Simulator, memory: GlobalMemory, site: str,
@@ -102,41 +105,3 @@ class LoadStoreUnit:
         retire.callbacks.append(_finalize)
         sim._schedule(retire, delay=total_latency, priority=PRIORITY_NORMAL)
         return retire
-
-    def issue_at(self, now: int, buffer_name: str, index: int,
-                 value: Any = None) -> int:
-        """Analytically issue one access at cycle ``now``; returns the
-        absolute retirement cycle.
-
-        The analytic entry point of the batch executor and of the fast
-        executor's closed-form host READ transfer windows: identical
-        accounting to :meth:`issue` (memory-controller bank state,
-        in-order tail, LSU stats, and the store's commit event at its
-        exact cycle) but with stats updated immediately and **no retire
-        event scheduled** — the caller owns the timeline and resumes its
-        pipeline itself at the returned cycle. Both callers use it only
-        where nothing can observe the LSU before that cycle, so omitting
-        the event is unobservable from outside the engine.
-        """
-        stats = self.stats
-        stats.issued += 1
-        if self.kind == "load":
-            _, latency = self.memory.load_timing(buffer_name, index, now=now)
-        else:
-            latency = self.memory.store_timing(buffer_name, index, value,
-                                               now=now)
-
-        raw_time = now + latency
-        tail = self._tail_time
-        retire_time = raw_time if raw_time >= tail else tail
-        self._tail_time = retire_time
-        total_latency = retire_time - now
-
-        stats.completed += 1
-        stats.total_latency += total_latency
-        if total_latency > stats.max_latency:
-            stats.max_latency = total_latency
-        stats.ordering_stall_cycles += retire_time - raw_time
-        if self._keep_samples:
-            stats.samples.append(total_latency)
-        return retire_time

@@ -25,8 +25,9 @@ splits a launch into two phases:
 
 The phases only run when the launch owns the simulator (see
 :meth:`~repro.pipeline.engine.PipelineEngine._exclusive_reason`: an
-empty event queue, no undrained posted stores, no ``run(until=...)``
-under way) and the kernel lowered to a
+empty event queue — a posted store still in flight is a scheduled
+commit event — and no ``run(until=...)`` under way) and the kernel
+lowered to a
 :class:`~repro.frontend.codegen.BatchPlan`. Anything else falls back to
 the fast executor — which replays a replayable Python-IR kernel and
 steps everything else — so ``executor="batch"`` is *always* safe to

@@ -145,18 +145,23 @@ class KernelContext:
         """
         return _CYCLE_BOUNDARY
 
-    def await_data(self, *channels: Any) -> ops.AwaitData:
+    def await_data(self, *channels: Any, sink: Optional[Tuple] = None,
+                   first: bool = False) -> ops.AwaitData:
         """Park until a value arrives on one of ``channels``.
 
         Yield it instead of :meth:`cycle` when this cycle's non-blocking
         polls of ``channels`` all came back empty: the body resumes in the
         first cycle whose poll would see a value, and each skipped poll is
-        still counted as a read failure. Late-phase autorun kernels only.
+        still counted as a read failure. ``sink=(channel, action)`` lets
+        values on ``channel`` be taken without resuming the body, each
+        running ``action(cycle, value)``; ``first=True`` marks the wait
+        before the unit's first poll (see :class:`~repro.pipeline.ops.
+        AwaitData`). Late-phase autorun kernels only.
         """
         owner = self._instance.endpoint_owner
         for channel in channels:
             channel.bind_consumer(owner)
-        return ops.AwaitData(channels)
+        return ops.AwaitData(channels, sink, first)
 
     def drain(self, channel: Any, words: Any, start: int,
               polled: Any) -> ops.Drain:

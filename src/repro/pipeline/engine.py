@@ -72,13 +72,6 @@ _MemFence = ops.MemFence
 _AwaitData = ops.AwaitData
 
 
-#: Longest run of host READ words one closed-form transfer window
-#: computes, in cycles: its commits are scheduled at most this far ahead
-#: of where stepping would schedule them (see :meth:`_OpExecutor.
-#: _op_transfer`).
-_TRANSFER_WINDOW_CYCLES = 128
-
-
 class _NonOpYield(Exception):
     """Internal: a kernel body yielded something that is not an Op."""
 
@@ -165,6 +158,7 @@ class _OpExecutor:
                           and self._tick_priority == PRIORITY_LATE)
         #: Parked units: compute id -> detach (settles and unhooks the unit).
         self._parked: Dict[int, Callable[[], None]] = {}
+        self._executor = executor
         if executor == "reference":
             self._drive = self._drive_reference
         elif executor != "fast":
@@ -211,23 +205,36 @@ class _OpExecutor:
                 "only valid in a late-phase autorun kernel")
 
     def _park(self, channels: Tuple[Any, ...], compute_id: int,
-              drain: Optional[ops.Drain] = None) -> Tuple[Event, Any]:
-        """The event an idle unit waits on for an ``AwaitData`` op, and
-        for a ``Drain`` op its feed (None when it does not park).
+              drain: Optional[ops.Drain] = None,
+              sink: Optional[Tuple[Any, Callable[[int, Any], None]]] = None,
+              first: bool = False) -> Tuple[Optional[Event], Any]:
+        """The event an idle unit waits on for an ``AwaitData`` op (None
+        when it need not wait), and for a ``Drain`` op its feed (None
+        when it does not park).
 
-        With a value already buffered this is the next cycle's tick, as for
-        ``cycle()``. Otherwise the unit parks on the channels' arrival hook
-        and schedules nothing: the first write wakes it at the head of the
-        first LATE phase that has not begun — the phase in which a
-        per-cycle poll would first have seen the value. A draining unit
+        With a value already buffered this is the next LATE phase's tick,
+        as for ``cycle()``. Otherwise the unit parks on the channels'
+        arrival hook and schedules nothing: the first write wakes it at
+        the head of the first LATE phase that has not begun — the phase
+        in which a per-cycle poll would first have seen the value. A
+        ``sink`` channel takes its values without waking the unit (see
+        :meth:`~repro.channels.channel.Channel.sink`). A draining unit
         also feeds its words to the drain channel; the feed's final write
-        wakes it the same way, one LATE phase later.
+        wakes it the same way, one LATE phase later. A ``first`` wait
+        parks only a unit whose LATE phase has not begun.
         """
         self._check_can_park()
         sim = self.sim
+        stepped = sim.last_late_phase() == sim.now
+        if first and stepped:
+            return None, None
         for channel in channels:
             if channel.has_data:
-                return sim.broadcast_tick(PRIORITY_LATE), None
+                if stepped:
+                    return sim.broadcast_tick(PRIORITY_LATE), None
+                wake = Event(sim)
+                sim.wake_at_late_phase(wake)
+                return wake, None
         wake = Event(sim)
         parked = self._parked
         out = drain.channel if drain is not None else None
@@ -245,6 +252,8 @@ class _OpExecutor:
 
         for channel in channels:
             channel.park(arrived)
+        if sink is not None and sink[0].depth:
+            sink[0].sink(sink[1])
         feed = (out.feed(drain.words, drain.start, arrived)
                 if out is not None else None)
         parked[compute_id] = detach
@@ -307,7 +316,10 @@ class _OpExecutor:
                     yield sim.broadcast_tick(self._tick_priority)
                     send_value = None
                 elif cls is _AwaitData:
-                    yield self._park(op.channels, compute_id)[0]
+                    wake = self._park(op.channels, compute_id, None, op.sink,
+                                      op.first)[0]
+                    if wake is not None:
+                        yield wake
                     send_value = None
                 elif cls is _LoadLocal:
                     send_value = yield op.memory.load(op.index)
@@ -448,7 +460,10 @@ class _OpExecutor:
     def _op_await_data(self, generator: Generator, op: ops.Op,
                        compute_id: int,
                        ctx: Optional[KernelContext]) -> Generator:
-        yield self._park(op.channels, compute_id)[0]
+        wake = self._park(op.channels, compute_id, None, op.sink,
+                          op.first)[0]
+        if wake is not None:
+            yield wake
         return None
 
     def _op_drain(self, generator: Generator, op: ops.Op, compute_id: int,
@@ -487,17 +502,16 @@ class _OpExecutor:
         nothing else to do: the channel is fed by a parked producer whose
         end is not fixed, nobody else waits on it, and every pending
         event is a posted-store commit. Then a window computes the next
-        words without events: per word at read cycle ``r``, settle the
-        feed through the LATE phase before ``r``, take the head word and
-        account its store with :meth:`LoadStoreUnit.issue_at` (bank
-        state, statistics and its commit event at the exact cycle). The
-        next read happens at that store's retire cycle. A window stops
-        when the FIFO is empty, when a read would fix the feed's end
-        (both read for real), after ``_TRANSFER_WINDOW_CYCLES``, or
-        before a store that could retire at or after the stop cycle of a
-        ``run(until=...)`` under way, where the caller observes the
-        model; the op then waits to the last retire cycle and checks
-        again.
+        words without events (:meth:`~repro.pipeline.replay.LaunchReplay.
+        run_transfer`): their reads, the bank model and LSU accounting,
+        and their commits as one flush event at the last commit cycle.
+        A window stops when the FIFO is empty or a read would fix the
+        feed's end (both read for real), or before a store that could
+        retire at or after the stop cycle of a ``run(until=...)`` under
+        way, where the caller observes the model; the op then waits to
+        the last retire cycle and checks again. When it ends (or fails),
+        the window commits due by then land, as their own events would
+        have.
         """
         site = op.site or self._derive_site(generator, op, compute_id)
         lsu = self.lsu(site, "store")
@@ -508,37 +522,28 @@ class _OpExecutor:
         memory = self.fabric.memory
         # Words a window may store: an invalid index must fail at its
         # real cycle, through a stepped store.
-        limit = (min(count, memory.buffer(buffer).size)
-                 if buffer in memory.address_map else 0)
-        posted = memory.config.posted_write_latency
+        if buffer in memory.address_map:
+            store = memory.buffer(buffer)
+            limit = min(count, store.size)
+        else:
+            limit = 0
         k = 0
-        while k < count:
-            if (k < limit and channel.can_take_fed()
-                    and sim.pending_events == memory.commit_events):
-                start = retire = sim.now
-                # Reads at cycle r retire by r + posted (the LSU's tail is
-                # the previous read's cycle), so every store of the
-                # window retires before `end`.
-                end = start + _TRANSFER_WINDOW_CYCLES
-                stop = sim.stop_cycle
-                if stop is not None and stop - posted < end:
-                    end = stop - posted
-                through = sim.last_late_phase()
-                first = k
-                while k < limit and retire < end:
-                    word, ok = channel.take_fed(through)
-                    if not ok:
-                        break
-                    retire = lsu.issue_at(retire, buffer, k, word)
-                    k += 1
-                    if retire != start:
-                        through = retire - 1
-                if k > first:
-                    yield sim.timeout(retire - start)
-                    continue
-            word = yield from channel.read()
-            yield lsu.issue(buffer, k, word)
-            k += 1
+        try:
+            while k < count:
+                if (k < limit and channel.can_take_fed()
+                        and sim.pending_events == memory.commit_events):
+                    start = sim.now
+                    first = k
+                    k, retire = LaunchReplay(self).run_transfer(
+                        channel, store, site, k, limit)
+                    if k > first:
+                        yield sim.timeout(retire - start)
+                        continue
+                word = yield from channel.read()
+                yield lsu.issue(buffer, k, word)
+                k += 1
+        finally:
+            memory.land_commits(sim.now)
         return None
 
     def _execute(self, op: ops.Op, site: str,
@@ -585,8 +590,12 @@ class _OpExecutor:
             return None
         if isinstance(op, ops.AwaitData):
             # Semantic oracle: keep polling once per cycle, failing one
-            # non-blocking read per channel, until a value is there.
+            # non-blocking read per channel, until a value is there. A
+            # first wait is reached after the unit's phase alignment, so
+            # the unit polls at once.
             self._check_can_park()
+            if op.first:
+                return None
             yield self.sim.tick(self._cycle_priority())
             while not any(channel.has_data for channel in op.channels):
                 for channel in op.channels:
@@ -665,6 +674,9 @@ class PipelineEngine(_OpExecutor):
         #: are replayed analytically (fast executor only; see
         #: :mod:`repro.pipeline.replay`).
         self._replayable = executor == "fast" and kernel.replayable
+        #: Why the launch was stepped instead of replayed analytically
+        #: (None when it was not stepped).
+        self.stepped_reason: Optional[str] = None
         self.stats = EngineStats()
         self.completion: Event = self.sim.event()
         self._inflight = 0
@@ -691,8 +703,16 @@ class PipelineEngine(_OpExecutor):
 
     def _launch_space(self, space: Any) -> Generator:
         """Walk ``space``: replayed analytically when the kernel is
-        replayable and the launch owns the simulator, else stepped."""
-        if self._replayable and self._exclusive_reason() is None:
+        replayable and the launch owns the simulator, else stepped
+        (:attr:`stepped_reason` says why)."""
+        if not self._replayable:
+            self.stepped_reason = ("reference executor"
+                                   if self._executor == "reference"
+                                   else "kernel is not replayable")
+        else:
+            self.stepped_reason = (self._exclusive_reason()
+                                   or self.kernel.replay_gate())
+        if self.stepped_reason is None:
             LaunchReplay(self).run_bodies(space)
             return
         yield from self._launch_tags(space)
@@ -702,15 +722,14 @@ class PipelineEngine(_OpExecutor):
 
         An analytic replay computes the whole launch at its first cycle,
         so nothing may observe the model before it ends: no other event
-        is scheduled (no autorun, monitor or concurrent launch), no
-        posted store is still in flight, and no ``run(until=...)`` will
-        pause the clock mid-launch.
+        is scheduled (no stepping autorun, concurrent launch or posted
+        store still in flight — every pending commit is a scheduled
+        event), and no ``run(until=...)`` will pause the clock
+        mid-launch.
         """
         sim = self.sim
         if sim._wheel_count or sim._far:
             return "concurrent simulator activity"
-        if self.fabric.memory.pending_commits:
-            return "undrained posted stores"
         if sim.stop_cycle is not None:
             return "run(until=...) under way"
         return None
@@ -839,24 +858,38 @@ class AutorunEngine(_OpExecutor):
         self._started = False
 
     def start(self) -> None:
-        """Launch all compute units (normally done at device programming)."""
+        """Launch all compute units (normally done at device programming).
+
+        Units of a kernel that :attr:`~repro.pipeline.kernel.AutorunKernel.
+        starts_idle` start parked under the fast executor, with no start or
+        phase-alignment event, when nothing else is scheduled this cycle:
+        then no event can come before the unit's first poll in this
+        cycle's LATE phase, which the parked unit takes at its head.
+        """
         if self._started:
             raise KernelError(f"autorun kernel {self.kernel.name!r} already started")
         self._started = True
+        sim = self.sim
+        parked = (self._executor == "fast" and self._can_park
+                  and self.kernel.starts_idle
+                  and not getattr(self.kernel, "launch_skew", 0)
+                  and sim.last_late_phase() < sim.now
+                  and sim.peek() != sim.now)
         for instance in self.instances:
-            unit = self._unit(instance)
-            self._processes.append((self.sim.process(
-                unit, name=f"{self.kernel.name}.cu{instance.compute_id}"),
-                unit))
+            unit = self._unit(instance, align=not parked)
+            self._processes.append((sim.process(
+                unit, name=f"{self.kernel.name}.cu{instance.compute_id}",
+                inline=parked), unit))
 
-    def _unit(self, instance: KernelInstance) -> Generator:
+    def _unit(self, instance: KernelInstance, align: bool = True) -> Generator:
         try:
-            skew = getattr(self.kernel, "launch_skew", 0)
-            if skew:
-                yield self.sim.timeout(skew)
-            # Align the unit to its intra-cycle phase from the very first
-            # cycle.
-            yield self.sim.timeout(0, priority=self._tick_priority)
+            if align:
+                skew = getattr(self.kernel, "launch_skew", 0)
+                if skew:
+                    yield self.sim.timeout(skew)
+                # Align the unit to its intra-cycle phase from the very
+                # first cycle.
+                yield self.sim.timeout(0, priority=self._tick_priority)
             ctx = KernelContext(instance, iteration=None)
             body = self.kernel.body(ctx)
             yield from self._drive(body, instance.compute_id)

@@ -136,7 +136,8 @@ class Kernel:
     #: executor (and the batch tier's Python-IR fallback) then replays a
     #: launch that owns the simulator analytically instead of stepping it
     #: (see :mod:`repro.pipeline.replay`); a replayed body that yields any
-    #: other op raises :class:`~repro.errors.KernelBuildError`.
+    #: other op raises :class:`~repro.errors.KernelBuildError`. It may
+    #: depend on the instrumentation attached to the kernel.
     replayable = False
 
     def __init__(self, name: Optional[str] = None, num_compute_units: int = 1,
@@ -160,6 +161,16 @@ class Kernel:
     def create_locals(self, fabric, compute_id: int) -> Dict[str, Any]:
         """Instantiate per-compute-unit local memories (default: none)."""
         return {}
+
+    def replay_gate(self) -> Optional[str]:
+        """Why a launch of this :attr:`replayable` kernel must step now
+        although it owns the simulator, or None when it may replay.
+
+        Checked at launch; a named reason makes the launch step (never
+        an error). Kernels whose bodies write instrumentation channels
+        require the consumers to take those writes without events.
+        """
+        return None
 
     def batch_plan(self) -> tuple:
         """``(plan, reason)`` for ``executor="batch"``.
@@ -245,6 +256,12 @@ class AutorunKernel(Kernel):
     """
 
     kind = "autorun"
+
+    #: True when every compute unit's body yields ``ctx.await_data(...,
+    #: first=True)`` before it touches a channel. The fast executor then
+    #: starts a late-phase unit parked, with no start or phase-alignment
+    #: event (see :meth:`~repro.pipeline.engine.AutorunEngine.start`).
+    starts_idle = False
 
     def __init__(self, name: Optional[str] = None, num_compute_units: int = 1,
                  phase: str = "late") -> None:

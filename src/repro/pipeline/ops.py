@@ -16,7 +16,7 @@ matching how one static load in OpenCL becomes one load unit in hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 
 class Op:
@@ -183,14 +183,28 @@ class AwaitData(Op):
     events: the unit parks on the channels' arrival hook, and their read
     failures are credited lazily (see :meth:`repro.channels.channel.
     Channel.park`).
+
+    ``sink`` is ``(channel, action)``, ``channel`` one of ``channels``:
+    a value arriving there does not resume the body, which would only
+    take it and run ``action(cycle, value)`` before waiting again. The
+    fast executor hands the action to the channel (see
+    :meth:`repro.channels.channel.Channel.sink`); the body resumes for a
+    value on any other channel. The reference executor ignores it.
+
+    ``first`` marks the wait a unit yields before its first poll: a
+    no-op once the unit has been stepped to its LATE phase, while the
+    fast executor starts a unit parked there, before that phase begins.
     """
 
-    __slots__ = ("channels",)
+    __slots__ = ("channels", "sink", "first")
 
     def __init__(self, channels: Sequence[Any],
-                 site: Optional[str] = None) -> None:
+                 sink: Optional[Tuple[Any, Callable[[int, Any], None]]] = None,
+                 first: bool = False, site: Optional[str] = None) -> None:
         super().__init__(site)
         self.channels = tuple(channels)
+        self.sink = sink
+        self.first = first
 
 
 class Drain(Op):

@@ -25,8 +25,13 @@ Two feeders drive the same core:
   :class:`~repro.channels.channel.SequenceChannel` rendezvous, with the
   server's write completion one hop after the read. While a body runs,
   the simulator clock reads the replay cycle, so ``ctx.now`` and channel
-  values are those of stepping. Any other op raises
-  :class:`~repro.errors.KernelBuildError`.
+  values are those of stepping. A non-blocking write to a channel
+  whose parked consumer has a sink (the stall monitor's snapshots, see
+  :meth:`~repro.channels.channel.Channel.sink`) schedules nothing
+  either. Any other op raises :class:`~repro.errors.KernelBuildError`.
+
+The same LSU and bank arithmetic times a host READ ``transfer`` op's
+windows of words (:meth:`LaunchReplay.run_transfer`).
 
 The memory-controller bank model runs inlined with exactly
 :meth:`GlobalMemory._service_latency`'s arithmetic and call order.
@@ -56,6 +61,9 @@ from repro.sim.core import PRIORITY_NORMAL, Event
 _EV_ROW, _EV_LAUNCH, _EV_LOAD, _EV_CALL, _EV_WAKE, _EV_COUNTER = range(6)
 
 _DONE = object()
+
+#: A horizon no commit reaches.
+_NO_HORIZON = 1 << 62
 
 _Load = ops.Load
 _Store = ops.Store
@@ -131,6 +139,11 @@ class LaunchReplay:
         self.latency = [0, 0, 0]
         #: Posted-store commits ``(store, index, value)`` in commit order.
         self.commits: List[tuple] = []
+        #: Each commit's own cycle, when recorded (transfer windows).
+        self.commit_cycles: Optional[List[int]] = None
+        #: Commits ``(store, index, value, cycle)`` at or past the issue
+        #: horizon (see :meth:`_make_issue`), in issue order.
+        self.late_commits: List[tuple] = []
         self.last_commit = 0
         # Launcher state machine.
         self._inflight = 0
@@ -332,20 +345,72 @@ class LaunchReplay:
                 "scheduled simulator events while it was replayed")
         self._flush()
 
+    def run_transfer(self, channel: Any, store: Any, site: str, k: int,
+                     limit: int) -> tuple:
+        """Compute host READ words ``k, k + 1, ...`` below ``limit`` of a
+        ``transfer`` op through this replay's LSU box.
+
+        Each word is a blocking read at cycle ``r`` served by the
+        channel's feed (:meth:`~repro.channels.channel.Channel.
+        take_fed`, settled through the LATE phase before ``r``) and a
+        posted store issued at ``r``; the next read happens at that
+        store's retire cycle. Stops when the feed cannot serve a read,
+        or before a store that could retire at or after the stop cycle
+        ``S`` of a ``run(until=...)`` under way. The stores' effects are
+        flushed: their commits in one timed batch, except those landing
+        at or after ``S``, which stay pending there with one event each,
+        as stepping leaves them. Returns ``(next k, last retire cycle)``.
+        """
+        sim = self.sim
+        start = retire = sim._now
+        stop = sim.stop_cycle
+        # Reads at cycle r retire by r + posted (the LSU's tail is the
+        # previous read's cycle), so every store retires before `end`.
+        end = (_NO_HORIZON if stop is None
+               else stop - self.memory.config.posted_write_latency)
+        through = sim.last_late_phase()
+        box = self.site_box(site, "store")
+        self.commit_cycles = []
+        issue = self._make_issue(stop)
+        base = store.base_address
+        itemsize = store.itemsize
+        first = k
+        while k < limit and retire < end:
+            word, ok = channel.take_fed(through)
+            if not ok:
+                break
+            retire = issue(retire, box, base + k * itemsize, store, k, word)
+            k += 1
+            if retire != start:
+                through = retire - 1
+        stored = k - first
+        if stored:
+            counts = self.counts
+            counts[1] += stored
+            counts[3] += stored * itemsize
+            self.traffic[store.name] = [0, stored, 0, stored * itemsize]
+            self.flush_effects()
+        return k, retire
+
     # -- the shared core ------------------------------------------------------
 
     def _push(self, when: int, kind: int, row: Any, value: Any) -> None:
         heapq.heappush(self.heap, (when, next(self.counter), kind, row,
                                    value))
 
-    def _make_issue(self) -> Callable[..., int]:
+    def _make_issue(self, horizon: Optional[int] = None
+                    ) -> Callable[..., int]:
         """Build ``issue(now, box, address, store, element, value)``: issue
         one access at cycle ``now`` and return its retire cycle.
 
-        GlobalMemory._service_latency + LoadStoreUnit.issue_at inlined:
-        same arithmetic, same call order. ``store`` is None for a load;
-        for a store the commit is recorded at the full latency, while the
-        pipeline resumes after the posted latency only.
+        The memory controller's bank model and the LSU's in-order retire,
+        inlined: same arithmetic and call order as
+        :meth:`GlobalMemory.load_timing` / :meth:`~GlobalMemory.
+        store_timing` and :meth:`LoadStoreUnit.issue`. ``store`` is None
+        for a load; for a store the commit is recorded at the full
+        latency, while the pipeline resumes after the posted latency
+        only. A commit that lands at or after ``horizon`` is recorded in
+        :attr:`late_commits` instead, with its cycle.
         """
         memory = self.memory
         config = memory.config
@@ -360,8 +425,12 @@ class LaunchReplay:
         bank_open_row = memory._bank_open_row
         latency_acc = self.latency
         commits = self.commits
+        cycles = self.commit_cycles
         overlay = self._overlay
         counter = self.counter
+        late = self.late_commits
+        if horizon is None:
+            horizon = _NO_HORIZON
 
         def issue(now: int, box: list, address: int, store: Any,
                   element: int, value: Any) -> int:
@@ -382,9 +451,15 @@ class LaunchReplay:
             latency = finish - now + pipe
             if store is None:
                 latency_acc[2] += latency
+            elif now + latency >= horizon:
+                late.append((store, element, value, now + latency))
+                if latency > posted:
+                    latency = posted
             else:
                 commit = now + latency
                 commits.append((store, element, value))
+                if cycles is not None:
+                    cycles.append(commit)
                 if commit > self.last_commit:
                     self.last_commit = commit
                 if overlay is not None:
@@ -516,18 +591,20 @@ class LaunchReplay:
         if self._launch_done and self._inflight == 0:
             self._finish = now
 
-    def _flush(self) -> None:
-        """Hand the launch's effects to the shared objects and schedule
-        the commit flush and the completion."""
-        sim = self.sim
-        start = sim._now
+    def flush_effects(self) -> None:
+        """Hand the accumulated statistics, traffic and LSU state to the
+        shared objects, and post the commits as one flush event at the
+        last commit cycle."""
+        now = self.sim._now
         memory = self.memory
-        engine = self.engine
         if self.commits:
             # Same-address commits are same-bank, and bank finish times
             # are monotone in issue order, so append order is commit
             # order; one event applies them all at the last commit cycle.
-            memory.post_commit_batch(self.commits, self.last_commit - start)
+            memory.post_commit_batch(self.commits, self.last_commit - now,
+                                     self.commit_cycles)
+        for store, index, value, cycle in self.late_commits:
+            memory.post_commit_at(store, index, value, now, cycle - now)
         loads, stores, bytes_read, bytes_written = self.counts
         mstats = memory.stats
         mstats.loads += loads
@@ -554,6 +631,14 @@ class LaunchReplay:
             stats.total_latency += total
             stats.max_latency = peak
             stats.ordering_stall_cycles += stall
+
+    def _flush(self) -> None:
+        """Hand the launch's effects to the shared objects and schedule
+        the commit flush and the completion."""
+        sim = self.sim
+        start = sim._now
+        engine = self.engine
+        self.flush_effects()
         if self._finish is None:
             # Rows still wait (a collect or read nothing will satisfy):
             # the launch never completes, as when stepping it deadlocks.

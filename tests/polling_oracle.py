@@ -27,6 +27,8 @@ from repro.core.trace_buffer import TraceBuffer
 class PollingIBuffer(IBuffer):
     """An ibuffer whose compute units step every cycle."""
 
+    starts_idle = False
+
     def body(self, ctx):
         cu = ctx.compute_id
         logic = self.logic[cu]

@@ -430,6 +430,22 @@ class TestGate:
         assert replays[0] == 0
         assert observed[0] == observed[1]
 
+    def test_undrained_commits_report_concurrent_activity(self, replays):
+        # Every posted store in flight is a scheduled commit event, so a
+        # launch behind undrained commits is stepped for that reason.
+        fabric = Fabric()
+        timestamps = PersistentTimestampService(fabric)
+        kernel = self._matvec(fabric, timestamps)
+        first = fabric.launch(kernel, {"N": 3, "num": 5})
+        fabric.run(first.completion)
+        assert first.stepped_reason is None
+        assert fabric.memory.pending_commits
+        assert fabric.memory.commit_events
+        second = fabric.launch(kernel, {"N": 3, "num": 5})
+        fabric.run(second.completion, fabric.memory.drained())
+        assert second.stepped_reason == "concurrent simulator activity"
+        assert replays[0] == 1
+
     def test_run_until_steps(self, replays):
         fabric = Fabric()
         timestamps = PersistentTimestampService(fabric)

@@ -31,11 +31,13 @@ from repro.core.commands import IBufferCommand
 from repro.core.host_interface import HostInterfaceKernel
 from repro.core.ibuffer import IBuffer, IBufferConfig
 from repro.core.logic_blocks import RawRecorderLogic
+from repro.errors import ProcessError
 from repro.host.emulation import Emulator
 from repro.memory.global_memory import GlobalMemoryConfig
 from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import AutorunKernel, PipelineConfig, SingleTaskKernel
+from repro.pipeline.replay import LaunchReplay
 from tests.polling_oracle import PollingIBuffer
 
 MAX_EXAMPLES = int(os.environ.get("IBUFFER_EQUIV_EXAMPLES", "60"))
@@ -196,19 +198,21 @@ def _stepped_words(monkeypatch, *args, **kwargs):
     of transfer words it stepped, number it computed in windows)."""
     stepped = [0]
     windowed = [0]
-    issue, issue_at = LoadStoreUnit.issue, LoadStoreUnit.issue_at
+    issue = LoadStoreUnit.issue
+    run_transfer = LaunchReplay.run_transfer
 
     def counting_issue(lsu, *a):
         stepped[0] += "xfer" in lsu.site or "read_host" in lsu.site
         return issue(lsu, *a)
 
-    def counting_issue_at(lsu, *a):
-        windowed[0] += 1
-        return issue_at(lsu, *a)
+    def counting_run_transfer(replay, channel, store, site, k, limit):
+        after, retire = run_transfer(replay, channel, store, site, k, limit)
+        windowed[0] += after - k
+        return after, retire
 
     with monkeypatch.context() as patch:
         patch.setattr(LoadStoreUnit, "issue", counting_issue)
-        patch.setattr(LoadStoreUnit, "issue_at", counting_issue_at)
+        patch.setattr(LaunchReplay, "run_transfer", counting_run_transfer)
         observed = _observe("fast", *args, **kwargs)
     return observed, stepped[0], windowed[0]
 
@@ -280,6 +284,39 @@ class TestTransferOp:
                                 keep, events, pauses, entries)
 
 
+class TestFailingTransfer:
+    def test_failing_store_lands_due_window_commits(self):
+        # The readout buffer is shorter than the READ: the first store
+        # past its end fails at its real cycle, after windows. The
+        # completion sees the pending commits and contents of stepping.
+        def observe(executor):
+            fabric = Fabric()
+            sim = fabric.sim
+            memory = fabric.memory
+            ibuffer = IBuffer(fabric, "probe",
+                              logic_factory=lambda cu: RawRecorderLogic(),
+                              config=IBufferConfig(count=1, depth=40))
+            for value in range(40):
+                ibuffer.data_c[0].write_nb(value)
+                fabric.advance(1)
+            ibuffer.cmd_c[0].write_nb(int(IBufferCommand.STOP))
+            fabric.advance(3)
+            dst = memory.allocate("dst", 50)
+            seen = []
+            engine = fabric.launch(HostInterfaceKernel(ibuffer), {
+                "cmd": int(IBufferCommand.READ), "id": 0, "out": "dst"},
+                executor=executor)
+            engine.completion.add_callback(lambda event: seen.append(
+                (sim.now, memory.pending_commits, dst.snapshot().tolist())))
+            with pytest.raises(ProcessError, match="index 50"):
+                fabric.run(engine.completion)
+            fabric.advance(2000)
+            return (seen, sim.now, dst.snapshot().tolist(),
+                    fabric.channels.stats_table(), _lsu_stats(fabric))
+
+        assert observe("fast") == observe("reference")
+
+
 class TestTransferGate:
     @pytest.mark.parametrize("kind", ["data", "stop"])
     def test_batch_flush_and_an_unrelated_event(self, monkeypatch, kind):
@@ -316,7 +353,7 @@ class TestTransferGate:
             if checks is not None:
                 out = ibuffer.out_c[0]
                 can_take_fed = out.can_take_fed
-                issue_at = LoadStoreUnit.issue_at
+                run_transfer = LaunchReplay.run_transfer
 
                 def checking():
                     fed = can_take_fed()
@@ -324,12 +361,14 @@ class TestTransferGate:
                                    == memory.pending_commits))
                     return fed
 
-                def recording(lsu, *args):
-                    opened.append(bool(fired))
-                    return issue_at(lsu, *args)
+                def recording(replay, channel, store, site, k, limit):
+                    after, retire = run_transfer(replay, channel, store,
+                                                 site, k, limit)
+                    opened.extend([bool(fired)] * (after - k))
+                    return after, retire
 
                 monkeypatch.setattr(out, "can_take_fed", checking)
-                monkeypatch.setattr(LoadStoreUnit, "issue_at", recording)
+                monkeypatch.setattr(LaunchReplay, "run_transfer", recording)
             engine = fabric.launch(HostInterfaceKernel(ibuffer), {
                 "cmd": int(IBufferCommand.READ), "id": 0, "out": "dst"},
                 executor=executor)
