@@ -1,6 +1,6 @@
 # Convenience targets for the DAC'17 reproduction.
 
-.PHONY: install test bench bench-perf profile sweep-demo experiments examples trace-demo all
+.PHONY: install test bench bench-perf sweep-demo experiments examples trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -11,15 +11,10 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Simulator perf suite: writes BENCH_sim.json and fails on >20% regression
-# against benchmarks/perf/baseline.json (see docs/PERFORMANCE.md).
+# One BENCHMARK.json workload end to end; prints one JSON line of metrics
+# (perfbench/README.md; --trace 1 adds the per-layer split).
 bench-perf:
-	python -m repro bench
-
-# One cProfile run per benchmark; pstats files land in profiles/
-# (inspect with: python -m pstats profiles/<name>.pstats).
-profile:
-	python -m repro bench --profile
+	python3 perfbench/run.py --workload paper_experiments --seed 1 --seconds 24 --trace 0
 
 # Shard the §4 scalability grid across worker processes and verify the
 # merged report is byte-identical to a serial run (docs/PERFORMANCE.md,
@@ -30,7 +25,7 @@ sweep-demo:
 	diff sweep_par.txt sweep_ser.txt && echo "parallel == serial"
 
 experiments:
-	python -m repro all
+	python -m repro run all
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done

@@ -1,11 +1,10 @@
-"""Command-line entry point: experiments, benchmarks, and trace tooling.
+"""Command-line entry point: experiments, sweeps, trace tooling, the daemon.
 
 ::
 
     repro-fpga run fig2                     # Figure 2 execution-order traces
     repro-fpga run sec51 --trace-out x.ctb  # ... capturing a columnar trace
     repro-fpga run all                      # everything, in paper order
-    repro-fpga bench                        # simulator perf suite
     repro-fpga sweep scalability --workers 4   # §4 grid, sharded
     repro-fpga sweep sec51 --repeats 5 --serial --trace-out s.ctb
     repro-fpga trace info x.ctb             # segments/schemas of a bundle
@@ -22,9 +21,6 @@ clients over the daemon; their stdout (and any ``--trace-out`` bundle)
 is byte-identical to the in-process forms because both sides share one
 codepath (:mod:`repro.experiments.registry` and the ``format_trace_*``
 helpers below).
-
-The pre-subcommand form (``repro-fpga fig2``) keeps working through a
-back-compat shim that maps it onto ``run``.
 """
 
 from __future__ import annotations
@@ -71,41 +67,6 @@ def _add_run_parser(sub) -> None:
                      help="run on an emulation daemon ('host:port' or "
                           "'unix:/path') instead of in-process; output and "
                           "--trace-out bundles are byte-identical")
-
-
-def _add_bench_parser(sub) -> None:
-    bench = sub.add_parser(
-        "bench", help="simulator perf suite -> BENCH_sim.json",
-        description="Run the simulator performance suite and gate on the "
-                    "committed baseline.")
-    bench.add_argument("--bench-out", default="BENCH_sim.json",
-                       help="where to write the JSON report")
-    bench.add_argument("--bench-baseline",
-                       default="benchmarks/perf/baseline.json",
-                       help="committed baseline to compare against")
-    bench.add_argument("--bench-tolerance", type=float, default=0.20,
-                       help="allowed relative regression (default 0.20)")
-    bench.add_argument("--bench-only", action="append", metavar="NAME",
-                       help="run only the named benchmark (repeatable)")
-    bench.add_argument("--filter", metavar="SUBSTRING", default=None,
-                       help="run only benchmarks whose name contains "
-                            "SUBSTRING (composes with --bench-only)")
-    bench.add_argument("--executor", choices=_EXECUTORS, default=None,
-                       help="pipeline-engine tier for executor-aware "
-                            "benchmarks (e.g. ndrange_batch)")
-    bench.add_argument("--no-bench-check", action="store_true",
-                       help="write the report without gating on the baseline")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="overwrite the baseline with this run's results")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="shard benchmark repeats across N worker "
-                            "processes (smoke runs; serial numbers gate)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run each benchmark once under cProfile and dump "
-                            "per-benchmark pstats files instead of gating")
-    bench.add_argument("--profile-dir", default="profiles", metavar="DIR",
-                       help="directory for --profile pstats output "
-                            "(default: profiles/)")
 
 
 def _add_sweep_parser(sub) -> None:
@@ -249,63 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro-fpga {repro.__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{run,bench,sweep,trace,serve}")
+                                metavar="{run,sweep,trace,serve}")
     _add_run_parser(sub)
-    _add_bench_parser(sub)
     _add_sweep_parser(sub)
     _add_trace_parser(sub)
     _add_serve_parser(sub)
     return parser
-
-
-def _run_bench(args) -> int:
-    import os
-
-    from repro.perf import harness
-
-    print("repro-fpga perf suite")
-    if args.profile:
-        try:
-            paths = harness.profile_suite(names=args.bench_only,
-                                          out_dir=args.profile_dir,
-                                          name_filter=args.filter)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{len(paths)} pstats file(s) in {args.profile_dir}/ "
-              "(inspect with: python -m pstats <file>)")
-        return 0
-    try:
-        report = harness.run_suite(names=args.bench_only,
-                                   workers=args.workers,
-                                   name_filter=args.filter,
-                                   executor=args.executor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    harness.write_report(report, args.bench_out)
-    print(f"report written to {args.bench_out}")
-    if args.update_baseline:
-        harness.write_report(report, args.bench_baseline)
-        print(f"baseline updated at {args.bench_baseline}")
-        return 0
-    if args.no_bench_check:
-        return 0
-    if not os.path.exists(args.bench_baseline):
-        print(f"no baseline at {args.bench_baseline}; skipping regression check "
-              "(run with --update-baseline to create one)")
-        return 0
-    baseline = harness.load_report(args.bench_baseline)
-    failures = harness.compare_to_baseline(report, baseline,
-                                           tolerance=args.bench_tolerance)
-    if failures:
-        print("PERF REGRESSION:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"no regression beyond {args.bench_tolerance:.0%} vs "
-          f"{args.bench_baseline}")
-    return 0
 
 
 def _experiment_params(args) -> Dict[str, Any]:
@@ -595,19 +505,9 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _shim_legacy_argv(argv: List[str]) -> List[str]:
-    """Map the pre-subcommand form onto ``run`` (back-compat)."""
-    if argv and argv[0] in set(_EXPERIMENTS) | {"all"}:
-        return ["run"] + argv
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: dispatch run/bench/trace subcommands."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_shim_legacy_argv(argv))
-    if args.command == "bench":
-        return _run_bench(args)
+    """Entry point: dispatch run/sweep/trace/serve subcommands."""
+    args = build_parser().parse_args(argv)
     if args.command == "sweep":
         return _run_sweep_cmd(args)
     if args.command == "trace":

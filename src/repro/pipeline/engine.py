@@ -771,9 +771,15 @@ class PipelineEngine(_OpExecutor):
 
     def _iteration(self, body: Generator, ctx: Optional[KernelContext],
                    tag: Any, issued_at: int) -> Generator:
+        closed = False
         try:
             yield from self._drive(body, self.instance.compute_id, ctx)
         except Interrupt:
+            raise
+        except GeneratorExit:
+            # Garbage collection closed an abandoned launch: its simulator
+            # is gone, so the iteration neither fails nor retires.
+            closed = True
             raise
         except BaseException as exc:
             # An unhandled kernel exception fails the whole launch; the
@@ -782,10 +788,11 @@ class PipelineEngine(_OpExecutor):
             if self._failure is None:
                 self._failure = exc
         finally:
-            if self.fabric.keep_lsu_samples:
-                self.stats.iteration_trace.append((tag, issued_at,
-                                                   self.sim.now))
-            self._retire()
+            if not closed:
+                if self.fabric.keep_lsu_samples:
+                    self.stats.iteration_trace.append((tag, issued_at,
+                                                       self.sim.now))
+                self._retire()
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
         """Work-group barrier: the returned event fires when the whole

@@ -192,8 +192,8 @@ class WorkerPool:
 
     The underlying ``ProcessPoolExecutor`` is created on first submit and
     its worker processes stay warm across chunks and across sweeps —
-    pass one pool to several :func:`run_sweep` calls (the perf harness
-    and ``repro-fpga sweep`` CLI both do) to pay process start-up once.
+    pass one pool to several :func:`run_sweep` calls (``repro-fpga sweep
+    all`` does) to pay process start-up once.
 
     Uses the ``fork`` start method where available (workers inherit
     nothing they must re-import; start-up is milliseconds) and the

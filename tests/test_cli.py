@@ -7,6 +7,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _assert_bench_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestParser:
     def test_experiment_choices(self):
         parser = build_parser()
@@ -23,12 +30,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_bench_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--bench-only", "event_throughput", "--no-bench-check"])
-        assert args.command == "bench"
-        assert args.bench_only == ["event_throughput"]
-        assert args.no_bench_check
+    # The old perf-suite subcommand is gone (perfbench/run.py measures
+    # performance); argparse rejects each of its former command lines.
+    def test_bench_flags(self, capsys):
+        _assert_bench_rejected(
+            ["bench", "--bench-only", "event_throughput", "--no-bench-check"],
+            capsys)
 
     def test_run_executor_flag(self):
         args = build_parser().parse_args(["run", "fig2", "--executor", "batch"])
@@ -39,17 +46,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig2", "--executor", "turbo"])
 
-    def test_bench_filter_and_executor_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--filter", "ndrange", "--executor", "batch"])
-        assert args.filter == "ndrange"
-        assert args.executor == "batch"
-        defaults = build_parser().parse_args(["bench"])
-        assert defaults.filter is None and defaults.executor is None
+    def test_bench_filter_and_executor_flags(self, capsys):
+        _assert_bench_rejected(
+            ["bench", "--filter", "ndrange", "--executor", "batch"], capsys)
 
-    def test_bench_executor_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--executor", "turbo"])
+    def test_bench_executor_rejects_unknown(self, capsys):
+        _assert_bench_rejected(["bench", "--executor", "turbo"], capsys)
 
     def test_trace_subcommands(self):
         args = build_parser().parse_args(
@@ -62,23 +64,6 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
         assert "repro-fpga" in capsys.readouterr().out
-
-
-class TestLegacyShim:
-    """The pre-subcommand form keeps working through main()."""
-
-    def test_positional_experiment_still_runs(self, capsys):
-        assert main(["fig2", "--n", "4", "--num", "6"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
-
-    def test_shim_only_touches_known_experiments(self):
-        from repro.cli import _shim_legacy_argv
-        assert _shim_legacy_argv(["fig2"]) == ["run", "fig2"]
-        assert _shim_legacy_argv(["all"]) == ["run", "all"]
-        assert _shim_legacy_argv(["bench"]) == ["bench"]
-        assert _shim_legacy_argv(["trace", "info", "x"]) == \
-            ["trace", "info", "x"]
-        assert _shim_legacy_argv([]) == []
 
 
 class TestMain:
@@ -108,38 +93,3 @@ class TestMain:
         assert main(["run", "fig2", "--n", "4", "--num", "6",
                      "--executor", "batch"]) == 0
         assert capsys.readouterr().out == default_out
-
-
-class TestBenchSelection:
-    """--filter / --bench-only resolution in the perf harness."""
-
-    def test_select_by_exact_name(self):
-        from repro.perf.harness import select_benchmarks
-        assert select_benchmarks(names=["ndrange_batch"]) == ["ndrange_batch"]
-
-    def test_select_unknown_name_raises(self):
-        from repro.perf.harness import select_benchmarks
-        with pytest.raises(ValueError, match="unknown benchmark"):
-            select_benchmarks(names=["nope"])
-
-    def test_select_by_substring_filter(self):
-        from repro.perf.harness import BENCHMARKS, select_benchmarks
-        names = select_benchmarks(name_filter="ndrange")
-        assert names == [n for n in BENCHMARKS if "ndrange" in n]
-        assert "ndrange_batch" in names
-
-    def test_filter_with_no_match_raises(self):
-        from repro.perf.harness import select_benchmarks
-        with pytest.raises(ValueError, match="no benchmark"):
-            select_benchmarks(name_filter="zzz-no-such")
-
-    def test_bench_filter_no_match_exits_nonzero_with_names(self, capsys):
-        """CLI pin: a zero-match --filter fails fast, listing the names."""
-        from repro.perf.harness import BENCHMARKS
-
-        assert main(["bench", "--filter", "zzz-no-such",
-                     "--no-bench-check"]) == 2
-        err = capsys.readouterr().err
-        assert "matches no benchmark" in err
-        for name in BENCHMARKS:
-            assert name in err

@@ -261,6 +261,43 @@ class TestFabric:
         with pytest.raises(SimulationError, match="deadlock"):
             fabric.run_kernel(Blocked(name="blocked"), {})
 
+    def test_collecting_abandoned_blocked_launch_schedules_nothing(
+            self, monkeypatch):
+        # Garbage collection closes the blocked iteration's generator; the
+        # launch must neither fail nor retire on the dead simulator.
+        import gc
+
+        from repro.sim.core import Simulator
+
+        def abandon():
+            fabric = Fabric()
+            channel = fabric.channels.declare("never_written", depth=1)
+
+            class Blocked(SingleTaskKernel):
+                def iteration_space(self, args):
+                    return [0]
+
+                def body(self, ctx):
+                    yield ctx.read_channel(channel)
+
+            fabric.launch(Blocked(name="blocked"), {})
+            fabric.advance(5)
+
+        abandon()
+        count = [0]
+
+        def counting(original):
+            def wrapper(sim, *args, **kwargs):
+                count[0] += 1
+                original(sim, *args, **kwargs)
+            return wrapper
+
+        for name in ("_schedule", "_schedule_front"):
+            monkeypatch.setattr(Simulator, name,
+                                counting(getattr(Simulator, name)))
+        gc.collect()
+        assert count[0] == 0
+
     def test_advance_negative_rejected(self, fabric):
         with pytest.raises(KernelError):
             fabric.advance(-1)

@@ -21,6 +21,7 @@ dedicated step with a larger budget.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -253,19 +254,89 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: The speedup gate's workload: two convergent NDRange kernels (no
+#: divergent branches, no barriers) that the batch executor runs in table
+#: mode — elementwise vecadd and a flattened matmul with a uniform inner
+#: reduction loop.
+_NDRANGE_BATCH_SOURCE = """
+__kernel void vecadd(__global long* a, __global long* b, __global long* c) {
+    int gid = get_global_id(0);
+    c[gid] = a[gid] + b[gid];
+}
+
+__kernel void matmul(__global long* x, __global long* y, __global long* z,
+                     int col_a, int col_b) {
+    int gid = get_global_id(0);
+    int row = gid / col_b;
+    int col = gid % col_b;
+    long acc = 0;
+    for (int k = 0; k < col_a; k++) {
+        acc += x[row * col_a + k] * y[k * col_b + col];
+    }
+    z[gid] = acc;
+}
+"""
+
+
+def _ndrange_batch_round(executor: str):
+    """One full run of both gate kernels under ``executor``.
+
+    Returns (simulated cycles, wall seconds, per-launch batch modes).
+    """
+    vec_n = 8192
+    rows, col_a, col_b = 24, 24, 24
+    launches = (
+        ("vecadd", {"A": np.arange(vec_n) % 97, "B": np.arange(vec_n) % 31,
+                    "C": vec_n},
+         {"a": "A", "b": "B", "c": "C", "__global_size": vec_n}),
+        ("matmul", {"X": np.arange(rows * col_a) % 13,
+                    "Y": np.arange(col_a * col_b) % 7, "Z": rows * col_b},
+         {"x": "X", "y": "Y", "z": "Z", "col_a": col_a, "col_b": col_b,
+          "__global_size": rows * col_b}),
+    )
+    modes = []
+    cycles = 0
+    elapsed = 0.0
+    for kernel, buffers, args in launches:
+        fabric = Fabric(keep_lsu_samples=False)
+        program = compile_source(fabric, _NDRANGE_BATCH_SOURCE)
+        for name, init in buffers.items():
+            if isinstance(init, int):
+                fabric.memory.allocate(name, init)
+            else:
+                fabric.memory.allocate(name, len(init)).fill(init)
+        start = time.perf_counter()
+        engine = fabric.run_kernel(program.kernel(kernel), args,
+                                   executor=executor)
+        elapsed += time.perf_counter() - start
+        cycles += fabric.sim.now
+        modes.append(engine.batch.mode if hasattr(engine, "batch") else "-")
+    return cycles, elapsed, modes
+
+
 @pytest.mark.skipif(_cpus() < 4,
                     reason="wall-clock speedup gate needs an unloaded host "
                            "with >= 4 CPUs")
 class TestBatchSpeedupGate:
     def test_ndrange_batch_speedup_floor(self):
-        """The tentpole's acceptance floor: >= 3x sim-cycles/s over the
-        fast executor on the convergent NDRange benchmark workload."""
-        from repro.perf import harness
-
-        value, detail = harness.bench_ndrange_batch()
-        assert detail["batch_modes"] == ["table", "table"]
-        assert detail["speedup_vs_fast"] >= 3.0, (
-            f"batch speedup {detail['speedup_vs_fast']:.2f}x < 3x "
-            f"(batch {value:,.0f} vs fast "
-            f"{detail['fast_sim_cycles_per_s']:,.0f} sim-cycles/s)")
-        assert value > 0
+        """The acceptance floor: >= 3x sim-cycles/s over the fast
+        executor on the convergent NDRange gate workload. Every tier
+        must agree exactly on simulated cycles (batch is bit-equal to
+        the oracles)."""
+        rates = {}
+        cycle_counts = {}
+        batch_modes = None
+        for tier in ("fast", "reference", "batch"):
+            cycles, elapsed, modes = _ndrange_batch_round(tier)
+            rates[tier] = cycles / elapsed
+            cycle_counts[tier] = cycles
+            if tier == "batch":
+                batch_modes = modes
+        assert len(set(cycle_counts.values())) == 1, (
+            f"executor tiers disagree on simulated cycles: {cycle_counts}")
+        assert batch_modes == ["table", "table"]
+        speedup = rates["batch"] / rates["fast"]
+        assert speedup >= 3.0, (
+            f"batch speedup {speedup:.2f}x < 3x "
+            f"(batch {rates['batch']:,.0f} vs fast "
+            f"{rates['fast']:,.0f} sim-cycles/s)")

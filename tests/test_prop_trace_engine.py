@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -243,17 +244,93 @@ class TestEngineSelection:
             TraceQuery(store, engine="turbo")
 
 
-class TestTraceQueryScanGate:
-    def test_filtered_aggregate_speedup_floor(self):
-        """The tentpole's acceptance floor: >= 5x filtered-aggregate
-        throughput over ``engine="reference"`` on the ~1M-row synthetic
-        bundle, with identical results."""
-        from repro.perf import harness
+def _build_trace_query_bundle(path: str) -> None:
+    """Write the synthetic ~1M-row multi-schema ``.ctb`` bundle.
 
-        value, detail = harness.bench_trace_query_scan()
-        assert detail["bundle_rows"] >= 900_000
-        assert detail["speedup_vs_reference"] >= 5.0, (
-            f"vector speedup {detail['speedup_vs_reference']:.2f}x < 5x "
-            f"(vector {value:,.0f} vs reference "
-            f"{detail['reference_rows_per_s']:,.0f} rows/s)")
-        assert value > 0
+    12 ``latency.sample`` segments x 65536 rows (one kernel per segment,
+    8 rotating sites, monotone ``ts`` spanning the same window in every
+    segment so footer stats alone cannot prune them), plus 4
+    ``watch.event`` x 32768 and 4 ``counter.lsu`` x 16384 segments —
+    983040 rows total. All values are deterministic arithmetic.
+    """
+    kernels = ("matvec", "stall_monitor", "matmul", "vecadd")
+    lat_rows, watch_rows, counter_rows = 65536, 32768, 16384
+
+    ts = list(range(lat_rows))
+    site_ids = [1 + (i % 8) for i in range(lat_rows)]
+    latency = [i % 997 for i in range(lat_rows)]
+    end_cycle = [t + v for t, v in zip(ts, latency)]
+    zeros = [0] * lat_rows
+
+    segments = []
+    lat_fields = ("start_cycle", "end_cycle", "latency",
+                  "start_value", "end_value")
+    for index in range(12):
+        strings = [kernels[index % 4]] + [f"site_{i}" for i in range(8)]
+        segments.append(Segment(
+            "latency.sample", lat_fields, strings,
+            {"ts": ts, "kernel": [0] * lat_rows,
+             "cu": [index % 4] * lat_rows, "site": site_ids,
+             "start_cycle": ts, "end_cycle": end_cycle,
+             "latency": latency, "start_value": zeros,
+             "end_value": latency}))
+    for index in range(4):
+        strings = [kernels[index], "watch_site"]
+        segments.append(Segment(
+            "watch.event", ("kind", "address", "tag"), strings,
+            {"ts": list(range(watch_rows)),
+             "kernel": [0] * watch_rows, "cu": [index] * watch_rows,
+             "site": [1] * watch_rows,
+             "kind": [i % 3 for i in range(watch_rows)],
+             "address": [i * 8 for i in range(watch_rows)],
+             "tag": [index] * watch_rows}))
+    for index in range(4):
+        strings = [kernels[index], "lsu0"]
+        segments.append(Segment(
+            "counter.lsu", ("reads", "writes", "stalls"), strings,
+            {"ts": list(range(counter_rows)),
+             "kernel": [0] * counter_rows, "cu": [index] * counter_rows,
+             "site": [1] * counter_rows,
+             "reads": [i % 64 for i in range(counter_rows)],
+             "writes": [i % 32 for i in range(counter_rows)],
+             "stalls": [i % 7 for i in range(counter_rows)]}))
+    ColumnarStore(segments).save(path)
+
+
+class TestTraceQueryScanGate:
+    def test_filtered_aggregate_speedup_floor(self, tmp_path):
+        """The acceptance floor: >= 5x filtered-aggregate throughput over
+        ``engine="reference"`` on the ~1M-row synthetic bundle (loaded
+        with zero-copy lazy decode), with identical results. The query
+        is the headline one: one kernel, a mid-range time window,
+        latency grouped by site."""
+        path = str(tmp_path / "scan.ctb")
+        _build_trace_query_bundle(path)
+        store = ColumnarStore.load(path)
+        total = store.total_rows()
+        lo, hi = 65536 // 4, (3 * 65536) // 4
+
+        def run_query(engine):
+            return (TraceQuery(store, engine=engine)
+                    .schema("latency.sample").kernel("matvec")
+                    .between(lo, hi).aggregate("latency", by="site"))
+
+        vector_result = run_query("vector")   # warm the lazy column cache
+        passes = 5
+        start = time.perf_counter()
+        for _ in range(passes):
+            vector_result = run_query("vector")
+        vector_s = time.perf_counter() - start
+        start = time.perf_counter()
+        reference_result = run_query("reference")
+        reference_s = time.perf_counter() - start
+
+        assert vector_result == reference_result, \
+            "vector and reference engines disagree on the aggregate"
+        assert total >= 900_000
+        vector_rate = passes * total / vector_s
+        reference_rate = total / reference_s
+        assert vector_rate / reference_rate >= 5.0, (
+            f"vector speedup {vector_rate / reference_rate:.2f}x < 5x "
+            f"(vector {vector_rate:,.0f} vs reference "
+            f"{reference_rate:,.0f} rows/s)")

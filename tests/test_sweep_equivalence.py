@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import pytest
 
 from repro import cli
 from repro.experiments import scalability, table1
-from repro.perf import harness
-from repro.sweep import SweepPoint, SweepSpec, families, run_sweep
+from repro.sweep import WorkerPool, families, run_sweep
 
 # Small-but-real grid: every point synthesizes AND simulates the
 # instrumented matmul, so parallel workers do meaningful work.
@@ -140,58 +140,26 @@ class TestRepeatFamilies:
         assert "identical: True" in rendered
 
 
-# -- perf-suite aggregation --------------------------------------------------
-
-_FAKE_SEQUENCE = [30.0, 10.0, 20.0]
-_FAKE_CALLS = {"count": 0}
-
-
-def _fake_bench():
-    value = _FAKE_SEQUENCE[_FAKE_CALLS["count"] % len(_FAKE_SEQUENCE)]
-    _FAKE_CALLS["count"] += 1
-    return value, {"call": _FAKE_CALLS["count"]}
-
-
-class TestSuiteAggregation:
-    def test_median_of_three_reported(self, monkeypatch):
-        _FAKE_CALLS["count"] = 0
-        monkeypatch.setitem(harness.BENCHMARKS, "fake_bench",
-                            (_fake_bench, "widgets/s", 3))
-        report = harness.run_suite(names=["fake_bench"], log=lambda _: None)
-        entry = report["results"]["fake_bench"]
-        assert entry["value"] == 20.0            # median of 30, 10, 20
-        assert entry["aggregate"] == "median"
-        assert sorted(entry["values"]) == [10.0, 20.0, 30.0]
-        assert entry["repeats"] == 3
-
-    def test_sharded_repeats_match_registry(self, monkeypatch):
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("sharded repeat test needs fork start method")
-        _FAKE_CALLS["count"] = 0
-        monkeypatch.setitem(harness.BENCHMARKS, "fake_bench",
-                            (_fake_bench, "widgets/s", 3))
-        # Forked workers inherit the patched registry; each repeat runs in
-        # a fresh-forked or warm worker whose counter starts from 0 or
-        # advances independently — every observed value must come from the
-        # deterministic sequence, and the median must be one of them.
-        report = harness.run_suite(names=["fake_bench"], log=lambda _: None,
-                                   workers=2)
-        entry = report["results"]["fake_bench"]
-        assert len(entry["values"]) == 3
-        assert set(entry["values"]) <= set(_FAKE_SEQUENCE)
-        assert entry["value"] in entry["values"]
-
-
 @pytest.mark.skipif(_cpus() < 4,
                     reason="process-level speedup needs >= 4 CPUs")
 class TestSpeedupGate:
     def test_sweep_grid_speedup_at_4_workers(self):
-        value, detail = harness.bench_sweep_scalability_grid()
-        assert detail["results_identical"]
-        assert detail["workers"] == 4
-        assert detail["speedup"] >= 2.0, (
-            f"sweep speedup {detail['speedup']:.2f}x < 2x "
-            f"(serial {detail['serial_elapsed_s']:.2f}s, "
-            f"parallel {detail['elapsed_s']:.2f}s)")
-        assert value > 0
+        """The full §4 grid (every point synthesizes *and* simulates the
+        instrumented matmul) runs >= 2x faster sharded over 4 worker
+        processes than serially, with identical merged results."""
+        spec = families.scalability_spec(simulate=True, sim_shape=(4, 6, 4))
+        start = time.perf_counter()
+        serial_outcome = run_sweep(spec, serial=True)
+        serial_s = time.perf_counter() - start
+        serial_outcome.raise_if_failed()
+
+        start = time.perf_counter()
+        with WorkerPool(workers=4) as pool:
+            parallel_outcome = run_sweep(spec, pool=pool, chunk_size=1)
+        parallel_s = time.perf_counter() - start
+        parallel_outcome.raise_if_failed()
+
+        _per_key_identical(serial_outcome, parallel_outcome)
+        assert serial_s / parallel_s >= 2.0, (
+            f"sweep speedup {serial_s / parallel_s:.2f}x < 2x "
+            f"(serial {serial_s:.2f}s, parallel {parallel_s:.2f}s)")
