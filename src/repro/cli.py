@@ -146,11 +146,6 @@ def _add_trace_parser(sub) -> None:
                             "of printing rows")
     query.add_argument("--by", metavar="COLUMN", default=None,
                        help="group the aggregation by COLUMN (e.g. site)")
-    query.add_argument("--engine", choices=("vector", "reference"),
-                       default="vector",
-                       help="query engine tier (default vector; reference "
-                            "= the row-at-a-time oracle, byte-identical "
-                            "output)")
 
     export = tsub.add_parser("export", help="export to chrome/csv/json")
     export.add_argument("store", help="path to a .ctb bundle")
@@ -159,11 +154,6 @@ def _add_trace_parser(sub) -> None:
                         "(chrome = Perfetto-loadable trace-event JSON)")
     export.add_argument("--schema", default=None,
                         help="schema to export (required for csv)")
-    export.add_argument("--engine", choices=("vector", "reference"),
-                        default="vector",
-                        help="query engine tier (default vector; reference "
-                             "= the row-at-a-time oracle, byte-identical "
-                             "output)")
     export.add_argument("-o", "--out", default=None,
                         help="output file (default: stdout)")
 
@@ -341,16 +331,15 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
     """Render ``trace query`` output lines (shared with the server).
 
     ``opts`` mirrors the query flags: schema, kernel, cu, site, since,
-    until, limit, agg, by, engine. Bad aggregations (or an unknown
-    engine) raise ``ReproError`` — the caller maps that to exit status
-    2 / a ``bad_request`` error.
+    until, limit, agg, by. Bad aggregations raise ``ReproError`` — the
+    caller maps that to exit status 2 / a ``bad_request`` error.
     """
     from repro.trace.query import TraceQuery
 
     def as_list(value):
         return value if isinstance(value, (list, tuple)) else [value]
 
-    query = TraceQuery(store, engine=opts.get("engine") or "vector")
+    query = TraceQuery(store)
     if opts.get("schema"):
         query.schema(opts["schema"])
     if opts.get("kernel"):
@@ -381,8 +370,7 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
 def _trace_query_opts(args) -> Dict[str, Any]:
     return {"schema": args.schema, "kernel": args.kernel, "cu": args.cu,
             "site": args.site, "since": args.since, "until": args.until,
-            "limit": args.limit, "agg": args.agg, "by": args.by,
-            "engine": args.engine}
+            "limit": args.limit, "agg": args.agg, "by": args.by}
 
 
 def _run_trace_remote(args) -> int:
@@ -445,7 +433,7 @@ def _run_trace_tool(args) -> int:
     try:
         if args.format == "chrome":
             import json as _json
-            document = to_chrome_json(store, engine=args.engine)
+            document = to_chrome_json(store)
             problems = validate_chrome_events(
                 _json.loads(document)["traceEvents"])
             if problems:
@@ -458,10 +446,9 @@ def _run_trace_tool(args) -> int:
             if not args.schema:
                 print("error: csv export needs --schema", file=sys.stderr)
                 return 2
-            document = store_to_csv(store, args.schema, engine=args.engine)
+            document = store_to_csv(store, args.schema)
         else:
-            document = store_to_json(store, schema=args.schema,
-                                     engine=args.engine)
+            document = store_to_json(store, schema=args.schema)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

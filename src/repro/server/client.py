@@ -14,12 +14,9 @@ call waits for its response are stashed:
   server-side ``job.wait``);
 * everything else accumulates in ``client.notifications``.
 
-:meth:`Client.open_session` requests binary segment frames by default
-(``binary_segments: true``): the server then follows each
-``trace.segment`` line with the raw column bytes, which the client
-wraps zero-copy — no base64 decode, no per-record rebuild. A server
-predating the capability ignores the flag and keeps sending base64;
-both encodings land in ``client.segments`` identically.
+The server follows each ``trace.segment`` line with the raw column
+bytes of its segments (binary frames, the only segment encoding), which
+the client wraps zero-copy — no per-record rebuild.
 
 :meth:`Client.save_trace` writes the streamed segments to a ``.ctb``
 bundle byte-identical to what a local in-process run with
@@ -107,16 +104,12 @@ class Client:
             self.segment_batches.append(
                 {key: params[key] for key in ("batch", "rows")
                  if key in params} | {"replay": bool(params.get("replay"))})
-            if params.get("encoding") == "binary":
-                # Binary frame: each header's payload follows the
-                # notification line, in listing order.
-                for header in params.get("segments", ()):
-                    data = self._read_exact(int(header["length"]))
-                    self.segments.append(
-                        protocol.segment_from_header(header, data))
-            else:
-                for wire in params.get("segments", ()):
-                    self.segments.append(protocol.segment_from_wire(wire))
+            # Binary frame: each header's payload follows the
+            # notification line, in listing order.
+            for header in params.get("segments", ()):
+                data = self._read_exact(int(header["length"]))
+                self.segments.append(
+                    protocol.segment_from_header(header, data))
         elif method == "kernel.complete":
             self.completions[params.get("job")] = params
         else:
@@ -160,7 +153,6 @@ class Client:
         return self.call("server.shutdown")
 
     def open_session(self, **params: Any) -> Dict[str, Any]:
-        params.setdefault("binary_segments", True)
         result = self.call("session.open", params)
         self.session_id = result["session"]
         return result

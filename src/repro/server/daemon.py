@@ -18,6 +18,10 @@ Protocol methods (see ``docs/SERVER.md`` for the full reference)::
     experiment.run
     trace.subscribe / trace.unsubscribe / trace.query
     trace.store_info / trace.store_query
+
+Subscribed sessions receive their trace rows as ``trace.segment`` binary
+frames: the notification line, then the raw ``.ctb`` column bytes of
+each segment (see :mod:`repro.server.protocol`).
 """
 
 from __future__ import annotations
@@ -68,9 +72,6 @@ class _Connection:
         self.writer = writer
         self.lock = asyncio.Lock()
         self.session: Optional[Session] = None
-        #: Negotiated at ``session.open``: stream ``trace.segment``
-        #: payloads as raw binary frames instead of base64 JSON.
-        self.binary_segments = False
 
     async def send(self, data: bytes) -> None:
         async with self.lock:
@@ -236,12 +237,11 @@ class ReproServer:
                              subscription: Subscription,
                              segments: List[Any],
                              replay: bool = False) -> None:
-        """Deliver one ``trace.segment`` batch in the negotiated encoding.
+        """Deliver one ``trace.segment`` batch as a binary frame.
 
-        Base64-in-JSON by default; when the session negotiated
-        ``binary_segments`` the notification line is followed by the raw
-        column bytes of each segment (written atomically under the
-        connection lock, so no other message interleaves).
+        The notification line is followed by the raw column bytes of
+        each segment, written atomically under the connection lock, so
+        no other message interleaves.
         """
         rows = sum(segment.rows for segment in segments)
         subscription.batches_sent += 1
@@ -254,18 +254,13 @@ class ReproServer:
         }
         if replay:
             params["replay"] = True
-        if conn.binary_segments:
-            payloads = [segment.payload_bytes() for segment in segments]
-            params["encoding"] = "binary"
-            params["segments"] = [
-                protocol.segment_header(segment, len(payload))
-                for segment, payload in zip(segments, payloads)]
-            await conn.send(protocol.encode_binary_notification(
-                "trace.segment", params, payloads))
-        else:
-            params["segments"] = [protocol.segment_to_wire(segment)
-                                  for segment in segments]
-            await conn.notify("trace.segment", params)
+        payloads = [segment.payload_bytes() for segment in segments]
+        params["encoding"] = "binary"
+        params["segments"] = [
+            protocol.segment_header(segment, len(payload))
+            for segment, payload in zip(segments, payloads)]
+        await conn.send(protocol.encode_binary_notification(
+            "trace.segment", params, payloads))
 
     async def _publish_records(self, conn: _Connection, session: Session,
                                result: Dict[str, Any]) -> int:
@@ -381,6 +376,13 @@ class ReproServer:
         if conn.session is not None:
             raise ServerError(protocol.E_BAD_REQUEST,
                               "connection already has an open session")
+        if not params.get("binary_segments", True):
+            raise ServerError(
+                protocol.E_BAD_REQUEST,
+                "binary_segments: false asks for the base64 segment "
+                "encoding, which was removed; trace.segment payloads "
+                "always travel as binary frames",
+                {"param": "binary_segments"})
         if len(self.sessions) >= self.config.max_sessions:
             raise ServerError(
                 protocol.E_SESSION_LIMIT,
@@ -407,9 +409,6 @@ class ReproServer:
         self.sessions[session_id] = session
         self._session_conns[session_id] = conn
         conn.session = session
-        # Capability negotiation: a server without this code ignores the
-        # param and omits the ack, so such a client keeps reading base64.
-        conn.binary_segments = bool(params.get("binary_segments"))
         import repro
 
         return {
@@ -419,7 +418,7 @@ class ReproServer:
                 "mode": "inline" if self.pool is None else "pool",
                 "workers": 0 if self.pool is None else self.pool.workers,
                 "queue_limit": queue_limit,
-                "binary_segments": conn.binary_segments,
+                "binary_segments": True,
                 "trace_flush_rows": trace_flush_rows,
             },
         }
@@ -588,8 +587,7 @@ class ReproServer:
 
         store = session.make_store()
         try:
-            query = TraceQuery(store,
-                               engine=params.get("engine") or "vector")
+            query = TraceQuery(store)
             if params.get("schema"):
                 query.schema(params["schema"])
             if params.get("kernel"):

@@ -14,20 +14,18 @@ terminated). Three shapes exist:
   (``trace.segment``) and asynchronous job completion
   (``kernel.complete``).
 
-Binary ``.ctb`` segment payloads travel base64-encoded inside
-notifications by default. A client that passes ``binary_segments: true``
-to ``session.open`` (acked in the response's ``server`` block) instead
-receives **binary frames**: the ``trace.segment`` notification line is
-followed immediately by the raw column bytes of each listed segment,
-concatenated in order. The notification marks itself with
-``"encoding": "binary"`` and each segment header carries a ``"length"``
-byte count, so the frame is self-describing; servers predating the
-capability simply ignore the flag and keep sending base64.
+``.ctb`` segment payloads travel as **binary frames**: the
+``trace.segment`` notification line is followed immediately by the raw
+column bytes of each listed segment, concatenated in order. The
+notification marks itself with ``"encoding": "binary"`` and each segment
+header carries a ``"length"`` byte count, so the frame is
+self-describing. Binary frames are the only segment encoding; the
+``session.open`` ack still reports ``binary_segments: true`` for clients
+that check it.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -156,33 +154,12 @@ def schemas_from_wire(rows: List[List[Any]]) -> List[Tuple[str, tuple, str]]:
     return [(row[0], tuple(row[1]), row[2]) for row in rows]
 
 
-def segment_to_wire(segment) -> Dict[str, Any]:
-    """Serialize one columnar segment (payload bytes base64-encoded)."""
-    return {
-        "schema": segment.schema,
-        "fields": list(segment.fields),
-        "rows": segment.rows,
-        "strings": list(segment.strings),
-        "data": base64.b64encode(segment.payload_bytes()).decode("ascii"),
-    }
-
-
-def segment_from_wire(wire: Dict[str, Any]):
-    """Rebuild a :class:`~repro.trace.columnar.Segment` from its wire form."""
-    from repro.trace.columnar import Segment
-
-    return Segment.from_payload(
-        {"schema": wire["schema"], "fields": wire["fields"],
-         "rows": wire["rows"], "strings": wire["strings"]},
-        base64.b64decode(wire["data"]))
-
-
 def segment_header(segment, length: int) -> Dict[str, Any]:
     """Binary-frame header for one segment whose raw payload follows.
 
-    Same keys as :func:`segment_to_wire` with the base64 ``data``
-    replaced by the payload's byte ``length`` — the receiver reads that
-    many raw bytes off the stream after the notification line.
+    Carries the segment layout (schema, fields, rows, string dictionary)
+    and the payload's byte ``length`` — the receiver reads that many raw
+    bytes off the stream after the notification line.
     """
     return {
         "schema": segment.schema,

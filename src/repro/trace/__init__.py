@@ -11,7 +11,7 @@ reproduction:
 * :mod:`repro.trace.query` — :class:`TraceQuery` filters/aggregations and
   the bridges feeding the legacy :mod:`repro.analysis` paths;
 * :mod:`repro.trace.engine` — the vectorized columnar execution engine
-  behind the default ``engine="vector"`` tier;
+  every :class:`TraceQuery` runs on;
 * :mod:`repro.trace.export` — Chrome trace-event (Perfetto) JSON plus
   CSV/JSON adapters;
 * :mod:`repro.trace.capture` — per-source publish helpers.
@@ -33,10 +33,8 @@ Quickstart::
 from repro.trace.columnar import ColumnarSink, ColumnarStore, Segment
 from repro.trace.hub import MemorySink, TraceHub, TraceSink
 from repro.trace.query import (
-    ENGINES,
     Aggregate,
     TraceQuery,
-    check_engine,
     latency_samples,
     stored_order_records,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "BUILTIN_SCHEMAS",
     "ColumnarSink",
     "ColumnarStore",
-    "ENGINES",
     "MemorySink",
     "SchemaRegistry",
     "Segment",
@@ -61,7 +58,6 @@ __all__ = [
     "TraceRecord",
     "TraceSchema",
     "TraceSink",
-    "check_engine",
     "latency_samples",
     "stored_order_records",
 ]

@@ -17,8 +17,8 @@ across runs (multi-run sweeps write into one file) and cheap scans:
   name, payload fields, row count, byte offset/length, the string
   dictionary, the segment's ``min_ts``/``max_ts`` (used to prune whole
   segments during time-window queries), and a ``ts_monotone`` flag set
-  at write time when the ``ts`` column is non-decreasing (the vectorized
-  query engine bisects such segments instead of sweeping them).
+  at write time when the ``ts`` column is non-decreasing (the query
+  engine bisects such segments instead of sweeping them).
 * The trailer is the footer's byte length (``uint64`` LE) plus the magic
   again, so appending = truncate trailer, add segments, rewrite footer.
 
@@ -29,6 +29,10 @@ hosts, an ``array('q')`` byteswap elsewhere) only the first time a query
 touches it. ``min_ts``/``max_ts``/``ts_monotone`` come straight from the
 footer — trusted for pruning, validated once against the column data the
 first time the ``ts`` column is actually decoded.
+
+:class:`ColumnarSink` is how a :class:`~repro.trace.hub.TraceHub` stream
+reaches disk: each hub flush hands it sealed column batches, and the
+sink appends their payload bytes to the bundle.
 """
 
 from __future__ import annotations
@@ -76,9 +80,9 @@ def _is_monotone(column) -> bool:
 class _ColumnsView(Mapping):
     """Dict-like view over a segment's columns, decoding on access.
 
-    Kept for the row-at-a-time reference scan and any external callers
-    that predate lazy decode; the vectorized engine uses
-    :meth:`Segment.column` directly.
+    Kept for the row-at-a-time oracle scan (``tests/trace_oracle.py``)
+    and any external callers that predate lazy decode; the query engine
+    uses :meth:`Segment.column` directly.
     """
 
     __slots__ = ("_segment",)
@@ -686,47 +690,31 @@ def merge_segments(segments: Sequence[Segment]) -> List[Segment]:
 class ColumnarSink(TraceSink):
     """Hub sink that persists every record to a ``.ctb`` file on close.
 
-    On a batch-ingest hub the sink consumes sealed column batches
-    wholesale (:meth:`on_batch`): a flush appends their raw payload
-    bytes to the file — a few buffer copies, no per-record encode. On a
-    reference-ingest hub it buffers records and seals them itself at
-    flush, the original (oracle) path; both produce byte-identical
-    ``.ctb`` files.
-
-    ``flush_rows=N`` writes to disk every N buffered rows (0 = only at
-    close/explicit flush). When the sink is driven by a hub, set the
-    threshold on the hub (``TraceHub(flush_rows=...)``) — the hub must
-    seal its column batches at the same boundaries; the sink-level knob
-    serves standalone/reference use.
+    The hub hands the sink sealed column batches (:meth:`on_batch`): a
+    flush appends their raw payload bytes to the file — a few buffer
+    copies, no per-record encode. Records delivered one at a time
+    (:meth:`on_record`, when the sink is driven directly or with
+    ``accepts_batches`` switched off) are buffered and sealed at flush;
+    both routes write byte-identical ``.ctb`` files.
     """
 
     accepts_batches = True
 
-    def __init__(self, path: str, registry: SchemaRegistry,
-                 flush_rows: int = 0) -> None:
+    def __init__(self, path: str, registry: SchemaRegistry) -> None:
         self.path = path
         self.registry = registry
-        #: Self-flush threshold in buffered rows (0 = never).
-        self.flush_rows = int(flush_rows)
         self._pending: List[TraceRecord] = []
         self._segments: List[Segment] = []
-        self._pending_rows = 0
         #: Total rows written to disk over this sink's lifetime.
         self.rows_written = 0
 
     def on_record(self, schema: TraceSchema, record: TraceRecord) -> None:
-        """Buffer the record for the next flush (reference ingest)."""
+        """Buffer the record for the next flush."""
         self._pending.append(record)
-        self._pending_rows += 1
-        if self.flush_rows and self._pending_rows >= self.flush_rows:
-            self.flush()
 
     def on_batch(self, schema: TraceSchema, segment: Segment) -> None:
         """Buffer one sealed column batch for the next flush."""
         self._segments.append(segment)
-        self._pending_rows += segment.rows
-        if self.flush_rows and self._pending_rows >= self.flush_rows:
-            self.flush()
 
     def flush(self) -> int:
         """Append buffered records/batches to the file; returns rows."""
@@ -739,7 +727,6 @@ class ColumnarSink(TraceSink):
             self._pending = []
         segments.extend(self._segments)
         self._segments = []
-        self._pending_rows = 0
         added = ColumnarStore.append_segments(self.path, segments)
         self.rows_written += added
         return added

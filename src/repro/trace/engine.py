@@ -1,8 +1,7 @@
 """Vectorized execution engine behind :class:`~repro.trace.query.TraceQuery`.
 
-The default ``engine="vector"`` scan replaces the row-at-a-time reference
-loop (one Python ``if``-chain and one dict per row) with per-segment
-column passes:
+Queries run as per-segment column passes rather than one Python
+``if``-chain and one dict per row:
 
 * **Segment pruning before any decode** — schema filters, footer
   ``min_ts``/``max_ts`` windows, and kernel/site filters resolved to
@@ -22,7 +21,8 @@ column passes:
   C-level ``sum``/``min``/``max`` over raw column slices when a
   selection is contiguous.
 
-Semantics are pinned to the reference scan by the hypothesis suite in
+Semantics are pinned to the row-at-a-time scan in
+``tests/trace_oracle.py`` by the hypothesis suite in
 ``tests/test_prop_trace_engine.py`` — including error messages, the
 "``limit(0)`` emits one row" quirk, and exporter byte-equality.
 """
@@ -135,9 +135,8 @@ def _segment_selection(query, segment: Segment) -> Optional[Selection]:
 def selections(query) -> List[Tuple[Segment, Selection]]:
     """Per-segment selections in storage order, with ``limit`` applied.
 
-    Mirrors the reference scan's limit semantics exactly: the cut-off is
-    checked *after* each emitted row, so a zero or negative limit still
-    emits one row.
+    The cut-off is checked *after* each emitted row, as the row-at-a-time
+    scan always did, so a zero or negative limit still emits one row.
     """
     limit = query._limit
     cap = None if limit is None else (limit if limit >= 1 else 1)
@@ -273,8 +272,8 @@ def aggregate(query, field: str,
 
     Group keys are the decoded ``by`` values (strings for
     ``kernel``/``site``/``schema``, raw integers otherwise), matching the
-    reference's per-row dict lookups; the caller wraps the accumulators
-    into :class:`~repro.trace.query.Aggregate` objects.
+    row-at-a-time oracle's per-row dict lookups; the caller wraps the
+    accumulators into :class:`~repro.trace.query.Aggregate` objects.
     """
     accumulators: Dict[object, List[int]] = {}
     for segment, sel in selections(query):
@@ -340,7 +339,7 @@ def aggregate(query, field: str,
 def _aggregate_values(segment: Segment, field: str, sel: Selection):
     """The aggregated column's selected values, as plain integers.
 
-    String columns replicate the reference's ``int(row[field])``: the
+    String columns replicate the oracle's ``int(row[field])``: the
     decoded text goes through ``int()``, raising the same ``ValueError``
     for non-numeric labels.
     """

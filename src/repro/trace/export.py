@@ -8,16 +8,12 @@ hits and raw ibuffer drains become instants (``ph: "i"``), and
 vendor-profiler counters become counter events (``ph: "C"``). Timestamps
 are simulation cycles used as microseconds.
 
-Every exporter takes an ``engine`` selector mirroring
-:class:`~repro.trace.query.TraceQuery`: the default ``"vector"`` path
-streams straight off the decoded columns — distinct kernel names come
-from the segment string dictionaries, CSV lines zip column batches, and
-no per-row dicts are built along the way — while ``"reference"`` runs
-the original row-dict implementations. Both produce byte-identical
-documents (pinned by ``tests/test_prop_trace_engine.py``).
-
-The CSV/JSON adapters reuse the existing :mod:`repro.analysis.export`
-helpers on the reference path so flat-file consumers keep one code path.
+The exporters stream straight off the decoded columns: distinct kernel
+names come from the segment string dictionaries, CSV lines zip column
+batches, and no per-row dicts are built along the way. The row-dict
+exporters they replaced live on as test oracles
+(``tests/trace_oracle.py``); ``tests/test_prop_trace_engine.py`` pins
+every document byte for byte against them.
 
 .. _trace-event format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -31,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import TraceStoreError
 from repro.trace import engine as _vector
 from repro.trace.columnar import ColumnarStore, Segment
-from repro.trace.query import TraceQuery, check_engine
+from repro.trace.query import TraceQuery
 
 #: Event phases the exporter emits (the subset of the spec we use).
 _SPAN, _INSTANT, _COUNTER, _METADATA = "X", "i", "C", "M"
@@ -49,15 +45,12 @@ def _watch_kind_name(kind: int) -> str:
     return names.get(kind, f"watch-kind-{kind}")
 
 
-def chrome_trace_events(store: ColumnarStore,
-                        engine: str = "vector") -> List[Dict[str, object]]:
+def chrome_trace_events(store: ColumnarStore) -> List[Dict[str, object]]:
     """Stored trace -> list of Chrome trace-event dicts.
 
     Deterministic: pids are assigned to kernels in sorted order, events
     appear in storage order per category.
     """
-    if check_engine(engine) == "reference":
-        return _chrome_trace_events_reference(store)
     kernels = _vector.distinct_kernels(store)
     pids = {kernel: index + 1 for index, kernel in enumerate(kernels)}
 
@@ -151,64 +144,10 @@ def _segment_events(segment: Segment, pids: Dict[str, int],
                 "args": {name: column[i] for name, column in fields}})
 
 
-def _chrome_trace_events_reference(store: ColumnarStore
-                                   ) -> List[Dict[str, object]]:
-    """The original row-dict exporter, retained as the byte oracle."""
-    rows = TraceQuery(store, engine="reference").rows()
-    kernels = sorted({str(row["kernel"]) for row in rows})
-    pids = {kernel: index + 1 for index, kernel in enumerate(kernels)}
-
-    events: List[Dict[str, object]] = []
-    for kernel in kernels:
-        events.append({"ph": _METADATA, "name": "process_name",
-                       "pid": pids[kernel], "tid": 0,
-                       "args": {"name": kernel or "(unattributed)"}})
-
-    for row in rows:
-        schema = str(row["schema"])
-        pid = pids[str(row["kernel"])]
-        tid = int(row["cu"])
-        base = {"pid": pid, "tid": tid, "cat": schema}
-        site = str(row["site"])
-        if schema == "latency.sample":
-            events.append({**base, "ph": _SPAN, "name": site or "latency",
-                           "ts": row["start_cycle"], "dur": row["latency"],
-                           "args": {"start_value": row["start_value"],
-                                    "end_value": row["end_value"]}})
-        elif schema == "run.span":
-            events.append({**base, "ph": _SPAN, "name": site or "run",
-                           "ts": row["start"],
-                           "dur": int(row["end"]) - int(row["start"]),
-                           "args": {}})
-        elif schema == "host.command":
-            events.append({**base, "ph": _SPAN, "name": site or "command",
-                           "ts": row["start"],
-                           "dur": int(row["end"]) - int(row["start"]),
-                           "args": {"queued": row["queued"]}})
-        elif schema == "watch.event":
-            events.append({**base, "ph": _INSTANT,
-                           "name": _watch_kind_name(int(row["kind"])),
-                           "ts": row["ts"], "s": "t",
-                           "args": {"address": row["address"],
-                                    "tag": row["tag"]}})
-        elif schema in ("counter.lsu", "counter.channel"):
-            args = {name: row[name] for name in store.fields_of(schema)}
-            events.append({**base, "ph": _COUNTER, "name": site or schema,
-                           "ts": row["ts"], "args": args})
-        else:
-            # Generic instants: raw ibuffer drains, order records, emu runs.
-            args = {name: value for name, value in row.items()
-                    if name not in ("schema", "ts", "kernel", "cu", "site")}
-            events.append({**base, "ph": _INSTANT, "name": site or schema,
-                           "ts": row["ts"], "s": "t", "args": args})
-    return events
-
-
-def to_chrome_json(store: ColumnarStore, pretty: bool = True,
-                   engine: str = "vector") -> str:
+def to_chrome_json(store: ColumnarStore, pretty: bool = True) -> str:
     """Stored trace -> Chrome/Perfetto-loadable JSON document."""
     document = {
-        "traceEvents": chrome_trace_events(store, engine=engine),
+        "traceEvents": chrome_trace_events(store),
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro-fpga", "time_unit": "cycles"},
     }
@@ -260,20 +199,12 @@ def _check_schema(store: ColumnarStore, schema: str) -> None:
             f"present: {', '.join(store.schemas()) or '(empty)'}")
 
 
-def store_to_entries(store: ColumnarStore, schema: str,
-                     engine: str = "vector") -> List[Dict[str, int]]:
+def store_to_entries(store: ColumnarStore,
+                     schema: str) -> List[Dict[str, int]]:
     """One schema's rows as integer-only entry dicts (``ts``, ``cu`` and
     the payload fields; string columns are dropped — use JSON for those).
     """
     _check_schema(store, schema)
-    if check_engine(engine) == "reference":
-        entries = []
-        for row in TraceQuery(store, engine="reference").schema(schema).rows():
-            entry = {"ts": int(row["ts"]), "cu": int(row["cu"])}
-            for name in store.fields_of(schema):
-                entry[name] = int(row[name])
-            entries.append(entry)
-        return entries
     fields = store.fields_of(schema)
     entries = []
     for segment in store.segments:
@@ -290,15 +221,9 @@ def store_to_entries(store: ColumnarStore, schema: str,
     return entries
 
 
-def store_to_csv(store: ColumnarStore, schema: str,
-                 engine: str = "vector") -> str:
+def store_to_csv(store: ColumnarStore, schema: str) -> str:
     """One schema's rows as CSV (header always present, even when empty)."""
     fields = ("ts", "cu") + store.fields_of(schema)
-    if check_engine(engine) == "reference":
-        from repro.analysis.export import entries_to_csv
-
-        entries = store_to_entries(store, schema, engine="reference")
-        return entries_to_csv(entries, allow_empty=True, fields=fields)
     _check_schema(store, schema)
     lines = [",".join(fields)]
     for segment in store.segments:
@@ -311,14 +236,12 @@ def store_to_csv(store: ColumnarStore, schema: str,
     return "\n".join(lines) + "\n"
 
 
-def store_to_json(store: ColumnarStore, schema: Optional[str] = None,
-                  engine: str = "vector") -> str:
+def store_to_json(store: ColumnarStore, schema: Optional[str] = None) -> str:
     """Rows (all schemas or one) as a JSON array with string columns kept.
 
-    The vector engine's ``rows()`` already materializes straight off the
-    columns, so both engines serve this through one serializer.
+    ``TraceQuery.rows()`` already materializes straight off the columns.
     """
-    query = TraceQuery(store, engine=engine)
+    query = TraceQuery(store)
     if schema is not None:
         query.schema(schema)
     return json.dumps(query.rows(), indent=2, sort_keys=True)

@@ -10,23 +10,19 @@ emission against it, so a store never receives a malformed record.
 Ingest data plane
 -----------------
 
-The hub has two ingest modes (``TraceHub(ingest=...)``):
-
-* ``"batch"`` (default) — producer streams append into per-schema
-  column builders (:mod:`repro.trace.ingest`); batch-aware sinks
-  (``sink.accepts_batches``) receive whole
-  :class:`~repro.trace.columnar.Segment` batches at flush time, while
-  per-record sinks (:class:`MemorySink`, legacy/third-party sinks) still
-  observe every record synchronously at emit time, exactly as before.
-  ``hub.writer(...)`` returns a bound writer that skips record
-  construction entirely when only batch-aware sinks are attached.
-* ``"reference"`` — the original one-record-at-a-time dispatch path,
-  kept verbatim as the equivalence oracle
-  (``tests/test_prop_trace_ingest.py`` pins byte-identical ``.ctb``
-  output between the modes).
+Producer streams append into per-schema column builders
+(:mod:`repro.trace.ingest`); batch-aware sinks (``sink.accepts_batches``)
+receive whole :class:`~repro.trace.columnar.Segment` batches at flush
+time, while per-record sinks (:class:`MemorySink`, third-party sinks)
+observe every record synchronously at emit time. ``hub.writer(...)``
+returns a bound writer that skips record construction entirely when
+only batch-aware sinks are attached.
 
 ``flush_rows=N`` seals and flushes every N published rows (0 = only at
-close), giving both modes identical segment boundaries.
+close). A :class:`~repro.trace.columnar.ColumnarSink` fed record by
+record (``accepts_batches = False``, the oracle in
+``tests/trace_oracle.py``) writes the same ``.ctb`` bytes as one fed
+sealed batches; ``tests/test_prop_trace_ingest.py`` pins that.
 """
 
 from __future__ import annotations
@@ -36,9 +32,6 @@ from typing import Dict, List, Optional
 from repro.errors import TraceSchemaError
 from repro.trace.schema import SchemaRegistry, TraceRecord, TraceSchema
 
-#: Valid values for ``TraceHub(ingest=...)``.
-INGEST_MODES = ("batch", "reference")
-
 
 class TraceSink:
     """Consumer interface: override :meth:`on_record`; ``close`` optional.
@@ -47,8 +40,8 @@ class TraceSink:
     tracing must not take down the run it observes.
 
     Sinks that can consume whole column batches set
-    :attr:`accepts_batches` and override :meth:`on_batch`; on a
-    batch-ingest hub they then receive sealed
+    :attr:`accepts_batches` and override :meth:`on_batch`; the hub then
+    hands them sealed
     :class:`~repro.trace.columnar.Segment` objects at flush time instead
     of per-record callbacks. The default :meth:`on_batch` shim replays a
     batch through :meth:`on_record`, so a sink may advertise
@@ -95,32 +88,23 @@ class TraceHub:
     ``keep_records=True`` (default) attaches a :class:`MemorySink` so
     ``hub.records`` holds everything published; pass ``False`` for
     fire-and-forget streaming into explicit sinks only (and the fastest
-    batch-ingest path: with no per-record sink attached, bound writers
-    never materialize record objects at all).
+    ingest path: with no per-record sink attached, bound writers never
+    materialize record objects at all).
     """
 
     def __init__(self, registry: Optional[SchemaRegistry] = None,
-                 keep_records: bool = True, *, ingest: str = "batch",
-                 flush_rows: int = 0) -> None:
-        if ingest not in INGEST_MODES:
-            raise TraceSchemaError(
-                f"unknown ingest mode {ingest!r}; expected one of "
-                f"{', '.join(INGEST_MODES)}")
+                 keep_records: bool = True, *, flush_rows: int = 0) -> None:
         self.registry = registry if registry is not None else SchemaRegistry()
-        self.ingest = ingest
-        self._batch = ingest == "batch"
         #: Seal + flush every N published rows; 0 = only at close/flush().
         self.flush_rows = int(flush_rows)
         self._flush_rows = self.flush_rows
         self._pending_rows = 0
         self._sinks: List[TraceSink] = []
-        #: Batch-aware sinks (batch mode only; receive Segments on seal).
+        #: Batch-aware sinks (receive Segments on seal).
         self._batch_sinks: List[TraceSink] = []
-        # Per-record sinks get synchronous on_record delivery. In
-        # reference mode every sink is one, so the list aliases _sinks.
-        self._record_sinks: List[TraceSink] = ([] if self._batch
-                                               else self._sinks)
-        #: Column builders per schema name (batch mode).
+        #: Per-record sinks (synchronous on_record delivery).
+        self._record_sinks: List[TraceSink] = []
+        #: Column builders per schema name.
         self._builders: Dict[str, object] = {}
         #: Builders holding pending rows, in first-append order — the
         #: segment order of the next seal. The list object is shared
@@ -149,16 +133,15 @@ class TraceHub:
     def attach(self, sink: TraceSink) -> TraceSink:
         """Attach a sink; it observes all records published afterwards.
 
-        On a batch-ingest hub, attaching a batch-aware sink first seals
-        any pending window so the new sink only ever sees rows published
-        after the attach (matching per-record attach semantics).
+        Attaching a batch-aware sink first seals any pending window so
+        the new sink only ever sees rows published after the attach
+        (matching per-record attach semantics).
         """
-        if self._batch:
-            if getattr(sink, "accepts_batches", False):
-                self._seal_pending()
-                self._batch_sinks.append(sink)
-            else:
-                self._record_sinks.append(sink)
+        if getattr(sink, "accepts_batches", False):
+            self._seal_pending()
+            self._batch_sinks.append(sink)
+        else:
+            self._record_sinks.append(sink)
         self._sinks.append(sink)
         return sink
 
@@ -170,12 +153,11 @@ class TraceHub:
         """
         if sink not in self._sinks:
             return
-        if self._batch:
-            if sink in self._batch_sinks:
-                self._seal_pending()
-                self._batch_sinks.remove(sink)
-            elif sink in self._record_sinks:
-                self._record_sinks.remove(sink)
+        if sink in self._batch_sinks:
+            self._seal_pending()
+            self._batch_sinks.remove(sink)
+        else:
+            self._record_sinks.remove(sink)
         self._sinks.remove(sink)
 
     # -- publishing --------------------------------------------------------
@@ -214,11 +196,10 @@ class TraceHub:
         """A bound :class:`~repro.trace.ingest.TraceWriter` for one stream.
 
         ``writer.write(ts, *values)`` publishes with the bound
-        kernel/cu/site; values are positional in schema field order. On
-        the default batch-ingest hub with only batch-aware sinks this
-        skips record construction entirely (the hot path); on a
-        reference hub it degrades to the classic emit path, so
-        producers can use writers unconditionally.
+        kernel/cu/site; values are positional in schema field order.
+        With only batch-aware sinks attached this skips record
+        construction entirely (the hot path); per-record sinks still
+        receive a materialized record per write.
         """
         if self._closed:
             raise TraceSchemaError(
@@ -236,7 +217,7 @@ class TraceHub:
         return builder
 
     def _dispatch(self, schema: TraceSchema, record: TraceRecord) -> None:
-        if self._batch and self._batch_sinks:
+        if self._batch_sinks:
             builder = self._builder_for(schema)
             builder.append(record.ts, builder.intern(record.kernel),
                            record.cu, builder.intern(record.site),

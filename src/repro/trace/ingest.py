@@ -1,14 +1,14 @@
 """Batched columnar trace ingest: the hub's hot write path.
 
-The reference ingest path (``TraceHub(ingest="reference")``) pays one
+A one-record-at-a-time ingest pays one
 :class:`~repro.trace.schema.TraceRecord` object, one ``schema.pack``
 dict walk, and one per-sink dispatch call per event, then re-walks every
 record again when a :class:`~repro.trace.columnar.ColumnarSink` seals a
-flush. This module is the batch alternative (the default): producer
-streams append *directly* into per-column ``array('q')`` builders — no
-record object, no dict pack — and a hub flush hands each batch-aware
-sink a finished in-memory :class:`~repro.trace.columnar.Segment` whose
-serialization is a few ``memoryview``-sized copies.
+flush. Here producer streams append *directly* into per-column
+``array('q')`` builders — no record object, no dict pack — and a hub
+flush hands each batch-aware sink a finished in-memory
+:class:`~repro.trace.columnar.Segment` whose serialization is a few
+``memoryview``-sized copies.
 
 Two classes implement it:
 
@@ -21,9 +21,10 @@ Two classes implement it:
   kernel/site dictionary ids between seals (builders bump an ``epoch``
   when sealed) so the per-event cost is a handful of array appends.
 
-Equivalence between the two ingest modes — byte-identical ``.ctb``
-output, identical ``hub.counts``, identical query rows — is pinned by
-``tests/test_prop_trace_ingest.py``.
+Equivalence with per-record ingest — byte-identical ``.ctb`` output,
+identical ``hub.counts``, identical query rows — is pinned by
+``tests/test_prop_trace_ingest.py`` against the per-record sink oracle
+in ``tests/trace_oracle.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class ColumnBuilder:
     (``ts, kernel, cu, site, <payload fields>``); ``kernel``/``site``
     hold ids into the builder's string dictionary, interned at first
     occurrence in record order — the exact dictionary
-    ``Segment.from_records`` builds, which is what keeps batch-mode
-    ``.ctb`` files byte-identical to the reference path. Timestamp
+    ``Segment.from_records`` builds, which is what keeps batched
+    ``.ctb`` files byte-identical to per-record ones. Timestamp
     stats (min/max/monotone) are tracked incrementally so sealing is
     O(columns), not O(rows).
     """
@@ -92,9 +93,10 @@ class ColumnBuilder:
 
         The fast path hands values straight to ``array('q')`` (which
         accepts any exact integer); non-int inputs (floats, bools with
-        odd subclasses) drop to a slow retry that applies the reference
+        odd subclasses) drop to a slow retry that applies the record
         path's ``int()`` coercion, and int64 overflow raises the same
-        :class:`~repro.errors.TraceStoreError` the reference seal would.
+        :class:`~repro.errors.TraceStoreError` ``Segment.from_records``
+        would.
         """
         arrays = self.arrays
         rows = self.rows
@@ -131,7 +133,7 @@ class ColumnBuilder:
     def _append_coerced(self, rows: int, ts, kernel_id: int, cu,
                         site_id: int, values: Sequence) -> int:
         """Slow retry: undo the partial row, coerce via ``int()``, raise
-        the reference path's error for values outside int64."""
+        the record path's error for values outside int64."""
         from repro.trace.columnar import _check_int64
 
         for column in self.arrays:
@@ -177,13 +179,11 @@ class TraceWriter:
     """A bound producer stream: ``hub.writer(schema, kernel=, cu=, site=)``.
 
     ``write(ts, *values)`` publishes one record with the bound
-    kernel/cu/site; ``values`` are positional in schema field order. On
-    a batch-ingest hub with only batch-aware sinks attached this is the
-    zero-object fast path (a handful of array appends); when per-record
-    sinks are attached (``hub.records``, legacy sinks) the record is
-    additionally materialized and delivered synchronously, and on a
-    reference-ingest hub the writer degrades to exactly the classic
-    emit path — producers can use writers unconditionally.
+    kernel/cu/site; ``values`` are positional in schema field order.
+    With only batch-aware sinks attached this is the zero-object fast
+    path (a handful of array appends); when per-record sinks are
+    attached (``hub.records``, third-party sinks) the record is
+    additionally materialized and delivered synchronously.
 
     :meth:`write_to` is the varying-site sibling for producers whose
     site changes per record (vendor counters) but whose kernel is fixed.
@@ -203,8 +203,7 @@ class TraceWriter:
         self._cu = int(cu)
         self._site = str(site)
         self._nfields = len(schema.fields)
-        self._builder: Optional[ColumnBuilder] = (
-            hub._builder_for(schema) if hub._batch else None)
+        self._builder = hub._builder_for(schema)
         # Stable hub structures (mutated in place, never reassigned):
         # binding them here saves one indirection per write.
         self._batch_sinks = hub._batch_sinks
@@ -242,8 +241,8 @@ class TraceWriter:
             raise TraceSchemaError(
                 f"schema {self._name!r} expects {self._nfields} values, "
                 f"got {len(values)}")
-        builder = self._builder
-        if builder is not None and self._batch_sinks:
+        if self._batch_sinks:
+            builder = self._builder
             if builder.epoch != self._epoch:
                 self._kid = builder.intern(self._kernel)
                 self._sid = builder.intern(self._site)
@@ -282,8 +281,8 @@ class TraceWriter:
                 f"schema {self._name!r} expects {self._nfields} values, "
                 f"got {len(values)}")
         site = str(site)
-        builder = self._builder
-        if builder is not None and self._batch_sinks:
+        if self._batch_sinks:
+            builder = self._builder
             if builder.epoch != self._to_epoch:
                 self._to_kid = builder.intern(self._kernel)
                 self._to_epoch = builder.epoch

@@ -5,15 +5,13 @@ time window / kernel / CU / site / payload equality, then project rows or
 aggregate. Segment footers carry ``min_ts``/``max_ts``, so time-window
 queries skip whole segments without touching their columns.
 
-Execution is tiered like the simulator's executors and the frontend:
-
-* ``engine="vector"`` (default) — the vectorized columnar engine in
-  :mod:`repro.trace.engine`: segment pruning via string dictionaries and
-  footer stats, bisected monotone time windows, column-sweep match
-  indices, batch materialization, running-accumulator aggregates.
-* ``engine="reference"`` — the original row-at-a-time scan, retained
-  verbatim as the semantics oracle (pinned against the vectorized
-  engine by ``tests/test_prop_trace_engine.py``).
+Execution runs on the vectorized columnar engine in
+:mod:`repro.trace.engine`: segment pruning via string dictionaries and
+footer stats, bisected monotone time windows, column-sweep match
+indices, batch materialization, running-accumulator aggregates. The
+row-at-a-time scan it replaced lives on as a test oracle
+(``tests/trace_oracle.py``); ``tests/test_prop_trace_engine.py`` pins
+the two together.
 
 The module also provides the bridges that reimplement the legacy
 in-memory analysis paths on top of stored traces:
@@ -25,24 +23,12 @@ objects bit-for-bit identical to what the live instrumentation produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import TraceSchemaError, TraceStoreError
+from repro.errors import TraceStoreError
 from repro.trace import engine as _vector
 from repro.trace.columnar import ColumnarStore, Segment
 from repro.trace.schema import TraceRecord
-
-#: Query engines selectable via ``TraceQuery(engine=)`` / ``--engine``.
-ENGINES: Tuple[str, ...] = ("vector", "reference")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine name; unknown names raise ``TraceStoreError``."""
-    if engine not in ENGINES:
-        raise TraceStoreError(
-            f"unknown trace query engine {engine!r}; "
-            f"choose from: {', '.join(ENGINES)}")
-    return engine
 
 
 @dataclass(frozen=True)
@@ -68,15 +54,10 @@ class TraceQuery:
 
         rows = (TraceQuery(store).schema("latency.sample")
                 .kernel("stall_monitor").between(0, 5_000).rows())
-
-    ``engine`` selects the execution tier: ``"vector"`` (default, the
-    columnar engine) or ``"reference"`` (the row-at-a-time oracle).
     """
 
-    def __init__(self, store: ColumnarStore,
-                 engine: str = "vector") -> None:
+    def __init__(self, store: ColumnarStore) -> None:
         self._store = store
-        self._engine = check_engine(engine)
         self._schemas: Optional[set] = None
         self._since: Optional[int] = None
         self._until: Optional[int] = None
@@ -139,83 +120,20 @@ class TraceQuery:
             return False
         return True
 
-    def _scan(self):
-        # The reference engine, retained verbatim: one Python if-chain
-        # per row, one (segment, index) pair yielded per match. This is
-        # the semantics oracle the vectorized engine is pinned against.
-        emitted = 0
-        for segment in self._store.segments:
-            if not self._segment_matches(segment):
-                continue
-            ts_col = segment.columns["ts"]
-            kernel_col = segment.columns["kernel"]
-            cu_col = segment.columns["cu"]
-            site_col = segment.columns["site"]
-            strings = segment.strings
-            field_checks = []
-            skip_segment = False
-            for name, value in self._field_equals.items():
-                column = segment.columns.get(name)
-                if column is None:
-                    skip_segment = True   # schema lacks the field: no match
-                    break
-                field_checks.append((column, value))
-            if skip_segment:
-                continue
-            for index in range(segment.rows):
-                ts = ts_col[index]
-                if self._since is not None and ts < self._since:
-                    continue
-                if self._until is not None and ts >= self._until:
-                    continue
-                if (self._kernels is not None
-                        and strings[kernel_col[index]] not in self._kernels):
-                    continue
-                if self._cus is not None and cu_col[index] not in self._cus:
-                    continue
-                if (self._sites is not None
-                        and strings[site_col[index]] not in self._sites):
-                    continue
-                if any(column[index] != value
-                       for column, value in field_checks):
-                    continue
-                yield segment, index
-                emitted += 1
-                if self._limit is not None and emitted >= self._limit:
-                    return
-
     def rows(self) -> List[Dict[str, object]]:
         """Matching rows as flat dicts, in storage order."""
-        if self._engine == "reference":
-            return [segment.row(index) for segment, index in self._scan()]
         return _vector.rows(self)
 
     def records(self) -> List[TraceRecord]:
         """Matching rows as :class:`TraceRecord` objects."""
-        if self._engine == "reference":
-            return [segment.record(index)
-                    for segment, index in self._scan()]
         return _vector.records(self)
 
     def select(self, *columns: str) -> List[Tuple]:
         """Project the named columns from matching rows, as tuples."""
-        if self._engine != "reference":
-            return _vector.select(self, columns)
-        out = []
-        for segment, index in self._scan():
-            row = segment.row(index)
-            try:
-                out.append(tuple(row[name] for name in columns))
-            except KeyError as exc:
-                raise TraceSchemaError(
-                    f"schema {segment.schema!r} has no column {exc.args[0]!r};"
-                    f" columns: {sorted(row)}") from None
-        return out
+        return _vector.select(self, columns)
 
     def count(self) -> int:
         """Number of matching rows."""
-        if self._engine == "reference":
-            return sum(1 for _ in self._scan())
         return _vector.count(self)
 
     def aggregate(self, field: str, by: Optional[str] = None
@@ -225,41 +143,16 @@ class TraceQuery:
         With ``by`` (any column, e.g. ``"site"`` or ``"kernel"``), returns
         one :class:`Aggregate` per distinct group key.
         """
-        if self._engine != "reference":
-            accumulators = _vector.aggregate(self, field, by)
-            if by is None:
-                acc = accumulators.get(None)
-                if acc is None:
-                    return Aggregate(count=0, minimum=0, maximum=0, total=0)
-                return Aggregate(count=acc[0], minimum=acc[1],
-                                 maximum=acc[2], total=acc[3])
-            return {key: Aggregate(count=acc[0], minimum=acc[1],
-                                   maximum=acc[2], total=acc[3])
-                    for key, acc in accumulators.items()}
-        groups: Dict[object, List[int]] = {}
-        for segment, index in self._scan():
-            row = segment.row(index)
-            if field not in row:
-                raise TraceSchemaError(
-                    f"schema {segment.schema!r} has no column {field!r}")
-            key = None
-            if by is not None:
-                if by not in row:
-                    raise TraceSchemaError(
-                        f"schema {segment.schema!r} has no column {by!r}")
-                key = row[by]
-            groups.setdefault(key, []).append(int(row[field]))
+        accumulators = _vector.aggregate(self, field, by)
         if by is None:
-            values = groups.get(None, [])
-            return _aggregate(values)
-        return {key: _aggregate(values) for key, values in groups.items()}
-
-
-def _aggregate(values: Sequence[int]) -> Aggregate:
-    if not values:
-        return Aggregate(count=0, minimum=0, maximum=0, total=0)
-    return Aggregate(count=len(values), minimum=min(values),
-                     maximum=max(values), total=sum(values))
+            acc = accumulators.get(None)
+            if acc is None:
+                return Aggregate(count=0, minimum=0, maximum=0, total=0)
+            return Aggregate(count=acc[0], minimum=acc[1],
+                             maximum=acc[2], total=acc[3])
+        return {key: Aggregate(count=acc[0], minimum=acc[1],
+                               maximum=acc[2], total=acc[3])
+                for key, acc in accumulators.items()}
 
 
 # -- legacy-analysis bridges --------------------------------------------------

@@ -1,13 +1,13 @@
-"""Property tests: the vectorized trace query engine equals the reference.
+"""Property tests: the vectorized trace query engine equals the oracle.
 
-``engine="vector"`` replaces the row-at-a-time reference scan with
-segment pruning, match-index column sweeps, and batch materialization;
-these tests pin it to ``engine="reference"`` over random stores — mixed
+:class:`TraceQuery` runs on segment pruning, match-index column sweeps,
+and batch materialization; these tests pin it to the row-at-a-time
+:class:`~tests.trace_oracle.ReferenceQuery` over random stores — mixed
 schemas, empty segments, non-monotone ``ts``, ``where`` on payload and
 standard columns, ``limit`` crossing segment boundaries — for every
 execution method, including raised errors, and byte-equality of every
-exporter. The in-memory and the saved/loaded (zero-copy lazy decode)
-stores are both exercised.
+exporter against the row-dict oracle exporters. The in-memory and the
+saved/loaded (zero-copy lazy decode) stores are both exercised.
 
 Example budget: ``TRACE_ENGINE_EXAMPLES`` (default 60); CI runs a
 dedicated step with a larger budget.
@@ -19,15 +19,16 @@ import os
 import tempfile
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, TraceStoreError
+from repro.errors import ReproError
 from repro.trace import ColumnarStore, SchemaRegistry, TraceRecord, TraceSchema
 from repro.trace.columnar import Segment
 from repro.trace.export import store_to_csv, store_to_json, to_chrome_json
-from repro.trace.query import ENGINES, TraceQuery, check_engine
+from repro.trace.query import TraceQuery
+from tests import trace_oracle
+from tests.trace_oracle import ReferenceQuery
 
 MAX_EXAMPLES = int(os.environ.get("TRACE_ENGINE_EXAMPLES", "60"))
 
@@ -70,7 +71,7 @@ def _stores(draw):
 
 @st.composite
 def _query_specs(draw, schemas):
-    """One filter spec, engine-independent (applied once per engine)."""
+    """One filter spec, applied once to the engine and once to the oracle."""
     field_pool = sorted({name for schema in schemas
                          for name in schema.fields})
     spec = {}
@@ -93,19 +94,19 @@ def _query_specs(draw, schemas):
         spec["between"] = (draw(st.none() | _TS), draw(st.none() | _TS))
     if draw(st.booleans()):
         # ``where`` over payload fields and the standard columns alike
-        # (kernel/site compare raw dictionary IDs in both engines).
+        # (kernel/site compare raw dictionary IDs in engine and oracle).
         names = draw(st.lists(
             st.sampled_from(field_pool + ["ts", "kernel", "cu", "site"]),
             min_size=1, max_size=2, unique=True))
         spec["where"] = {name: draw(_VALUE) for name in names}
     if draw(st.booleans()):
-        # Includes the reference quirk: limit(0)/negative emits one row.
+        # Includes the oracle's quirk: limit(0)/negative emits one row.
         spec["limit"] = draw(st.integers(-1, 12))
     return spec
 
 
-def _build_query(store, spec, engine):
-    query = TraceQuery(store, engine=engine)
+def _build_query(store, spec, query_class):
+    query = query_class(store)
     if "schemas" in spec:
         query.schema(*spec["schemas"])
     if "kernels" in spec:
@@ -123,10 +124,10 @@ def _build_query(store, spec, engine):
     return query
 
 
-def _outcome(store, spec, engine, run):
+def _outcome(store, spec, query_class, run):
     """(tag, result) of one execution — errors compare like results."""
     try:
-        return ("ok", run(_build_query(store, spec, engine)))
+        return ("ok", run(_build_query(store, spec, query_class)))
     except (ReproError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
 
@@ -148,8 +149,8 @@ class TestEngineEquivalence:
         for candidate in (store, _loaded_copy(store)):
             for run in (lambda q: q.rows(), lambda q: q.records(),
                         lambda q: q.count()):
-                assert _outcome(candidate, spec, "vector", run) == \
-                    _outcome(candidate, spec, "reference", run)
+                assert _outcome(candidate, spec, TraceQuery, run) == \
+                    _outcome(candidate, spec, ReferenceQuery, run)
 
     @given(_stores(), st.data())
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -165,8 +166,8 @@ class TestEngineEquivalence:
             max_size=3))
         run = lambda q: q.select(*columns)   # noqa: E731
         loaded = _loaded_copy(store)
-        assert _outcome(loaded, spec, "vector", run) == \
-            _outcome(loaded, spec, "reference", run)
+        assert _outcome(loaded, spec, TraceQuery, run) == \
+            _outcome(loaded, spec, ReferenceQuery, run)
 
     @given(_stores(), st.data())
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -181,8 +182,8 @@ class TestEngineEquivalence:
         by = data.draw(st.none() | st.sampled_from(pool))
         run = lambda q: q.aggregate(field, by=by)   # noqa: E731
         loaded = _loaded_copy(store)
-        assert _outcome(loaded, spec, "vector", run) == \
-            _outcome(loaded, spec, "reference", run)
+        assert _outcome(loaded, spec, TraceQuery, run) == \
+            _outcome(loaded, spec, ReferenceQuery, run)
 
     @given(_stores())
     @settings(max_examples=max(4, MAX_EXAMPLES // 4), deadline=None)
@@ -192,8 +193,8 @@ class TestEngineEquivalence:
         for limit in (-1, 0, 1, 2, total // 2, total, total + 3):
             spec = {"limit": limit}
             for run in (lambda q: q.rows(), lambda q: q.count()):
-                assert _outcome(store, spec, "vector", run) == \
-                    _outcome(store, spec, "reference", run)
+                assert _outcome(store, spec, TraceQuery, run) == \
+                    _outcome(store, spec, ReferenceQuery, run)
 
 
 class TestExportByteEquality:
@@ -202,19 +203,17 @@ class TestExportByteEquality:
     def test_all_exporters(self, bundle):
         _, store = bundle
         loaded = _loaded_copy(store)
-        assert to_chrome_json(loaded, engine="vector") == \
-            to_chrome_json(loaded, engine="reference")
-        assert store_to_json(loaded, engine="vector") == \
-            store_to_json(loaded, engine="reference")
+        assert to_chrome_json(loaded) == trace_oracle.to_chrome_json(loaded)
+        assert store_to_json(loaded) == trace_oracle.store_to_json(loaded)
         for schema in loaded.schemas():
-            assert store_to_csv(loaded, schema, engine="vector") == \
-                store_to_csv(loaded, schema, engine="reference")
-            assert store_to_json(loaded, schema=schema, engine="vector") == \
-                store_to_json(loaded, schema=schema, engine="reference")
+            assert store_to_csv(loaded, schema) == \
+                trace_oracle.store_to_csv(loaded, schema)
+            assert store_to_json(loaded, schema=schema) == \
+                trace_oracle.store_to_json(loaded, schema=schema)
 
     def test_special_schema_chrome_export(self):
         """The non-generic trace-event branches (spans, instants,
-        counters) are byte-identical under both engines too."""
+        counters) are byte-identical to the oracle exporter too."""
         registry = SchemaRegistry()
         records = [
             TraceRecord("latency.sample", 5, "matvec", 0, "lsu",
@@ -228,20 +227,7 @@ class TestExportByteEquality:
                         (4, 4, 1, 0, 2)),
         ]
         store = _loaded_copy(ColumnarStore.from_records(records, registry))
-        assert to_chrome_json(store, engine="vector") == \
-            to_chrome_json(store, engine="reference")
-
-
-class TestEngineSelection:
-    def test_engines_listing(self):
-        assert ENGINES == ("vector", "reference")
-        for engine in ENGINES:
-            assert check_engine(engine) == engine
-
-    def test_unknown_engine_rejected(self):
-        store = ColumnarStore([])
-        with pytest.raises(TraceStoreError, match="unknown trace query"):
-            TraceQuery(store, engine="turbo")
+        assert to_chrome_json(store) == trace_oracle.to_chrome_json(store)
 
 
 def _build_trace_query_bundle(path: str) -> None:
@@ -300,7 +286,7 @@ def _build_trace_query_bundle(path: str) -> None:
 class TestTraceQueryScanGate:
     def test_filtered_aggregate_speedup_floor(self, tmp_path):
         """The acceptance floor: >= 5x filtered-aggregate throughput over
-        ``engine="reference"`` on the ~1M-row synthetic bundle (loaded
+        the row-at-a-time oracle on the ~1M-row synthetic bundle (loaded
         with zero-copy lazy decode), with identical results. The query
         is the headline one: one kernel, a mid-range time window,
         latency grouped by site."""
@@ -310,23 +296,23 @@ class TestTraceQueryScanGate:
         total = store.total_rows()
         lo, hi = 65536 // 4, (3 * 65536) // 4
 
-        def run_query(engine):
-            return (TraceQuery(store, engine=engine)
+        def run_query(query_class):
+            return (query_class(store)
                     .schema("latency.sample").kernel("matvec")
                     .between(lo, hi).aggregate("latency", by="site"))
 
-        vector_result = run_query("vector")   # warm the lazy column cache
+        vector_result = run_query(TraceQuery)   # warm the lazy column cache
         passes = 5
         start = time.perf_counter()
         for _ in range(passes):
-            vector_result = run_query("vector")
+            vector_result = run_query(TraceQuery)
         vector_s = time.perf_counter() - start
         start = time.perf_counter()
-        reference_result = run_query("reference")
+        reference_result = run_query(ReferenceQuery)
         reference_s = time.perf_counter() - start
 
         assert vector_result == reference_result, \
-            "vector and reference engines disagree on the aggregate"
+            "vector engine and row-at-a-time oracle disagree on the aggregate"
         assert total >= 900_000
         vector_rate = passes * total / vector_s
         reference_rate = total / reference_s

@@ -1,13 +1,15 @@
-"""Property tests: batch columnar ingest is equivalent to the reference path.
+"""Property tests: batch columnar ingest is equivalent to per-record ingest.
 
-The tentpole's equivalence contract: for any event stream —
-mixed/dynamic schemas, arbitrary labels and int64 payloads, mid-segment
-flushes — a ``TraceHub(ingest="batch")`` must produce a byte-identical
-``.ctb`` bundle, identical ``hub.counts``/``hub.records``, and identical
-:class:`TraceQuery` rows to the retained ``ingest="reference"`` oracle.
-The binary segment frames used by the server IPC must carry exactly the
-bytes the base64 wire form does. The acceptance floor (>= 5x ingest
-throughput) is gated at the end.
+The equivalence contract: for any event stream — mixed/dynamic schemas,
+arbitrary labels and int64 payloads, mid-segment flushes — a
+:class:`ColumnarSink` fed sealed batches by the hub must write a
+byte-identical ``.ctb`` bundle, with identical ``hub.counts``/
+``hub.records`` and identical :class:`TraceQuery` rows, to the
+per-record oracle (:class:`~tests.trace_oracle.RecordColumnarSink`,
+which the same hub feeds one record at a time). The binary segment
+frames used by the server IPC must carry exactly the segment's column
+bytes. The acceptance floor (>= 5x ingest throughput) is gated at the
+end.
 
 Example budget: ``TRACE_INGEST_EXAMPLES`` (default 60); CI runs a
 deep sweep at 300.
@@ -33,6 +35,7 @@ from repro.trace import (
 )
 from repro.trace.columnar import ColumnarSink, Segment
 from repro.trace.hub import TraceHub, TraceSink
+from tests.trace_oracle import RecordColumnarSink
 
 MAX_EXAMPLES = int(os.environ.get("TRACE_INGEST_EXAMPLES", "60"))
 
@@ -69,13 +72,12 @@ def _event_stream(draw):
     return events
 
 
-def _replay(events, ingest, flush_rows, path):
+def _replay(events, sink_class, flush_rows, path):
     """Run one stream through a hub+sink; returns (bytes, counts, records)."""
-    hub = TraceHub(SchemaRegistry(builtins=False), ingest=ingest,
-                   flush_rows=flush_rows)
+    hub = TraceHub(SchemaRegistry(builtins=False), flush_rows=flush_rows)
     for name, fields in _SCHEMA_POOL[:2]:
         hub.register(TraceSchema(name, fields))
-    hub.attach(ColumnarSink(path, hub.registry))
+    hub.attach(sink_class(path, hub.registry))
     for name, fields, ts, kernel, cu, site, values in events:
         if name == "prop.dyn":
             hub.ensure_schema(name, fields)
@@ -94,11 +96,11 @@ class TestIngestEquivalence:
     @given(_event_stream(), _FLUSH_ROWS)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_modes_byte_identical(self, events, flush_rows):
-        """batch and reference ingest write the same bundle, rows, counts."""
+        """Batch and per-record ingest write the same bundle, rows, counts."""
         with tempfile.TemporaryDirectory() as tmp:
-            batch = _replay(events, "batch", flush_rows,
+            batch = _replay(events, ColumnarSink, flush_rows,
                             os.path.join(tmp, "batch.ctb"))
-            reference = _replay(events, "reference", flush_rows,
+            reference = _replay(events, RecordColumnarSink, flush_rows,
                                 os.path.join(tmp, "reference.ctb"))
         assert batch[0] == reference[0]
         assert batch[1] == reference[1]
@@ -107,12 +109,12 @@ class TestIngestEquivalence:
     @given(_event_stream(), _FLUSH_ROWS)
     @settings(max_examples=max(4, MAX_EXAMPLES // 2), deadline=None)
     def test_query_rows_match_reference(self, events, flush_rows):
-        """Loaded bundles answer queries identically across ingest modes."""
+        """Loaded bundles answer queries identically across ingest paths."""
         with tempfile.TemporaryDirectory() as tmp:
             batch_path = os.path.join(tmp, "batch.ctb")
             reference_path = os.path.join(tmp, "reference.ctb")
-            _replay(events, "batch", flush_rows, batch_path)
-            _replay(events, "reference", flush_rows, reference_path)
+            _replay(events, ColumnarSink, flush_rows, batch_path)
+            _replay(events, RecordColumnarSink, flush_rows, reference_path)
             if not events:
                 assert not os.path.exists(batch_path)
                 assert not os.path.exists(reference_path)
@@ -128,13 +130,12 @@ class TestIngestEquivalence:
            _FLUSH_ROWS)
     @settings(max_examples=max(4, 2 * MAX_EXAMPLES // 3), deadline=None)
     def test_writer_api_matches_reference_emit(self, rows, flush_rows):
-        """Bound writers (write/write_to) produce the reference bundle."""
-        def replay(ingest, path):
+        """Bound writers (write/write_to) produce the per-record bundle."""
+        def replay(sink_class, path):
             hub = TraceHub(SchemaRegistry(builtins=False),
-                           keep_records=False, ingest=ingest,
-                           flush_rows=flush_rows)
+                           keep_records=False, flush_rows=flush_rows)
             hub.register(TraceSchema("prop.three", ("a", "b", "c")))
-            hub.attach(ColumnarSink(path, hub.registry))
+            hub.attach(sink_class(path, hub.registry))
             bound = hub.writer("prop.three", kernel="k", cu=1, site="s0")
             roving = hub.writer("prop.three", kernel="k2", cu=2)
             for index, (ts, site, a, b, c) in enumerate(rows):
@@ -149,8 +150,9 @@ class TestIngestEquivalence:
                 return handle.read()
 
         with tempfile.TemporaryDirectory() as tmp:
-            assert replay("batch", os.path.join(tmp, "batch.ctb")) == \
-                replay("reference", os.path.join(tmp, "reference.ctb"))
+            assert replay(ColumnarSink, os.path.join(tmp, "batch.ctb")) == \
+                replay(RecordColumnarSink,
+                       os.path.join(tmp, "reference.ctb"))
 
     @given(_event_stream())
     @settings(max_examples=max(4, MAX_EXAMPLES // 2), deadline=None)
@@ -166,7 +168,7 @@ class TestIngestEquivalence:
                 self.records.append(record)
 
         shim = Replayed()
-        hub = TraceHub(SchemaRegistry(builtins=False), ingest="batch")
+        hub = TraceHub(SchemaRegistry(builtins=False))
         for name, fields in _SCHEMA_POOL[:2]:
             hub.register(TraceSchema(name, fields))
         hub.attach(shim)
@@ -190,7 +192,7 @@ class TestBinaryFrameEncoding:
                               _INT64, _INT64),
                     max_size=20))
     @settings(max_examples=max(4, 2 * MAX_EXAMPLES // 3), deadline=None)
-    def test_binary_and_base64_wire_forms_carry_identical_bytes(self, rows):
+    def test_binary_wire_form_carries_segment_bytes(self, rows):
         registry = SchemaRegistry(builtins=False)
         schema = registry.ensure("prop.wire", ("alpha", "beta"))
         records = [TraceRecord("prop.wire", ts=ts, kernel=kernel, cu=cu,
@@ -203,14 +205,9 @@ class TestBinaryFrameEncoding:
         json.loads(json.dumps(header))           # stays a pure JSON header
         assert header["length"] == len(payload)
         from_binary = protocol.segment_from_header(header, payload)
-        from_base64 = protocol.segment_from_wire(
-            protocol.segment_to_wire(segment))
 
         assert from_binary.payload_bytes() == payload
-        assert from_base64.payload_bytes() == payload
         assert [from_binary.record(i) for i in range(from_binary.rows)] == \
-            records
-        assert [from_base64.record(i) for i in range(from_base64.rows)] == \
             records
 
 
@@ -223,7 +220,7 @@ def _publish_ingest_batch(hub, rows: int) -> None:
 
 
 def _publish_ingest_reference(hub, rows: int) -> None:
-    """The pre-batch producer loop: ``hub.emit`` with keyword fields."""
+    """The per-record producer loop: ``hub.emit`` with keyword fields."""
     emit = hub.emit
     for index in range(rows):
         emit("latency.sample", index, kernel="matvec", cu=0, site="lsu0",
@@ -231,13 +228,18 @@ def _publish_ingest_reference(hub, rows: int) -> None:
              start_value=index & 255, end_value=(index + 7) & 255)
 
 
-def _ingest_seconds(ingest: str, rows: int, path: str) -> float:
+def _ingest_seconds(oracle: bool, rows: int, path: str) -> float:
     """Publish ``rows`` through a capture-only hub into a ``.ctb`` at
-    ``path``, timing the whole pipeline including the flush to disk."""
-    hub = TraceHub(keep_records=False, ingest=ingest)
-    hub.attach(ColumnarSink(path, hub.registry))
-    publish = (_publish_ingest_batch if ingest == "batch"
-               else _publish_ingest_reference)
+    ``path``, timing the whole pipeline including the flush to disk.
+
+    ``oracle`` runs the per-record path: ``hub.emit`` into a
+    :class:`RecordColumnarSink`; otherwise a bound writer feeds the
+    column builders of a :class:`ColumnarSink`.
+    """
+    hub = TraceHub(keep_records=False)
+    sink_class = RecordColumnarSink if oracle else ColumnarSink
+    hub.attach(sink_class(path, hub.registry))
+    publish = _publish_ingest_reference if oracle else _publish_ingest_batch
     start = time.perf_counter()
     publish(hub, rows)
     hub.close()
@@ -246,27 +248,29 @@ def _ingest_seconds(ingest: str, rows: int, path: str) -> float:
 
 class TestTraceIngestGate:
     def test_batch_ingest_speedup_floor(self, tmp_path):
-        """The acceptance floor: >= 5x ingest throughput over
-        ``ingest="reference"`` on ~1M synthetic rows, with a
-        byte-identical ``.ctb``.
+        """The acceptance floor: >= 5x ingest throughput over the
+        per-record oracle on ~1M synthetic rows, with a byte-identical
+        ``.ctb``.
 
-        The batch leg runs the default mode with a bound writer (the
-        configuration sweep workers and server jobs run); the reference
-        leg runs ``hub.emit`` (one TraceRecord and one ``schema.pack``
-        dict walk per row) over a smaller, rate-normalized sample. Each
-        leg is best of two over distinct output files (the sink appends
-        to an existing bundle): scheduler stalls only ever inflate a
-        leg, so the minimum is the stable estimate on shared machines.
+        The batch leg runs a bound writer into a :class:`ColumnarSink`
+        (the configuration sweep workers and server jobs run); the
+        reference leg runs ``hub.emit`` (one TraceRecord and one
+        ``schema.pack`` dict walk per row) into the per-record
+        :class:`RecordColumnarSink` over a smaller, rate-normalized
+        sample. Each leg is best of two over distinct output files (the
+        sink appends to an existing bundle): scheduler stalls only ever
+        inflate a leg, so the minimum is the stable estimate on shared
+        machines.
         """
         batch_rows = 1 << 20
         reference_rows = 1 << 17
-        batch_s = min(_ingest_seconds("batch", batch_rows,
+        batch_s = min(_ingest_seconds(False, batch_rows,
                                       str(tmp_path / f"batch.{attempt}"))
                       for attempt in range(2))
         reference_s = min(_ingest_seconds(
-            "reference", reference_rows, str(tmp_path / f"reference.{attempt}"))
+            True, reference_rows, str(tmp_path / f"reference.{attempt}"))
             for attempt in range(2))
-        _ingest_seconds("batch", reference_rows, str(tmp_path / "identity"))
+        _ingest_seconds(False, reference_rows, str(tmp_path / "identity"))
         assert (tmp_path / "identity").read_bytes() == \
             (tmp_path / "reference.0").read_bytes(), \
             "batch-ingest .ctb is not byte-identical to the reference path"

@@ -93,8 +93,10 @@ class TestProtocol:
                                site=f"s{i}", values=(i, i * 10))
                    for i in range(5)]
         segment = Segment.from_records(schema, records)
-        rebuilt = protocol.segment_from_wire(protocol.segment_to_wire(segment))
-        assert rebuilt.payload_bytes() == segment.payload_bytes()
+        payload = segment.payload_bytes()
+        rebuilt = protocol.segment_from_header(
+            protocol.segment_header(segment, len(payload)), payload)
+        assert rebuilt.payload_bytes() == payload
         assert [rebuilt.record(i) for i in range(5)] == records
 
 
@@ -283,28 +285,6 @@ class TestServerRoundTrip:
         with pytest.raises(ServerError) as excinfo:
             client.query(schema="run.span", agg="nope")
         assert excinfo.value.code == protocol.E_BAD_REQUEST
-
-    def test_trace_query_engine_parity(self, client):
-        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
-        vector = client.query(schema="run.span", engine="vector")
-        reference = client.query(schema="run.span", engine="reference")
-        assert vector == reference
-        with pytest.raises(ServerError) as excinfo:
-            client.query(engine="turbo")
-        assert excinfo.value.code == protocol.E_BAD_REQUEST
-
-    def test_store_query_engine_parity(self, client, tmp_path):
-        client.subscribe()
-        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
-        path = str(tmp_path / "parity.ctb")
-        client.save_trace(path)
-        opts = {"path": path, "schema": "order.record",
-                "agg": "seq", "by": "kernel"}
-        vector = client.call("trace.store_query",
-                             {**opts, "engine": "vector"})
-        reference = client.call("trace.store_query",
-                                {**opts, "engine": "reference"})
-        assert vector["lines"] == reference["lines"]
 
     def test_store_rendering_matches_cli(self, client, tmp_path):
         from repro.cli import format_trace_info, format_trace_query
@@ -529,23 +509,24 @@ class TestBinarySegmentStreaming:
             assert ack["server"]["binary_segments"] is True
             assert ack["server"]["trace_flush_rows"] == 0
         with Client(server.address) as c:
-            ack = c.open_session(binary_segments=False)
-            assert ack["server"]["binary_segments"] is False
+            ack = c.open_session(binary_segments=True)
+            assert ack["server"]["binary_segments"] is True
 
-    def test_binary_and_base64_streams_byte_identical(self, server,
-                                                      tmp_path):
-        bundles = {}
-        rows = {}
-        for label, flag in (("binary", True), ("base64", False)):
-            with Client(server.address) as c:
-                c.open_session(binary_segments=flag)
-                self._run_traced(c)
-                assert c.segments
-                path = tmp_path / f"{label}.ctb"
-                rows[label] = c.save_trace(str(path))
-                bundles[label] = path.read_bytes()
-        assert rows["binary"] == rows["base64"] > 0
-        assert bundles["binary"] == bundles["base64"]
+    def test_base64_request_rejected_and_connection_survives(self, server,
+                                                             tmp_path):
+        with Client(server.address) as c:
+            with pytest.raises(ServerError) as excinfo:
+                c.open_session(binary_segments=False)
+            assert excinfo.value.code == protocol.E_BAD_REQUEST
+            assert "base64" in str(excinfo.value)
+            assert excinfo.value.data == {"param": "binary_segments"}
+            assert c.session_id is None
+            # The refused open left no session behind: the same
+            # connection opens one and streams binary frames.
+            ack = c.open_session()
+            assert ack["server"]["binary_segments"] is True
+            self._run_traced(c)
+            assert c.save_trace(str(tmp_path / "after.ctb")) > 0
 
     def test_trace_flush_rows_splits_streamed_segments(self, server,
                                                        tmp_path):

@@ -21,6 +21,8 @@ from repro.trace.export import (
     to_chrome_json,
     validate_chrome_events,
 )
+from tests import trace_oracle
+from tests.trace_oracle import ReferenceQuery
 
 
 @pytest.fixture(scope="module")
@@ -95,23 +97,33 @@ class TestCliPipeline:
 
 
 class TestCliEngineParity:
-    """``--engine reference`` output is byte-identical to the default."""
+    """CLI ``trace query``/``trace export`` output is byte-identical to the
+    row-at-a-time oracles in ``tests/trace_oracle.py``."""
 
     def _stdout(self, capsys, argv):
         assert main(argv) == 0
         return capsys.readouterr().out
 
-    def test_query_rows_stdout_identical(self, fig2_bundle, capsys):
+    def _oracle_stdout(self, capsys, monkeypatch, argv):
+        """The same command line with the query engine swapped for the
+        row-at-a-time oracle."""
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.trace.query.TraceQuery", ReferenceQuery)
+            return self._stdout(capsys, argv)
+
+    def test_query_rows_stdout_identical(self, fig2_bundle, capsys,
+                                         monkeypatch):
         argv = ["trace", "query", fig2_bundle, "--schema", "order.record",
                 "--limit", "7"]
-        assert self._stdout(capsys, argv + ["--engine", "vector"]) == \
-            self._stdout(capsys, argv + ["--engine", "reference"])
+        assert self._stdout(capsys, argv) == \
+            self._oracle_stdout(capsys, monkeypatch, argv)
 
-    def test_query_aggregate_stdout_identical(self, fig2_bundle, capsys):
+    def test_query_aggregate_stdout_identical(self, fig2_bundle, capsys,
+                                              monkeypatch):
         argv = ["trace", "query", fig2_bundle, "--schema", "order.record",
                 "--agg", "inner", "--by", "kernel"]
-        assert self._stdout(capsys, argv + ["--engine", "vector"]) == \
-            self._stdout(capsys, argv + ["--engine", "reference"])
+        assert self._stdout(capsys, argv) == \
+            self._oracle_stdout(capsys, monkeypatch, argv)
 
     @pytest.mark.parametrize("fmt,extra", [
         ("chrome", []),
@@ -120,13 +132,27 @@ class TestCliEngineParity:
     ])
     def test_export_bytes_identical(self, fig2_bundle, tmp_path, capsys,
                                     fmt, extra):
-        vector = tmp_path / "vector.out"
-        reference = tmp_path / "reference.out"
+        out = tmp_path / "export.out"
         argv = ["trace", "export", fig2_bundle, "--format", fmt] + extra
-        assert main(argv + ["--engine", "vector", "-o", str(vector)]) == 0
-        assert main(argv + ["--engine", "reference",
-                            "-o", str(reference)]) == 0
-        assert vector.read_bytes() == reference.read_bytes()
+        assert main(argv + ["-o", str(out)]) == 0
+        store = ColumnarStore.load(fig2_bundle)
+        expected = {
+            "chrome": lambda: trace_oracle.to_chrome_json(store),
+            "csv": lambda: trace_oracle.store_to_csv(store, "order.record"),
+            "json": lambda: trace_oracle.store_to_json(store),
+        }[fmt]()
+        if not expected.endswith("\n"):
+            expected += "\n"     # the CLI ends every file with a newline
+        assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("command", ["query", "export"])
+    def test_engine_flag_rejected(self, fig2_bundle, capsys, command):
+        """The query tier is no longer selectable: argparse exits 2."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", command, fig2_bundle, "--engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine vector" in \
+            capsys.readouterr().err
 
 
 class TestChromeExporter:
