@@ -10,7 +10,7 @@ performance advisor in a vendor GUI would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import List
 
 from repro.analysis.gantt import pipelining_speedup
 from repro.errors import ReproError

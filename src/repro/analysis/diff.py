@@ -10,7 +10,7 @@ job can fail when a design change regresses its measured behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.latency import LatencyStats, summarize
 from repro.core.stall_monitor import LatencySample

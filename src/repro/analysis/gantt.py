@@ -11,7 +11,7 @@ serialization visually obvious in a terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import TraceDecodeError
 

@@ -9,7 +9,7 @@ the cycle axis and render compact ASCII sparklines for terminals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.core.stall_monitor import LatencySample
 from repro.errors import TraceDecodeError

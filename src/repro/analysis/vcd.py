@@ -10,7 +10,7 @@ software-level traces and the logic-analyzer world it replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TraceDecodeError
 

@@ -30,7 +30,7 @@ pipelines" (§1). This module models their semantics at cycle granularity:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 from repro.errors import ChannelDepthError, ChannelUsageError

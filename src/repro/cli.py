@@ -37,9 +37,6 @@ _EXPERIMENTS = _registry.EXPERIMENTS
 _TRACEABLE = _registry.TRACEABLE
 _PAPER_ORDER = _registry.PAPER_ORDER
 
-#: Pipeline-engine tiers selectable from the command line.
-_EXECUTORS = ("fast", "reference", "batch")
-
 
 def _add_run_parser(sub) -> None:
     run = sub.add_parser(
@@ -60,9 +57,6 @@ def _add_run_parser(sub) -> None:
                      help="with --trace-out: seal and flush the capture to "
                           "disk every N published rows (default 0 = one "
                           "flush at close)")
-    run.add_argument("--executor", choices=_EXECUTORS, default="fast",
-                     help="pipeline-engine tier for kernel launches "
-                          "(fig2/sec51/sec52; default: fast)")
     run.add_argument("--server", metavar="ADDR", default=None,
                      help="run on an emulation daemon ('host:port' or "
                           "'unix:/path') instead of in-process; output and "
@@ -210,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _experiment_params(args) -> Dict[str, Any]:
     """Map run-subcommand flags to registry experiment params."""
-    return {"n": args.n, "num": args.num, "depth": args.depth,
-            "executor": args.executor}
+    return {"n": args.n, "num": args.num, "depth": args.depth}
 
 
 def _run_experiments(args) -> int:

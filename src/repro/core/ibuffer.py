@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.commands import IBufferCommand, IBufferState, SamplingMode, next_state
+from repro.core.commands import IBufferState, SamplingMode, next_state
 from repro.core.logic_blocks import LogicBlock
 from repro.core.trace_buffer import TraceBuffer
 from repro.errors import IBufferError

@@ -14,7 +14,7 @@ buffer depth."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.commands import SamplingMode, IBufferState
 from repro.core.host_interface import HostController

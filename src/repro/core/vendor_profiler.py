@@ -17,10 +17,9 @@ what the ibuffer can answer that this baseline cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.channels.channel import Channel
 from repro.errors import ReproError
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.fabric import Fabric

@@ -94,7 +94,7 @@ class Fig2Result:
 
 
 def _run_one(kind: str, n: int, num: int, probe_i: int,
-             trace=None, executor: str = "fast") -> Fig2KernelResult:
+             trace=None) -> Fig2KernelResult:
     import numpy as np
 
     fabric = Fabric(trace=trace)
@@ -105,8 +105,7 @@ def _run_one(kind: str, n: int, num: int, probe_i: int,
         kernel = MatVecSingleTask(sequence, timestamps, probe_i=probe_i)
     else:
         kernel = MatVecNDRange(sequence, timestamps, probe_i=probe_i)
-    engine = fabric.run_kernel(kernel, {"N": n, "num": num},
-                               executor=executor)
+    engine = fabric.run_kernel(kernel, {"N": n, "num": num})
     correct = bool(np.array_equal(buffers["z"].snapshot(),
                                   expected_matvec(n, num)))
     records = order_records(buffers["info1"].snapshot(),
@@ -130,18 +129,14 @@ def _run_one(kind: str, n: int, num: int, probe_i: int,
 
 
 def run(n: int = PAPER_N, num: int = PAPER_NUM,
-        probe_i: int = PAPER_PROBE_I, trace=None,
-        executor: str = "fast") -> Fig2Result:
+        probe_i: int = PAPER_PROBE_I, trace=None) -> Fig2Result:
     """Run the full Figure 2 experiment (both kernels, fresh fabrics).
 
     ``trace`` may be a :class:`repro.trace.hub.TraceHub`; both kernels
     then publish their decoded ``order.record`` probes and a ``run.span``
-    each into it. ``executor`` selects the pipeline-engine tier
-    (fast/reference/batch) for both launches.
+    each into it.
     """
     return Fig2Result(
-        single_task=_run_one("single-task", n, num, probe_i, trace=trace,
-                             executor=executor),
-        ndrange=_run_one("ndrange", n, num, probe_i, trace=trace,
-                         executor=executor),
+        single_task=_run_one("single-task", n, num, probe_i, trace=trace),
+        ndrange=_run_one("ndrange", n, num, probe_i, trace=trace),
     )

@@ -19,14 +19,12 @@ EXPERIMENTS: Dict[str, Callable[[Dict[str, Any], Any], str]] = {
     "fig2": lambda params, hub: fig2.run(
         n=params.get("n", fig2.PAPER_N),
         num=params.get("num", fig2.PAPER_NUM),
-        trace=hub, executor=params.get("executor", "fast")).render(),
+        trace=hub).render(),
     "table1": lambda params, hub: table1.run(
         depth=params.get("depth", table1.TABLE1_DEPTH)).render(),
     "sec31": lambda params, hub: sec31.run().render(),
-    "sec51": lambda params, hub: sec51.run(
-        trace=hub, executor=params.get("executor", "fast")).render(),
-    "sec52": lambda params, hub: sec52.run(
-        trace=hub, executor=params.get("executor", "fast")).render(),
+    "sec51": lambda params, hub: sec51.run(trace=hub).render(),
+    "sec52": lambda params, hub: sec52.run(trace=hub).render(),
     "limitations": lambda params, hub: limitations.run().render(),
     "scalability": lambda params, hub: scalability.run().render(),
 }

@@ -18,7 +18,7 @@ the two patterns report identical step latencies (same counter semantics).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.commands import SamplingMode
 from repro.core.ibuffer import IBuffer, IBufferConfig

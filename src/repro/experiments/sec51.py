@@ -12,7 +12,7 @@ monitor's reconstruction matches the hardware truth sample-by-sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -63,20 +63,19 @@ class Sec51Result:
 
 def run(rows_a: int = 8, col_a: int = 16, col_b: int = 8,
         depth: int = 1024, mode: SamplingMode = SamplingMode.LINEAR,
-        trace=None, executor: str = "fast") -> Sec51Result:
+        trace=None) -> Sec51Result:
     """Run the instrumented matmul and reconstruct the latency trace.
 
     ``trace`` may be a :class:`repro.trace.hub.TraceHub`; the monitor then
     publishes raw ibuffer drains and paired ``latency.sample`` records,
-    plus one ``run.span`` for the kernel launch. ``executor`` selects the
-    pipeline-engine tier (fast/reference/batch).
+    plus one ``run.span`` for the kernel launch.
     """
     fabric = Fabric(trace=trace)
     monitor = StallMonitor(fabric, sites=2, depth=depth, mode=mode)
     kernel = MatMulKernel(stall_monitor=monitor)
     buffers = allocate_matmul_buffers(fabric, rows_a, col_a, col_b)
     engine = fabric.run_kernel(kernel, {"rows_a": rows_a, "col_a": col_a,
-                                        "col_b": col_b}, executor=executor)
+                                        "col_b": col_b})
     if trace is not None:
         from repro.trace.capture import publish_run_span
         publish_run_span(trace, kernel.name, 0, engine.stats.total_cycles)

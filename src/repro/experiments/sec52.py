@@ -101,13 +101,12 @@ class Sec52Result:
 
 
 def run(n: int = 24, offset: int = 4, src_size: int = 24,
-        depth: int = 256, trace=None, executor: str = "fast") -> Sec52Result:
+        depth: int = 256, trace=None) -> Sec52Result:
     """Run the faulty kernel under full watchpoint instrumentation.
 
     ``trace`` may be a :class:`repro.trace.hub.TraceHub`; the watchpoint
     then publishes raw ibuffer drains and typed ``watch.event`` records,
-    plus one ``run.span`` for the kernel launch. ``executor`` selects the
-    pipeline-engine tier (fast/reference/batch).
+    plus one ``run.span`` for the kernel launch.
     """
     fabric = Fabric(trace=trace)
     watchpoint = SmartWatchpoint(fabric, units=2, depth=depth,
@@ -119,8 +118,7 @@ def run(n: int = 24, offset: int = 4, src_size: int = 24,
     watchpoint.set_bounds_to_buffer("src", unit=0)
 
     kernel = FaultyStencilKernel(watchpoint)
-    engine = fabric.run_kernel(kernel, {"n": n, "offset": offset},
-                               executor=executor)
+    engine = fabric.run_kernel(kernel, {"n": n, "offset": offset})
     if trace is not None:
         from repro.trace.capture import publish_run_span
         publish_run_span(trace, kernel.name, 0, engine.stats.total_cycles)

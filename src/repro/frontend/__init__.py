@@ -1,8 +1,6 @@
 """Mini OpenCL-C frontend: run the paper's listings as source code."""
 
 from repro.frontend.compiler import (
-    DEFAULT_FRONTEND,
-    FRONTENDS,
     CompiledAutorun,
     CompiledNDRange,
     CompiledProgram,
@@ -16,8 +14,6 @@ from repro.frontend.lexer import FrontendError, Token, tokenize
 from repro.frontend.parser import parse
 
 __all__ = [
-    "DEFAULT_FRONTEND",
-    "FRONTENDS",
     "CompiledAutorun",
     "CompiledNDRange",
     "CompiledProgram",

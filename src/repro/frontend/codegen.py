@@ -1,10 +1,11 @@
 """Closure codegen: lower parsed kernel bodies to slot-framed closures.
 
-The reference backend (:mod:`repro.frontend.interpreter`) walks the AST
-for every executed statement: each ``_eval`` is a generator frame, every
-name goes through a dict-chain ``_Scope`` lookup, and control flow is
-exception-driven. That cost is paid per simulated cycle, and after the
-engine-side overhauls it dominates frontend workloads.
+A tree-walking interpreter pays for every executed statement: each
+expression is a generator frame, every name goes through a dict-chain
+scope lookup, and control flow is exception-driven. That cost is paid
+per simulated cycle, and after the engine-side overhauls it dominated
+frontend workloads. That interpreter survives as the test oracle
+``tests/frontend_oracle.py``.
 
 This module compiles each kernel body **once** into a tree of nested
 Python closures:
@@ -12,7 +13,7 @@ Python closures:
 * Names are resolved at compile time to integer **slots** in a flat
   frame list — no dict-chain lookup at run time. ``#define`` values are
   folded as constants (unless the kernel mutates them, which AOCL-style
-  object macros cannot anyway but the reference scope semantics allow).
+  object macros cannot anyway but the oracle's scope semantics allow).
 * Pure arithmetic, logic, comparisons, private-array accesses and
   non-blocking channel operations compile to direct (non-generator)
   callables; constant subtrees fold at compile time.
@@ -20,24 +21,23 @@ Python closures:
   local memory accesses, blocking channel reads/writes, barriers, HDL
   calls, and autorun cycle boundaries. The op stream — including the
   static ``site`` labels that identify LSUs — is **identical** to the
-  reference interpreter's, so timing, stats, and traces are too.
+  oracle interpreter's, so timing, stats, and traces are too.
 * Control flow threads small integer codes (break/continue/return) out
   of statement closures instead of raising exceptions.
 
-Equivalence with the reference interpreter is pinned by
+Equivalence with the oracle interpreter is pinned by
 ``tests/test_prop_frontend_codegen.py`` (values, timestamps, engine and
 LSU statistics on randomized kernels) and by running the frontend corner
-suite under both backends.
+suite under both.
 
 Known (intentional) divergence: *conditionally executed* declarations
 (a declaration as a braceless ``if``/loop branch, or inside a switch
 case) read on a later loop iteration where the declaring statement did
-*not* re-execute. The reference backend's fresh-dict scopes raise
-``undefined identifier`` there; the codegen backend's frame slot may
-still hold the previous iteration's value. The first-ever read before
-any execution of the declaration raises identically in both backends
-(``_UNDEF`` hazard check). Code relying on this is UB-adjacent C; use
-``frontend="reference"`` if you need the dict-scope semantics.
+*not* re-execute. The oracle's fresh-dict scopes raise ``undefined
+identifier`` there; a codegen frame slot may still hold the previous
+iteration's value. The first-ever read before any execution of the
+declaration raises identically in both (``_UNDEF`` hazard check). Code
+relying on this is UB-adjacent C.
 
 One compiled body is reusable across fabrics: per-fabric values (buffer
 names, channel endpoints, HDL modules, ``__local`` scratchpads) flow in
@@ -52,15 +52,35 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.channels.channel import Channel
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
-from repro.frontend.interpreter import (
-    CHANNEL_BUILTINS,
-    CONSTANTS,
-    _Break,
-    _Continue,
-)
 from repro.frontend.lexer import error_at
 from repro.memory.local_memory import LocalMemory
 from repro.pipeline import ops
+
+#: Built-in constants the listings reference.
+CONSTANTS = {
+    "ULONG_MAX": (1 << 64) - 1,
+    "UINT_MAX": (1 << 32) - 1,
+    "INT_MAX": (1 << 31) - 1,
+    "CLK_CHANNEL_MEM_FENCE": 1,
+    "CLK_GLOBAL_MEM_FENCE": 2,
+    "CLK_LOCAL_MEM_FENCE": 4,
+}
+
+#: The AOCL channel built-ins (Intel and legacy Altera spellings).
+CHANNEL_BUILTINS = {
+    "read_channel_altera", "read_channel_intel",
+    "write_channel_altera", "write_channel_intel",
+    "read_channel_nb_altera", "read_channel_nb_intel",
+    "write_channel_nb_altera", "write_channel_nb_intel",
+}
+
+
+class _Break(Exception):
+    """A ``break`` that escaped every loop of a kernel body."""
+
+
+class _Continue(Exception):
+    """A ``continue`` that escaped every loop of a kernel body."""
 
 # Control codes threaded out of statement closures. ``None`` means the
 # statement completed normally.
@@ -162,9 +182,9 @@ class CompiledBody:
 
 
 def _compound_fn(op: str) -> Callable:
-    """The update applied by ``target <op>= value`` — semantics (including
-    the bare ``ZeroDivisionError`` of ``/=``) match
-    ``Interpreter._apply_compound`` exactly."""
+    """The update applied by ``target <op>= value``: C truncating
+    division, with the bare ``ZeroDivisionError`` of ``/=`` and ``%=``
+    (no positioned error, unlike the binary operators)."""
     if op == "+=":
         return lambda cur, val: cur + val
     if op == "-=":
@@ -178,7 +198,9 @@ def _compound_fn(op: str) -> Callable:
 
 
 def _binop_fn(op: str, node: ast.Node) -> Callable:
-    """Value-level binary op matching ``Interpreter._eval_binary``."""
+    """Value-level binary op, C semantics: truncating ``/`` and ``%``
+    (a zero divisor is a positioned error), comparisons and logic as
+    0/1."""
     if op == "+":
         return lambda l, r: l + r
     if op == "-":
@@ -363,7 +385,7 @@ class _BodyCompiler:
                 ctl = yield from body_fn(frame, c)
             else:
                 ctl = body_fn(frame, c)
-            # Mirror the reference backend: break/continue escaping every
+            # Mirror the oracle interpreter: break/continue escaping every
             # loop propagate out of the body generator as exceptions;
             # return just ends the iteration.
             if ctl == _BRK:
@@ -402,7 +424,7 @@ class _BodyCompiler:
                     scope: _SlotScope) -> Optional[Callable]:
         """``fn(frame, value)`` writing the slot, or None if undeclared
         (caller must raise after evaluating the rvalue, like the
-        reference backend's ``_Scope.assign``)."""
+        oracle interpreter's ``_Scope.assign``)."""
         slot = scope.resolve(ident)
         if slot is None:
             return None
@@ -579,7 +601,7 @@ class _BodyCompiler:
                 value = yield ops.LoadLocal(f[_s], i, site=_site)
                 return value
             return _CExpr(fn, gen=True)
-        # Generic: replicate the reference backend's runtime dispatch.
+        # Generic: replicate the oracle interpreter's runtime dispatch.
         base = self._expr(node.base, scope)
         bf, bg = base.fn, base.gen
         site = self._site(node)
@@ -733,7 +755,7 @@ class _BodyCompiler:
                 return v
             return _CExpr(fn, gen=True)
         # Generic subscript store (also covers channel-array bases, which
-        # fail exactly like the reference backend).
+        # fail exactly like the oracle interpreter).
         base = self._expr(target.base, scope)
         bf, bg = base.fn, base.gen
         load_site = self._site(target)
@@ -775,7 +797,7 @@ class _BodyCompiler:
         store = self._store_name(target.ident, target, scope)
         if store is None:
             ident = target.ident
-            # Undeclared target. The reference backend evaluates the
+            # Undeclared target. The oracle interpreter evaluates the
             # rvalue, then (for compound ops) *looks up* the current
             # value — which raises "undefined identifier" unless the name
             # is a builtin constant — and only then fails the assignment.
@@ -871,7 +893,7 @@ class _BodyCompiler:
     def _channel_builtin(self, node: ast.Call, scope: _SlotScope) -> _CExpr:
         name = node.func
         if len(node.args) < 1:
-            # The reference backend fails with IndexError when the body
+            # The oracle interpreter fails with IndexError when the body
             # executes; reproduce the laziness (degenerate source).
             def fn(f, c):
                 raise IndexError("list index out of range")
@@ -1370,7 +1392,7 @@ def compile_kernel_body(definition: ast.KernelDef, *,
     """Lower one kernel definition to a :class:`CompiledBody`.
 
     ``site_table`` must be the table from ``compiler.build_site_table``
-    for this definition (shared with the reference backend, so both emit
+    for this definition (shared with the oracle interpreter, so both emit
     identical LSU site labels). ``channel_kinds`` maps program channel
     names to ``K_CHANNEL``/``K_CHANARR``.
     """

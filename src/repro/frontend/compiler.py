@@ -14,14 +14,9 @@ execute their loop nests *serially* (the frontend is a correctness-level
 compiler, like the emulator); use the native Python-IR kernels when
 pipelined timing is the subject of study.
 
-Two execution backends share one parse:
-
-* ``frontend="codegen"`` (default) lowers each kernel body once to
-  slot-framed Python closures (:mod:`repro.frontend.codegen`) — names
-  become list indices, pure arithmetic runs outside generator frames,
-  and only scheduler ops yield. Same op stream, several times faster.
-* ``frontend="reference"`` keeps the tree-walking interpreter — the
-  semantics oracle the codegen backend is tested against.
+Each kernel body is lowered once to slot-framed Python closures
+(:mod:`repro.frontend.codegen`): names become list indices, pure
+arithmetic runs outside generator frames, and only scheduler ops yield.
 
 Compilation artifacts that don't depend on the target fabric (the AST,
 site tables, ``__local`` layouts, compiled closure bodies) are cached in
@@ -40,13 +35,13 @@ from typing import Any, Dict, List, Optional
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
 from repro.frontend.codegen import (
+    CHANNEL_BUILTINS,
     K_CHANARR,
     K_CHANNEL,
     CompiledBody,
     compile_batch_plan,
     compile_kernel_body,
 )
-from repro.frontend.interpreter import CHANNEL_BUILTINS, Interpreter
 from repro.frontend.lexer import FrontendError
 from repro.frontend.parser import parse
 from repro.frontend.preprocessor import preprocess
@@ -59,10 +54,6 @@ from repro.pipeline.kernel import (
     ResourceProfile,
     SingleTaskKernel,
 )
-
-#: Execution backends accepted by the ``frontend=`` compile option.
-FRONTENDS = ("codegen", "reference")
-DEFAULT_FRONTEND = "codegen"
 
 
 def _uses_global_id(node: Any) -> bool:
@@ -144,9 +135,7 @@ def build_site_table(kernel_name: str, root: ast.Node) -> Dict[int, str]:
 
     Site labels (``"<kernel>:n<node_id>"``) name the hardware unit an op
     maps to; they are a pure function of the AST, so the compiler computes
-    them once per kernel instead of formatting one per executed op. Both
-    execution backends read the same table, which is what makes their op
-    streams site-for-site identical.
+    them once per kernel instead of formatting one per executed op.
     """
     table: Dict[int, str] = {}
 
@@ -206,13 +195,13 @@ class KernelArtifacts:
 
     def __init__(self, definition: ast.KernelDef, kind: str,
                  site_table: Dict[int, str], local_arrays: Dict[str, int],
-                 compiled_body: Optional[CompiledBody],
-                 plan_inputs: Optional[tuple] = None) -> None:
+                 compiled_body: CompiledBody,
+                 plan_inputs: tuple) -> None:
         self.definition = definition
         self.kind = kind                      # "autorun" | "ndrange" | "task"
         self.site_table = site_table
         self.local_arrays = local_arrays
-        self.compiled_body = compiled_body    # None under "reference"
+        self.compiled_body = compiled_body
         self._plan_inputs = plan_inputs       # (defines, channel_kinds, hdl)
         # Batch plan, compiled lazily so closure-only workloads (and the
         # cold-compile path the benchmarks measure) never pay for it.
@@ -223,26 +212,21 @@ class KernelArtifacts:
         """``(plan, reason)`` for the batch executor, compiled on first
         request and cached on the artifact (shared by the program LRU)."""
         if self._batch_reason is None:
-            if self.compiled_body is None or self._plan_inputs is None:
-                self._batch_plan = None
-                self._batch_reason = "reference frontend (no compiled body)"
-            else:
-                defines, channel_kinds, hdl_names = self._plan_inputs
-                self._batch_plan, self._batch_reason = compile_batch_plan(
-                    self.definition,
-                    site_table=self.site_table,
-                    defines=defines,
-                    channel_kinds=channel_kinds,
-                    hdl_names=hdl_names,
-                    autorun=self.kind == "autorun")
+            defines, channel_kinds, hdl_names = self._plan_inputs
+            self._batch_plan, self._batch_reason = compile_batch_plan(
+                self.definition,
+                site_table=self.site_table,
+                defines=defines,
+                channel_kinds=channel_kinds,
+                hdl_names=hdl_names,
+                autorun=self.kind == "autorun")
         return self._batch_plan, self._batch_reason
 
 
 def build_kernel_artifacts(definition: ast.KernelDef,
                            defines: Dict[str, Any],
                            channel_kinds: Dict[str, int],
-                           hdl_names,
-                           frontend: str) -> KernelArtifacts:
+                           hdl_names) -> KernelArtifacts:
     """Compile one kernel definition's fabric-independent artifacts."""
     if definition.is_autorun:
         kind = "autorun"
@@ -252,15 +236,13 @@ def build_kernel_artifacts(definition: ast.KernelDef,
         kind = "task"
     site_table = build_site_table(definition.name, definition.body)
     local_arrays = _collect_local_arrays(definition.body, defines)
-    compiled_body = None
-    if frontend == "codegen":
-        compiled_body = compile_kernel_body(
-            definition,
-            site_table=site_table,
-            defines=defines,
-            channel_kinds=channel_kinds,
-            hdl_names=hdl_names,
-            autorun=kind == "autorun")
+    compiled_body = compile_kernel_body(
+        definition,
+        site_table=site_table,
+        defines=defines,
+        channel_kinds=channel_kinds,
+        hdl_names=hdl_names,
+        autorun=kind == "autorun")
     return KernelArtifacts(definition, kind, site_table, local_arrays,
                            compiled_body,
                            plan_inputs=(dict(defines), dict(channel_kinds),
@@ -279,8 +261,8 @@ class _ProgramImage:
         self.artifacts = artifacts
 
 
-def _build_image(source: str, defines: Dict[str, Any], hdl_names,
-                 frontend: str) -> _ProgramImage:
+def _build_image(source: str, defines: Dict[str, Any],
+                 hdl_names) -> _ProgramImage:
     expanded, macros = preprocess(source)
     program_ast = parse(expanded)
     channel_kinds = {
@@ -290,7 +272,7 @@ def _build_image(source: str, defines: Dict[str, Any], hdl_names,
     }
     artifacts = {
         definition.name: build_kernel_artifacts(
-            definition, defines, channel_kinds, hdl_names, frontend)
+            definition, defines, channel_kinds, hdl_names)
         for definition in program_ast.kernels
     }
     return _ProgramImage(program_ast, macros, artifacts)
@@ -309,18 +291,18 @@ _cache_misses = 0
 _cache_evictions = 0
 
 
-def _load_image(source: str, defines: Dict[str, Any], hdl_names,
-                frontend: str) -> _ProgramImage:
+def _load_image(source: str, defines: Dict[str, Any],
+                hdl_names) -> _ProgramImage:
     global _cache_hits, _cache_misses, _cache_evictions
     with _CACHE_LOCK:
         try:
             key = (source, tuple(sorted(defines.items())),
-                   tuple(sorted(hdl_names)), frontend)
+                   tuple(sorted(hdl_names)))
             hash(key)
         except TypeError:
             # Unhashable options (exotic define values): compile uncached.
             _cache_misses += 1
-            return _build_image(source, defines, hdl_names, frontend)
+            return _build_image(source, defines, hdl_names)
         image = _PROGRAM_CACHE.get(key)
         if image is not None:
             _cache_hits += 1
@@ -329,7 +311,7 @@ def _load_image(source: str, defines: Dict[str, Any], hdl_names,
         # Build under the lock: a second thread asking for the same key
         # must block and then hit, not compile the image twice.
         _cache_misses += 1
-        image = _build_image(source, defines, hdl_names, frontend)
+        image = _build_image(source, defines, hdl_names)
         _PROGRAM_CACHE[key] = image
         if len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAXSIZE:
             _PROGRAM_CACHE.popitem(last=False)
@@ -367,17 +349,12 @@ class _CompiledMixin:
     """Shared launch-time binding and execution for compiled kernels."""
 
     def _init_compiled(self, definition, channel_bindings, hdl_modules,
-                       defines, frontend: str,
+                       defines,
                        artifacts: Optional[KernelArtifacts]) -> None:
-        if frontend not in FRONTENDS:
-            raise FrontendError(
-                f"unknown frontend {frontend!r}; expected one of "
-                f"{', '.join(FRONTENDS)}")
         self._definition = definition
         self._channel_bindings = channel_bindings
         self._hdl_modules = hdl_modules
         self._defines = dict(defines or {})
-        self.frontend = frontend
         if artifacts is None:
             # Direct construction (no program image): infer the channel
             # kinds from the live bindings and compile on the spot.
@@ -388,9 +365,8 @@ class _CompiledMixin:
             }
             artifacts = build_kernel_artifacts(
                 definition, self._defines, channel_kinds,
-                hdl_modules.keys(), frontend)
+                hdl_modules.keys())
         self._artifacts = artifacts
-        self._site_table = artifacts.site_table
         self._local_arrays = artifacts.local_arrays
         self._compiled_body = artifacts.compiled_body
 
@@ -423,13 +399,8 @@ class _CompiledMixin:
         return bindings
 
     def body(self, ctx):
-        compiled = self._compiled_body
-        if compiled is not None:
-            return compiled.make(ctx, self._bindings(ctx), self._hdl_modules)
-        interpreter = Interpreter(self.name, self._hdl_modules,
-                                  autorun=self.kind == "autorun",
-                                  site_table=self._site_table)
-        return interpreter.run(self._definition.body, ctx, self._bindings(ctx))
+        return self._compiled_body.make(ctx, self._bindings(ctx),
+                                        self._hdl_modules)
 
     def batch_plan(self) -> tuple:
         """``(plan, reason)`` for ``executor="batch"`` (lazily compiled)."""
@@ -444,12 +415,12 @@ class CompiledSingleTask(_CompiledMixin, SingleTaskKernel):
     iteration (correctness-level execution)."""
 
     def __init__(self, definition, channel_bindings, hdl_modules,
-                 defines=None, frontend: str = DEFAULT_FRONTEND,
+                 defines=None,
                  artifacts: Optional[KernelArtifacts] = None) -> None:
         super().__init__(name=definition.name,
                          pipeline=PipelineConfig(ii=1, max_inflight=1))
         self._init_compiled(definition, channel_bindings, hdl_modules,
-                            defines, frontend, artifacts)
+                            defines, artifacts)
 
     def iteration_space(self, args) -> List[int]:
         return [0]
@@ -463,11 +434,11 @@ class CompiledNDRange(_CompiledMixin, NDRangeKernel):
     """
 
     def __init__(self, definition, channel_bindings, hdl_modules,
-                 defines=None, frontend: str = DEFAULT_FRONTEND,
+                 defines=None,
                  artifacts: Optional[KernelArtifacts] = None) -> None:
         super().__init__(name=definition.name)
         self._init_compiled(definition, channel_bindings, hdl_modules,
-                            defines, frontend, artifacts)
+                            defines, artifacts)
 
     def global_size(self, args) -> int:
         try:
@@ -486,13 +457,12 @@ class CompiledAutorun(_CompiledMixin, AutorunKernel):
 
     def __init__(self, definition, channel_bindings, hdl_modules,
                  defines=None, phase: str = "early",
-                 frontend: str = DEFAULT_FRONTEND,
                  artifacts: Optional[KernelArtifacts] = None) -> None:
         super().__init__(name=definition.name,
                          num_compute_units=definition.num_compute_units,
                          phase=phase)
         self._init_compiled(definition, channel_bindings, hdl_modules,
-                            defines, frontend, artifacts)
+                            defines, artifacts)
 
 
 class CompiledProgram:
@@ -502,14 +472,8 @@ class CompiledProgram:
                  hdl_library: Optional[HDLLibrary] = None,
                  autorun_args: Optional[Dict[str, Dict[str, Any]]] = None,
                  start_autorun: bool = True,
-                 defines: Optional[Dict[str, int]] = None,
-                 frontend: str = DEFAULT_FRONTEND) -> None:
-        if frontend not in FRONTENDS:
-            raise FrontendError(
-                f"unknown frontend {frontend!r}; expected one of "
-                f"{', '.join(FRONTENDS)}")
+                 defines: Optional[Dict[str, int]] = None) -> None:
         self.fabric = fabric
-        self.frontend = frontend
         self.defines = dict(defines or {})
         self._hdl_modules: Dict[str, Any] = {}
         if hdl_library is not None:
@@ -517,7 +481,7 @@ class CompiledProgram:
                 self._hdl_modules[module.name] = module
 
         image = _load_image(source, self.defines,
-                            tuple(sorted(self._hdl_modules)), frontend)
+                            tuple(sorted(self._hdl_modules)))
         self.ast = image.ast
         self.macros = dict(image.macros)
 
@@ -540,17 +504,14 @@ class CompiledProgram:
             if artifacts.kind == "autorun":
                 kernel = CompiledAutorun(definition, self._channel_bindings,
                                          self._hdl_modules, self.defines,
-                                         frontend=frontend,
                                          artifacts=artifacts)
             elif artifacts.kind == "ndrange":
                 kernel = CompiledNDRange(definition, self._channel_bindings,
                                          self._hdl_modules, self.defines,
-                                         frontend=frontend,
                                          artifacts=artifacts)
             else:
                 kernel = CompiledSingleTask(definition, self._channel_bindings,
                                             self._hdl_modules, self.defines,
-                                            frontend=frontend,
                                             artifacts=artifacts)
             self.kernels[definition.name] = kernel
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lexer import FrontendError, TYPE_NAMES, Token, tokenize
+from repro.frontend.lexer import FrontendError, Token, tokenize
 
 #: Binary operator precedence (higher binds tighter).
 _PRECEDENCE = {

@@ -6,7 +6,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import HostAPIError
 from repro.memory.backing import BackingStore
 
 

@@ -169,9 +169,9 @@ class Emulator:
                 op = body.send(send_value)
             except StopIteration:
                 return
-            send_value = self._execute(op)
+            send_value = self._emulate_op(op)
 
-    def _execute(self, op: ops.Op) -> Any:
+    def _emulate_op(self, op: ops.Op) -> Any:
         memory = self.fabric.memory
         if isinstance(op, ops.Load):
             self.stats.loads += 1

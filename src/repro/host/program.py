@@ -8,7 +8,7 @@ compiler).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import HostAPIError
 from repro.host.context import Context

@@ -13,7 +13,6 @@ from typing import Any, Dict, List, Optional
 from repro.errors import HostAPIError
 from repro.host.context import Context
 from repro.host.event import EventStatus, HostEvent
-from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.kernel import AutorunKernel, Kernel
 from repro.sim.core import Event
 

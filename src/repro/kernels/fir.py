@@ -11,7 +11,7 @@ registers in hardware) and computes one output per input sample.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -33,9 +33,9 @@ the fast executor — which replays a replayable Python-IR kernel and
 steps everything else — so ``executor="batch"`` is *always* safe to
 request.
 
-Equality with ``executor="reference"`` (buffers, ``sim.now``, engine and
-LSU stats, iteration traces) is enforced by
-``tests/test_prop_batch_equivalence.py``.
+Equality with the reference op executor (``tests/executor_oracle.py``:
+buffers, ``sim.now``, engine and LSU stats, iteration traces) is
+enforced by ``tests/test_prop_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -81,15 +81,15 @@ class BatchStats:
 class BatchPipelineEngine(PipelineEngine):
     """A :class:`PipelineEngine` whose launcher batches eligible launches.
 
-    The fallback path *is* the fast executor — the base class is
-    constructed with ``executor="fast"`` and reused unchanged.
+    The fallback path *is* the fast executor — the base class, reused
+    unchanged.
     """
 
     def __init__(self, fabric: Any, kernel: Kernel,
                  args: Optional[Dict[str, Any]] = None,
                  compute_id: int = 0, space: Optional[Any] = None) -> None:
         super().__init__(fabric, kernel, args, compute_id=compute_id,
-                         space=space, executor="fast")
+                         space=space)
         self.batch = BatchStats()
         # Phase A intra-launch hazard sets: buffer name -> element indices.
         self._b_read: Dict[str, set] = {}

@@ -20,7 +20,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import KernelArgumentError
 from repro.pipeline import ops
-from repro.pipeline.accumulator import Accumulator
 
 #: Shared cycle-boundary op (stateless; see :meth:`KernelContext.cycle`).
 _CYCLE_BOUNDARY = ops.CycleBoundary()

@@ -23,19 +23,15 @@ attach precomputed sites to every op instead (see
 :func:`repro.frontend.compiler.build_site_table`), which keeps frame
 inspection entirely off the compiled-listings path.
 
-Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
-"Op dispatch and cycle fusion"):
-
-* the **fast executor** (default): a type-keyed dispatch table
-  (:data:`OP_DISPATCH`) with the dominant ops inlined straight into the
-  drive loop, zero-latency compute runs fused into one scheduler visit,
-  autorun ``CycleBoundary`` steps parked on one shared broadcast tick
-  per ``(cycle, phase)``, and idle ``AwaitData`` units parked on their
-  channels' arrival hook with no per-cycle event at all (a ``Drain`` unit
-  also hands its remaining words to its output channel as a feed);
-* the **reference executor** (``executor="reference"``): the original
-  one-generator-per-op interpretation loop, kept as the semantic oracle
-  for the dispatch property suite.
+Op execution uses a type-keyed dispatch table (:data:`OP_DISPATCH`)
+with the dominant ops inlined straight into the drive loop, zero-latency
+compute runs fused into one scheduler visit, autorun ``CycleBoundary``
+steps parked on one shared broadcast tick per ``(cycle, phase)``, and
+idle ``AwaitData`` units parked on their channels' arrival hook with no
+per-cycle event at all (a ``Drain`` unit also hands its remaining words
+to its output channel as a feed). See ``docs/PERFORMANCE.md``, "Op
+dispatch and cycle fusion". The original one-generator-per-op loop it
+replaced is kept as a test oracle (``tests/executor_oracle.py``).
 """
 
 from __future__ import annotations
@@ -139,8 +135,7 @@ class EngineStats:
 class _OpExecutor:
     """Shared op-execution machinery for pipelined and autorun engines."""
 
-    def __init__(self, fabric: Any, kernel: Kernel,
-                 executor: str = "fast") -> None:
+    def __init__(self, fabric: Any, kernel: Kernel) -> None:
         self.fabric = fabric
         self.kernel = kernel
         self.sim = fabric.sim
@@ -158,13 +153,6 @@ class _OpExecutor:
                           and self._tick_priority == PRIORITY_LATE)
         #: Parked units: compute id -> detach (settles and unhooks the unit).
         self._parked: Dict[int, Callable[[], None]] = {}
-        self._executor = executor
-        if executor == "reference":
-            self._drive = self._drive_reference
-        elif executor != "fast":
-            raise KernelBuildError(
-                f"unknown executor {executor!r} "
-                "(use 'fast', 'reference', or 'batch')")
 
     def lsu(self, site: str, kind: str) -> LoadStoreUnit:
         """Get-or-create the LSU backing one static memory site."""
@@ -263,14 +251,14 @@ class _OpExecutor:
                ctx: Optional[KernelContext] = None) -> Generator:
         """Run one body generator to completion, executing yielded ops.
 
-        The fast executor. Dominant ops execute inline (no per-op handler
-        generator); anything else goes through :data:`OP_DISPATCH`. Runs
-        of *zero-latency* ``Compute`` ops are fused: they are purely
+        Dominant ops execute inline (no per-op handler generator);
+        anything else goes through :data:`OP_DISPATCH`. Runs of
+        *zero-latency* ``Compute`` ops are fused: they are purely
         combinational, so the body is resumed immediately with the op's
         value and no event ever reaches the scheduler. Timed computes
         yield their delay inline (one pooled tick or timeout, no per-op
-        ``_execute`` generator) so ``ctx.now`` observed by the body after
-        the yield advances exactly as in the reference executor.
+        generator) so ``ctx.now`` observed by the body after the yield
+        advances exactly as under one generator per op.
         """
         sim = self.sim
         lsus = self._lsus
@@ -351,39 +339,8 @@ class _OpExecutor:
                 send_value = None
                 throw_exc = exc
 
-    def _drive_reference(self, generator: Generator, compute_id: int,
-                         ctx: Optional[KernelContext] = None) -> Generator:
-        """The retained reference executor: one ``_execute`` generator per
-        op, no fusion, per-process pooled cycle ticks. Semantic oracle for
-        the fast path (see tests/test_prop_dispatch_equivalence.py)."""
-        send_value: Any = None
-        throw_exc: Optional[BaseException] = None
-        while True:
-            try:
-                if throw_exc is not None:
-                    op = generator.throw(throw_exc)
-                    throw_exc = None
-                else:
-                    op = generator.send(send_value)
-            except StopIteration:
-                return
-            if not isinstance(op, ops.Op):
-                generator.close()
-                raise KernelBuildError(
-                    f"kernel {self.kernel.name!r} yielded {op!r}; kernel bodies "
-                    "must yield Op objects built via the KernelContext")
-            site = op.site or self._derive_site(generator, op, compute_id)
-            try:
-                send_value = yield from self._execute(op, site, ctx)
-            except Interrupt:
-                generator.close()
-                raise
-            except BaseException as exc:
-                send_value = None
-                throw_exc = exc
-
-    # -- dispatch-table handlers (one per op type; cold ops only on the
-    # -- fast path, every op on the reference path via _execute) ---------
+    # -- dispatch-table handlers (one per op type; the drive loop inlines
+    # -- the hot ones) -------------------------------------------------
 
     def _op_barrier(self, generator: Generator, op: ops.Op, compute_id: int,
                     ctx: Optional[KernelContext]) -> Generator:
@@ -477,8 +434,8 @@ class _OpExecutor:
         return op.start if feed is None else feed.position
 
     def _drain_per_cycle(self, op: ops.Drain) -> Generator:
-        """The cycle loop a ``Drain`` op stands for: how the reference
-        executor runs it, and the fast one when there is nothing to feed."""
+        """The cycle loop a ``Drain`` op stands for, run when there is
+        nothing to feed."""
         self._check_can_park()
         words = op.words
         position = op.start
@@ -497,14 +454,14 @@ class _OpExecutor:
                      ctx: Optional[KernelContext]) -> Generator:
         """Listing 10's READ loop, with runs of words in closed form.
 
-        Each word is a blocking read and a posted store, as in the
-        reference executor, except while the simulator provably has
-        nothing else to do: the channel is fed by a parked producer whose
-        end is not fixed, nobody else waits on it, and every pending
-        event is a posted-store commit. Then a window computes the next
-        words without events (:meth:`~repro.pipeline.replay.LaunchReplay.
-        run_transfer`): their reads, the bank model and LSU accounting,
-        and their commits as one flush event at the last commit cycle.
+        Each word is a blocking read and a posted store, except while
+        the simulator provably has nothing else to do: the channel is fed
+        by a parked producer whose end is not fixed, nobody else waits on
+        it, and every pending event is a posted-store commit. Then a
+        window computes the next words without events
+        (:meth:`~repro.pipeline.replay.LaunchReplay.run_transfer`): their
+        reads, the bank model and LSU accounting, and their commits as
+        one flush event at the last commit cycle.
         A window stops when the FIFO is empty or a read would fix the
         feed's end (both read for real), or before a store that could
         retire at or after the stop cycle of a ``run(until=...)`` under
@@ -545,72 +502,6 @@ class _OpExecutor:
         finally:
             memory.land_commits(sim.now)
         return None
-
-    def _execute(self, op: ops.Op, site: str,
-                 ctx: Optional[KernelContext] = None) -> Generator:
-        """Execute one op; returns its result value (generator protocol)."""
-        if isinstance(op, ops.Barrier):
-            yield self._barrier_arrive(site, ctx)
-            return None
-        if isinstance(op, ops.Load):
-            value = yield self.lsu(site, "load").issue(op.buffer, op.index)
-            return value
-        if isinstance(op, ops.Store):
-            yield self.lsu(site, "store").issue(op.buffer, op.index, op.value)
-            return None
-        if isinstance(op, ops.LoadLocal):
-            value = yield op.memory.load(op.index)
-            return value
-        if isinstance(op, ops.StoreLocal):
-            yield op.memory.store(op.index, op.value)
-            return None
-        if isinstance(op, ops.ReadChannel):
-            value = yield from op.channel.read()
-            return value
-        if isinstance(op, ops.WriteChannel):
-            yield from op.channel.write(op.value)
-            return None
-        if isinstance(op, ops.Call):
-            value = yield from op.module.invoke(op.args)
-            return value
-        if isinstance(op, ops.Compute):
-            if op.cycles == 1:
-                yield self.sim.tick()
-            elif op.cycles:
-                yield self.sim.timeout(op.cycles)
-            return op.value
-        if isinstance(op, ops.CollectReduction):
-            value = yield op.accumulator.collect(op.key, op.expected)
-            return value
-        if isinstance(op, ops.MemFence):
-            return None
-        if isinstance(op, ops.CycleBoundary):
-            # The dominant event of autorun stepping: use the pooled tick.
-            yield self.sim.tick(self._cycle_priority())
-            return None
-        if isinstance(op, ops.AwaitData):
-            # Semantic oracle: keep polling once per cycle, failing one
-            # non-blocking read per channel, until a value is there. A
-            # first wait is reached after the unit's phase alignment, so
-            # the unit polls at once.
-            self._check_can_park()
-            if op.first:
-                return None
-            yield self.sim.tick(self._cycle_priority())
-            while not any(channel.has_data for channel in op.channels):
-                for channel in op.channels:
-                    channel.read_nb()
-                yield self.sim.tick(self._cycle_priority())
-            return None
-        if isinstance(op, ops.Drain):
-            return (yield from self._drain_per_cycle(op))
-        if isinstance(op, ops.Transfer):
-            lsu = self.lsu(site, "store")
-            for k in range(op.count):
-                word = yield from op.channel.read()
-                yield lsu.issue(op.buffer, k, word)
-            return None
-        raise KernelBuildError(f"unknown op {op!r} from kernel {self.kernel.name!r}")
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
         raise KernelBuildError(
@@ -658,22 +549,17 @@ class PipelineEngine(_OpExecutor):
 
     def __init__(self, fabric: Any, kernel: Kernel, args: Optional[Dict[str, Any]] = None,
                  compute_id: int = 0,
-                 space: Optional[Any] = None,
-                 executor: str = "fast") -> None:
+                 space: Optional[Any] = None) -> None:
         if isinstance(kernel, AutorunKernel):
             raise KernelBuildError(
                 f"autorun kernel {kernel.name!r} cannot be enqueued; "
                 "it starts with the device (use AutorunEngine)")
-        super().__init__(fabric, kernel, executor=executor)
+        super().__init__(fabric, kernel)
         self.instance = KernelInstance(fabric, kernel, args or {}, compute_id)
         #: Optional iteration-space override (multi-compute-unit launches
         #: give each unit its share of the space).
         self._space = space
         self.config = kernel.pipeline
-        #: Launches of a declared-replayable kernel that own the simulator
-        #: are replayed analytically (fast executor only; see
-        #: :mod:`repro.pipeline.replay`).
-        self._replayable = executor == "fast" and kernel.replayable
         #: Why the launch was stepped instead of replayed analytically
         #: (None when it was not stepped).
         self.stepped_reason: Optional[str] = None
@@ -705,10 +591,8 @@ class PipelineEngine(_OpExecutor):
         """Walk ``space``: replayed analytically when the kernel is
         replayable and the launch owns the simulator, else stepped
         (:attr:`stepped_reason` says why)."""
-        if not self._replayable:
-            self.stepped_reason = ("reference executor"
-                                   if self._executor == "reference"
-                                   else "kernel is not replayable")
+        if not self.kernel.replayable:
+            self.stepped_reason = "kernel is not replayable"
         else:
             self.stepped_reason = (self._exclusive_reason()
                                    or self.kernel.replay_gate())
@@ -850,12 +734,11 @@ class AutorunEngine(_OpExecutor):
     """Runs the compute units of an autorun kernel forever (until stopped)."""
 
     def __init__(self, fabric: Any, kernel: AutorunKernel,
-                 args: Optional[Dict[str, Any]] = None,
-                 executor: str = "fast") -> None:
+                 args: Optional[Dict[str, Any]] = None) -> None:
         if not isinstance(kernel, AutorunKernel):
             raise KernelBuildError(
                 f"kernel {kernel.name!r} is not autorun; use PipelineEngine")
-        super().__init__(fabric, kernel, executor=executor)
+        super().__init__(fabric, kernel)
         self.instances: List[KernelInstance] = [
             KernelInstance(fabric, kernel, args or {}, compute_id)
             for compute_id in range(kernel.num_compute_units)
@@ -867,26 +750,30 @@ class AutorunEngine(_OpExecutor):
     def start(self) -> None:
         """Launch all compute units (normally done at device programming).
 
-        Units of a kernel that :attr:`~repro.pipeline.kernel.AutorunKernel.
-        starts_idle` start parked under the fast executor, with no start or
-        phase-alignment event, when nothing else is scheduled this cycle:
-        then no event can come before the unit's first poll in this
-        cycle's LATE phase, which the parked unit takes at its head.
+        Units may start parked (see :meth:`_starts_parked`).
         """
         if self._started:
             raise KernelError(f"autorun kernel {self.kernel.name!r} already started")
         self._started = True
         sim = self.sim
-        parked = (self._executor == "fast" and self._can_park
-                  and self.kernel.starts_idle
-                  and not getattr(self.kernel, "launch_skew", 0)
-                  and sim.last_late_phase() < sim.now
-                  and sim.peek() != sim.now)
+        parked = self._starts_parked()
         for instance in self.instances:
             unit = self._unit(instance, align=not parked)
             self._processes.append((sim.process(
                 unit, name=f"{self.kernel.name}.cu{instance.compute_id}",
                 inline=parked), unit))
+
+    def _starts_parked(self) -> bool:
+        """Whether the units start parked, with no start or phase-alignment
+        event: for a kernel that :attr:`~repro.pipeline.kernel.AutorunKernel.
+        starts_idle`, when nothing else is scheduled this cycle. Then no
+        event can come before the unit's first poll in this cycle's LATE
+        phase, which the parked unit takes at its head."""
+        sim = self.sim
+        return (self._can_park and self.kernel.starts_idle
+                and not getattr(self.kernel, "launch_skew", 0)
+                and sim.last_late_phase() < sim.now
+                and sim.peek() != sim.now)
 
     def _unit(self, instance: KernelInstance, align: bool = True) -> Generator:
         try:

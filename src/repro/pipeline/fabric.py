@@ -12,11 +12,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.channels.registry import ChannelNamespace
-from repro.errors import KernelError, ProcessError, SimulationError
+from repro.errors import (KernelBuildError, KernelError, ProcessError,
+                          SimulationError)
 from repro.memory.global_memory import GlobalMemory, GlobalMemoryConfig
 from repro.pipeline.engine import AutorunEngine, PipelineEngine
 from repro.pipeline.kernel import AutorunKernel, Kernel
 from repro.sim.core import _HORIZON, Event, Simulator
+
+
+#: Pipeline-engine tiers a launch may ask for (see :meth:`Fabric.launch`).
+EXECUTORS = ("fast", "batch")
 
 
 class Fabric:
@@ -87,12 +92,9 @@ class Fabric:
                compute_id: int = 0, executor: str = "fast") -> PipelineEngine:
         """Launch a single-task or NDRange kernel; returns its engine.
 
-        ``executor="reference"`` runs the launch through the retained
-        reference op executor (the pre-dispatch-table semantics oracle;
-        see ``docs/PERFORMANCE.md``). ``executor="batch"`` runs eligible
-        launches columnar-style across all work-items at once, falling
-        back to per-iteration stepping otherwise (see
-        :mod:`repro.pipeline.batch`).
+        ``executor="batch"`` runs eligible launches columnar-style across
+        all work-items at once, falling back to the default ``"fast"``
+        engine otherwise (see :mod:`repro.pipeline.batch`).
         """
         engine = self._make_engine(kernel, args, compute_id, None, executor)
         engine.start()
@@ -102,18 +104,21 @@ class Fabric:
     def _make_engine(self, kernel: Kernel, args: Optional[Dict[str, Any]],
                      compute_id: int, space: Optional[Any],
                      executor: str) -> PipelineEngine:
+        if executor == "fast":
+            return PipelineEngine(self, kernel, args, compute_id=compute_id,
+                                  space=space)
         if executor == "batch":
             # Imported lazily: repro.frontend (which batch needs for plan
             # node types) itself imports this module at package init.
             from repro.pipeline.batch import BatchPipelineEngine
             return BatchPipelineEngine(self, kernel, args,
                                        compute_id=compute_id, space=space)
-        return PipelineEngine(self, kernel, args, compute_id=compute_id,
-                              space=space, executor=executor)
+        raise KernelBuildError(
+            f"unknown executor {executor!r} (use 'fast' or 'batch')")
 
     def launch_replicated(self, kernel: Kernel,
-                          args: Optional[Dict[str, Any]] = None,
-                          executor: str = "fast") -> List[PipelineEngine]:
+                          args: Optional[Dict[str, Any]] = None
+                          ) -> List[PipelineEngine]:
         """Launch all compute units of a replicated kernel.
 
         ``num_compute_units(N)`` on a (non-autorun) kernel splits the
@@ -127,7 +132,7 @@ class Fabric:
         for compute_id in range(count):
             share = space[compute_id::count]
             engine = self._make_engine(kernel, args, compute_id, share,
-                                       executor)
+                                       "fast")
             engine.start()
             self.engines.append(engine)
             engines.append(engine)
@@ -135,10 +140,9 @@ class Fabric:
 
     def run_replicated(self, kernel: Kernel,
                        args: Optional[Dict[str, Any]] = None,
-                       max_cycles: int = 10_000_000,
-                       executor: str = "fast") -> List[PipelineEngine]:
+                       max_cycles: int = 10_000_000) -> List[PipelineEngine]:
         """Launch all compute units and run until every one completes."""
-        engines = self.launch_replicated(kernel, args, executor=executor)
+        engines = self.launch_replicated(kernel, args)
         self.run(*[engine.completion for engine in engines],
                  max_cycles=max_cycles)
         self.run(self.memory.drained(), max_cycles=max_cycles)

@@ -18,7 +18,7 @@ hardware contains — which feeds the synthesis area/timing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional
 
 from repro.errors import KernelBuildError

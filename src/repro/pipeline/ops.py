@@ -15,7 +15,6 @@ matching how one static load in OpenCL becomes one load unit in hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 
@@ -189,7 +188,8 @@ class AwaitData(Op):
     take it and run ``action(cycle, value)`` before waiting again. The
     fast executor hands the action to the channel (see
     :meth:`repro.channels.channel.Channel.sink`); the body resumes for a
-    value on any other channel. The reference executor ignores it.
+    value on any other channel. The reference executor, a per-cycle
+    polling test oracle (``tests/executor_oracle.py``), ignores it.
 
     ``first`` marks the wait a unit yields before its first poll: a
     no-op once the unit has been stepped to its LATE phase, while the

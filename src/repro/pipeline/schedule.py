@@ -15,7 +15,7 @@ then *observes* them through sequence numbers and timestamps.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.errors import KernelBuildError
 

@@ -216,6 +216,14 @@ class ReproServer:
                     protocol.E_UNKNOWN_METHOD,
                     f"unknown method {method!r}",
                     {"known": sorted(self._HANDLERS)})
+            accepted = _PARAMS[method]
+            for name in params:
+                if name not in accepted:
+                    raise ServerError(
+                        protocol.E_BAD_REQUEST,
+                        f"{method} takes no param {name!r} "
+                        f"(accepted: {', '.join(sorted(accepted)) or 'none'})",
+                        {"param": name})
             result = await handler(self, conn, params)
             await conn.send(protocol.encode_response(request_id, result))
         except ServerError as exc:
@@ -289,18 +297,24 @@ class ReproServer:
             compiled = session.get_program(str(params["program"]))
             source = compiled["source"]
             defines = compiled["defines"]
-            frontend = compiled["frontend"]
         else:
             source = params.get("source")
             if not isinstance(source, str):
                 raise ServerError(protocol.E_BAD_REQUEST,
                                   "kernel.run needs 'program' or 'source'")
             defines = params.get("defines")
-            frontend = params.get("frontend", "codegen")
         kernel = params.get("kernel")
         if not isinstance(kernel, str):
             raise ServerError(protocol.E_BAD_REQUEST,
                               "kernel.run needs a 'kernel' name")
+        from repro.pipeline.fabric import EXECUTORS
+
+        executor = params.get("executor", "fast")
+        if executor not in EXECUTORS:
+            raise ServerError(
+                protocol.E_BAD_REQUEST,
+                f"unknown executor {executor!r} (use 'fast' or 'batch')",
+                {"param": "executor"})
         buffers: Dict[str, Dict[str, Any]] = {}
         writebacks: Dict[str, str] = {}
         for name, spec in dict(params.get("buffers") or {}).items():
@@ -323,8 +337,7 @@ class ReproServer:
             "args": dict(params.get("args") or {}),
             "buffers": buffers,
             "defines": defines,
-            "frontend": frontend,
-            "executor": params.get("executor", "fast"),
+            "executor": executor,
             "autorun_args": params.get("autorun_args"),
             "trace": bool(params.get("trace", False)),
         }
@@ -436,7 +449,6 @@ class ReproServer:
             raise ServerError(protocol.E_BAD_REQUEST,
                               "program.compile needs 'source' text")
         defines = params.get("defines")
-        frontend = params.get("frontend", "codegen")
         from repro.frontend.compiler import (compile_source,
                                              program_cache_info)
         from repro.frontend.lexer import FrontendError
@@ -445,7 +457,7 @@ class ReproServer:
         before = program_cache_info()
         try:
             compiled = compile_source(Fabric(), source, defines=defines,
-                                      frontend=frontend, start_autorun=False)
+                                      start_autorun=False)
         except FrontendError as exc:
             data: Dict[str, Any] = {}
             if getattr(exc, "line", None):
@@ -456,7 +468,6 @@ class ReproServer:
         session.programs[program_id] = {
             "source": source,
             "defines": dict(defines) if defines else None,
-            "frontend": frontend,
         }
         return {
             "program": program_id,
@@ -651,6 +662,40 @@ class ReproServer:
         "trace.store_info": _m_trace_store_info,
         "trace.store_query": _m_trace_store_query,
     }
+
+
+_KERNEL_PARAMS = frozenset({
+    "program", "source", "defines", "kernel", "args", "buffers",
+    "executor", "autorun_args", "trace", "max_cycles"})
+_QUERY_PARAMS = frozenset({
+    "schema", "kernel", "cu", "site", "since", "until", "agg", "by",
+    "limit"})
+
+#: The params each method reads. The dispatcher answers any other
+#: top-level key with ``bad_request`` (``data: {"param": name}``) before
+#: the handler runs, so a misspelt filter or a removed option fails
+#: loudly instead of being ignored.
+_PARAMS: Dict[str, frozenset] = {
+    "server.ping": frozenset(),
+    "server.stats": frozenset(),
+    "server.shutdown": frozenset(),
+    "session.open": frozenset({"binary_segments", "queue_limit",
+                               "trace_flush_rows"}),
+    "session.close": frozenset(),
+    "program.compile": frozenset({"source", "defines"}),
+    "buffer.create": frozenset({"name", "size", "fill"}),
+    "buffer.read": frozenset({"name"}),
+    "buffer.free": frozenset({"name"}),
+    "kernel.run": _KERNEL_PARAMS,
+    "kernel.enqueue": _KERNEL_PARAMS,
+    "job.wait": frozenset({"job"}),
+    "experiment.run": frozenset({"name", "params", "trace"}),
+    "trace.subscribe": frozenset({"schemas", "replay"}),
+    "trace.unsubscribe": frozenset({"subscription"}),
+    "trace.query": _QUERY_PARAMS,
+    "trace.store_info": frozenset({"path"}),
+    "trace.store_query": _QUERY_PARAMS | {"path"},
+}
 
 
 def _as_list(value: Any) -> List[Any]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.server import protocol
@@ -93,7 +93,6 @@ def execute_kernel_job(source: str, kernel: str,
                        args: Optional[Dict[str, Any]] = None,
                        buffers: Optional[Dict[str, Dict[str, Any]]] = None,
                        defines: Optional[Dict[str, int]] = None,
-                       frontend: str = "codegen",
                        executor: str = "fast",
                        autorun_args: Optional[Dict[str, Dict[str, Any]]] = None,
                        trace: bool = False,
@@ -118,7 +117,6 @@ def execute_kernel_job(source: str, kernel: str,
     fabric = Fabric(keep_lsu_samples=True, trace=hub)
     try:
         program = compile_source(fabric, source, defines=defines,
-                                 frontend=frontend,
                                  autorun_args=autorun_args)
     except FrontendError as exc:
         return _frontend_error_payload(exc)

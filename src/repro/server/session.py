@@ -19,8 +19,8 @@ cache — which is the point of the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import ServerError

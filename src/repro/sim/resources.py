@@ -8,7 +8,7 @@ controller command port) with FIFO granting order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator

@@ -8,7 +8,7 @@ that contain the static region (PCIe, DDR controllers, host interface).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import SynthesisError

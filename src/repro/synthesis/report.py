@@ -8,8 +8,8 @@ text rendering in the style of Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.synthesis.cost_model import CostModel
 from repro.synthesis.design import Design

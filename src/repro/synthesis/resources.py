@@ -9,7 +9,7 @@ utilization percentages) plus the timing constants used by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SynthesisError
 

@@ -18,7 +18,7 @@ The model captures the effects the paper reports:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.pipeline.kernel import ResourceProfile
 from repro.synthesis.design import Design

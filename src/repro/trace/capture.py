@@ -13,7 +13,7 @@ package must remain importable without dragging in the simulator stack.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.trace.hub import TraceHub
 

@@ -30,7 +30,7 @@ Semantics are pinned to the row-at-a-time scan in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import TraceSchemaError
 from repro.trace.columnar import Segment

@@ -30,7 +30,7 @@ in ``tests/trace_oracle.py``.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import TraceSchemaError
 from repro.trace.schema import TraceRecord, TraceSchema

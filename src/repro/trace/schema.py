@@ -18,8 +18,8 @@ layout) may be registered at publish time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import TraceSchemaError
 

@@ -1,49 +1,43 @@
-"""AST interpreter: executes parsed kernels as op-yielding generators.
+"""The tree-walking OpenCL-C interpreter: the semantic oracle of codegen.
 
-The interpreter is the frontend's "scheduler": every global-memory access
-and channel operation becomes a pipeline op (with the AST node id as its
-static site label), arithmetic is zero-time, and — for autorun kernels —
-each iteration of the outermost loop takes exactly one clock, matching
-Listing 8's single-cycle-launch requirement.
+The product frontend lowers each kernel body once to slot-framed
+closures (:mod:`repro.frontend.codegen`). This module keeps the AST
+interpreter it replaced, for tests to compare against: every
+global-memory access and channel operation becomes a pipeline op (with
+the AST node id as its static site label), arithmetic is zero-time, and
+— for autorun kernels — each iteration of the outermost loop takes
+exactly one clock, matching Listing 8's single-cycle-launch requirement.
+
+:func:`compile_reference` compiles a program as
+:func:`~repro.frontend.compiler.compile_source` does, then runs every
+kernel body through :class:`Interpreter` instead of its closures; such
+kernels have no batch plan, so ``executor="batch"`` launches of them
+fall back to the fast engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+import types
+from typing import Any, Dict, Generator, Optional
 
 from repro.channels.channel import Channel
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
+from repro.frontend.codegen import (
+    CHANNEL_BUILTINS,
+    CONSTANTS,
+    _Break,
+    _Continue,
+)
+from repro.frontend.compiler import (
+    CompiledAutorun,
+    CompiledProgram,
+    compile_source,
+)
 from repro.frontend.lexer import FrontendError, error_at
 from repro.memory.local_memory import LocalMemory
 from repro.pipeline import ops
 from repro.pipeline.context import KernelContext
-
-#: Built-in constants the listings reference.
-CONSTANTS = {
-    "ULONG_MAX": (1 << 64) - 1,
-    "UINT_MAX": (1 << 32) - 1,
-    "INT_MAX": (1 << 31) - 1,
-    "CLK_CHANNEL_MEM_FENCE": 1,
-    "CLK_GLOBAL_MEM_FENCE": 2,
-    "CLK_LOCAL_MEM_FENCE": 4,
-}
-
-#: Names handled specially by the interpreter.
-CHANNEL_BUILTINS = {
-    "read_channel_altera", "read_channel_intel",
-    "write_channel_altera", "write_channel_intel",
-    "read_channel_nb_altera", "read_channel_nb_intel",
-    "write_channel_nb_altera", "write_channel_nb_intel",
-}
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
 
 
 class _Return(Exception):
@@ -480,3 +474,39 @@ class Interpreter:
         value = yield from self._eval(node.args[1], scope, ctx)
         yield ctx.write_channel(channel, value, site=self._site(node))
         return value
+
+
+def _interpreted_body(kernel: Any, ctx: KernelContext) -> Generator:
+    interpreter = Interpreter(kernel.name, kernel._hdl_modules,
+                              autorun=kernel.kind == "autorun",
+                              site_table=kernel._artifacts.site_table)
+    return interpreter.run(kernel._definition.body, ctx,
+                           kernel._bindings(ctx))
+
+
+def _no_batch_plan() -> tuple:
+    return None, "reference frontend (no compiled body)"
+
+
+def compile_reference(fabric: Any, source: str, **kwargs: Any
+                      ) -> CompiledProgram:
+    """``compile_source`` whose kernels run through :class:`Interpreter`.
+
+    Autorun kernels start only after their bodies are re-pointed, as
+    ``start_autorun`` (default True) and ``autorun_args`` ask.
+    """
+    start_autorun = kwargs.pop("start_autorun", True)
+    autorun_args = kwargs.pop("autorun_args", None) or {}
+    program = compile_source(fabric, source, start_autorun=False, **kwargs)
+    for kernel in program.kernels.values():
+        kernel.body = types.MethodType(_interpreted_body, kernel)
+        kernel.batch_plan = _no_batch_plan
+    if start_autorun:
+        for kernel in program.kernels.values():
+            if isinstance(kernel, CompiledAutorun):
+                fabric.add_autorun(kernel, autorun_args.get(kernel.name, {}))
+    return program
+
+
+#: The two compile paths the equivalence suites compare, by name.
+COMPILERS = {"codegen": compile_source, "reference": compile_reference}

@@ -37,10 +37,13 @@ class TestParser:
             ["bench", "--bench-only", "event_throughput", "--no-bench-check"],
             capsys)
 
-    def test_run_executor_flag(self):
-        args = build_parser().parse_args(["run", "fig2", "--executor", "batch"])
-        assert args.executor == "batch"
-        assert build_parser().parse_args(["run", "fig2"]).executor == "fast"
+    def test_run_executor_flag_removed(self, capsys):
+        # Fig. 2 and §5 launch Python-IR kernels, which have no batch
+        # plan: the flag only ever chose the test oracle, so it is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig2", "--executor", "fast"])
+        assert excinfo.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_run_executor_rejects_unknown(self):
         with pytest.raises(SystemExit):
@@ -86,10 +89,3 @@ class TestMain:
     def test_sec52(self, capsys):
         assert main(["run", "sec52"]) == 0
         assert "bound violations" in capsys.readouterr().out
-
-    def test_fig2_batch_executor_output_matches_default(self, capsys):
-        assert main(["run", "fig2", "--n", "4", "--num", "6"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["run", "fig2", "--n", "4", "--num", "6",
-                     "--executor", "batch"]) == 0
-        assert capsys.readouterr().out == default_out

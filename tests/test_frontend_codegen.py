@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.frontend import (
-    DEFAULT_FRONTEND,
-    FRONTENDS,
-    FrontendError,
     compile_source,
     program_cache_clear,
     program_cache_info,
 )
 from repro.pipeline.fabric import Fabric
+from tests.frontend_oracle import COMPILERS
 
 VECADD = """
     __kernel void vecadd(__global int* a, __global int* b,
@@ -25,8 +23,8 @@ VECADD = """
 """
 
 
-def _run_vecadd(fabric, **compile_kwargs):
-    program = compile_source(fabric, VECADD, **compile_kwargs)
+def _run_vecadd(fabric, compiler=compile_source):
+    program = compiler(fabric, VECADD)
     n = 8
     fabric.memory.allocate("A", n).fill(np.arange(n))
     fabric.memory.allocate("B", n).fill(np.arange(n) * 10)
@@ -39,30 +37,22 @@ def _run_vecadd(fabric, **compile_kwargs):
 class TestFrontendKnob:
     def test_default_is_codegen(self, fabric):
         program, out = _run_vecadd(fabric)
-        assert DEFAULT_FRONTEND == "codegen"
-        assert program.frontend == "codegen"
-        assert program.kernel("vecadd").frontend == "codegen"
         assert program.kernel("vecadd")._compiled_body is not None
         assert list(out) == [i * 11 for i in range(8)]
 
-    def test_reference_backend_selectable(self, fabric):
-        program, out = _run_vecadd(fabric, frontend="reference")
-        assert program.frontend == "reference"
-        assert program.kernel("vecadd")._compiled_body is None
-        assert list(out) == [i * 11 for i in range(8)]
-
     def test_unknown_frontend_rejected(self, fabric):
-        with pytest.raises(FrontendError, match="unknown frontend"):
-            compile_source(fabric, VECADD, frontend="jit")
-
-    def test_frontends_tuple(self):
-        assert FRONTENDS == ("codegen", "reference")
+        # The tree-walking interpreter is a test oracle
+        # (tests/frontend_oracle.py), not a compile option: there is no
+        # frontend= keyword left, whatever its value.
+        for frontend in ("codegen", "jit"):
+            with pytest.raises(TypeError, match="frontend"):
+                compile_source(fabric, VECADD, frontend=frontend)
 
     def test_backends_agree_on_sim_time(self):
         results = {}
-        for frontend in FRONTENDS:
+        for frontend, compiler in COMPILERS.items():
             fabric = Fabric()
-            _run_vecadd(fabric, frontend=frontend)
+            _run_vecadd(fabric, compiler)
             results[frontend] = fabric.sim.now
         assert results["codegen"] == results["reference"]
 
@@ -95,12 +85,6 @@ class TestProgramCache:
         compile_source(Fabric(), VECADD, defines={"N": 4})
         info = program_cache_info()
         assert (info["hits"], info["misses"]) == (1, 2)
-
-    def test_frontend_partitions_the_cache(self):
-        compile_source(Fabric(), VECADD, frontend="codegen")
-        compile_source(Fabric(), VECADD, frontend="reference")
-        info = program_cache_info()
-        assert (info["hits"], info["misses"]) == (0, 2)
 
     def test_clear_resets_counters(self):
         compile_source(Fabric(), VECADD)
@@ -222,7 +206,7 @@ class TestCodegenLowering:
 
     def test_conditional_declaration_first_use_raises(self, fabric):
         # The _UNDEF hazard check: the declaration never executed, so the
-        # read fails exactly like the reference backend's scope lookup.
+        # read fails exactly like the oracle interpreter's scope lookup.
         program = compile_source(fabric, """
             __kernel void k(__global int* out, int n) {
                 if (n > 100) { } else { }

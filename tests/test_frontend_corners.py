@@ -3,7 +3,8 @@
 Each case pins a C-semantics subtlety — switch fallthrough, compound
 assignment, short-circuit evaluation order, scope shadowing, diagnostic
 positions — and must behave identically whether the kernel body executes
-through the reference tree-walking interpreter or the closure codegen.
+through the reference tree-walking interpreter (``tests/frontend_oracle.py``)
+or the closure codegen.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessError
-from repro.frontend import FRONTENDS, FrontendError, compile_source
+from repro.frontend import FrontendError, compile_source
 from repro.pipeline.fabric import Fabric
+from tests.frontend_oracle import COMPILERS
 
 
-@pytest.fixture(params=FRONTENDS)
+@pytest.fixture(params=sorted(COMPILERS))
 def frontend(request):
     return request.param
 
@@ -25,7 +27,7 @@ def _run(body, frontend, n=8, extra_args=None, params=""):
     source = f"""
         __kernel void k(__global int* out, int n{params}) {{ {body} }}
     """
-    program = compile_source(fabric, source, frontend=frontend)
+    program = COMPILERS[frontend](fabric, source)
     fabric.memory.allocate("OUT", n)
     args = {"out": "OUT", "n": n}
     args.update(extra_args or {})
@@ -241,11 +243,11 @@ class TestScopeShadowing:
 class TestDiagnosticPositions:
     def test_runtime_error_carries_line_and_column(self, frontend):
         fabric = Fabric()
-        program = compile_source(fabric, (
+        program = COMPILERS[frontend](fabric, (
             "__kernel void k(__global int* out) {\n"
             "    int zero = 0;\n"
             "    out[0] = 1 / zero;\n"
-            "}\n"), frontend=frontend)
+            "}\n"))
         fabric.memory.allocate("OUT", 1)
         with pytest.raises(ProcessError,
                            match=r"line 3:\d+: division by zero"):
@@ -253,10 +255,10 @@ class TestDiagnosticPositions:
 
     def test_undefined_identifier_positioned(self, frontend):
         fabric = Fabric()
-        program = compile_source(fabric, (
+        program = COMPILERS[frontend](fabric, (
             "__kernel void k(__global int* out) {\n"
             "    out[0] = mystery;\n"
-            "}\n"), frontend=frontend)
+            "}\n"))
         fabric.memory.allocate("OUT", 1)
         with pytest.raises(
                 ProcessError,

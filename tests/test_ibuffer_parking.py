@@ -24,7 +24,6 @@ from repro.experiments import fig2, sec51, sec52
 from repro.hdl.counter import GetTimeModule
 from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline import fabric as fabric_module
-from repro.pipeline.engine import AutorunEngine
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import (
     AutorunKernel,
@@ -32,6 +31,7 @@ from repro.pipeline.kernel import (
     SingleTaskKernel,
 )
 from repro.sim.core import PRIORITY_LATE, Simulator
+from tests.executor_oracle import autorun_engine, launch
 from tests.polling_oracle import polling_ibuffers
 
 
@@ -285,7 +285,7 @@ class TestAwaitDataOp:
         fabric = Fabric()
         src = fabric.channels.declare("src", depth=2)
         echo = _Echo(src)
-        AutorunEngine(fabric, echo, executor=executor).start()
+        autorun_engine(fabric, echo, executor=executor).start()
         fabric.advance(5)
         src.write_nb(1)
         src.write_nb(2)
@@ -306,14 +306,14 @@ class TestAwaitDataOp:
             fabric = Fabric()
             src = fabric.channels.declare("src", depth=0)
             echo = _Echo(src)
-            AutorunEngine(fabric, echo, executor=executor).start()
+            autorun_engine(fabric, echo, executor=executor).start()
             fabric.advance(4)
             middle = src.stats.as_dict()
             src.write_nb(9)
             fabric.advance(3)
             rendezvous = fabric.channels.declare("rv", depth=0)
             second = _Echo(rendezvous)
-            AutorunEngine(fabric, second, executor=executor).start()
+            autorun_engine(fabric, second, executor=executor).start()
             fabric.advance(6)
 
             class Send(SingleTaskKernel):
@@ -439,7 +439,7 @@ class TestDrainOp:
             out = fabric.channels.declare("out", depth=depth)
             cmd = fabric.channels.declare("cmd", depth=2)
             feeder = _Feeder(out, cmd, list(range(100, 130)))
-            AutorunEngine(fabric, feeder, executor=executor).start()
+            autorun_engine(fabric, feeder, executor=executor).start()
             gaps = {"paced": [0, 0, 0, 3, 0, 7, 1, 0, 0, 2] * 3,
                     "nb": [1, 0, 2, 0, 0, 5, 1, 3] * 4,
                     "burst": [0] * 12, "twin": [0]}.get(reader)
@@ -448,7 +448,7 @@ class TestDrainOp:
                 readers.append(_Reader(out, gaps, reader != "nb",
                                        8 if reader == "burst" else 1))
                 for _ in range(2 if reader in ("burst", "twin") else 1):
-                    fabric.launch(readers[0], {}, executor=executor)
+                    launch(fabric, readers[0], {}, executor=executor)
             fabric.advance(6)
             cmd.write_nb(7)
             fabric.advance(3)
@@ -503,7 +503,7 @@ class TestStopBeforeFirstStep:
         fabric = Fabric()
         src = fabric.channels.declare("src")
         echo = _Echo(src)
-        engine = AutorunEngine(fabric, echo, executor=executor)
+        engine = autorun_engine(fabric, echo, executor=executor)
         engine.start()
         for _ in range(steps):
             fabric.sim.step()

@@ -115,6 +115,15 @@ class TestSingleTaskExecution:
         with pytest.raises(KernelError):
             engine.start()
 
+    def test_reference_executor_rejected(self, fabric):
+        # The one-generator-per-op executor is a test oracle
+        # (tests/executor_oracle.py), not a launch option.
+        _setup_copy(fabric)
+        with pytest.raises(KernelBuildError, match="'fast' or 'batch'"):
+            fabric.run_kernel(CopyKernel(name="copy"), {"n": 1, "bias": 0},
+                              executor="reference")
+        assert fabric.engines == [] and fabric.sim.now == 0
+
     def test_kernel_exception_surfaces(self, fabric):
         class Exploding(SingleTaskKernel):
             def iteration_space(self, args):

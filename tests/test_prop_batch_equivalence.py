@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frontend import compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
+from tests.executor_oracle import run_kernel
 
 MAX_EXAMPLES = int(os.environ.get("BATCH_EQUIV_EXAMPLES", "60"))
 
@@ -183,8 +184,8 @@ def _run_generated(source, global_size, executor, kernel="k",
         fabric.memory.allocate(alloc_name, _BUF).fill(
             np.arange(_BUF) * 3 - 5)
         args[arg_name] = alloc_name
-    engine = fabric.run_kernel(program.kernel(kernel), args,
-                               executor=executor)
+    engine = run_kernel(fabric, program.kernel(kernel), args,
+                        executor=executor)
     return fabric, engine
 
 
@@ -306,8 +307,8 @@ def _ndrange_batch_round(executor: str):
             else:
                 fabric.memory.allocate(name, len(init)).fill(init)
         start = time.perf_counter()
-        engine = fabric.run_kernel(program.kernel(kernel), args,
-                                   executor=executor)
+        engine = run_kernel(fabric, program.kernel(kernel), args,
+                            executor=executor)
         elapsed += time.perf_counter() - start
         cycles += fabric.sim.now
         modes.append(engine.batch.mode if hasattr(engine, "batch") else "-")

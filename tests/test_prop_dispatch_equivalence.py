@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.memory.local_memory import LocalMemory
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
+from tests.executor_oracle import run_kernel
 
 # One program step = (op kind, payload). Indices stay under the buffer /
 # scratchpad sizes allocated in _run.
@@ -74,7 +75,7 @@ def _run(steps, iterations, inflight, executor):
     fabric.memory.allocate("data", 64).fill(range(64))
     kernel = _Program(steps, iterations, name="prog",
                       pipeline=PipelineConfig(max_inflight=inflight))
-    engine = fabric.run_kernel(kernel, {}, executor=executor)
+    engine = run_kernel(fabric, kernel, {}, executor=executor)
     return fabric, kernel, engine
 
 

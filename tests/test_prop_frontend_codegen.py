@@ -1,11 +1,11 @@
 """Property test: the closure-codegen frontend is observationally equal
-to the reference tree-walking interpreter.
+to the reference tree-walking interpreter (``tests/frontend_oracle.py``).
 
 Hypothesis generates random OpenCL-C kernels (arithmetic, compound
 assignment, post-increment side effects, short-circuit logic, nested
-loops, private arrays, global loads/stores) and compiles each under both
-``frontend="codegen"`` and ``frontend="reference"`` on independent
-fabrics. Every externally observable surface must match: buffer
+loops, private arrays, global loads/stores) and compiles each both with
+``compile_source`` and with the oracle's ``compile_reference`` on
+independent fabrics. Every externally observable surface must match: buffer
 contents, wall-clock time, engine statistics, and the per-(site, kind)
 LSU timing snapshots — the last pins that both backends emit the *same
 op stream with the same static site labels*, not merely the same final
@@ -26,8 +26,9 @@ import os
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend import compile_source, program_cache_clear
+from repro.frontend import program_cache_clear
 from repro.pipeline.fabric import Fabric
+from tests.frontend_oracle import COMPILERS
 
 MAX_EXAMPLES = int(os.environ.get("FRONTEND_EQUIV_EXAMPLES", "60"))
 
@@ -158,7 +159,7 @@ def _lsu_snapshot(engine):
 
 def _run_generated(source, n, frontend):
     fabric = Fabric(keep_lsu_samples=True)
-    program = compile_source(fabric, source, frontend=frontend)
+    program = COMPILERS[frontend](fabric, source)
     fabric.memory.allocate("IN", _BUF).fill(np.arange(_BUF) * 3 - 5)
     fabric.memory.allocate("OUT", _BUF)
     engine = fabric.run_kernel(program.kernel("k"),
@@ -205,7 +206,7 @@ class TestCodegenEquivalence:
         outcomes = {}
         for frontend in ("codegen", "reference"):
             fabric = Fabric(keep_lsu_samples=True)
-            program = compile_source(fabric, LISTING_6, frontend=frontend)
+            program = COMPILERS[frontend](fabric, LISTING_6)
             fabric.memory.allocate("X", n_rows * num).fill(
                 np.arange(n_rows * num))
             fabric.memory.allocate("Y", num).fill(np.arange(num))

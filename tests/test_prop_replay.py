@@ -47,6 +47,7 @@ from repro.pipeline import ops, replay as replay_module
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
 from repro.pipeline.schedule import NDRANGE_POLICIES
+from tests.executor_oracle import launch, run_kernel
 from tests.sequence_oracle import EagerSequenceService
 
 MAX_EXAMPLES = int(os.environ.get("REPLAY_EQUIV_EXAMPLES", "25"))
@@ -146,7 +147,7 @@ class _Probe(SingleTaskKernel):
 
 def _second_launch(fabric, sequence, timestamps, reads):
     probe = _Probe(sequence, timestamps, reads)
-    engine = fabric.run_kernel(probe, {}, executor="reference")
+    engine = run_kernel(fabric, probe, {}, executor="reference")
     return probe.log, _engine(engine), fabric.sim.now
 
 
@@ -167,8 +168,8 @@ def _run_matvec(executor, kind, n, num, probe_i, policy, pipeline,
         kernel = MatVecNDRange(sequence, timestamps, probe_i=probe_i,
                                policy=policy)
     kernel.pipeline = pipeline
-    engine = fabric.run_kernel(kernel, {"N": n, "num": num},
-                               executor=executor)
+    engine = run_kernel(fabric, kernel, {"N": n, "num": num},
+                        executor=executor)
     first = (fabric.sim.now, _engine(engine), _memory(fabric),
              _channels(sequence.channel, timestamps.channel(0)))
     reads = [("x", 0), ("z", n - 1), ("info1", n * probe_i), ("y", num - 1)]
@@ -294,7 +295,7 @@ def _run_scripted(executor, script, n, pipeline, memory_config,
     fabric.memory.allocate("m", _SLOTS).fill(np.arange(_SLOTS) + 100)
     kernel = _Scripted(script, sequence, timestamps, n)
     kernel.pipeline = pipeline
-    engine = fabric.run_kernel(kernel, {}, executor=executor)
+    engine = run_kernel(fabric, kernel, {}, executor=executor)
     first = (kernel.log, fabric.sim.now, _engine(engine), _memory(fabric),
              _channels(sequence.channel, timestamps.channel(0)),
              engine.instance._accumulators["acc"]._values
@@ -365,7 +366,7 @@ class TestScriptedReplay:
                     raise ValueError("boom")
             kernel.body = body
             with pytest.raises(ProcessError, match="boom") as caught:
-                fabric.run_kernel(kernel, {}, executor=executor)
+                run_kernel(fabric, kernel, {}, executor=executor)
             return (str(caught.value), fabric.sim.now, kernel.log,
                     _memory(fabric), fabric.engines[0].stats.iteration_trace)
         assert run("fast") == run("reference")
@@ -387,8 +388,8 @@ class TestGate:
             fabric = Fabric()
             timestamps = PersistentTimestampService(fabric, mode="eager")
             kernel = self._matvec(fabric, timestamps)
-            engine = fabric.run_kernel(kernel, {"N": 3, "num": 5},
-                                       executor=executor)
+            engine = run_kernel(fabric, kernel, {"N": 3, "num": 5},
+                                executor=executor)
             observed.append((fabric.sim.now, _engine(engine),
                              _memory(fabric)))
         assert replays[0] == 0
@@ -401,12 +402,12 @@ class TestGate:
             timestamps = PersistentTimestampService(fabric)
             kernel = self._matvec(fabric, timestamps)
             # A first launch's posted stores are still in flight.
-            first = fabric.launch(kernel, {"N": 3, "num": 5},
-                                  executor=executor)
+            first = launch(fabric, kernel, {"N": 3, "num": 5},
+                           executor=executor)
             fabric.run(first.completion)
             assert fabric.memory.pending_commits
-            second = fabric.launch(kernel, {"N": 3, "num": 5},
-                                   executor=executor)
+            second = launch(fabric, kernel, {"N": 3, "num": 5},
+                            executor=executor)
             fabric.run(second.completion, fabric.memory.drained())
             observed.append((fabric.sim.now, _engine(first), _engine(second),
                              _memory(fabric)))
@@ -419,8 +420,8 @@ class TestGate:
             fabric = Fabric()
             timestamps = PersistentTimestampService(fabric)
             kernel = self._matvec(fabric, timestamps)
-            engines = [fabric.launch(kernel, {"N": 3, "num": 5},
-                                     executor=executor) for _ in range(2)]
+            engines = [launch(fabric, kernel, {"N": 3, "num": 5},
+                              executor=executor) for _ in range(2)]
             fabric.run(*[engine.completion for engine in engines],
                        fabric.memory.drained())
             observed.append((fabric.sim.now,
@@ -483,7 +484,7 @@ class TestUnsupportedOps:
         fabric.channels.declare("fifo", depth=4)
         kernel = self._kernel(fabric, make_op)
         with pytest.raises(ProcessError, match="replayable") as caught:
-            fabric.run_kernel(kernel, {}, executor=executor)
+            run_kernel(fabric, kernel, {}, executor=executor)
         cause = caught.value.__cause__
         assert isinstance(cause, KernelBuildError)
         assert "'bad'" in str(cause) and name in str(cause)

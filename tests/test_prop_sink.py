@@ -41,6 +41,7 @@ from repro.kernels.matmul import MatMulKernel, allocate_matmul_buffers
 from repro.memory.global_memory import GlobalMemoryConfig
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import AutorunKernel, PipelineConfig
+from tests.executor_oracle import launch, run_kernel
 from tests.polling_oracle import PollingIBuffer
 from tests.test_prop_replay import _engine, _memory
 
@@ -260,7 +261,7 @@ def _run_matmul(executor, monitored, shape, depth, mode, data_depth, keep,
     kernel = MatMulKernel(stall_monitor=monitor)
     kernel.pipeline = pipeline
     allocate_matmul_buffers(fabric, rows_a, col_a, col_b)
-    engine = fabric.run_kernel(kernel, {"rows_a": rows_a, "col_a": col_a,
+    engine = run_kernel(fabric, kernel, {"rows_a": rows_a, "col_a": col_a,
                                         "col_b": col_b}, executor=executor)
     observed = {
         "now": fabric.sim.now,
@@ -334,7 +335,7 @@ class TestGate:
 
     @staticmethod
     def _launch(fabric, monitor, kernel, args, executor):
-        return [fabric.launch(kernel, args, executor=executor)]
+        return [launch(fabric, kernel, args, executor=executor)]
 
     def test_watchpoint_matmul_steps(self):
         fast, reasons = self._observe("fast", self._launch, "wp")
@@ -350,7 +351,7 @@ class TestGate:
             monitor.ibuffer.cmd_c[0].write_nb(int(IBufferCommand.READ))
             fabric.advance(3)
             assert fabric.sim.pending_events == 0
-            return [fabric.launch(kernel, args, executor=executor)]
+            return [launch(fabric, kernel, args, executor=executor)]
 
         fast, reasons = self._observe("fast", reading)
         assert reasons == [
@@ -360,7 +361,7 @@ class TestGate:
 
     def test_concurrent_launch_steps(self):
         def twice(fabric, monitor, kernel, args, executor):
-            return [fabric.launch(kernel, args, executor=executor)
+            return [launch(fabric, kernel, args, executor=executor)
                     for _ in range(2)]
 
         fast, reasons = self._observe("fast", twice)

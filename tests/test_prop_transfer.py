@@ -38,6 +38,7 @@ from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import AutorunKernel, PipelineConfig, SingleTaskKernel
 from repro.pipeline.replay import LaunchReplay
+from tests.executor_oracle import launch
 from tests.polling_oracle import PollingIBuffer
 
 MAX_EXAMPLES = int(os.environ.get("IBUFFER_EQUIV_EXAMPLES", "60"))
@@ -157,7 +158,7 @@ def _observe(executor, producer, out_depth, posted, keep, events=(),
 
     def fire(kind):
         if kind == "stores":
-            fabric.launch(_Stores(), executor=executor)
+            launch(fabric, _Stores(), executor=executor)
         elif kind == "cmd":
             cmd.write_nb(int(IBufferCommand.STOP))
         elif kind == "data":
@@ -169,7 +170,7 @@ def _observe(executor, producer, out_depth, posted, keep, events=(),
 
     for kind, at in events:
         sim.timeout(at).add_callback(lambda event, kind=kind: fire(kind))
-    engine = fabric.launch(kernel, args, executor=executor)
+    engine = launch(fabric, kernel, args, executor=executor)
     engine.completion.add_callback(lambda event: seen.append(
         ("done", sim.now, memory.pending_commits)))
     elapsed = 0
@@ -303,7 +304,7 @@ class TestFailingTransfer:
             fabric.advance(3)
             dst = memory.allocate("dst", 50)
             seen = []
-            engine = fabric.launch(HostInterfaceKernel(ibuffer), {
+            engine = launch(fabric, HostInterfaceKernel(ibuffer), {
                 "cmd": int(IBufferCommand.READ), "id": 0, "out": "dst"},
                 executor=executor)
             engine.completion.add_callback(lambda event: seen.append(
@@ -369,7 +370,7 @@ class TestTransferGate:
 
                 monkeypatch.setattr(out, "can_take_fed", checking)
                 monkeypatch.setattr(LaunchReplay, "run_transfer", recording)
-            engine = fabric.launch(HostInterfaceKernel(ibuffer), {
+            engine = launch(fabric, HostInterfaceKernel(ibuffer), {
                 "cmd": int(IBufferCommand.READ), "id": 0, "out": "dst"},
                 executor=executor)
             fabric.advance(500)

@@ -548,3 +548,60 @@ class TestBinarySegmentStreaming:
         # exact bundle an unsplit session (or a local capture) produces.
         assert split_rows == whole_rows
         assert split_path.read_bytes() == whole_path.read_bytes()
+
+
+class TestParamValidation:
+    """Every method accepts exactly the params its handler reads."""
+
+    def _assert_bad_param(self, client, method, params, name):
+        with pytest.raises(ServerError) as excinfo:
+            client.call(method, params)
+        assert excinfo.value.code == protocol.E_BAD_REQUEST
+        assert excinfo.value.data == {"param": name}
+
+    def _assert_session_runs(self, client):
+        result = client.run_kernel(
+            source=SCALE, kernel="scale", args={"n": 2, "factor": 4},
+            buffers={"data": {"size": 2, "fill": [1, 2]}})
+        assert result["buffers"]["data"] == [4, 8]
+
+    def test_table_covers_every_method(self):
+        from repro.server.daemon import _PARAMS
+
+        assert set(_PARAMS) == set(ReproServer._HANDLERS)
+
+    def test_misspelt_query_filter_rejected(self, client):
+        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
+        self._assert_bad_param(client, "trace.query",
+                               {"scheam": "run.span"}, "scheam")
+        self._assert_session_runs(client)
+        rows = client.query(schema="run.span")["rows"]
+        assert rows and all(row["schema"] == "run.span" for row in rows)
+
+    def test_frontend_param_rejected(self, client):
+        self._assert_bad_param(client, "program.compile",
+                               {"source": SCALE, "frontend": "reference"},
+                               "frontend")
+        self._assert_bad_param(client, "kernel.run", {
+            "source": SCALE, "kernel": "scale", "frontend": "codegen",
+            "args": {"n": 2, "factor": 4},
+            "buffers": {"data": {"size": 2}}}, "frontend")
+        self._assert_session_runs(client)
+
+    def test_reference_executor_rejected_at_the_wire(self, client):
+        for method in ("kernel.run", "kernel.enqueue"):
+            self._assert_bad_param(client, method, {
+                "source": SCALE, "kernel": "scale", "executor": "reference",
+                "args": {"n": 2, "factor": 4},
+                "buffers": {"data": {"size": 2}}}, "executor")
+        assert client.stats()["per_session"][client.session_id][
+            "jobs_completed"] == 0
+        self._assert_session_runs(client)
+
+    def test_rejected_open_leaves_no_session(self, server):
+        with Client(server.address) as c:
+            with pytest.raises(ServerError) as excinfo:
+                c.open_session(engine="fast")
+            assert excinfo.value.data == {"param": "engine"}
+            c.open_session()
+            self._assert_session_runs(c)
