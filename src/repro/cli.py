@@ -202,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_params(args) -> Dict[str, Any]:
-    """Map run-subcommand flags to registry experiment params."""
-    return {"n": args.n, "num": args.num, "depth": args.depth}
+def _experiment_params(args, name: str) -> Dict[str, Any]:
+    """The run-subcommand flags that experiment ``name`` reads."""
+    flags = {"n": args.n, "num": args.num, "depth": args.depth}
+    return {param: flags[param] for param in _registry.PARAMS[name]}
 
 
 def _run_experiments(args) -> int:
@@ -218,13 +219,13 @@ def _run_experiments(args) -> int:
         hub = TraceHub(flush_rows=args.trace_flush_rows)
         sink = hub.attach(ColumnarSink(args.trace_out, hub.registry))
     names = _PAPER_ORDER if args.experiment == "all" else (args.experiment,)
-    params = _experiment_params(args)
     for name in names:
         this_hub = hub if name in _TRACEABLE else None
         if args.trace_out and name not in _TRACEABLE and len(names) == 1:
             print(f"note: {name} does not publish trace records; "
                   f"{args.trace_out} will be empty", file=sys.stderr)
-        print(_registry.run_experiment(name, hub=this_hub, **params))
+        print(_registry.run_experiment(name, hub=this_hub,
+                                       **_experiment_params(args, name)))
         print()
     if hub is not None:
         hub.close()
@@ -246,7 +247,6 @@ def _run_experiments_remote(args) -> int:
     from repro.server.protocol import ServerError
 
     names = _PAPER_ORDER if args.experiment == "all" else (args.experiment,)
-    params = _experiment_params(args)
     try:
         with Client(args.server) as client:
             client.open_session()
@@ -258,7 +258,7 @@ def _run_experiments_remote(args) -> int:
                     print(f"note: {name} does not publish trace records; "
                           f"{args.trace_out} will be empty", file=sys.stderr)
                 result = client.run_experiment(
-                    name, params=params,
+                    name, params=_experiment_params(args, name),
                     trace=bool(args.trace_out) and traceable)
                 print(result["rendered"])
                 print()

@@ -9,8 +9,9 @@ contract falls out of sharing this code rather than mirroring it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.experiments import (fig2, limitations, scalability, sec31,
                                sec51, sec52, table1)
 
@@ -29,6 +30,29 @@ EXPERIMENTS: Dict[str, Callable[[Dict[str, Any], Any], str]] = {
     "scalability": lambda params, hub: scalability.run().render(),
 }
 
+#: name -> the params its runner reads; :func:`run_experiment` rejects
+#: any other key rather than run the paper default in its place.
+PARAMS: Dict[str, FrozenSet[str]] = {
+    "fig2": frozenset({"n", "num"}),
+    "table1": frozenset({"depth"}),
+    "sec31": frozenset(),
+    "sec51": frozenset(),
+    "sec52": frozenset(),
+    "limitations": frozenset(),
+    "scalability": frozenset(),
+}
+
+
+class ExperimentParamError(ReproError):
+    """A param the named experiment does not read."""
+
+    def __init__(self, experiment: str, param: str) -> None:
+        accepted = ", ".join(sorted(PARAMS[experiment])) or "none"
+        super().__init__(f"experiment {experiment!r} takes no param "
+                         f"{param!r} (accepted: {accepted})")
+        self.param = param
+
+
 #: Experiments that publish into a trace hub when one is supplied.
 TRACEABLE: Tuple[str, ...] = ("fig2", "sec51", "sec52")
 
@@ -43,7 +67,8 @@ def run_experiment(name: str, hub: Optional[Any] = None,
 
     ``hub`` is forwarded only to :data:`TRACEABLE` experiments (the
     others never publish records). Unknown names raise ``KeyError`` with
-    the available choices.
+    the available choices; a param the experiment does not read raises
+    :class:`ExperimentParamError`.
     """
     try:
         runner = EXPERIMENTS[name]
@@ -51,4 +76,7 @@ def run_experiment(name: str, hub: Optional[Any] = None,
         raise KeyError(
             f"unknown experiment {name!r}; known: "
             f"{', '.join(sorted(EXPERIMENTS))}") from None
+    for param in params:
+        if param not in PARAMS[name]:
+            raise ExperimentParamError(name, param)
     return runner(dict(params), hub if name in TRACEABLE else None)

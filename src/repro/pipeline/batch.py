@@ -8,12 +8,25 @@ splits a launch into two phases:
 * **Phase A (values)** — every work-item gets one frame row; plan nodes
   execute columnar-style (node-major, rows inner). Pure segments touch
   only per-row state; memory ops read the backing stores directly and
-  record ``(site, index)`` issue tuples per row. This phase has **zero
-  shared side effects**, so any divergence (non-uniform control flow
-  across rows, an intra-launch read/write hazard, or any exception) can
-  abort it and transparently re-run the launch through the ordinary
-  per-iteration stepping path — reproducing exact oracle semantics,
-  including the original failure mode.
+  record ``(site, index)`` issue tuples per row. Rows that disagree at
+  an ``if`` are split, and each arm runs over its own rows; a loop runs
+  over a copy of its rows, from which the loop test drops each row
+  whose condition fails. This stays exact:
+
+  - a row's values depend only on its own frame and on plan-time
+    memory, because a load of an element this launch wrote aborts
+    (read-after-write) and a store to an element it read aborts
+    (write-after-read);
+  - so any read/write overlap on one element between two rows aborts,
+    whichever arm Phase A runs first;
+  - the order of stores to one element is set by Phase B's issue
+    order, not by Phase A.
+
+  This phase has **zero shared side effects**, so a ``break``,
+  ``continue`` or ``return`` taken by only some rows, a hazard, or any
+  exception can abort it and transparently re-run the launch through
+  the ordinary per-iteration stepping path — reproducing exact oracle
+  semantics, including the original failure mode.
 
 * **Phase B (timing)** — the analytic launch replay of
   :mod:`repro.pipeline.replay` times the recorded ops: the launcher/LSU
@@ -34,8 +47,8 @@ steps everything else — so ``executor="batch"`` is *always* safe to
 request.
 
 Equality with the reference op executor (``tests/executor_oracle.py``:
-buffers, ``sim.now``, engine and LSU stats, iteration traces) is
-enforced by ``tests/test_prop_batch_equivalence.py``.
+buffers, ``sim.now``, engine and LSU stats, LSU registration order,
+iteration traces) is enforced by ``tests/test_prop_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -99,6 +112,8 @@ class BatchPipelineEngine(PipelineEngine):
         # the plan-time contents is exact — and a plain list indexes far
         # faster than per-element ``ndarray.item()`` calls.
         self._b_data: Dict[str, tuple] = {}
+        # Set when Phase A split rows at a BIf or dropped some at a BTest.
+        self._split = False
         #: Phase B's timeline; Phase A fills its LSU boxes and counters.
         self._replay: Optional[LaunchReplay] = None
         # Bound trace writers per schema (rebuilt if the fabric hub swaps).
@@ -126,7 +141,9 @@ class BatchPipelineEngine(PipelineEngine):
             rows = self._plan_rows(plan, tags)
         except _BatchAbort as abort:
             # Phase A is side-effect-free, so the materialized tag list can
-            # be replayed through the ordinary stepping path verbatim.
+            # be replayed through the ordinary stepping path verbatim. Its
+            # LSUs go too: stepping registers each at its first issue.
+            self._lsus = {}
             self.batch.divergence += 1
             self._emit("batch.divergence", abort.reason, len(tags))
             yield from self._fallback(abort.reason, tags, rows=len(tags),
@@ -136,7 +153,14 @@ class BatchPipelineEngine(PipelineEngine):
         self.batch.rows = len(tags)
         self.batch.ops = plan.op_count
         self._emit("batch.launch", "", 1, len(tags), plan.op_count)
-        self._replay.run_planned(rows)
+        if not self._split:
+            self._replay.run_planned(rows)
+            return
+        # Phase A registered the LSUs in plan order; rows that disagree at
+        # a branch or loop test may first issue them in another order.
+        first_issue: List[Any] = []
+        self._replay.run_planned(rows, first_issue)
+        self._lsus = {(lsu.site, lsu.kind): lsu for lsu in first_issue}
         return
         yield  # pragma: no cover - makes _launcher a generator either way
 
@@ -283,37 +307,55 @@ class BatchPipelineEngine(PipelineEngine):
                          element, value))
             elif kind == 3:                                 # BIf
                 cond_fn = node.cond_fn
-                first = rows[0]
-                taken = bool(cond_fn(first.frame, first.ctx))
-                for row in rows[1:]:
-                    if bool(cond_fn(row.frame, row.ctx)) != taken:
+                then_rows: List[Row] = []
+                else_rows: List[Row] = []
+                for row in rows:
+                    if cond_fn(row.frame, row.ctx):
+                        then_rows.append(row)
+                    else:
+                        else_rows.append(row)
+                if not else_rows:
+                    ctl = self._exec_nodes(node.then_nodes, rows)
+                elif not then_rows:
+                    ctl = self._exec_nodes(node.else_nodes, rows)
+                else:
+                    # Rows disagree: each arm runs over its own rows.
+                    self._split = True
+                    ctl = self._exec_nodes(node.then_nodes, then_rows)
+                    if self._exec_nodes(node.else_nodes, else_rows) != ctl:
+                        # break/continue/return taken by only some rows.
                         raise _BatchAbort("control-flow divergence")
-                ctl = self._exec_nodes(
-                    node.then_nodes if taken else node.else_nodes, rows)
                 if ctl is not None:
                     return ctl
             elif kind == 4:                                 # BLoop
                 body = node.nodes
                 continue_index = node.continue_index
+                # The body's BTest narrows this copy to the rows still
+                # looping; the nodes after the loop see all of ``rows``.
+                active = list(rows)
                 while True:
-                    ctl = self._exec_nodes(body, rows)
+                    ctl = self._exec_nodes(body, active)
                     if ctl == _CNT:
-                        ctl = self._exec_nodes(body, rows,
+                        ctl = self._exec_nodes(body, active,
                                                start=continue_index)
                     if ctl is None:
                         continue
                     if ctl == _BRK or ctl == _EXIT:
                         break
+                    if len(active) != len(rows):
+                        # Rows that left the loop earlier do not return.
+                        raise _BatchAbort("control-flow divergence")
                     return ctl                              # _RET propagates
             else:                                           # BTest (kind 5)
+                # ``rows`` is the enclosing BLoop's ``active`` list: drop
+                # the rows whose condition fails, in place.
                 cond_fn = node.cond_fn
-                first = rows[0]
-                live = bool(cond_fn(first.frame, first.ctx))
-                for row in rows[1:]:
-                    if bool(cond_fn(row.frame, row.ctx)) != live:
-                        raise _BatchAbort("control-flow divergence")
+                live = [row for row in rows if cond_fn(row.frame, row.ctx)]
                 if not live:
                     return _EXIT
+                if len(live) != len(rows):
+                    self._split = True
+                    rows[:] = live
         return None
 
     def _buffer_values(self, name: str, store: Any) -> tuple:

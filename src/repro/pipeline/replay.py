@@ -167,8 +167,13 @@ class LaunchReplay:
 
     # -- feeders -------------------------------------------------------------
 
-    def run_planned(self, rows: List[Row]) -> None:
-        """Time rows whose op lists batch Phase A computed."""
+    def run_planned(self, rows: List[Row],
+                    first_issue: Optional[List[Any]] = None) -> None:
+        """Time rows whose op lists batch Phase A computed.
+
+        With ``first_issue``, append each site's LSU to it when the site
+        issues its first access of the launch.
+        """
         heap = self.heap
         counter = self.counter
         heappush = heapq.heappush
@@ -185,6 +190,17 @@ class LaunchReplay:
             box, address, store, element, value = ops_[position]
             heappush(heap, (issue(now, box, address, store, element, value),
                             next(counter), _EV_ROW, row, None))
+
+        if first_issue is not None:
+            timed = step
+
+            def step(row: Row, now: int, value: Any) -> None:
+                position = row.next_op
+                if position < len(row.ops):
+                    box = row.ops[position][0]
+                    if not box[1]:                  # no access issued yet
+                        first_issue.append(box[6])
+                timed(row, now, value)
 
         def begin(row: Row, now: int) -> None:
             row.issued_at = now

@@ -195,6 +195,9 @@ def execute_experiment_job(name: str,
                                            **dict(params or {}))
     except KeyError as exc:
         return _structured_error(protocol.E_NOT_FOUND, str(exc.args[0]))
+    except registry.ExperimentParamError as exc:
+        return _structured_error(protocol.E_BAD_REQUEST, str(exc),
+                                 {"param": exc.param})
     except ReproError as exc:
         return _structured_error(
             "run_error", str(exc), {"type": type(exc).__name__})

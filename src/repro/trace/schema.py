@@ -144,9 +144,12 @@ BATCH_LAUNCH = TraceSchema(
     "batch.launch", ("mode", "rows", "ops"),
     doc="Batch-executor launch outcome: mode, work-item rows, memory ops.")
 
-#: Emitted when a table-mode attempt aborts at run time (control-flow
-#: divergence across rows, or an intra-launch memory hazard); ``site``
-#: carries the abort reason. The launch then re-runs via fallback.
+#: Emitted when a table-mode attempt aborts at run time: a break,
+#: continue or return taken by only some rows ("control-flow
+#: divergence"), an intra-launch memory hazard, or a body exception.
+#: Rows that merely disagree at an if or a loop test stay in the table.
+#: ``site`` carries the abort reason. The launch then re-runs via
+#: fallback.
 BATCH_DIVERGENCE = TraceSchema(
     "batch.divergence", ("rows",),
     doc="Batch-executor run-time divergence/hazard abort (pre-fallback).")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.latency import (
-    LatencyStats,
     histogram,
     latency_values,
     render_latency_table,
@@ -21,7 +20,6 @@ from repro.analysis.order import (
     timestamps_monotonic,
 )
 from repro.analysis.violations import (
-    WatchEvent,
     count_by_kind,
     decode_events,
     render_watch_report,

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import KernelBuildError, ProcessError
 from repro.memory.local_memory import LocalMemory
-from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import NDRangeKernel, PipelineConfig, SingleTaskKernel
 
 

@@ -4,9 +4,17 @@ the ``engine.batch`` stats object, and the batch trace records.
 The equivalence property (tests/test_prop_batch_equivalence.py) proves
 fallbacks are *correct*; this module proves they happen for the *right
 reason* — a silent fallback on a convergent kernel would erase the whole
-point of the batch tier, and a silent table execution of a divergent
-kernel would be a soundness bug the property might miss if timings
-happened to coincide.
+point of the batch tier.
+
+Rows that disagree at a data-dependent ``if`` or loop test stay in the
+table, and that is exact: Phase A values depend only on a row's own
+frame and on plan-time memory (a load of an element this launch wrote
+aborts as read-after-write, a store to an element it read aborts as
+write-after-read), so any read/write overlap on one element between two
+rows aborts whichever arm Phase A runs first; and the order of stores to
+one element is set by Phase B's issue order, not by Phase A. What still
+falls back is a ``break``, ``continue`` or ``return`` taken by only some
+rows — the pins below hold both sides of that line.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from repro.kernels.vecadd import VecAddKernel
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.ops import ALL_OPS
 from repro.trace import TraceHub
+from tests.executor_oracle import run_kernel
 
 _CONVERGENT = """
 __kernel void conv(__global int* in, __global int* out, int n) {
@@ -38,8 +47,8 @@ def _run_source(source, kernel, n=8, executor="batch", fabric=None,
     args = {"in": "IN", "out": "OUT", "n": n, "__global_size": n}
     if extra_args:
         args.update(extra_args)
-    engine = fabric.run_kernel(program.kernel(kernel), args,
-                               executor=executor)
+    engine = run_kernel(fabric, program.kernel(kernel), args,
+                        executor=executor)
     return fabric, engine
 
 
@@ -62,6 +71,72 @@ class TestTableMode:
         assert launches[0].values == (1, outcome.rows, outcome.ops)
         assert launches[0].site == ""
         assert hub.count("batch.divergence") == 0
+
+
+_DIVERGENT_BRANCH = """
+__kernel void k(__global int* in, __global int* out, int n) {
+    int gid = get_global_id(0);
+    if (gid % 2 == 0) {
+        out[gid] = in[gid];
+    } else {
+        out[gid] = -in[gid];
+    }
+}
+"""
+
+_DIVERGENT_TRIP_COUNT = """
+__kernel void k(__global int* in, __global int* out, int n) {
+    int gid = get_global_id(0);
+    int sum = 0;
+    for (int i = 0; i < (gid & 3); i++) {
+        sum += in[(gid + i) % n];
+    }
+    out[gid] = sum;
+}
+"""
+
+
+class TestDivergentTable:
+    """Rows that disagree at a branch or a loop test stay in the table,
+    equal to the reference executor."""
+
+    def _assert_matches_reference(self, source, fabric, engine, n):
+        program_cache_clear()
+        ref_fabric, ref_engine = _run_source(source, "k", n=n,
+                                             executor="reference")
+        assert fabric.sim.now == ref_fabric.sim.now
+        assert engine.stats.iteration_trace == \
+            ref_engine.stats.iteration_trace
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            list(ref_fabric.memory.buffer("OUT").snapshot())
+        # LSUs are registered in first-issue order, as stepping does.
+        assert list(engine.lsus) == list(ref_engine.lsus)
+
+    def test_divergent_branch_runs_in_table_mode(self):
+        program_cache_clear()
+        hub = TraceHub()
+        fabric, engine = _run_source(_DIVERGENT_BRANCH, "k",
+                                     fabric=Fabric(trace=hub))
+        outcome = engine.batch
+        assert outcome.mode == "table"
+        assert outcome.reason == ""
+        assert outcome.rows == 8
+        assert outcome.divergence == 0
+        assert hub.count("batch.divergence") == 0
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [(i + 1) if i % 2 == 0 else -(i + 1) for i in range(8)]
+        self._assert_matches_reference(_DIVERGENT_BRANCH, fabric, engine, 8)
+
+    def test_divergent_trip_count_runs_in_table_mode(self):
+        program_cache_clear()
+        fabric, engine = _run_source(_DIVERGENT_TRIP_COUNT, "k", n=12)
+        assert engine.batch.mode == "table"
+        assert engine.batch.divergence == 0
+        assert list(fabric.memory.buffer("OUT").snapshot()) == [
+            sum((gid + i) % 12 + 1 for i in range(gid & 3))
+            for gid in range(12)]
+        self._assert_matches_reference(_DIVERGENT_TRIP_COUNT, fabric,
+                                       engine, 12)
 
 
 class TestStaticBail:
@@ -170,23 +245,92 @@ class TestDynamicDivergence:
         assert len(launches) == 1
         assert launches[0].values == (0, rows, outcome.ops)
 
-    def test_divergent_branch_falls_back(self):
+    def test_partial_return_falls_back(self):
         program_cache_clear()
         source = """
         __kernel void k(__global int* in, __global int* out, int n) {
             int gid = get_global_id(0);
-            if (gid % 2 == 0) {
-                out[gid] = in[gid];
-            } else {
-                out[gid] = -in[gid];
+            int x = in[gid];
+            if (x > 4) {
+                out[gid] = x;
+                return;
             }
+            out[gid] = -x;
         }
         """
         fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
         self._assert_divergent_fallback(fabric, engine,
                                         "control-flow divergence")
         assert list(fabric.memory.buffer("OUT").snapshot()) == \
-            [(i + 1) if i % 2 == 0 else -(i + 1) for i in range(8)]
+            [-1, -2, -3, -4, 5, 6, 7, 8]
+
+    def test_partial_break_falls_back(self):
+        program_cache_clear()
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            int sum = 0;
+            for (int i = 0; i < n; i++) {
+                int x = in[i];
+                if (x > gid) {
+                    break;
+                }
+                sum += x;
+            }
+            out[gid] = sum;
+        }
+        """
+        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
+        self._assert_divergent_fallback(fabric, engine,
+                                        "control-flow divergence")
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [gid * (gid + 1) // 2 for gid in range(8)]
+
+    def test_return_by_every_row_still_looping_falls_back(self):
+        """Rows 2.. return inside the loop; rows 0 and 1 left it earlier
+        and go on to the store after it."""
+        program_cache_clear()
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            for (int i = 0; i < gid; i++) {
+                int x = in[i];
+                if (i == 1) {
+                    out[gid] = x;
+                    return;
+                }
+            }
+            out[gid] = -gid;
+        }
+        """
+        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
+        self._assert_divergent_fallback(fabric, engine,
+                                        "control-flow divergence")
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [0, -1] + [2] * 6
+
+    def test_hazard_after_a_split_keeps_stepping_lsu_order(self):
+        """Phase A registered the loop's LSUs before aborting; the
+        stepped re-run registers each at its first issue instead."""
+        program_cache_clear()
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            for (int i = 0; i < gid; i++) {
+                out[0] += 1;
+            }
+            out[gid] = gid;
+        }
+        """
+        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
+        self._assert_divergent_fallback(fabric, engine,
+                                        "write-after-read hazard")
+        program_cache_clear()
+        ref_fabric, ref_engine = _run_source(source, "k",
+                                             executor="reference")
+        assert list(engine.lsus) == list(ref_engine.lsus)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            list(ref_fabric.memory.buffer("OUT").snapshot())
 
     def test_read_after_write_hazard_falls_back(self):
         program_cache_clear()

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.bottleneck import Finding, diagnose, render_diagnosis
+from repro.analysis.bottleneck import diagnose, render_diagnosis
 from repro.errors import ReproError
 from repro.kernels.matmul import MatMulKernel, allocate_matmul_buffers
-from repro.kernels.pointer_chase import PointerChaseKernel, build_chain
-from repro.pipeline.fabric import Fabric
+from repro.kernels.pointer_chase import build_chain
 from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
 
 

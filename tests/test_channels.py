@@ -6,7 +6,6 @@ import pytest
 
 from repro.channels.channel import Channel
 from repro.errors import ChannelDepthError, ChannelUsageError
-from repro.sim.core import Simulator
 
 
 class TestConstruction:

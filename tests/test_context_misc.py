@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import KernelArgumentError, ProcessError
+from repro.errors import KernelArgumentError
 from repro.pipeline.context import KernelContext
 from repro.pipeline.engine import KernelInstance
-from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import SingleTaskKernel
 
 

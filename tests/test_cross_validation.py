@@ -9,7 +9,6 @@ agreeing on behaviour.
 
 from __future__ import annotations
 
-import pytest
 
 from repro.core.host_interface import HostController
 from repro.core.ibuffer import IBuffer, IBufferConfig

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.diff import (
-    LatencyDiff,
     assert_traces_equal,
     diff_latencies,
     diff_traces,

@@ -16,7 +16,6 @@ from repro.kernels.matvec import (
     MatVecNDRange,
     MatVecSingleTask,
     allocate_matvec_buffers,
-    expected_matvec,
 )
 from repro.kernels.vecadd import VecAddKernel
 from repro.pipeline.fabric import Fabric

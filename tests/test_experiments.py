@@ -174,3 +174,33 @@ class TestScalability:
         text = result.render()
         assert "scalability" in text
         assert "DEPTH" in text
+
+
+class TestRegistryParams:
+    """``run_experiment`` takes exactly the params each runner reads."""
+
+    def test_table_covers_every_experiment(self):
+        from repro.experiments import registry
+        assert set(registry.PARAMS) == set(registry.EXPERIMENTS)
+
+    def test_unknown_param_raises(self):
+        from repro.experiments import registry
+        with pytest.raises(registry.ExperimentParamError) as excinfo:
+            registry.run_experiment("fig2", n=4, nmu=6)
+        assert excinfo.value.param == "nmu"
+        assert "accepted: n, num" in str(excinfo.value)
+        with pytest.raises(registry.ExperimentParamError) as excinfo:
+            registry.run_experiment("sec31", n=4)
+        assert "accepted: none" in str(excinfo.value)
+
+    def test_unknown_name_still_key_error(self):
+        from repro.experiments import registry
+        with pytest.raises(KeyError):
+            registry.run_experiment("fig99", nmu=6)
+
+    def test_accepted_params_reach_the_runner(self):
+        from repro.experiments import registry
+        assert registry.run_experiment("table1", depth=3) == \
+            table1.run(depth=3).render()
+        assert registry.run_experiment("fig2", n=4, num=6) == \
+            fig2.run(n=4, num=6).render()

@@ -18,7 +18,7 @@ from repro.kernels.matmul import MatMulKernel, allocate_matmul_buffers, expected
 from repro.kernels.vecadd import VecAddKernel
 from repro.memory.global_memory import GlobalMemoryConfig
 from repro.pipeline.fabric import Fabric
-from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
+from repro.pipeline.kernel import SingleTaskKernel
 
 
 class TestExtremeMemoryConfigs:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import AddressError
 from repro.memory.global_memory import GlobalMemory, GlobalMemoryConfig
-from repro.sim.core import Simulator
 
 
 def _loader(sim, memory, name, index, out):

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import HDLError
 from repro.hdl.counter import GetTimeModule
 from repro.hdl.library import HDLLibrary
-from repro.hdl.module import HDLModule, MODES
+from repro.hdl.module import HDLModule
 
 
 class TestHDLModule:

@@ -5,7 +5,6 @@ instrumentation, readout, and analysis in one flow."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.order import classify_order, order_records
 from repro.core.sequence import SequenceService

@@ -8,7 +8,6 @@ global event order and quantify backpressure.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.stall_monitor import StallMonitor
 from repro.pipeline.fabric import Fabric

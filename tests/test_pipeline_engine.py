@@ -9,7 +9,6 @@ from repro.pipeline.engine import AutorunEngine, PipelineEngine
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import (
     AutorunKernel,
-    Kernel,
     NDRangeKernel,
     PipelineConfig,
     ResourceProfile,

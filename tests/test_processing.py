@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.commands import IBufferCommand, IBufferState, SamplingMode
 from repro.core.host_interface import HostController
 from repro.core.ibuffer import IBuffer, IBufferConfig
 from repro.core.processing import (

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend import compile_source, program_cache_clear
+from repro.frontend import FrontendError, compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
 from tests.executor_oracle import run_kernel
 
@@ -77,13 +77,15 @@ def _exprs(draw, depth=0):
 def _stmts(draw, depth=0, loop_depth=0):
     """One source-text statement (possibly a nested block construct).
 
-    Statements referencing ``gid`` in branch conditions make control
-    flow diverge across work-items; ``out[...] op=`` statements read and
-    write the output buffer, tripping the batch hazard detector. Both
-    force the batch engine down its fallback path — on purpose: the
-    property holds regardless of which path executes the launch.
+    Branch conditions and loop bounds that read ``gid`` or ``in[...]``
+    make control flow diverge across work-items: the batch engine splits
+    its rows at such an ``if`` and drops rows out of such a loop, but a
+    ``return``, ``break`` or ``continue`` taken by only some rows sends
+    the launch back to stepping. ``out[...] op=`` statements read and
+    write the output buffer, tripping the batch hazard detector. The
+    property holds whichever path executes the launch.
     """
-    node = draw(st.integers(0, 11))
+    node = draw(st.integers(0, 15))
     if node <= 2:
         target = draw(st.sampled_from(["a", "b", "c"]))
         op = draw(st.sampled_from(["=", "+=", "-=", "*="]))
@@ -98,7 +100,12 @@ def _stmts(draw, depth=0, loop_depth=0):
         return f"{target}{draw(st.sampled_from(['++', '--']))};"
     if node == 6:
         return f"out[(c & {_BUF - 1})] = in[(a & {_BUF - 1})];"
-    if depth >= 2 or node <= 8:
+    if node == 13:
+        return f"if ((({draw(_exprs())}) & 3) == (gid & 3)) {{ return; }}"
+    if node == 14 and loop_depth > 0:
+        keyword = draw(st.sampled_from(["break", "continue"]))
+        return f"if ({draw(_exprs())}) {{ {keyword}; }}"
+    if depth >= 2 or node <= 8 or node >= 14:
         return f"a = {draw(_exprs())};"
     inner = draw(st.lists(_stmts(depth=depth + 1, loop_depth=loop_depth),
                           min_size=1, max_size=3))
@@ -108,14 +115,25 @@ def _stmts(draw, depth=0, loop_depth=0):
                               min_size=0, max_size=2))
         else_block = (" else { " + " ".join(other) + " }") if other else ""
         return f"if ({draw(_exprs())}) {{ {block} }}{else_block}"
-    if node == 10 and loop_depth < 2:
+    if node in (10, 11) and loop_depth < 2:
         var = f"i{loop_depth}"
-        bound = draw(st.integers(1, 4))
+        if node == 10:
+            bound = str(draw(st.integers(1, 4)))
+        else:
+            bound = f"(({draw(_exprs())}) & 3)"     # data-dependent trips
         inner = draw(st.lists(
             _stmts(depth=depth + 1, loop_depth=loop_depth + 1),
             min_size=1, max_size=3))
         return (f"for (int {var} = 0; {var} < {bound}; {var}++) "
                 f"{{ {' '.join(inner)} c += {var}; }}")
+    if node == 12 and loop_depth < 2:
+        # The counter steps first, so a generated ``continue`` still ends.
+        var = f"w{loop_depth}"
+        inner = draw(st.lists(
+            _stmts(depth=depth + 1, loop_depth=loop_depth + 1),
+            min_size=1, max_size=3))
+        return (f"{{ int {var} = 0; while ({var} < ((gid + a) & 3)) "
+                f"{{ {var}++; {' '.join(inner)} }} }}")
     return f"{{ int t = {draw(_exprs())}; b = t + 1; }}"
 
 
@@ -200,7 +218,9 @@ def _assert_equivalent(batch, ref, buffers):
         (rs.start_cycle, rs.finish_cycle)
     assert bs.issue_stall_cycles == rs.issue_stall_cycles
     assert bs.iteration_trace == rs.iteration_trace
-    assert _lsu_snapshot(batch_engine) == _lsu_snapshot(ref_engine)
+    # Ordered: LSUs are registered at their site's first issue.
+    assert list(_lsu_snapshot(batch_engine).items()) == \
+        list(_lsu_snapshot(ref_engine).items())
     assert _memory_snapshot(batch_fabric) == _memory_snapshot(ref_fabric)
     assert batch_fabric.memory.pending_commits == 0
     assert ref_fabric.memory.pending_commits == 0
@@ -341,3 +361,141 @@ class TestBatchSpeedupGate:
             f"batch speedup {speedup:.2f}x < 3x "
             f"(batch {rates['batch']:,.0f} vs fast "
             f"{rates['fast']:,.0f} sim-cycles/s)")
+
+
+#: CSR sparse matrix-vector product: each work-item's trip count is its
+#: row's nonzero count, so rows leave the loop at different trips.
+_SPMV_CSR = """
+__kernel void spmv(__global int* ptr, __global int* col, __global int* val,
+                   __global int* x, __global int* y) {
+    int gid = get_global_id(0);
+    int sum = 0;
+    for (int j = ptr[gid]; j < ptr[gid + 1]; j++) {
+        sum += val[j] * x[col[j]];
+    }
+    y[gid] = sum;
+}
+"""
+
+
+def _run_buffers(source, kernel, buffers, args, executor):
+    fabric = Fabric(keep_lsu_samples=True)
+    program = compile_source(fabric, source)
+    for name, values in buffers.items():
+        fabric.memory.allocate(name, len(values)).fill(np.asarray(values))
+    engine = run_kernel(fabric, program.kernel(kernel), args,
+                        executor=executor)
+    return fabric, engine
+
+
+class TestSpmvCsr:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_spmv_runs_in_table_mode_and_matches(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 13))
+        width = 8
+        counts = rng.integers(0, 5, size=rows)
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        nnz = max(int(ptr[-1]), 1)
+        buffers = {"PTR": ptr, "COL": rng.integers(0, width, size=nnz),
+                   "VAL": rng.integers(-9, 10, size=nnz),
+                   "X": rng.integers(-9, 10, size=width), "Y": [0] * rows}
+        args = {"ptr": "PTR", "col": "COL", "val": "VAL", "x": "X",
+                "y": "Y", "__global_size": rows}
+        runs = []
+        for executor in ("batch", "reference"):
+            program_cache_clear()
+            runs.append(_run_buffers(_SPMV_CSR, "spmv", buffers, args,
+                                     executor))
+        outcome = runs[0][1].batch
+        assert (outcome.mode, outcome.divergence) == ("table", 0)
+        _assert_equivalent(runs[0], runs[1], list(buffers))
+        dense = np.zeros((rows, width), dtype=np.int64)
+        for row in range(rows):
+            for j in range(ptr[row], ptr[row + 1]):
+                dense[row, buffers["COL"][j]] += buffers["VAL"][j]
+        assert list(runs[0][0].memory.buffer("Y").snapshot()) == \
+            list(dense @ buffers["X"])
+
+
+#: The control-flow stress shapes of oclude's ``stress.cl``, written here
+#: with conditions and bounds that read the work-item's own input. Each
+#: entry names the outcome it must have: a batch mode, or "rejected" for
+#: syntax the OpenCL-C subset does not parse.
+_STRESS_SHAPES = {
+    "boolvar": ("""
+        bool big = in[gid] > 4;
+        if (big) { out[gid] = in[gid]; } else { out[gid] = gid; }
+    """, "table"),
+    "if": ("""
+        int x = in[gid];
+        if (x % 3 == 0) { out[gid] = in[(gid + 1) & 15] + x; }
+    """, "table"),
+    "muchif": ("""
+        int x = in[gid];
+        if (x < 0) { out[gid] = -x; }
+        else if (x < 8) { out[gid] = in[(x + gid) & 15]; }
+        else { out[gid] = x * 2; }
+        if (gid & 1) { out[gid + 16] = x; }
+        if ((x & 3) == 1) { if (gid > 4) { out[gid + 16] = -x; } }
+    """, "table"),
+    "while": ("""
+        int i = 0;
+        int sum = 0;
+        while (i < (in[gid] & 7)) { sum += in[(gid + i) & 15]; i++; }
+        out[gid] = sum;
+    """, "table"),
+    "dowhile": ("""
+        int i = 0;
+        do { out[gid] = i; i++; } while (i < (in[gid] & 3));
+    """, "rejected"),
+    "for": ("""
+        int sum = 0;
+        for (int i = gid; i < 2 * gid; i++) { sum += in[i & 15]; }
+        for (int k = 0; k < (in[gid] & 3); k++) {
+            for (int m = 0; m < k + (gid & 1); m++) { sum += in[m]; }
+        }
+        out[gid] = sum;
+    """, "table"),
+    "ternary": ("""
+        int x = in[gid];
+        out[gid] = x > 4 ? in[(gid + 1) & 15] : in[(gid + 2) & 15];
+        out[gid + 16] = x > 7 ? x : -x;
+    """, "rejected"),
+    "switch": ("""
+        int x = in[gid];
+        switch (x & 3) {
+            case 0: out[gid] = in[gid]; break;
+            case 1: out[gid] = x + 1;
+            case 2: out[gid + 16] = x; break;
+            default: out[gid] = -x;
+        }
+    """, "fallback"),
+}
+
+
+class TestStressShapes:
+    """Each shape runs equal to the oracle, or is rejected with a
+    positioned ``FrontendError``."""
+
+    @pytest.mark.parametrize("name", sorted(_STRESS_SHAPES))
+    def test_shape_matches_reference_or_is_rejected(self, name):
+        body, outcome = _STRESS_SHAPES[name]
+        source = ("__kernel void k(__global int* in, __global int* out, "
+                  "int n) {\n    int gid = get_global_id(0);\n"
+                  + body + "\n}\n")
+        values = (np.arange(_BUF) * 7 + 3) % 13 - 2
+        buffers = {"IN": values, "OUT": [0] * (2 * _BUF)}
+        args = {"in": "IN", "out": "OUT", "n": _BUF, "__global_size": _BUF}
+        runs = []
+        for executor in ("batch", "reference"):
+            program_cache_clear()
+            try:
+                runs.append(_run_buffers(source, "k", buffers, args,
+                                         executor))
+            except FrontendError as exc:
+                assert outcome == "rejected", str(exc)
+                assert exc.line and exc.column, str(exc)
+                return
+        assert runs[0][1].batch.mode == outcome, runs[0][1].batch
+        _assert_equivalent(runs[0], runs[1], list(buffers))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.conditions import AnyOf
-from repro.sim.core import Interrupt, PRIORITY_URGENT, Simulator
+from repro.sim.core import Interrupt, PRIORITY_URGENT
 
 
 class TestTickPooling:

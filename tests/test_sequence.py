@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.core.sequence import SequenceService
-from repro.pipeline.fabric import Fabric
-from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
+from repro.pipeline.kernel import SingleTaskKernel
 
 
 class SeqReader(SingleTaskKernel):

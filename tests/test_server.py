@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import contextlib
-import os
 
 import pytest
 
@@ -177,6 +176,12 @@ class TestJobs:
     def test_experiment_job_unknown_name(self):
         result = execute_experiment_job("fig99")
         assert result["error"]["code"] == protocol.E_NOT_FOUND
+
+    def test_experiment_job_unknown_param_is_bad_request(self):
+        result = execute_experiment_job("fig2", params={"n": 4, "nmu": 6})
+        assert result["error"]["code"] == protocol.E_BAD_REQUEST
+        assert result["error"]["data"] == {"param": "nmu"}
+        assert "'fig2' takes no param 'nmu'" in result["error"]["message"]
 
 
 class TestServerRoundTrip:
@@ -596,6 +601,19 @@ class TestParamValidation:
                 "buffers": {"data": {"size": 2}}}, "executor")
         assert client.stats()["per_session"][client.session_id][
             "jobs_completed"] == 0
+        self._assert_session_runs(client)
+
+    def test_misspelt_experiment_param_rejected(self, client):
+        self._assert_bad_param(client, "experiment.run",
+                               {"name": "fig2", "params": {"n": 4, "nmu": 6}},
+                               "nmu")
+        self._assert_bad_param(client, "experiment.run",
+                               {"name": "sec31", "params": {"depth": 3}},
+                               "depth")
+        rendered = client.run_experiment(
+            "table1", params={"depth": 3})["rendered"]
+        from repro.experiments import registry
+        assert rendered == registry.run_experiment("table1", depth=3)
         self._assert_session_runs(client)
 
     def test_rejected_open_leaves_no_session(self, server):

@@ -9,10 +9,7 @@ from repro.sim.core import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
-    Event,
     Interrupt,
-    Simulator,
-    Timeout,
     at_each_cycle,
 )
 

@@ -8,7 +8,7 @@ import pytest
 from repro.channels.channel import Channel
 from repro.errors import ProcessError, SimulationError
 from repro.sim.conditions import AllOf, AnyOf
-from repro.sim.core import Interrupt, PRIORITY_URGENT, Simulator
+from repro.sim.core import Interrupt, PRIORITY_URGENT
 from repro.sim.resources import Store
 
 

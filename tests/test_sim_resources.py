@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Simulator
 from repro.sim.resources import Resource, Store
 
 

@@ -19,7 +19,6 @@ from repro.kernels.spmv import (
     expected_spmv,
     random_csr,
 )
-from repro.pipeline.fabric import Fabric
 
 
 class TestSpMV:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.commands import IBufferState, SamplingMode
+from repro.core.commands import SamplingMode
 from repro.core.stall_monitor import StallMonitor, caller_site_profile
 from repro.errors import IBufferError
 from repro.kernels.matmul import MatMulKernel, allocate_matmul_buffers

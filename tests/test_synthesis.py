@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SynthesisError
 from repro.pipeline.kernel import ResourceProfile, SingleTaskKernel
 from repro.synthesis.cost_model import ChannelSpec, CostModel, CostTable
-from repro.synthesis.design import Design, ShellProfile
+from repro.synthesis.design import Design
 from repro.synthesis.report import compare_reports, synthesize
 from repro.synthesis.resources import (
     ARRIA_10,

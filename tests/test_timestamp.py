@@ -7,11 +7,9 @@ import pytest
 from repro.core.timestamp import (
     HDLTimestampService,
     PersistentTimestampService,
-    TimerServiceKernel,
 )
 from repro.errors import KernelError
 from repro.hdl.library import HDLLibrary
-from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import SingleTaskKernel
 
 

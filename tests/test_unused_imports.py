@@ -1,4 +1,5 @@
-"""Every name a ``src/repro`` module imports is referenced in that module.
+"""Every name a ``src/repro`` module or a ``tests/*.py`` file imports is
+referenced in that module.
 
 No linter ships with the project, so this AST scan stands in for one
 rule of it. A name counts as referenced when it appears anywhere in the
@@ -12,7 +13,9 @@ import ast
 import pathlib
 from typing import Iterator, List, Set, Tuple
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 
 
 def _type_checking_imports(tree: ast.AST) -> Set[int]:
@@ -84,13 +87,18 @@ def unused_imports(source: str) -> List[Tuple[int, str]]:
             if name not in referenced]
 
 
+def _scanned() -> List[pathlib.Path]:
+    return sorted(SRC.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+
+
 def test_scan_sees_the_package():
     assert len(list(SRC.rglob("*.py"))) > 50
+    assert len(list(TESTS.glob("*.py"))) > 50
 
 
 def test_no_unused_imports():
-    unused = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
-              for path in sorted(SRC.rglob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in _scanned()
               for line, name in unused_imports(path.read_text())]
     assert unused == [], "imported but never referenced:\n" + "\n".join(
         unused)

@@ -8,7 +8,6 @@ from repro.core.stall_monitor import StallMonitor
 from repro.core.vendor_profiler import VendorProfiler
 from repro.errors import ReproError
 from repro.kernels.matmul import MatMulKernel, allocate_matmul_buffers
-from repro.pipeline.fabric import Fabric
 
 
 def _run_matmul(fabric, monitor=None):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.watchpoint import SmartWatchpoint, caller_site_profile
 from repro.errors import IBufferError
-from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import SingleTaskKernel
 
 
