@@ -9,37 +9,34 @@ contract falls out of sharing this code rather than mirroring it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.experiments import (fig2, limitations, scalability, sec31,
                                sec51, sec52, table1)
 
-#: name -> callable(params, hub) returning the rendered report text.
-EXPERIMENTS: Dict[str, Callable[[Dict[str, Any], Any], str]] = {
-    "fig2": lambda params, hub: fig2.run(
-        n=params.get("n", fig2.PAPER_N),
-        num=params.get("num", fig2.PAPER_NUM),
-        trace=hub).render(),
-    "table1": lambda params, hub: table1.run(
-        depth=params.get("depth", table1.TABLE1_DEPTH)).render(),
-    "sec31": lambda params, hub: sec31.run().render(),
-    "sec51": lambda params, hub: sec51.run(trace=hub).render(),
-    "sec52": lambda params, hub: sec52.run(trace=hub).render(),
-    "limitations": lambda params, hub: limitations.run().render(),
-    "scalability": lambda params, hub: scalability.run().render(),
+#: name -> callable(hub, **params) returning the rendered report text.
+EXPERIMENTS: Dict[str, Callable[..., str]] = {
+    "fig2": lambda hub, n, num: fig2.run(n=n, num=num, trace=hub).render(),
+    "table1": lambda hub, depth: table1.run(depth=depth).render(),
+    "sec31": lambda hub: sec31.run().render(),
+    "sec51": lambda hub: sec51.run(trace=hub).render(),
+    "sec52": lambda hub: sec52.run(trace=hub).render(),
+    "limitations": lambda hub: limitations.run().render(),
+    "scalability": lambda hub: scalability.run().render(),
 }
 
-#: name -> the params its runner reads; :func:`run_experiment` rejects
-#: any other key rather than run the paper default in its place.
-PARAMS: Dict[str, FrozenSet[str]] = {
-    "fig2": frozenset({"n", "num"}),
-    "table1": frozenset({"depth"}),
-    "sec31": frozenset(),
-    "sec51": frozenset(),
-    "sec52": frozenset(),
-    "limitations": frozenset(),
-    "scalability": frozenset(),
+#: name -> the params its runner reads, with their defaults;
+#: :func:`run_experiment` rejects any other key rather than run the paper
+#: default in its place.
+PARAMS: Dict[str, Dict[str, Any]] = {
+    "fig2": {"n": fig2.PAPER_N, "num": fig2.PAPER_NUM},
+    "table1": {"depth": table1.TABLE1_DEPTH},
+    "sec31": {},
+    "sec51": {},
+    "sec52": {},
+    "limitations": {},
+    "scalability": {},
 }
 
 
@@ -76,7 +73,9 @@ def run_experiment(name: str, hub: Optional[Any] = None,
         raise KeyError(
             f"unknown experiment {name!r}; known: "
             f"{', '.join(sorted(EXPERIMENTS))}") from None
+    defaults = PARAMS[name]
     for param in params:
-        if param not in PARAMS[name]:
+        if param not in defaults:
             raise ExperimentParamError(name, param)
-    return runner(dict(params), hub if name in TRACEABLE else None)
+    return runner(hub if name in TRACEABLE else None,
+                  **{**defaults, **params})

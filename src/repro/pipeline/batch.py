@@ -112,8 +112,6 @@ class BatchPipelineEngine(PipelineEngine):
         # the plan-time contents is exact — and a plain list indexes far
         # faster than per-element ``ndarray.item()`` calls.
         self._b_data: Dict[str, tuple] = {}
-        # Set when Phase A split rows at a BIf or dropped some at a BTest.
-        self._split = False
         #: Phase B's timeline; Phase A fills its LSU boxes and counters.
         self._replay: Optional[LaunchReplay] = None
         # Bound trace writers per schema (rebuilt if the fabric hub swaps).
@@ -153,14 +151,10 @@ class BatchPipelineEngine(PipelineEngine):
         self.batch.rows = len(tags)
         self.batch.ops = plan.op_count
         self._emit("batch.launch", "", 1, len(tags), plan.op_count)
-        if not self._split:
-            self._replay.run_planned(rows)
-            return
         # Phase A registered the LSUs in plan order; rows that disagree at
         # a branch or loop test may first issue them in another order.
-        first_issue: List[Any] = []
-        self._replay.run_planned(rows, first_issue)
-        self._lsus = {(lsu.site, lsu.kind): lsu for lsu in first_issue}
+        self._lsus = {(lsu.site, lsu.kind): lsu
+                      for lsu in self._replay.run_planned(rows)}
         return
         yield  # pragma: no cover - makes _launcher a generator either way
 
@@ -320,7 +314,6 @@ class BatchPipelineEngine(PipelineEngine):
                     ctl = self._exec_nodes(node.else_nodes, rows)
                 else:
                     # Rows disagree: each arm runs over its own rows.
-                    self._split = True
                     ctl = self._exec_nodes(node.then_nodes, then_rows)
                     if self._exec_nodes(node.else_nodes, else_rows) != ctl:
                         # break/continue/return taken by only some rows.
@@ -354,7 +347,6 @@ class BatchPipelineEngine(PipelineEngine):
                 if not live:
                     return _EXIT
                 if len(live) != len(rows):
-                    self._split = True
                     rows[:] = live
         return None
 

@@ -167,18 +167,18 @@ class LaunchReplay:
 
     # -- feeders -------------------------------------------------------------
 
-    def run_planned(self, rows: List[Row],
-                    first_issue: Optional[List[Any]] = None) -> None:
+    def run_planned(self, rows: List[Row]) -> List[Any]:
         """Time rows whose op lists batch Phase A computed.
 
-        With ``first_issue``, append each site's LSU to it when the site
-        issues its first access of the launch.
+        Returns their LSUs in the order the sites first issue, which is
+        the order stepping registers them in.
         """
         heap = self.heap
         counter = self.counter
         heappush = heapq.heappush
         issue = self._make_issue()
         retire = self._retire
+        first_issue: List[Any] = []
 
         def step(row: Row, now: int, _value: Any) -> None:
             ops_ = row.ops
@@ -188,19 +188,10 @@ class LaunchReplay:
                 return
             row.next_op = position + 1
             box, address, store, element, value = ops_[position]
+            if not box[1]:                      # the site's first access
+                first_issue.append(box[6])
             heappush(heap, (issue(now, box, address, store, element, value),
                             next(counter), _EV_ROW, row, None))
-
-        if first_issue is not None:
-            timed = step
-
-            def step(row: Row, now: int, value: Any) -> None:
-                position = row.next_op
-                if position < len(row.ops):
-                    box = row.ops[position][0]
-                    if not box[1]:                  # no access issued yet
-                        first_issue.append(box[6])
-                timed(row, now, value)
 
         def begin(row: Row, now: int) -> None:
             row.issued_at = now
@@ -208,6 +199,7 @@ class LaunchReplay:
 
         self._run(rows, begin, step)
         self._flush()
+        return first_issue
 
     def run_bodies(self, tags: Iterable[Any]) -> None:
         """Run each tag's body generator, fed op by op on the replay."""

@@ -179,9 +179,13 @@ class TestScalability:
 class TestRegistryParams:
     """``run_experiment`` takes exactly the params each runner reads."""
 
-    def test_table_covers_every_experiment(self):
+    def test_table_matches_every_runner(self):
+        import inspect
         from repro.experiments import registry
         assert set(registry.PARAMS) == set(registry.EXPERIMENTS)
+        for name, runner in registry.EXPERIMENTS.items():
+            taken = list(inspect.signature(runner).parameters)
+            assert taken == ["hub", *registry.PARAMS[name]], name
 
     def test_unknown_param_raises(self):
         from repro.experiments import registry

@@ -21,11 +21,12 @@ dedicated step with a larger budget.
 from __future__ import annotations
 
 import os
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from repro.frontend import FrontendError, compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
@@ -85,7 +86,7 @@ def _stmts(draw, depth=0, loop_depth=0):
     write the output buffer, tripping the batch hazard detector. The
     property holds whichever path executes the launch.
     """
-    node = draw(st.integers(0, 15))
+    node = draw(st.integers(0, 16))
     if node <= 2:
         target = draw(st.sampled_from(["a", "b", "c"]))
         op = draw(st.sampled_from(["=", "+=", "-=", "*="]))
@@ -105,17 +106,17 @@ def _stmts(draw, depth=0, loop_depth=0):
     if node == 14 and loop_depth > 0:
         keyword = draw(st.sampled_from(["break", "continue"]))
         return f"if ({draw(_exprs())}) {{ {keyword}; }}"
-    if depth >= 2 or node <= 8 or node >= 14:
+    if depth >= 2 or node <= 8 or node == 14:
         return f"a = {draw(_exprs())};"
-    inner = draw(st.lists(_stmts(depth=depth + 1, loop_depth=loop_depth),
-                          min_size=1, max_size=3))
-    block = " ".join(inner)
     if node == 9:
+        block = " ".join(draw(st.lists(
+            _stmts(depth=depth + 1, loop_depth=loop_depth),
+            min_size=1, max_size=3)))
         other = draw(st.lists(_stmts(depth=depth + 1, loop_depth=loop_depth),
                               min_size=0, max_size=2))
         else_block = (" else { " + " ".join(other) + " }") if other else ""
         return f"if ({draw(_exprs())}) {{ {block} }}{else_block}"
-    if node in (10, 11) and loop_depth < 2:
+    if node in (10, 15) and loop_depth < 2:
         var = f"i{loop_depth}"
         if node == 10:
             bound = str(draw(st.integers(1, 4)))
@@ -126,7 +127,7 @@ def _stmts(draw, depth=0, loop_depth=0):
             min_size=1, max_size=3))
         return (f"for (int {var} = 0; {var} < {bound}; {var}++) "
                 f"{{ {' '.join(inner)} c += {var}; }}")
-    if node == 12 and loop_depth < 2:
+    if node == 16 and loop_depth < 2:
         # The counter steps first, so a generated ``continue`` still ends.
         var = f"w{loop_depth}"
         inner = draw(st.lists(
@@ -134,7 +135,33 @@ def _stmts(draw, depth=0, loop_depth=0):
             min_size=1, max_size=3))
         return (f"{{ int {var} = 0; while ({var} < ((gid + a) & 3)) "
                 f"{{ {var}++; {' '.join(inner)} }} }}")
+    # Node 11, or a loop nested too deep: a block-local declaration.
     return f"{{ int t = {draw(_exprs())}; b = t + 1; }}"
+
+
+#: One pattern per statement shape :func:`_stmts` can produce.
+_STMT_SHAPES = {
+    "scalar assign": r"^[abc] [-+*]?= ",
+    "private store": r"^acc\[\(\(gid \+ a\)",
+    "global read-modify-write": r"^out\[\(b & 15\)\] [-+]?= ",
+    "increment": r"^[abc](\+\+|--);$",
+    "global copy": r"^out\[\(c & 15\)\] = in\[",
+    "if/else": r"^if \(.*\) \{ .* \} else \{ .* \}$",
+    "constant-trip for": r"^for \(int i0 = 0; i0 < \d; ",
+    "data-dependent for": r"^for \(int i0 = 0; i0 < \(\(",
+    "while": r"^\{ int w0 = 0; while ",
+    "block-local declaration": r"^\{ int t = ",
+    "partial return": r"^if .* \{ return; \}$",
+    "break": r"\{ break; \}",
+    "continue": r"\{ continue; \}",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_STMT_SHAPES))
+def test_generator_draws_every_statement_shape(shape):
+    pattern = re.compile(_STMT_SHAPES[shape])
+    find(_stmts(), lambda text: pattern.search(text) is not None,
+         settings=settings(database=None, max_examples=2000))
 
 
 @st.composite
