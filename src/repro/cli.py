@@ -203,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_params(args, name: str) -> Dict[str, Any]:
-    """The run-subcommand flags that experiment ``name`` reads."""
-    flags = {"n": args.n, "num": args.num, "depth": args.depth}
-    return {param: flags[param] for param in _registry.PARAMS[name]}
+    """The run-subcommand flags that experiment ``name`` reads (each
+    registry param has a same-named ``run`` flag)."""
+    return {param: getattr(args, param) for param in _registry.PARAMS[name]}
 
 
 def _run_experiments(args) -> int:
