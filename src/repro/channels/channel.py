@@ -96,6 +96,20 @@ class Sink:
         self.last = last
 
 
+def schedule_call(sim: Simulator, call: Callable[[], None],
+                  next_cycle: bool = False) -> None:
+    """Run ``call`` one hop later (a NORMAL event this cycle), or with
+    ``next_cycle`` where an early-phase autorun resumes after a cycle
+    boundary: on the next cycle's URGENT broadcast tick."""
+    if next_cycle:
+        sim.broadcast_tick(PRIORITY_URGENT).callbacks.append(
+            lambda _event: call())
+        return
+    event = Event(sim)
+    event.callbacks.append(lambda _event: call())
+    event.succeed()
+
+
 class Channel:
     """One AOCL channel endpoint pair.
 
@@ -753,15 +767,24 @@ class SequenceChannel(Channel):
     offer was made, and the readers waiting for the next one — instead of
     a server generator's locals, and reproduces the server's event order:
 
-    * the server starts like an early-phase autorun: its first offer is
-      made after a process start event and a phase-alignment event at
-      the creation cycle;
+    * :meth:`start` starts the server like an early-phase autorun: its
+      first offer is made after a process start event and a
+      phase-alignment event at that cycle;
     * a read that takes the offer resumes at once; the server's blocking
-      write completes one hop later (a NORMAL event at the read cycle),
-      where it re-offers — so a second reader in the same cycle that
-      comes before that hop waits for it, as with the eager server;
-    * a re-offer hands the value straight to every waiting reader in
-      turn (each resumes one hop later) before it parks the next offer.
+      write completes one hop later (a NORMAL event at the read cycle);
+    * what follows depends on the server's loop (``per_cycle``):
+
+      - the Python-IR server (:class:`~repro.core.sequence.
+        SequenceServerKernel`) loops with no cycle boundary, so it
+        re-offers at that hop — a second reader in the same cycle that
+        comes before the hop waits for it — and a re-offer hands the
+        value straight to every waiting reader in turn (each resumes one
+        hop later) before it parks the next offer;
+      - a compiled Listing 5 kernel (``per_cycle=True``) ends each trip
+        of its ``while (1)`` loop on a cycle boundary, so it re-offers
+        at the head of the next cycle (the early-phase autorun tick); a
+        waiting reader takes that offer at once, and the next offer
+        comes one cycle later again: at most one hand-over per cycle.
 
     Statistics match the eager server's: one write per completed
     hand-over, with the cycles the offer waited as write stall cycles.
@@ -774,7 +797,7 @@ class SequenceChannel(Channel):
     """
 
     def __init__(self, sim: Simulator, name: str, start: int = 0,
-                 width_bits: int = 32) -> None:
+                 width_bits: int = 32, per_cycle: bool = False) -> None:
         super().__init__(sim, name, depth=0, compiled_depth=None,
                          width_bits=width_bits)
         #: The value on offer (or the next one to offer).
@@ -783,8 +806,12 @@ class SequenceChannel(Channel):
         #: Cycle the current offer was made (its write's start).
         self._offer_cycle = 0
         self._stopped = False
-        # Mirror the server process's start event and its phase alignment.
-        started = Event(sim)
+        self._per_cycle = per_cycle
+
+    def start(self) -> None:
+        """Start the server at this cycle, as installing its autorun
+        kernel would: a process start event, then phase alignment."""
+        started = Event(self.sim)
         started.callbacks.append(self._started)
         started.succeed()
 
@@ -792,7 +819,7 @@ class SequenceChannel(Channel):
         if self._stopped:
             return
         aligned = Event(self.sim)
-        aligned.callbacks.append(lambda _aligned: self._offer())
+        aligned.callbacks.append(lambda _aligned: self._offer(self._hop))
         aligned.succeed(priority=PRIORITY_URGENT)
 
     def freeze(self) -> None:
@@ -801,18 +828,23 @@ class SequenceChannel(Channel):
 
     # -- the analytic server -------------------------------------------------
 
-    def _offer(self) -> None:
+    def _offer(self, hop: Callable[..., None]) -> None:
         """The server's blocking write of the next value, at ``now``."""
+        if self._stopped:
+            return
         readers = self._pending_readers
         while readers:
             # A waiting reader takes the write at once (no stall).
             readers.pop(0).succeed(self._count)
             self._stats.writes += 1
             self._count += 1
+            if self._per_cycle:
+                hop(lambda: self._offer(hop), True)
+                return
         self._offered = True
         self._offer_cycle = self.sim.now
 
-    def _write_done(self) -> None:
+    def _write_done(self, hop: Callable[..., None]) -> None:
         """The hop after a taken offer: the server's write completes and
         it re-offers (unless the service was torn down meanwhile)."""
         if self._stopped:
@@ -821,19 +853,24 @@ class SequenceChannel(Channel):
         stats.writes += 1
         stats.write_stall_cycles += self.sim.now - self._offer_cycle
         self._count += 1
-        self._offer()
+        if self._per_cycle:
+            hop(lambda: self._offer(hop), True)
+        else:
+            self._offer(hop)
 
-    def _hop(self, write_done: Callable[[], None]) -> None:
-        event = Event(self.sim)
-        event.callbacks.append(lambda _event: write_done())
-        event.succeed()
+    def _hop(self, call: Callable[[], None], next_cycle: bool = False) -> None:
+        schedule_call(self.sim, call, next_cycle)
 
-    def take(self, hop: Callable[[Callable[[], None]], None]) -> Any:
-        """Take the value on offer (``has_data`` must hold); ``hop``
-        receives the server's write completion to run one hop later."""
+    def take(self, hop: Callable[..., None]) -> Any:
+        """Take the value on offer (``has_data`` must hold).
+
+        ``hop(call, next_cycle=False)`` runs ``call`` one hop later, or
+        with ``next_cycle`` at the head of the next cycle's early phase;
+        the server's write completion and re-offers go through it.
+        """
         self._offered = False
         if not self._stopped:
-            hop(self._write_done)
+            hop(lambda: self._write_done(hop))
         return self._count
 
     def wait(self, reader: Any) -> None:

@@ -63,6 +63,7 @@ class SequenceService:
             fabric.sim, f"{name}_ch", start=start, width_bits=32))
         self.kernel = SequenceServerKernel(self.channel, name=f"{name}_srv",
                                            start=start)
+        self.channel.start()
         fabric.add_lazy_service(self.kernel, self.channel)
 
     def read_op(self, ctx: KernelContext) -> ops.ReadChannel:

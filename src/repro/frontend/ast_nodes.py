@@ -43,6 +43,39 @@ class Node:
         self.column = 0
 
 
+#: Dataclass field names per node class, resolved once (see all_nodes).
+_FIELDS: dict = {}
+
+
+def all_nodes(root: "Node") -> List["Node"]:
+    """Every node of the tree under ``root``, ``root`` first, in source
+    (pre-)order."""
+    nodes: List[Node] = []
+    append = nodes.append
+
+    def visit(node: Node) -> None:
+        append(node)
+        cls = node.__class__
+        fields = _FIELDS.get(cls)
+        if fields is None:
+            fields = _FIELDS[cls] = tuple(cls.__dataclass_fields__)
+        for name in fields:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                visit(value)
+            elif isinstance(value, (list, tuple)):
+                for child in value:
+                    if isinstance(child, Node):
+                        visit(child)
+                    elif isinstance(child, tuple):
+                        for element in child:
+                            if isinstance(element, Node):
+                                visit(element)
+
+    visit(root)
+    return nodes
+
+
 # -- expressions -----------------------------------------------------------
 
 @dataclass

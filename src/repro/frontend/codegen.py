@@ -255,8 +255,7 @@ def _collect_mutations(root: ast.Node) -> set:
     """
     mutated: set = set()
     declared: set = set()
-
-    def _walk(node: Any) -> None:
+    for node in ast.all_nodes(root):
         if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
             mutated.add(node.target.ident)
         elif isinstance(node, ast.IncDec):
@@ -273,18 +272,6 @@ def _collect_mutations(root: ast.Node) -> set:
                 if name in declared:
                     mutated.add(name)
                 declared.add(name)
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
-
-    _walk(root)
     return mutated
 
 
@@ -1602,37 +1589,55 @@ def _batch_bail_reason(root: ast.Node, hdl_names) -> Optional[str]:
     this scan must run before plan compilation.
     """
     hdl = frozenset(hdl_names)
-    reason: List[Optional[str]] = [None]
-
-    def _walk(node: Any) -> None:
-        if reason[0] is not None:
-            return
+    for node in ast.all_nodes(root):
         if isinstance(node, ast.Call):
             if node.func == "barrier":
-                reason[0] = "work-group barrier"
-                return
+                return "work-group barrier"
             if node.func in CHANNEL_BUILTINS:
-                reason[0] = "channel operation"
-                return
+                return "channel operation"
             if node.func in hdl:
-                reason[0] = "HDL library call"
-                return
+                return "HDL library call"
         elif isinstance(node, ast.Declaration) and node.is_local:
-            reason[0] = "__local memory"
-            return
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
+            return "__local memory"
+    return None
 
-    _walk(root)
-    return reason[0]
+
+def replay_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
+        Optional[str], Tuple[str, ...]]:
+    """``(reason, channels)``: why a launched kernel body (``nodes``: its
+    :func:`~repro.frontend.ast_nodes.all_nodes`) cannot run on the
+    analytic launch replay (None when it can), and the channels its
+    blocking reads name.
+
+    The replay runs bodies that yield only global loads and stores and
+    blocking channel reads (:mod:`repro.pipeline.replay`); whether each
+    read channel is a lazy service is decided per launch
+    (:meth:`~repro.frontend.compiler._CompiledMixin.replay_gate`).
+    """
+    hdl = frozenset(hdl_names)
+    reads: List[str] = []
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            func = node.func
+            if func == "barrier":
+                return "work-group barrier", ()
+            if func in CHANNEL_BUILTINS:
+                if "_nb_" in func:
+                    return "non-blocking channel builtin", ()
+                if func.startswith("write"):
+                    return "channel write", ()
+                target = node.args[0] if node.args else None
+                if isinstance(target, ast.Subscript):
+                    target = target.base
+                if not isinstance(target, ast.Name):
+                    return "blocking read of a computed channel", ()
+                if target.ident not in reads:
+                    reads.append(target.ident)
+            elif func in hdl:
+                return "HDL library call", ()
+        elif isinstance(node, ast.Declaration) and node.is_local:
+            return "__local memory", ()
+    return None, tuple(reads)
 
 
 class _PlanCompiler(_BodyCompiler):

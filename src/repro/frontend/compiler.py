@@ -3,9 +3,11 @@
 The frontend equivalent of ``aoc``: parses a program, declares its
 channels in the fabric namespace (honouring ``depth`` attributes), builds
 a :class:`~repro.pipeline.kernel.Kernel` object per kernel function —
-autorun kernels start immediately, as programming the device would — and
-statically extracts each kernel's resource profile for the synthesis
-model.
+autorun kernels start immediately, as programming the device would, and
+those written exactly as Listing 1's timer or Listing 5's sequence
+server start as lazy service channels (:func:`recognise_services`) —
+and statically extracts each kernel's resource profile for the
+synthesis model.
 
 Kernel dispatch mode follows AOCL semantics: a kernel that calls
 ``get_global_id`` is an NDRange kernel (launch with ``__global_size`` in
@@ -32,6 +34,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
+from repro.channels.channel import CounterRegisterChannel, SequenceChannel
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
 from repro.frontend.codegen import (
@@ -41,6 +44,7 @@ from repro.frontend.codegen import (
     CompiledBody,
     compile_batch_plan,
     compile_kernel_body,
+    replay_scan,
 )
 from repro.frontend.lexer import FrontendError
 from repro.frontend.parser import parse
@@ -49,6 +53,7 @@ from repro.hdl.library import HDLLibrary
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import (
     AutorunKernel,
+    Kernel,
     NDRangeKernel,
     PipelineConfig,
     ResourceProfile,
@@ -56,111 +61,70 @@ from repro.pipeline.kernel import (
 )
 
 
-def _uses_global_id(node: Any) -> bool:
-    if isinstance(node, ast.Call) and node.func == "get_global_id":
-        return True
-    for field_name in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, field_name)
-        children = value if isinstance(value, list) else [value]
-        for child in children:
-            if isinstance(child, ast.Node) and _uses_global_id(child):
-                return True
-            if isinstance(child, tuple):
-                for element in child:
-                    if isinstance(element, ast.Node) and _uses_global_id(element):
-                        return True
-    return False
-
-
-class _ProfileExtractor:
-    """Static resource analysis over a kernel's AST."""
-
-    def __init__(self) -> None:
-        self.profile = ResourceProfile(control_states=2)
-        self._store_targets: set = set()
-
-    def visit(self, node: Any) -> None:
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Subscript):
-            self.profile.store_sites += 1
-            self._store_targets.add(id(node.target))
-        if isinstance(node, ast.Subscript):
-            # Heuristic: a subscript that is not a store target and whose
-            # base is a plain name is a candidate load site (channel-array
-            # subscripts are filtered by the zero-cost of being wrong here).
-            if id(node) not in self._store_targets and isinstance(
-                    node.base, ast.Name):
-                self.profile.load_sites += 1
-        if isinstance(node, ast.Binary):
-            if node.op in ("+", "-"):
-                self.profile.adders += 1
-            elif node.op == "*":
-                self.profile.multipliers += 1
-            else:
-                self.profile.logic_ops += 1
-        if isinstance(node, ast.IncDec) or (
-                isinstance(node, ast.Assign) and node.op in ("+=", "-=")):
-            self.profile.adders += 1
-        if isinstance(node, (ast.For, ast.While)):
-            self.profile.control_states += 4
-        if isinstance(node, ast.If):
-            self.profile.control_states += 2
-        if isinstance(node, ast.Call):
-            if node.func in CHANNEL_BUILTINS:
-                self.profile.channel_endpoints += 1
-            elif node.func not in ("get_global_id", "get_compute_id",
-                                   "get_global_size", "get_local_id",
-                                   "mem_fence"):
-                self.profile.hdl_modules += 1
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    self.visit(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            self.visit(element)
+def _uses_global_id(nodes: List[ast.Node]) -> bool:
+    return any(isinstance(node, ast.Call) and node.func == "get_global_id"
+               for node in nodes)
 
 
 def extract_profile(kernel_def: ast.KernelDef) -> ResourceProfile:
     """Static per-compute-unit hardware content of one compiled kernel."""
-    extractor = _ProfileExtractor()
-    extractor.visit(kernel_def.body)
-    return extractor.profile
+    profile = ResourceProfile(control_states=2)
+    store_targets: set = set()
+    for node in ast.all_nodes(kernel_def.body):
+        if isinstance(node, ast.Assign) and isinstance(node.target,
+                                                       ast.Subscript):
+            profile.store_sites += 1
+            store_targets.add(id(node.target))
+        if isinstance(node, ast.Subscript):
+            # Heuristic: a subscript that is not a store target and whose
+            # base is a plain name is a candidate load site (channel-array
+            # subscripts are filtered by the zero-cost of being wrong here).
+            if id(node) not in store_targets and isinstance(
+                    node.base, ast.Name):
+                profile.load_sites += 1
+        if isinstance(node, ast.Binary):
+            if node.op in ("+", "-"):
+                profile.adders += 1
+            elif node.op == "*":
+                profile.multipliers += 1
+            else:
+                profile.logic_ops += 1
+        if isinstance(node, ast.IncDec) or (
+                isinstance(node, ast.Assign) and node.op in ("+=", "-=")):
+            profile.adders += 1
+        if isinstance(node, (ast.For, ast.While)):
+            profile.control_states += 4
+        if isinstance(node, ast.If):
+            profile.control_states += 2
+        if isinstance(node, ast.Call):
+            if node.func in CHANNEL_BUILTINS:
+                profile.channel_endpoints += 1
+            elif node.func not in ("get_global_id", "get_compute_id",
+                                   "get_global_size", "get_local_id",
+                                   "mem_fence"):
+                profile.hdl_modules += 1
+    return profile
 
 
-def build_site_table(kernel_name: str, root: ast.Node) -> Dict[int, str]:
-    """Precompute the static site label of every AST node in a kernel.
+def build_site_table(kernel_name: str,
+                     nodes: List[ast.Node]) -> Dict[int, str]:
+    """Precompute the static site label of every AST node in a kernel
+    (``nodes``: its body's :func:`~repro.frontend.ast_nodes.all_nodes`).
 
     Site labels (``"<kernel>:n<node_id>"``) name the hardware unit an op
     maps to; they are a pure function of the AST, so the compiler computes
     them once per kernel instead of formatting one per executed op.
     """
-    table: Dict[int, str] = {}
-
-    def _walk(node: Any) -> None:
-        table[node.node_id] = f"{kernel_name}:n{node.node_id}"
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
-
-    _walk(root)
-    return table
+    return {node.node_id: f"{kernel_name}:n{node.node_id}"
+            for node in nodes}
 
 
-def _collect_local_arrays(node: Any, defines: Dict[str, Any]) -> Dict[str, int]:
-    """All ``__local type name[size]`` declarations in a kernel body."""
+def _collect_local_arrays(nodes: List[ast.Node],
+                          defines: Dict[str, Any]) -> Dict[str, int]:
+    """All ``__local type name[size]`` declarations among a kernel body's
+    ``nodes``."""
     found: Dict[str, int] = {}
-
-    def _walk(current: Any) -> None:
+    for current in nodes:
         if isinstance(current, ast.Declaration) and current.is_local:
             for name, _ in current.names:
                 size = current.array_sizes.get(name)
@@ -174,14 +138,158 @@ def _collect_local_arrays(node: Any, defines: Dict[str, Any]) -> Dict[str, int]:
                         f"__local array {name!r}: size must be a positive "
                         "constant (or a define)")
                 found[name] = size
-        for field_name in getattr(current, "__dataclass_fields__", {}):
-            value = getattr(current, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-    _walk(node)
     return found
+
+
+# -- persistent services (Listings 1 and 5) ---------------------------------
+
+_TIMER_WRITES = ("write_channel_nb_altera", "write_channel_nb_intel")
+_SEQUENCE_WRITES = ("write_channel_altera", "write_channel_intel")
+
+#: Why an autorun kernel whose body has neither service shape steps.
+NOT_A_SERVICE = "body is not Listing 1's timer or Listing 5's server loop"
+
+
+def _is_name(node: Any, ident: str) -> bool:
+    return isinstance(node, ast.Name) and node.ident == ident
+
+
+def _service_loop(body: ast.Block) -> Optional[tuple]:
+    """``(kind, channel expression)`` when ``body`` is exactly Listing 1's
+    timer (``"timer"``) or Listing 5's sequence server (``"sequence"``):
+
+    ``int count = 0; while (1) { [bool f;] count++; [f =]
+    write_channel_nb_altera(CH, count); }`` or ``int count = 0;
+    while (1) { count++; write_channel_altera(CH, count); }`` (any
+    counter and flag names, either vendor spelling); else None.
+    """
+    if len(body.statements) != 2:
+        return None
+    declaration, loop = body.statements
+    if not (isinstance(declaration, ast.Declaration)
+            and declaration.type_name == "int" and not declaration.is_local
+            and not declaration.array_sizes and len(declaration.names) == 1):
+        return None
+    counter, initial = declaration.names[0]
+    if not (isinstance(initial, ast.IntLiteral) and initial.value == 0
+            and isinstance(loop, ast.While)
+            and isinstance(loop.condition, ast.IntLiteral)
+            and loop.condition.value == 1
+            and isinstance(loop.body, ast.Block)):
+        return None
+    statements = list(loop.body.statements)
+    flag = None
+    if statements and isinstance(statements[0], ast.Declaration):
+        flag_declaration = statements.pop(0)
+        if not (flag_declaration.type_name == "bool"
+                and not flag_declaration.is_local
+                and not flag_declaration.array_sizes
+                and len(flag_declaration.names) == 1
+                and flag_declaration.names[0][1] is None
+                and flag_declaration.names[0][0] != counter):
+            return None
+        flag = flag_declaration.names[0][0]
+    if len(statements) != 2:
+        return None
+    step, write = statements
+    if not (isinstance(step, ast.ExprStatement)
+            and isinstance(step.expr, ast.IncDec) and step.expr.op == "++"
+            and _is_name(step.expr.target, counter)
+            and isinstance(write, ast.ExprStatement)):
+        return None
+    call = write.expr
+    if isinstance(call, ast.Assign):
+        if not (flag is not None and call.op == "="
+                and _is_name(call.target, flag)
+                and isinstance(call.value, ast.Call)
+                and call.value.func in _TIMER_WRITES):
+            return None
+        call = call.value
+    if not (isinstance(call, ast.Call) and len(call.args) == 2
+            and _is_name(call.args[1], counter)
+            and not _is_name(call.args[0], counter)
+            and not _is_name(call.args[0], flag)):
+        return None
+    if call.func in _TIMER_WRITES:
+        return "timer", call.args[0]
+    if call.func in _SEQUENCE_WRITES and flag is None:
+        return "sequence", call.args[0]
+    return None
+
+
+def recognise_services(program: ast.Program) -> Dict[str, tuple]:
+    """How each autorun kernel of ``program`` is modelled.
+
+    Maps the kernel's name to ``(kind, channel)`` for a Listing 1 timer
+    or Listing 5 sequence server that the emulator runs as a lazy
+    channel (:class:`~repro.channels.channel.CounterRegisterChannel` or
+    :class:`~repro.channels.channel.SequenceChannel`), else to
+    ``(reason, None)``: the kernel runs eagerly, stepping every cycle.
+    A service needs a parameterless single-compute-unit kernel whose
+    body is exactly the listing's (see :func:`_service_loop`), writing a
+    scalar depth-0 channel that no other kernel writes; a timer's
+    channel must also not be read by an autorun kernel declared before
+    it (that kernel would read in the same early phase, before the
+    counter's write of the cycle).
+    """
+    if not any(definition.is_autorun for definition in program.kernels):
+        return {}
+    channels = {declaration.name: declaration
+                for declaration in program.channels}
+    writers: Dict[str, List[str]] = {}
+    autorun_readers: Dict[str, List[int]] = {}
+    for index, definition in enumerate(program.kernels):
+        for node in ast.all_nodes(definition.body):
+            if not (isinstance(node, ast.Call)
+                    and node.func in CHANNEL_BUILTINS and node.args):
+                continue
+            target = node.args[0]
+            if isinstance(target, ast.Subscript):
+                target = target.base
+            if not isinstance(target, ast.Name):
+                continue
+            if node.func.startswith("write"):
+                writers.setdefault(target.ident, []).append(definition.name)
+            elif definition.is_autorun:
+                autorun_readers.setdefault(target.ident, []).append(index)
+
+    def classify(index: int, definition: ast.KernelDef) -> tuple:
+        if any(parameter.type_name != "void"
+               for parameter in definition.parameters):
+            return "kernel has parameters", None
+        units = definition.num_compute_units
+        if units != 1:
+            return f"num_compute_units({units})", None
+        shape = _service_loop(definition.body)
+        if shape is None:
+            return NOT_A_SERVICE, None
+        kind, target = shape
+        if isinstance(target, ast.Subscript):
+            return "writes a channel-array element", None
+        if not isinstance(target, ast.Name) or target.ident not in channels:
+            return "writes no file-scope channel", None
+        name = target.ident
+        declaration = channels[name]
+        if declaration.count is not None:
+            return f"channel {name!r} is a channel array", None
+        depth = declaration.depth
+        if depth != 0:
+            return (f"channel {name!r} has depth "
+                    f"{1 if depth is None else depth}, not 0"), None
+        others = [writer for writer in writers.get(name, ())
+                  if writer != definition.name]
+        if others:
+            return (f"channel {name!r} is also written by kernel "
+                    f"{others[0]!r}"), None
+        if kind == "timer" and any(reader < index for reader
+                                   in autorun_readers.get(name, ())):
+            return (f"channel {name!r} is read by an autorun kernel "
+                    "declared before it"), None
+        return kind, name
+
+    return {definition.name: classify(index, definition)
+            for index, definition in enumerate(program.kernels)
+            if definition.is_autorun}
 
 
 # -- fabric-independent compilation artifacts --------------------------------
@@ -190,18 +298,21 @@ class KernelArtifacts:
     """Everything compiled once per (kernel, options), reused per fabric."""
 
     __slots__ = ("definition", "kind", "site_table", "local_arrays",
-                 "compiled_body", "_plan_inputs", "_batch_plan",
-                 "_batch_reason")
+                 "compiled_body", "replay_reason", "read_channels",
+                 "_plan_inputs", "_batch_plan", "_batch_reason")
 
     def __init__(self, definition: ast.KernelDef, kind: str,
                  site_table: Dict[int, str], local_arrays: Dict[str, int],
-                 compiled_body: CompiledBody,
+                 compiled_body: CompiledBody, replay: tuple,
                  plan_inputs: tuple) -> None:
         self.definition = definition
         self.kind = kind                      # "autorun" | "ndrange" | "task"
         self.site_table = site_table
         self.local_arrays = local_arrays
         self.compiled_body = compiled_body
+        #: Why a launch can never replay (None when it can), and the
+        #: channels its blocking reads name (see :func:`replay_scan`).
+        self.replay_reason, self.read_channels = replay
         self._plan_inputs = plan_inputs       # (defines, channel_kinds, hdl)
         # Batch plan, compiled lazily so closure-only workloads (and the
         # cold-compile path the benchmarks measure) never pay for it.
@@ -228,14 +339,15 @@ def build_kernel_artifacts(definition: ast.KernelDef,
                            channel_kinds: Dict[str, int],
                            hdl_names) -> KernelArtifacts:
     """Compile one kernel definition's fabric-independent artifacts."""
+    nodes = ast.all_nodes(definition.body)
     if definition.is_autorun:
         kind = "autorun"
-    elif _uses_global_id(definition.body):
+    elif _uses_global_id(nodes):
         kind = "ndrange"
     else:
         kind = "task"
-    site_table = build_site_table(definition.name, definition.body)
-    local_arrays = _collect_local_arrays(definition.body, defines)
+    site_table = build_site_table(definition.name, nodes)
+    local_arrays = _collect_local_arrays(nodes, defines)
     compiled_body = compile_kernel_body(
         definition,
         site_table=site_table,
@@ -244,7 +356,7 @@ def build_kernel_artifacts(definition: ast.KernelDef,
         hdl_names=hdl_names,
         autorun=kind == "autorun")
     return KernelArtifacts(definition, kind, site_table, local_arrays,
-                           compiled_body,
+                           compiled_body, replay_scan(nodes, hdl_names),
                            plan_inputs=(dict(defines), dict(channel_kinds),
                                         tuple(hdl_names)))
 
@@ -252,13 +364,16 @@ def build_kernel_artifacts(definition: ast.KernelDef,
 class _ProgramImage:
     """Parsed + codegenned program, independent of any fabric."""
 
-    __slots__ = ("ast", "macros", "artifacts")
+    __slots__ = ("ast", "macros", "artifacts", "services")
 
     def __init__(self, program_ast: ast.Program, macros: Dict[str, str],
                  artifacts: Dict[str, KernelArtifacts]) -> None:
         self.ast = program_ast
         self.macros = macros
         self.artifacts = artifacts
+        #: Autorun kernel name -> ``(kind, channel)`` or ``(reason, None)``
+        #: (see :func:`recognise_services`).
+        self.services = recognise_services(program_ast)
 
 
 def _build_image(source: str, defines: Dict[str, Any],
@@ -345,6 +460,10 @@ def program_cache_clear() -> None:
 
 # -- compiled kernel objects -------------------------------------------------
 
+#: The channels a replayed launch may read: lazy services' analytic
+#: channels, which the replay serves without events.
+_LAZY_CHANNELS = (CounterRegisterChannel, SequenceChannel)
+
 class _CompiledMixin:
     """Shared launch-time binding and execution for compiled kernels."""
 
@@ -406,6 +525,26 @@ class _CompiledMixin:
         """``(plan, reason)`` for ``executor="batch"`` (lazily compiled)."""
         return self._artifacts.batch_plan()
 
+    @property
+    def replayable(self) -> bool:
+        """True when the body yields only global loads and stores and
+        blocking channel reads (:func:`replay_scan`)."""
+        return self._artifacts.replay_reason is None
+
+    @property
+    def replay_blocker(self) -> str:
+        """The construct that keeps the body off the replay."""
+        return self._artifacts.replay_reason or Kernel.replay_blocker
+
+    def replay_gate(self) -> Optional[str]:
+        """A launch steps while a channel it reads is not a lazy service
+        (a plain channel's values come from a stepping producer)."""
+        bindings = self._channel_bindings
+        for name in self._artifacts.read_channels:
+            if type(bindings.get(name)) not in _LAZY_CHANNELS:
+                return f"blocking read of eager channel {name!r}"
+        return None
+
     def resource_profile(self) -> ResourceProfile:
         return extract_profile(self._definition)
 
@@ -466,7 +605,18 @@ class CompiledAutorun(_CompiledMixin, AutorunKernel):
 
 
 class CompiledProgram:
-    """A compiled ``.cl`` program bound to one fabric."""
+    """A compiled ``.cl`` program bound to one fabric.
+
+    An autorun kernel recognised as Listing 1's timer or Listing 5's
+    sequence server (see :func:`recognise_services`) starts as a lazy
+    service: its channel is a
+    :class:`~repro.channels.channel.CounterRegisterChannel` (counting
+    from this cycle) or a :class:`~repro.channels.channel.SequenceChannel`
+    (re-offering once per cycle, as the compiled loop does) under the
+    declared name, and the kernel never steps. Every other autorun
+    kernel starts eagerly. ``autorun_services`` reports each autorun
+    kernel's model: ``"timer"``, ``"sequence"``, or why it is eager.
+    """
 
     def __init__(self, fabric: Fabric, source: str,
                  hdl_library: Optional[HDLLibrary] = None,
@@ -484,19 +634,33 @@ class CompiledProgram:
                             tuple(sorted(self._hdl_modules)))
         self.ast = image.ast
         self.macros = dict(image.macros)
+        services = self._services(image)
+        #: Autorun kernel name -> "timer", "sequence", or why it is eager.
+        self.autorun_services: Dict[str, str] = {
+            name: kind for name, (kind, _) in services.items()}
+        # Channel name -> service kind, for the services started here.
+        lazy = ({channel: kind for kind, channel in services.values()
+                 if channel is not None} if start_autorun else {})
 
         # Channel declarations (file scope) go into the fabric namespace.
         self._channel_bindings: Dict[str, Any] = {}
         for declaration in self.ast.channels:
             depth = declaration.depth
             depth = 1 if depth is None else depth
-            if declaration.count is None:
+            kind = lazy.get(declaration.name)
+            if kind == "timer":
+                channel = fabric.channels.adopt(CounterRegisterChannel(
+                    fabric.sim, declaration.name,
+                    start_cycle=fabric.sim.now))
+            elif kind == "sequence":
+                channel = fabric.channels.adopt(SequenceChannel(
+                    fabric.sim, declaration.name, per_cycle=True))
+            elif declaration.count is None:
                 channel = fabric.channels.declare(declaration.name, depth=depth)
-                self._channel_bindings[declaration.name] = channel
             else:
-                array = fabric.channels.declare_array(
+                channel = fabric.channels.declare_array(
                     declaration.name, declaration.count, depth=depth)
-                self._channel_bindings[declaration.name] = array
+            self._channel_bindings[declaration.name] = channel
 
         self.kernels: Dict[str, Any] = {}
         for definition in self.ast.kernels:
@@ -517,9 +681,22 @@ class CompiledProgram:
 
         if start_autorun:
             for kernel in self.kernels.values():
-                if isinstance(kernel, CompiledAutorun):
+                if not isinstance(kernel, CompiledAutorun):
+                    continue
+                channel_name = services[kernel.name][1]
+                if channel_name is None:
                     args = (autorun_args or {}).get(kernel.name, {})
                     fabric.add_autorun(kernel, args)
+                    continue
+                channel = self._channel_bindings[channel_name]
+                if isinstance(channel, SequenceChannel):
+                    channel.start()
+                fabric.add_lazy_service(kernel, channel)
+
+    def _services(self, image: _ProgramImage) -> Dict[str, tuple]:
+        """Each autorun kernel's ``(kind, channel)``, or ``(reason,
+        None)`` to start it eagerly (see :func:`recognise_services`)."""
+        return image.services
 
     def kernel(self, name: str):
         try:

@@ -104,9 +104,7 @@ class Emulator:
     def _discover_services(self) -> None:
         # Lazily modelled services have no engine but are services all the
         # same; the emulator treats both populations identically.
-        kernels = [engine.kernel for engine in self.fabric.autorun_engines]
-        kernels.extend(self.fabric.service_kernels)
-        for kernel in kernels:
+        for kernel in self.fabric.persistent_kernels:
             if isinstance(kernel, SequenceServerKernel):
                 self._channels[id(kernel.channel)] = _EmulatedChannel("sequence")
             elif isinstance(kernel, TimerServiceKernel):

@@ -592,7 +592,7 @@ class PipelineEngine(_OpExecutor):
         replayable and the launch owns the simulator, else stepped
         (:attr:`stepped_reason` says why)."""
         if not self.kernel.replayable:
-            self.stepped_reason = "kernel is not replayable"
+            self.stepped_reason = self.kernel.replay_blocker
         else:
             self.stepped_reason = (self._exclusive_reason()
                                    or self.kernel.replay_gate())

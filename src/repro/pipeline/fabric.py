@@ -50,6 +50,8 @@ class Fabric:
         #: autoruns, but never run.
         self.service_kernels: List[AutorunKernel] = []
         self._lazy_channels: List[Any] = []
+        #: Every persistent kernel, eager or lazy, in installation order.
+        self.persistent_kernels: List[AutorunKernel] = []
 
     def enable_tracing(self, hub: Optional[Any] = None, *,
                        flush_rows: int = 0) -> Any:
@@ -75,6 +77,7 @@ class Fabric:
         engine = AutorunEngine(self, kernel, args)
         engine.start()
         self.autorun_engines.append(engine)
+        self.persistent_kernels.append(kernel)
         return engine
 
     def add_lazy_service(self, kernel: AutorunKernel, channel: Any) -> None:
@@ -87,6 +90,7 @@ class Fabric:
         """
         self.service_kernels.append(kernel)
         self._lazy_channels.append(channel)
+        self.persistent_kernels.append(kernel)
 
     def launch(self, kernel: Kernel, args: Optional[Dict[str, Any]] = None,
                compute_id: int = 0, executor: str = "fast") -> PipelineEngine:
@@ -223,3 +227,4 @@ class Fabric:
             channel.freeze()
         self.service_kernels = []
         self._lazy_channels = []
+        self.persistent_kernels = []

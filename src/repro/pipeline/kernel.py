@@ -140,6 +140,10 @@ class Kernel:
     #: depend on the instrumentation attached to the kernel.
     replayable = False
 
+    #: Why :attr:`replayable` is False, reported as a launch's
+    #: ``stepped_reason`` (compiled kernels name the construct).
+    replay_blocker = "kernel is not replayable"
+
     def __init__(self, name: Optional[str] = None, num_compute_units: int = 1,
                  pipeline: Optional[PipelineConfig] = None) -> None:
         if num_compute_units < 1:

@@ -23,7 +23,9 @@ Two feeders drive the same core:
   hop after its last add; a blocking read of a lazy timestamp channel
   returns ``cycle - start + 1``; a sequence read is the
   :class:`~repro.channels.channel.SequenceChannel` rendezvous, with the
-  server's write completion one hop after the read. While a body runs,
+  server's write completion one hop after the read (and a compiled
+  server's re-offer at the head of the next cycle: an URGENT entry,
+  ordered before every other entry of its cycle). While a body runs,
   the simulator clock reads the replay cycle, so ``ctx.now`` and channel
   values are those of stepping. A non-blocking write to a channel
   whose parked consumer has a sink (the stall monitor's snapshots, see
@@ -47,12 +49,13 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.channels.channel import CounterRegisterChannel, SequenceChannel
+from repro.channels.channel import (CounterRegisterChannel, SequenceChannel,
+                                    schedule_call)
 from repro.errors import KernelBuildError, KernelError, MemoryError_
 from repro.memory.global_memory import BufferTraffic
 from repro.pipeline import ops
 from repro.pipeline.context import KernelContext
-from repro.sim.core import PRIORITY_NORMAL, Event
+from repro.sim.core import PRIORITY_NORMAL, PRIORITY_URGENT, Event
 
 #: Heap entry kinds, in the slot after ``(time, seq, ...)``: resume a row
 #: (with a value), a launcher turn, a load's retirement (value read
@@ -64,6 +67,10 @@ _DONE = object()
 
 #: A horizon no commit reaches.
 _NO_HORIZON = 1 << 62
+
+#: First sequence number of URGENT heap entries: below every NORMAL one,
+#: so such an entry pops before the NORMAL entries of its cycle.
+_URGENT_SEQ = -(1 << 62)
 
 _Load = ops.Load
 _Store = ops.Store
@@ -128,6 +135,10 @@ class LaunchReplay:
         self.keep_samples = engine.fabric.keep_lsu_samples
         self.heap: List[tuple] = []
         self.counter = itertools.count(1)
+        self._urgent = itertools.count(_URGENT_SEQ)
+        #: Set once the launch's effects are flushed: channel callbacks
+        #: still holding :meth:`hop` then schedule real events.
+        self._closed = False
         #: Per-(site, kind) LSU state ``[tail, count, total, max, stall,
         #: samples, lsu]``, seeded from and flushed into the real LSU.
         self.boxes: Dict[tuple, list] = {}
@@ -224,9 +235,7 @@ class LaunchReplay:
         store_boxes: Dict[str, list] = {}
         stores: Dict[str, Any] = {}
 
-        def hop(write_done: Callable[[], None]) -> None:
-            heappush(heap, (sim._now, next(counter), _EV_CALL, write_done,
-                            None))
+        hop = self.hop
 
         def step(row: Row, now: int, value: Any) -> None:
             body = row.body
@@ -401,6 +410,19 @@ class LaunchReplay:
         return k, retire
 
     # -- the shared core ------------------------------------------------------
+
+    def hop(self, call: Callable[[], None], next_cycle: bool = False) -> None:
+        """A channel callback on the replay's timeline: ``call`` runs one
+        hop later, or with ``next_cycle`` at the head of the next cycle
+        (see :meth:`~repro.channels.channel.SequenceChannel.take`)."""
+        if self._closed:
+            schedule_call(self.sim, call, next_cycle)
+        elif next_cycle:
+            heapq.heappush(self.heap, (self.sim._now + 1, next(self._urgent),
+                                       _EV_CALL, call, PRIORITY_URGENT))
+        else:
+            heapq.heappush(self.heap, (self.sim._now, next(self.counter),
+                                       _EV_CALL, call, PRIORITY_NORMAL))
 
     def _push(self, when: int, kind: int, row: Any, value: Any) -> None:
         heapq.heappush(self.heap, (when, next(self.counter), kind, row,
@@ -647,6 +669,7 @@ class LaunchReplay:
         start = sim._now
         engine = self.engine
         self.flush_effects()
+        self._closed = True
         if self._finish is None:
             # Rows still wait (a collect or read nothing will satisfy):
             # the launch never completes, as when stepping it deadlocks.
@@ -667,12 +690,12 @@ class LaunchReplay:
                       priority=PRIORITY_NORMAL)
         # What the launch scheduled but stepping would run only after its
         # completion (a sequence server's write completing in the finish
-        # cycle) becomes real events, in order, behind the trigger.
+        # cycle, or its re-offer in the next) becomes real events, in
+        # order, behind the trigger.
         heap = self.heap
         while heap:
-            when, _, _, call, _ = heapq.heappop(heap)
+            when, _, _, call, priority = heapq.heappop(heap)
             event = Event(sim)
             event._value = None
             event.callbacks.append(lambda _event, _call=call: _call())
-            sim._schedule(event, delay=when - start,
-                          priority=PRIORITY_NORMAL)
+            sim._schedule(event, delay=when - start, priority=priority)

@@ -13,11 +13,17 @@ replaced, for tests to compare against:
 * :class:`ReferenceAutorunEngine` — an
   :class:`~repro.pipeline.engine.AutorunEngine` whose units never start
   parked and poll ``AwaitData``/``Drain`` once per cycle.
+* :class:`SteppedPipelineEngine` — the product drive loop with the
+  analytic replay switched off: every launch steps, one iteration at a
+  time (``stepped_reason == "stepping executor"``). The baseline of
+  speed gates that measure a tier against per-iteration stepping now
+  that the fast executor replays compiled kernels.
 * :func:`launch` / :func:`run_kernel` — :meth:`Fabric.launch
   <repro.pipeline.fabric.Fabric.launch>` and :meth:`Fabric.run_kernel
-  <repro.pipeline.fabric.Fabric.run_kernel>` with one more executor,
-  ``"reference"``; any other executor goes to the fabric unchanged.
-  :func:`autorun_engine` builds either autorun engine the same way.
+  <repro.pipeline.fabric.Fabric.run_kernel>` with two more executors,
+  ``"reference"`` and ``"stepped"``; any other executor goes to the
+  fabric unchanged. :func:`autorun_engine` builds either autorun engine
+  the same way.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.pipeline.engine import AutorunEngine, PipelineEngine
 from repro.sim.core import Interrupt
 
 REFERENCE = "reference"
+STEPPED = "stepped"
 
 
 class _ReferenceDrive:
@@ -142,6 +149,18 @@ class ReferencePipelineEngine(_ReferenceDrive, PipelineEngine):
         yield from self._launch_tags(space)
 
 
+class SteppedPipelineEngine(PipelineEngine):
+    """A pipelined launch on the fast drive loop that never replays."""
+
+    def _launch_space(self, space: Any) -> Generator:
+        self.stepped_reason = "stepping executor"
+        yield from self._launch_tags(space)
+
+
+_ENGINES = {REFERENCE: ReferencePipelineEngine,
+            STEPPED: SteppedPipelineEngine}
+
+
 class ReferenceAutorunEngine(_ReferenceDrive, AutorunEngine):
     """Autorun compute units that start aligned and poll every cycle."""
 
@@ -151,12 +170,13 @@ class ReferenceAutorunEngine(_ReferenceDrive, AutorunEngine):
 
 def launch(fabric: Any, kernel: Any, args: Optional[Dict[str, Any]] = None,
            executor: str = "fast", compute_id: int = 0) -> PipelineEngine:
-    """``fabric.launch`` with ``executor="reference"`` for the oracle."""
-    if executor != REFERENCE:
+    """``fabric.launch`` with the ``"reference"`` and ``"stepped"``
+    executors."""
+    engine_class = _ENGINES.get(executor)
+    if engine_class is None:
         return fabric.launch(kernel, args, compute_id=compute_id,
                              executor=executor)
-    engine = ReferencePipelineEngine(fabric, kernel, args,
-                                     compute_id=compute_id)
+    engine = engine_class(fabric, kernel, args, compute_id=compute_id)
     engine.start()
     fabric.engines.append(engine)
     return engine
@@ -166,8 +186,9 @@ def run_kernel(fabric: Any, kernel: Any,
                args: Optional[Dict[str, Any]] = None,
                executor: str = "fast",
                max_cycles: int = 10_000_000) -> PipelineEngine:
-    """``fabric.run_kernel`` with ``executor="reference"`` for the oracle."""
-    if executor != REFERENCE:
+    """``fabric.run_kernel`` with the ``"reference"`` and ``"stepped"``
+    executors."""
+    if executor not in _ENGINES:
         return fabric.run_kernel(kernel, args, max_cycles=max_cycles,
                                  executor=executor)
     engine = launch(fabric, kernel, args, executor)

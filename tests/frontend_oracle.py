@@ -13,6 +13,13 @@ exactly one clock, matching Listing 8's single-cycle-launch requirement.
 kernel body through :class:`Interpreter` instead of its closures; such
 kernels have no batch plan, so ``executor="batch"`` launches of them
 fall back to the fast engine.
+
+:func:`compile_eager` compiles a program as ``compile_source`` does but
+recognises no persistent service (:class:`EagerServicesProgram`): every
+autorun kernel — Listing 1's timer and Listing 5's sequence server
+included — starts as an eager, stepping process, and so every kernel
+that reads their channels steps too. It is the oracle of the lazy
+service channels and of compiled launches on the analytic replay.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from repro.frontend.compiler import (
     CompiledProgram,
     compile_source,
 )
+
+#: What :class:`EagerServicesProgram` reports for every autorun kernel.
+RECOGNITION_DISABLED = "service recognition disabled"
 from repro.frontend.lexer import FrontendError, error_at
 from repro.memory.local_memory import LocalMemory
 from repro.pipeline import ops
@@ -506,6 +516,20 @@ def compile_reference(fabric: Any, source: str, **kwargs: Any
             if isinstance(kernel, CompiledAutorun):
                 fabric.add_autorun(kernel, autorun_args.get(kernel.name, {}))
     return program
+
+
+class EagerServicesProgram(CompiledProgram):
+    """A :class:`CompiledProgram` that starts every autorun kernel
+    eagerly: no Listing 1/5 service becomes a lazy channel."""
+
+    def _services(self, image):
+        return {name: (RECOGNITION_DISABLED, None) for name in image.services}
+
+
+def compile_eager(fabric: Any, source: str, **kwargs: Any
+                  ) -> CompiledProgram:
+    """``compile_source`` with service recognition disabled."""
+    return EagerServicesProgram(fabric, source, **kwargs)
 
 
 #: The two compile paths the equivalence suites compare, by name.
