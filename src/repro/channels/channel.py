@@ -25,6 +25,13 @@ pipelines" (§1). This module models their semantics at cycle granularity:
   may result in stale timestamps". Passing ``compiled_depth`` models the
   compiler overriding the requested depth; tests and an ablation bench
   demonstrate the resulting staleness.
+
+* **lazy endpoints** — a consumer parked on the channel (:meth:`Channel.
+  park`), its sink (:meth:`Channel.sink`) and a parked producer's feed
+  (:meth:`Channel.feed`) stand for per-cycle polls and writes that
+  schedule nothing. :meth:`Channel.settle` is their one entry point: it
+  applies their work through a LATE phase from one cursor, the feed's
+  writes before the consumer's polls, and every accessor calls it first.
 """
 
 from __future__ import annotations
@@ -66,16 +73,14 @@ class Feed:
     """The writes a parked producer handed to its channel (see
     :meth:`Channel.feed`)."""
 
-    __slots__ = ("words", "position", "through", "on_end", "end_fixed",
+    __slots__ = ("words", "position", "on_end", "end_fixed",
                  "write_requested")
 
-    def __init__(self, words: Sequence[Any], position: int, through: int,
+    def __init__(self, words: Sequence[Any], position: int,
                  on_end: Callable[[], None]) -> None:
         self.words = words
         #: Index of the next word to write.
         self.position = position
-        #: Last LATE phase whose write (or failed write) is settled.
-        self.through = through
         self.on_end = on_end
         self.end_fixed = False
         self.write_requested = False
@@ -138,12 +143,13 @@ class Channel:
         #: Wake-up of the consumer parked on this channel (see :meth:`park`),
         #: fired by the next value to arrive.
         self._arrival: Optional[Callable[[], None]] = None
-        #: Last cycle whose poll by the parked consumer is already counted.
-        self._parked_through: Optional[int] = None
         #: The parked producer's pending writes (see :meth:`feed`).
         self._feed: Optional[Feed] = None
         #: The parked consumer's per-datum work (see :meth:`sink`).
         self._sink: Optional[Sink] = None
+        #: Last LATE phase the lazy endpoints are settled through (see
+        #: :meth:`settle`); None while none is attached.
+        self._through: Optional[int] = None
         self._producer: Any = None
         self._consumer: Any = None
         if self.depth > 0:
@@ -185,21 +191,17 @@ class Channel:
     @property
     def occupancy(self) -> int:
         """Number of values currently buffered."""
+        if self._through is not None:
+            self.settle()
         if self._fifo is not None:
-            if self._feed is not None:
-                self._settle_feed()
-            if self._sink is not None:
-                self._credit_parked_polls()
             return len(self._fifo)
         return 0 if self._register is Channel._UNSET else 1
 
     @property
     def has_data(self) -> bool:
+        if self._through is not None:
+            self.settle()
         if self._fifo is not None:
-            if self._feed is not None:
-                self._settle_feed()
-            if self._sink is not None:
-                self._credit_parked_polls()
             return len(self._fifo) > 0
         return self._register is not Channel._UNSET or bool(self._pending_writers)
 
@@ -213,104 +215,70 @@ class Channel:
         stats.reads += 1
         stats.read_stall_cycles += stall
 
-    def _note_occupancy(self) -> None:
-        occ = self.occupancy
-        if occ > self._stats.max_occupancy:
-            self._stats.max_occupancy = occ
-
-    # -- statistics and parked consumers -------------------------------------
-
     @property
     def stats(self) -> ChannelStats:
-        """Dynamic statistics, including a parked consumer's skipped polls
-        and sunk reads, and a parked producer's fed writes."""
-        if self._parked_through is not None:
-            self._credit_parked_polls()
-        if self._feed is not None:
-            self._settle_feed()
+        """Dynamic statistics, including what the lazy endpoints did (see
+        :meth:`settle`)."""
+        if self._through is not None:
+            self.settle()
         return self._stats
 
-    def park(self, on_arrival: Callable[[], None]) -> None:
-        """Park the consumer that polled this (empty) channel this cycle.
+    # -- lazy endpoints -------------------------------------------------------
 
-        A late-phase autorun that would otherwise fail a non-blocking read
-        here every cycle parks instead: the model stops polling, and
-        ``on_arrival`` fires on the next successful write. Each skipped
-        poll still counts as a read failure, credited lazily — when the
-        stats are read, and at :meth:`unpark`. The consumer has polled
-        through the last LATE phase begun: this cycle's, or the previous
-        one for a unit parked before its first poll.
+    def settle(self, through: Optional[int] = None) -> None:
+        """Apply what the lazy endpoints did through LATE phase ``through``
+        (default: the last one begun).
+
+        In every phase since the last settle, first the feed writes (see
+        :meth:`feed`), then the parked consumer polls (see :meth:`park`):
+        a sunk read where its sink has a visible value (see :meth:`sink`),
+        else a failed read. Both endpoints share one cursor, the last
+        phase settled. A no-op without a lazy endpoint, and for phases
+        already settled.
         """
-        self._arrival = on_arrival
-        self._parked_through = self.sim.last_late_phase()
-        if self._feed is not None:
-            self._request_write()
-
-    def unpark(self) -> None:
-        """Credit the parked consumer's skipped polls and detach it (and
-        its sink)."""
-        self._credit_parked_polls()
-        self._sink = None
-        self._arrival = None
-        self._parked_through = None
-
-    def _credit_parked_polls(self) -> None:
-        # Every late phase begun since the park held one poll: a sunk
-        # read, else a failed one.
-        through = self.sim.last_late_phase()
-        if through > self._parked_through:
-            if self._sink is not None:
-                self._settle_sink(through)
-                return
-            self._stats.read_failures += through - self._parked_through
-            self._parked_through = through
-
-    # -- parked consumers' sinks ---------------------------------------------
-
-    def sink(self, action: Callable[[int, Any], None]) -> None:
-        """Hand the parked consumer's per-datum work to this channel.
-
-        The sink stands for the consumer running ``read_nb`` at the head
-        of every LATE phase and, on success, ``action(cycle, value)``.
-        A write then schedules nothing and does not wake the consumer: a
-        value that becomes visible in LATE phase ``a`` is taken in phase
-        ``c = max(a, previous c + 1)``. Every access settles the phases
-        begun since the last one first (``write_nb`` before it succeeds
-        or drops on the true occupancy; ``stats``, ``has_data`` and
-        ``occupancy``), so reads, read failures and ``max_occupancy``
-        come out as per-cycle polling leaves them. A blocking write
-        wakes the consumer instead (it may have to wait for room).
-        Detached by :meth:`unpark`. Only for a parked consumer of an
-        empty FIFO channel with no feed.
-        """
-        if (self._parked_through is None or self._fifo is None
-                or self._fifo.items or self._feed is not None):
-            raise ChannelUsageError(
-                f"channel {self.name!r}: a sink needs a parked consumer "
-                "of an empty FIFO")
-        self._sink = Sink(action, self._parked_through)
-
-    @property
-    def has_sink(self) -> bool:
-        """True while a parked consumer's sink is attached."""
-        return self._sink is not None
-
-    def settle_sink(self) -> None:
-        """Apply the sink's reads of the LATE phases begun so far (a
-        no-op without a sink)."""
-        if self._sink is not None:
-            self._credit_parked_polls()
-
-    def _settle_sink(self, through: int) -> None:
-        """Apply the sink through LATE phase ``through`` (past the last
-        settled one): take each visible value in its phase, and count one
-        failed read for every other phase."""
+        cursor = self._through
+        if cursor is None:
+            return
+        if through is None:
+            through = self.sim.last_late_phase()
+        phases = through - cursor
+        if phases <= 0:
+            return
+        self._through = through
+        stats = self._stats
+        written = 0
+        feed = self._feed
+        if feed is not None and feed.position < len(feed.words):
+            # Nothing drains the FIFO between two settles, so the writes
+            # are closed-form: min(phases, room, words left), and one
+            # failed write for every other phase while words remain.
+            words = feed.words
+            position = feed.position
+            left = len(words) - position
+            fifo = self._fifo
+            # A blocked reader takes the first word straight off the
+            # write, without using room.
+            handed = 1 if fifo._getters and not fifo.items else 0
+            if handed:
+                fifo._getters.popleft().succeed(words[position])
+            written = min(phases, fifo.capacity - len(fifo.items) + handed,
+                          left)
+            fifo.items.extend(words[position + handed:position + written])
+            if len(fifo.items) > stats.max_occupancy:
+                stats.max_occupancy = len(fifo.items)
+            feed.position = position + written
+            stats.writes += written
+            if written < left:
+                # The FIFO filled up: every later phase failed its write.
+                stats.write_failures += phases - written
+            if handed:
+                self._fix_feed_end()
+        if self._arrival is None:
+            return
         sink = self._sink
-        phases = through - self._parked_through
-        self._parked_through = through
-        arrivals = sink.arrivals
         taken = 0
-        if arrivals:
+        if sink is not None:
+            arrivals = sink.arrivals
             items = self._fifo.items
             action = sink.action
             cycle = sink.last
@@ -324,27 +292,71 @@ class Channel:
                 taken += 1
                 sink.last = cycle
                 action(cycle, items.popleft())
-        stats = self._stats
-        stats.reads += taken
+            stats.reads += taken
         stats.read_failures += phases - taken
+        if written:
+            self._arrival()
 
-    def _sink_write(self, value: Any) -> bool:
-        """``write_nb`` into a sunk channel: settle, then buffer the value
-        for the first LATE phase that has not begun, or drop it."""
-        through = self.sim.last_late_phase()
-        if through > self._parked_through:
-            self._settle_sink(through)
-        items = self._fifo.items
-        stats = self._stats
-        if len(items) >= self._fifo.capacity:
-            stats.write_failures += 1
-            return False
-        items.append(value)
-        self._sink.arrivals.append(through + 1)
-        stats.writes += 1
-        if len(items) > stats.max_occupancy:
-            stats.max_occupancy = len(items)
-        return True
+    def _attach(self) -> None:
+        """Settle before an endpoint attaches: it starts at the shared
+        cursor, the last LATE phase begun."""
+        if self._through is None:
+            self._through = self.sim.last_late_phase()
+        else:
+            self.settle()
+
+    # -- parked consumers ----------------------------------------------------
+
+    def park(self, on_arrival: Callable[[], None]) -> None:
+        """Park the consumer that polled this (empty) channel this cycle.
+
+        A late-phase autorun that would otherwise fail a non-blocking read
+        here every cycle parks instead: the model stops polling, and
+        ``on_arrival`` fires on the next successful write. Each skipped
+        poll still counts as a read failure, applied by :meth:`settle`.
+        The consumer has polled through the last LATE phase begun: this
+        cycle's, or the previous one for a unit parked before its first
+        poll.
+        """
+        self._attach()
+        self._arrival = on_arrival
+        if self._feed is not None:
+            self._request_write()
+
+    def unpark(self) -> None:
+        """Settle, then detach the parked consumer (and its sink)."""
+        self.settle()
+        self._arrival = None
+        self._sink = None
+        if self._feed is None:
+            self._through = None
+
+    def sink(self, action: Callable[[int, Any], None]) -> None:
+        """Hand the parked consumer's per-datum work to this channel.
+
+        The sink stands for the consumer running ``read_nb`` at the head
+        of every LATE phase and, on success, ``action(cycle, value)``.
+        A write then schedules nothing and does not wake the consumer: a
+        value that becomes visible in LATE phase ``a`` is taken in phase
+        ``c = max(a, previous c + 1)`` by :meth:`settle` (``write_nb``
+        settles before it succeeds or drops on the true occupancy), so
+        reads, read failures and ``max_occupancy`` come out as per-cycle
+        polling leaves them. A blocking write wakes the consumer instead
+        (it may have to wait for room). Detached by :meth:`unpark`. Only
+        for a parked consumer of an empty FIFO channel with no feed.
+        """
+        if (self._arrival is None or self._fifo is None
+                or self._fifo.items or self._feed is not None):
+            raise ChannelUsageError(
+                f"channel {self.name!r}: a sink needs a parked consumer "
+                "of an empty FIFO")
+        self.settle()
+        self._sink = Sink(action, self._through)
+
+    @property
+    def has_sink(self) -> bool:
+        """True while a parked consumer's sink is attached."""
+        return self._sink is not None
 
     # -- parked producers ---------------------------------------------------
 
@@ -355,13 +367,10 @@ class Channel:
         The feed stands for the producer running ``write_nb(words[i])`` at
         the head of every LATE phase after the current one, advancing
         ``i`` on success, until the words run out. Nothing is scheduled
-        per word: every consumer-side access (``read``, ``read_nb``,
-        ``has_data``, ``occupancy``, ``stats``) first settles the phases
-        begun since the last access. Nothing drains the FIFO between two
-        accesses, so a settle is closed-form: ``min(phases, room, left)``
-        writes, and one write failure for every other phase while words
-        remain. Only a consumer that blocks on (or parks on) the empty
-        FIFO costs an event: one write at the head of the next LATE phase.
+        per word: :meth:`settle` applies the writes of the phases begun
+        since the last settle. Only a consumer that blocks on (or parks
+        on) the empty FIFO costs an event: one write at the head of the
+        next LATE phase.
 
         ``on_end`` is called in the LATE phase of the final write; the
         returned :class:`Feed` holds the position reached. Detach with
@@ -370,7 +379,8 @@ class Channel:
         if self._fifo is None:
             raise ChannelUsageError(
                 f"channel {self.name!r} has no FIFO (depth 0) to feed")
-        feed = Feed(words, start, self.sim.last_late_phase(), on_end)
+        self._attach()
+        feed = Feed(words, start, on_end)
         self._feed = feed
         self._fix_feed_end()
         if self._arrival is not None or self._fifo._getters:
@@ -378,48 +388,11 @@ class Channel:
         return feed
 
     def unfeed(self) -> None:
-        """Settle the feed through the last LATE phase begun and detach it."""
-        self._settle_feed()
+        """Settle, then detach the feed."""
+        self.settle()
         self._feed = None
-
-    def _settle_feed(self, through: Optional[int] = None) -> None:
-        """Apply the feed's writes of the LATE phases begun since the last
-        settle (see :meth:`feed`), or through LATE phase ``through``."""
-        feed = self._feed
-        if through is None:
-            through = self.sim.last_late_phase()
-        phases = through - feed.through
-        if phases <= 0:
-            return
-        feed.through = through
-        words = feed.words
-        position = feed.position
-        left = len(words) - position
-        if not left:
-            return
-        fifo = self._fifo
-        stats = self._stats
-        # A blocked reader takes the first word straight off the write,
-        # without using room.
-        handed = 1 if fifo._getters and not fifo.items else 0
-        if handed:
-            fifo._getters.popleft().succeed(words[position])
-        written = handed
-        count = min(phases, fifo.capacity - len(fifo.items) + handed, left)
-        if count > written:
-            fifo.items.extend(words[position + written:position + count])
-            written = count
-            if len(fifo.items) > stats.max_occupancy:
-                stats.max_occupancy = len(fifo.items)
-        feed.position = position + written
-        stats.writes += written
-        if written < left:
-            # The FIFO filled up: every later phase failed its write.
-            stats.write_failures += phases - written
-        if written and self._arrival is not None:
-            self._arrival()
-        if handed:
-            self._fix_feed_end()
+        if self._arrival is None:
+            self._through = None
 
     def can_take_fed(self) -> bool:
         """True when :meth:`take_fed` may serve reads: a feed is attached
@@ -437,13 +410,14 @@ class Channel:
 
         It stands for a :meth:`read` at a cycle whose last begun LATE
         phase is ``through``, with nothing else touching the channel
-        since the clock's present: settle the feed through that phase,
+        since the clock's present: :meth:`settle` through that phase,
         then take the head word. It takes nothing (``valid`` False) when
         the FIFO is empty (the reader would block) or when taking the
         word would fix the feed's end; :meth:`read` must do those reads
-        at their real cycle. Only valid while :meth:`can_take_fed` holds.
+        at their real cycle. Only valid while :meth:`can_take_fed` holds,
+        so the settle applies the feed alone.
         """
-        self._settle_feed(through)
+        self.settle(through)
         feed = self._feed
         items = self._fifo.items
         if not items or (self._fifo.capacity - len(items) + 1
@@ -456,8 +430,9 @@ class Channel:
         """Schedule ``on_end`` once the free room covers the words left.
 
         Called whenever room grows against the words left (a read, or a
-        write taken straight by a blocked reader). From then on every
-        LATE phase writes one word, so the final write's phase is known.
+        write taken straight by a blocked reader), right after a settle.
+        From then on every LATE phase writes one word, so the final
+        write's phase is known.
         """
         feed = self._feed
         if feed.end_fixed:
@@ -467,7 +442,7 @@ class Channel:
         if fifo.capacity - len(fifo.items) < left:
             return
         feed.end_fixed = True
-        last = feed.through + left
+        last = self._through + left
 
         def end(_event: Event) -> None:
             if self._feed is feed:
@@ -488,7 +463,7 @@ class Channel:
         def write(_event: Event) -> None:
             feed.write_requested = False
             if self._feed is feed:
-                self._settle_feed()
+                self.settle()
                 if self._fifo._getters:
                     self._request_write()
 
@@ -503,24 +478,33 @@ class Channel:
         On a depth-0 channel this always succeeds by overwriting the current
         register value (the free-running-counter usage in Listing 1).
         """
-        if self._fifo is not None:
-            if self._sink is not None:
-                return self._sink_write(value)
-            ok = self._fifo.try_put(value)
-            self._stats.writes += 1 if ok else 0
-            self._stats.write_failures += 0 if ok else 1
-            self._note_occupancy()
-            if ok and self._arrival is not None:
-                self._arrival()
-            return ok
+        stats = self._stats
+        fifo = self._fifo
+        if fifo is not None:
+            if self._through is not None:
+                self.settle()
+            if not fifo.try_put(value):
+                stats.write_failures += 1
+                return False
+            stats.writes += 1
+            if len(fifo.items) > stats.max_occupancy:
+                stats.max_occupancy = len(fifo.items)
+            if self._arrival is not None:
+                if self._sink is None:
+                    self._arrival()
+                else:
+                    # Taken by a later settle, from the first LATE phase
+                    # that has not begun.
+                    self._sink.arrivals.append(self._through + 1)
+            return True
         # depth 0: serve a blocked reader directly, else update the register.
         if self._pending_readers:
             reader = self._pending_readers.pop(0)
             reader.succeed(value)
         else:
             self._register = value
-        self._stats.writes += 1
-        self._note_occupancy()
+            stats.max_occupancy = 1
+        stats.writes += 1
         if self._arrival is not None:
             self._arrival()
         return True
@@ -528,15 +512,12 @@ class Channel:
     def read_nb(self) -> Tuple[Any, bool]:
         """Non-blocking read. Returns ``(value, valid)``."""
         if self._fifo is not None:
-            if self._sink is not None:
-                self._credit_parked_polls()
-            feed = self._feed
-            if feed is not None:
-                self._settle_feed()
+            if self._through is not None:
+                self.settle()
             value, ok = self._fifo.try_get()
             self._stats.reads += 1 if ok else 0
             self._stats.read_failures += 0 if ok else 1
-            if ok and feed is not None:
+            if ok and self._feed is not None:
                 self._fix_feed_end()
             return value, ok
         # depth 0: prefer a waiting rendezvous writer, else the register.
@@ -615,9 +596,9 @@ class Channel:
         start = self.sim.now
         fifo = self._fifo
         if fifo is not None:
+            if self._through is not None:
+                self.settle()
             feed = self._feed
-            if feed is not None:
-                self._settle_feed()
             if fifo.items:
                 value = fifo.items.popleft()
                 if fifo._putters:
@@ -652,7 +633,37 @@ class Channel:
                 f"(requested {self.requested_depth}) occ={self.occupancy}>")
 
 
-class CounterRegisterChannel(Channel):
+class ServiceChannel(Channel):
+    """A depth-0 channel whose values come from an *analytic* service
+    model (:attr:`driver`) instead of a producer kernel's writes.
+
+    Kernels can only read it, and no consumer can park on it: its values
+    arrive without writes. A replayed launch reads it without events
+    (see :mod:`repro.pipeline.replay`).
+    """
+
+    #: What drives the channel, named in the refusals below.
+    driver = "an analytic service"
+
+    def __init__(self, sim: Simulator, name: str,
+                 width_bits: int = 32) -> None:
+        super().__init__(sim, name, depth=0, compiled_depth=None,
+                         width_bits=width_bits)
+
+    def park(self, on_arrival: Callable[[], None]) -> None:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by {self.driver}; its values "
+            "arrive without writes, so a consumer cannot park on it")
+
+    def write_nb(self, value: Any) -> bool:
+        raise ChannelUsageError(
+            f"channel {self.name!r} is driven by {self.driver}; "
+            "kernels cannot write it")
+
+    write = write_nb
+
+
+class CounterRegisterChannel(ServiceChannel):
     """A depth-0 channel driven by an *analytic* free-running counter.
 
     Listing 1's timer service writes ``count`` non-blockingly every cycle,
@@ -673,10 +684,11 @@ class CounterRegisterChannel(Channel):
     keeps its last value from that cycle on.
     """
 
+    driver = "a free-running counter"
+
     def __init__(self, sim: Simulator, name: str, start_cycle: int = 0,
                  width_bits: int = 32) -> None:
-        super().__init__(sim, name, depth=0, compiled_depth=None,
-                         width_bits=width_bits)
+        super().__init__(sim, name, width_bits)
         if start_cycle < 0:
             raise ChannelUsageError(
                 f"counter channel {name!r}: start cycle must be >= 0")
@@ -723,22 +735,7 @@ class CounterRegisterChannel(Channel):
         self._stats.max_occupancy = 1 if elapsed else 0
         return self._stats
 
-    def park(self, on_arrival: Callable[[], None]) -> None:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a free-running counter; "
-            "its values arrive without writes, so a consumer cannot park on it")
-
     # -- channel API --------------------------------------------------------
-
-    def write_nb(self, value: Any) -> bool:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a free-running counter; "
-            "kernels cannot write it")
-
-    def write(self, value: Any) -> Generator:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a free-running counter; "
-            "kernels cannot write it")
 
     def read_nb(self) -> Tuple[Any, bool]:
         elapsed = self._elapsed()
@@ -758,7 +755,7 @@ class CounterRegisterChannel(Channel):
         return self._elapsed()
 
 
-class SequenceChannel(Channel):
+class SequenceChannel(ServiceChannel):
     """A depth-0 channel fed by an *analytic* Listing 5 sequence server.
 
     The server writes ``count`` with a blocking write, increments, and
@@ -796,10 +793,11 @@ class SequenceChannel(Channel):
     write completes after it.
     """
 
+    driver = "a sequence server"
+
     def __init__(self, sim: Simulator, name: str, start: int = 0,
                  width_bits: int = 32, per_cycle: bool = False) -> None:
-        super().__init__(sim, name, depth=0, compiled_depth=None,
-                         width_bits=width_bits)
+        super().__init__(sim, name, width_bits)
         #: The value on offer (or the next one to offer).
         self._count = start + 1
         self._offered = False
@@ -887,21 +885,6 @@ class SequenceChannel(Channel):
     @property
     def has_data(self) -> bool:
         return self._offered
-
-    def park(self, on_arrival: Callable[[], None]) -> None:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a sequence server; "
-            "a consumer cannot park on it")
-
-    def write_nb(self, value: Any) -> bool:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a sequence server; "
-            "kernels cannot write it")
-
-    def write(self, value: Any) -> Generator:
-        raise ChannelUsageError(
-            f"channel {self.name!r} is driven by a sequence server; "
-            "kernels cannot write it")
 
     def read_nb(self) -> Tuple[Any, bool]:
         if self._offered:

@@ -126,7 +126,7 @@ class IBuffer(AutorunKernel):
 
     def _settle(self) -> None:
         for channel in self.data_c:
-            channel.settle_sink()
+            channel.settle()
 
     @property
     def states(self) -> Dict[int, IBufferState]:

@@ -34,7 +34,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-from repro.channels.channel import CounterRegisterChannel, SequenceChannel
+from repro.channels.channel import (CounterRegisterChannel, SequenceChannel,
+                                    ServiceChannel)
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
 from repro.frontend.codegen import (
@@ -460,10 +461,6 @@ def program_cache_clear() -> None:
 
 # -- compiled kernel objects -------------------------------------------------
 
-#: The channels a replayed launch may read: lazy services' analytic
-#: channels, which the replay serves without events.
-_LAZY_CHANNELS = (CounterRegisterChannel, SequenceChannel)
-
 class _CompiledMixin:
     """Shared launch-time binding and execution for compiled kernels."""
 
@@ -541,7 +538,7 @@ class _CompiledMixin:
         (a plain channel's values come from a stepping producer)."""
         bindings = self._channel_bindings
         for name in self._artifacts.read_channels:
-            if type(bindings.get(name)) not in _LAZY_CHANNELS:
+            if not isinstance(bindings.get(name), ServiceChannel):
                 return f"blocking read of eager channel {name!r}"
         return None
 

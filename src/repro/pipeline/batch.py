@@ -37,7 +37,7 @@ splits a launch into two phases:
   generators, which is how this engine's fallback runs them.
 
 The phases only run when the launch owns the simulator (see
-:meth:`~repro.pipeline.engine.PipelineEngine._exclusive_reason`: an
+:meth:`~repro.sim.core.Simulator.exclusive_reason`: an
 empty event queue — a posted store still in flight is a scheduled
 commit event — and no ``run(until=...)`` under way) and the kernel
 lowered to a
@@ -128,7 +128,7 @@ class BatchPipelineEngine(PipelineEngine):
         # Exclusivity gate: Phase A reads backing stores at plan time and
         # Phase B owns the timeline, so the launch must be alone on the
         # simulator with memory quiesced.
-        reason = self._exclusive_reason()
+        reason = self.sim.exclusive_reason()
         if reason is not None:
             yield from self._fallback(reason, self._iteration_tags(),
                                       ops=plan.op_count)

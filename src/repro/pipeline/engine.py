@@ -594,29 +594,12 @@ class PipelineEngine(_OpExecutor):
         if not self.kernel.replayable:
             self.stepped_reason = self.kernel.replay_blocker
         else:
-            self.stepped_reason = (self._exclusive_reason()
+            self.stepped_reason = (self.sim.exclusive_reason()
                                    or self.kernel.replay_gate())
         if self.stepped_reason is None:
             LaunchReplay(self).run_bodies(space)
             return
         yield from self._launch_tags(space)
-
-    def _exclusive_reason(self) -> Optional[str]:
-        """Why this launch does not own the simulator, or None if it does.
-
-        An analytic replay computes the whole launch at its first cycle,
-        so nothing may observe the model before it ends: no other event
-        is scheduled (no stepping autorun, concurrent launch or posted
-        store still in flight — every pending commit is a scheduled
-        event), and no ``run(until=...)`` will pause the clock
-        mid-launch.
-        """
-        sim = self.sim
-        if sim._wheel_count or sim._far:
-            return "concurrent simulator activity"
-        if sim.stop_cycle is not None:
-            return "run(until=...) under way"
-        return None
 
     def _iteration_tags(self) -> Any:
         """The iteration space this launch walks (honouring any CU share)."""

@@ -356,7 +356,7 @@ class LaunchReplay:
             step(row, now, None)
 
         self._run(tags, begin, step)
-        if sim._wheel_count or sim._far:
+        if sim.pending_events:
             raise KernelBuildError(
                 f"kernel {kernel.name!r} declares a replayable body but "
                 "scheduled simulator events while it was replayed")

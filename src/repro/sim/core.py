@@ -616,6 +616,22 @@ class Simulator:
         """
         return self._stop_cycle
 
+    def exclusive_reason(self) -> Optional[str]:
+        """Why work computed ahead of the clock could be observed before
+        it ends, or None when nothing can observe it.
+
+        An analytic launch replay computes the whole launch at its first
+        cycle, so no other event may be scheduled (no stepping autorun,
+        concurrent launch or posted store still in flight: every pending
+        commit is a scheduled event), and no ``run(until=...)`` may pause
+        the clock mid-launch.
+        """
+        if self._has_events():
+            return "concurrent simulator activity"
+        if self._stop_cycle is not None:
+            return "run(until=...) under way"
+        return None
+
     @property
     def pending_events(self) -> int:
         """Number of scheduled events not yet processed."""

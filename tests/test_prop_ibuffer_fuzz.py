@@ -13,10 +13,16 @@ must agree with them on every observable, for one raw unit, a 2-site
 stall monitor and a 2-unit watchpoint (aux channel), with channel
 statistics read mid-park, mid-drain and after ``stop_autorun``. The out
 channels are drained by the host interface kernel and by a test consumer
-that blocking-reads or ``read_nb``s with random gaps.
+that blocking-reads or ``read_nb``s with random gaps. Two fixed cases
+add a late-phase autorun consumer that parks on a fed out channel.
+
+:meth:`~repro.channels.channel.Channel.settle`, the one entry point of
+a channel's lazy endpoints (a feed, a parked consumer, its sink), is
+checked directly too: settling twice at one phase changes nothing, and
+an early settle leaves every later observation as it was.
 
 Example budget: ``IBUFFER_EQUIV_EXAMPLES`` (default 60) for the oracle
-scripts; CI runs a deep job at 300.
+scripts and the settle scripts; CI runs a deep job at 300.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.channels.channel import Channel
 from repro.core.commands import IBufferCommand, IBufferState, SamplingMode, next_state
 from repro.core.ibuffer import IBuffer, IBufferConfig
 from repro.core.logic_blocks import RawRecorderLogic
@@ -34,6 +41,7 @@ from repro.core.stall_monitor import StallMonitor
 from repro.core.watchpoint import SmartWatchpoint
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import AutorunKernel, SingleTaskKernel
+from repro.sim.core import Simulator
 from tests.polling_oracle import PollingIBuffer, polling_ibuffers
 
 MAX_EXAMPLES = int(os.environ.get("IBUFFER_EQUIV_EXAMPLES", "60"))
@@ -112,10 +120,13 @@ _ALL_COMMANDS = [IBufferCommand.RESET, IBufferCommand.SAMPLE,
 
 #: Steps addressed to one of two units: ("cmd", unit, command) |
 #: ("data", unit, value) | ("aux", unit, value) | ("wait", cycles) |
-#: ("stats",) — snapshot every channel's stats, mid-park or mid-drain — |
+#: ("stats",) — snapshot every channel's stats, and each out channel's
+#: ``has_data`` and ``occupancy``, mid-park or mid-drain — |
 #: ("read", unit) — a host READ through the host interface kernel — |
 #: ("consume", unit, pacing) — launch a test consumer of the unit's out
-#: channel, running alongside the later steps (see :class:`_Consumer`).
+#: channel, running alongside the later steps (see :class:`_Consumer`) |
+#: ("late", unit, burst) — install a late-phase autorun consumer of the
+#: unit's out channel (see :class:`_LateConsumer`).
 _cmd = st.tuples(st.just("cmd"), st.integers(0, 1),
                 st.sampled_from(_ALL_COMMANDS))
 _data = st.tuples(st.just("data"), st.integers(0, 1), st.integers(0, 15))
@@ -164,6 +175,33 @@ class _Consumer(SingleTaskKernel):
             self.seen.append((ctx.now, blocking, word))
 
 
+class _LateConsumer(AutorunKernel):
+    """A late-phase autorun draining ``channel``: each cycle up to
+    ``burst`` ``read_nb``s, stopping at the first that finds it empty.
+    After an empty read it parks on the channel, or with ``polls`` steps
+    to the next cycle as the per-cycle oracle does."""
+
+    def __init__(self, channel, burst, polls):
+        super().__init__(name=f"late_{channel.name}", phase="late")
+        self.channel = channel
+        self.burst = burst
+        self.polls = polls
+        self.seen = []
+        channel.bind_consumer(self)
+
+    def body(self, ctx):
+        while True:
+            for _ in range(self.burst):
+                word, ok = ctx.read_channel_nb(self.channel)
+                if not ok:
+                    break
+                self.seen.append((ctx.now, word))
+            if ok or self.polls:
+                yield ctx.cycle()
+            else:
+                yield ctx.await_data(self.channel)
+
+
 def _build(design, fabric, initial_state, ibuffer_class, out_depth=2):
     """(ibuffer, host controller or None) of one instrumented design;
     ``out_depth`` sets the raw unit's out channel depth."""
@@ -183,8 +221,12 @@ def _build(design, fabric, initial_state, ibuffer_class, out_depth=2):
     return unit.ibuffer, unit.host
 
 
-def _run_script(design, steps, initial_state, polling, out_depth=2):
-    """Drive one design through ``steps``; return everything observable."""
+def _run_script(design, steps, initial_state, polling, out_depth=2,
+                coexist=None):
+    """Drive one design through ``steps``; return everything observable.
+
+    ``coexist`` collects, at each "stats" step, whether each out channel
+    had both a feed and a parked consumer attached."""
     fabric = Fabric()
     with polling_ibuffers() if polling else contextlib.nullcontext():
         ibuffer, host = _build(design, fabric, initial_state,
@@ -193,6 +235,7 @@ def _run_script(design, steps, initial_state, polling, out_depth=2):
     fabric.advance(1)   # the units come up and take their first poll
     units = ibuffer.num_compute_units
     consumers = [_Consumer(channel) for channel in ibuffer.out_c]
+    late = []
     launches = []
     seen = []
     for step in steps:
@@ -210,8 +253,20 @@ def _run_script(design, steps, initial_state, polling, out_depth=2):
         elif kind == "wait":
             fabric.advance(step[1])
         elif kind == "stats":
+            if coexist is not None:
+                coexist.append([channel._feed is not None
+                                and channel._arrival is not None
+                                for channel in ibuffer.out_c])
             seen.append(("stats", fabric.sim.now,
-                         fabric.channels.stats_table()))
+                         fabric.channels.stats_table(),
+                         [(channel.has_data, channel.occupancy)
+                          for channel in ibuffer.out_c]))
+        elif kind == "late":
+            unit = step[1] % units
+            if ibuffer.out_c[unit].consumer is None:
+                late.append(_LateConsumer(ibuffer.out_c[unit], step[2],
+                                          polling))
+                fabric.add_autorun(late[-1])
         elif kind == "consume":
             # One consumer per out channel (SPSC), one launch at a time.
             unit = step[1] % units
@@ -234,6 +289,7 @@ def _run_script(design, steps, initial_state, polling, out_depth=2):
     observed = {
         "seen": seen,
         "consumed": [consumer.seen for consumer in consumers],
+        "late": [consumer.seen for consumer in late],
         "launches_done": [engine.completion.triggered
                           for engine in launches],
         "now": fabric.sim.now,
@@ -278,6 +334,38 @@ class TestParkedMatchesPollingOracle:
                              out_depth)
         polling = _run_script(design, script, IBufferState.SAMPLE, True,
                               out_depth)
+        assert parked == polling
+
+    #: A late-phase consumer installed several cycles after the unit
+    #: entered READ: it takes two words a cycle, so it empties the fed
+    #: out channel and parks on it, then reads stats, ``has_data`` and
+    #: ``occupancy`` each cycle of the park before ``stop_autorun``.
+    _FED_PARK = ([("data", 0, value) for value in range(4)]
+                 + [("wait", 2), ("cmd", 0, IBufferCommand.READ),
+                    ("wait", 3), ("late", 0, 2)]
+                 + [("wait", 1), ("stats",)] * 6)
+
+    def test_reads_mid_park_on_fed_channel_change_nothing(self):
+        coexist = []
+        parked = _run_script("raw", self._FED_PARK, IBufferState.SAMPLE,
+                             False, 2, coexist)
+        assert any(flags[0] for flags in coexist)
+        quiet = _run_script("raw", [step for step in self._FED_PARK
+                                    if step[0] != "stats"],
+                            IBufferState.SAMPLE, False, 2)
+        parked["seen"] = [entry for entry in parked["seen"]
+                          if entry[0] != "stats"]
+        assert parked == quiet
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a consumer parked on a channel written by an earlier late-phase "
+        "unit (here the feed) wakes one LATE phase after a per-cycle "
+        "poller would read the word"))
+    def test_consumer_parked_on_fed_channel_agrees(self):
+        parked = _run_script("raw", self._FED_PARK, IBufferState.SAMPLE,
+                             False, 2)
+        polling = _run_script("raw", self._FED_PARK, IBufferState.SAMPLE,
+                              True, 2)
         assert parked == polling
 
     @pytest.mark.parametrize("phase", ["early", "late"])
@@ -330,3 +418,116 @@ class _Producer(AutorunKernel):
             for _ in range(self.bursts.get(ctx.now, 0)):
                 ctx.write_channel_nb(self.channel, ctx.now)
             yield ctx.cycle()
+
+
+# -- Channel.settle, the lazy endpoints' one entry point ---------------------
+
+#: Raw channel steps: ("wait", cycles, back) — then, unless ``back`` is
+#: None, ``settle`` through the LATE phase ``back`` phases before the
+#: last — | ("write", value) — a producer's ``write_nb`` — |
+#: ("feed", words) | ("unfeed",) | ("park", sunk) | ("unpark",) |
+#: ("read",) — the consumer's ``read_nb`` — | ("look",) — read
+#: ``stats``, ``has_data`` and ``occupancy``. A script starts with a feed
+#: or a park; waits and attaching are weighted up.
+_wait = st.tuples(st.just("wait"), st.integers(1, 4),
+                  st.one_of(st.none(), st.integers(0, 3)))
+_feed = st.tuples(st.just("feed"), st.integers(1, 12))
+_park = st.tuples(st.just("park"), st.booleans())
+_settle_steps = st.builds(
+    lambda first, rest: [first] + rest,
+    st.one_of(_feed, _park),
+    st.lists(st.one_of(_wait, _wait, _wait,
+                       st.tuples(st.just("write"), st.integers(0, 9)),
+                       _feed, _feed, st.tuples(st.just("unfeed")),
+                       _park, _park, st.tuples(st.just("unpark")),
+                       st.tuples(st.just("read")),
+                       st.tuples(st.just("look"))),
+             min_size=5, max_size=40))
+
+
+def _settle_script(steps, depth):
+    """Drive one FIFO channel through ``steps``; return its log.
+
+    A parked consumer's wake detaches it, as the engine's parked units
+    do; a feed stays attached after its end until an ``unfeed`` step.
+    A wait's settle is called twice, and the second call must change
+    nothing."""
+    sim = Simulator()
+    channel = Channel(sim, "c", depth=depth)
+    log = []
+
+    def woke():
+        log.append(("woke", sim.now))
+        channel.unpark()
+
+    def ended():
+        log.append(("end", sim.now))
+
+    def sunk(cycle, value):
+        log.append(("sunk", cycle, value))
+
+    def raw_state():
+        return (channel._stats.as_dict(), list(channel._fifo.items),
+                len(log))
+
+    for step in steps:
+        kind = step[0]
+        fed = channel._feed is not None
+        parked = channel._arrival is not None
+        if kind == "wait":
+            sim.run(until=sim.now + step[1])
+            if step[2] is not None:
+                through = sim.last_late_phase() - step[2]
+                channel.settle(through)
+                settled = raw_state()
+                channel.settle(through)
+                assert raw_state() == settled
+        elif kind == "write" and not fed:
+            log.append(("write", sim.now, channel.write_nb(step[1])))
+        elif kind == "feed" and not fed and not channel.has_sink:
+            channel.feed(list(range(100, 100 + step[1])), 0, ended)
+        elif kind == "unfeed" and fed:
+            channel.unfeed()
+        elif kind == "park" and not parked and not channel.has_data:
+            channel.park(woke)
+            if step[1] and not fed:
+                channel.sink(sunk)
+        elif kind == "unpark" and parked:
+            channel.unpark()
+        elif kind == "read" and not parked:
+            log.append(("read", sim.now, channel.read_nb()))
+        elif kind == "look":
+            log.append(("look", sim.now, channel.stats.as_dict(),
+                        channel.has_data, channel.occupancy))
+    log.append(("end of script", sim.now, channel.stats.as_dict(),
+                channel.occupancy))
+    return log
+
+
+def _without_settles(steps):
+    return [step[:2] + (None,) if step[0] == "wait" else step
+            for step in steps]
+
+
+class TestSettle:
+    @given(steps=_settle_steps, depth=st.integers(1, 3))
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_early_settles_change_nothing(self, steps, depth):
+        # settle(t), then the accessors, reports what the accessors alone
+        # report: for feeds, parked consumers (some parked on a feed
+        # attached cycles earlier) and sinks.
+        assert (_settle_script(steps, depth)
+                == _settle_script(_without_settles(steps), depth))
+
+    def test_park_on_a_feed_attached_cycles_earlier(self):
+        # Three words fed into a 1-deep FIFO from cycle 0: the consumer
+        # reads at cycles 2 and 4 and parks on the empty FIFO at 4, when
+        # the feed's cursor has moved on since it was attached; the
+        # feed's final write, in LATE phase 4, ends it and wakes the
+        # consumer.
+        steps = [("feed", 3), ("wait", 2, 1), ("read",), ("wait", 2, 0),
+                 ("read",), ("read",), ("park", False), ("look",),
+                 ("wait", 3, 2), ("look",)]
+        log = _settle_script(steps, 1)
+        assert log == _settle_script(_without_settles(steps), 1)
+        assert log[4:6] == [("woke", 4), ("end", 4)]
