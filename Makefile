@@ -12,9 +12,15 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # One BENCHMARK.json workload end to end; prints one JSON line of metrics
-# (perfbench/README.md; --trace 1 adds the per-layer split).
+# (perfbench/README.md). TRACE=1 prints the per-layer split instead, e.g.
+# `make bench-perf WORKLOAD=opencl_kernels TRACE=1`.
+WORKLOAD ?= paper_experiments
+SEED ?= 1
+SECONDS ?= 24
+TRACE ?= 0
+
 bench-perf:
-	python3 perfbench/run.py --workload paper_experiments --seed 1 --seconds 24 --trace 0
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 # Shard the §4 scalability grid across worker processes and verify the
 # merged report is byte-identical to a serial run (docs/PERFORMANCE.md,

@@ -201,10 +201,11 @@ class BatchPipelineEngine(PipelineEngine):
             return rows
         except _BatchAbort:
             raise
-        except BaseException as exc:
+        except Exception as exc:
             # Any body exception (bad index, missing buffer, arithmetic
             # error, ...) aborts the attempt; the fallback re-run raises
             # the same error with the oracle's exact failure semantics.
+            # KeyboardInterrupt and SystemExit propagate: no fallback.
             raise _BatchAbort(f"body raised {type(exc).__name__}") from exc
 
     def _exec_nodes(self, nodes: tuple, rows: List[Row],

@@ -10,7 +10,7 @@ at push. Pushes happen in the same chronological order as the real event
 loop's scheduling calls, and every launch event is PRIORITY_NORMAL, so
 pops replicate the wheel's FIFO-per-cycle merged order exactly.
 
-Two feeders drive the same core:
+Three feeders drive one issue loop (:meth:`LaunchReplay._run`):
 
 * **planned rows** (:meth:`LaunchReplay.run_planned`): the batch tier's
   Phase A has already computed every work-item's memory ops and values
@@ -30,13 +30,15 @@ Two feeders drive the same core:
   values are those of stepping. A non-blocking write to a channel
   whose parked consumer has a sink (the stall monitor's snapshots, see
   :meth:`~repro.channels.channel.Channel.sink`) schedules nothing
-  either. Any other op raises :class:`~repro.errors.KernelBuildError`.
+  either. Any other op raises :class:`~repro.errors.KernelBuildError`;
+* **a host READ transfer** (:meth:`LaunchReplay.run_transfer`): one row
+  that issues a ``transfer`` op's next fed word, window by window.
 
-The same LSU and bank arithmetic times a host READ ``transfer`` op's
-windows of words (:meth:`LaunchReplay.run_transfer`).
-
-The memory-controller bank model runs inlined with exactly
-:meth:`GlobalMemory._service_latency`'s arithmetic and call order.
+The loop pops an entry, runs the launcher's turn inline or takes the
+row's next access from its feeder, and issues that access itself: the
+memory-controller bank model (exactly
+:meth:`GlobalMemory._service_latency`'s arithmetic and call order) and
+the LSU's in-order retire exist once, inline, with no call per op.
 Summable statistics accumulate launch-wide and flush once at the end;
 posted-store commits land in one flush event at the last commit cycle;
 completion fires through one real event at the finish cycle, so
@@ -63,7 +65,13 @@ from repro.sim.core import PRIORITY_NORMAL, PRIORITY_URGENT, Event
 #: waker's resumption, and a read blocked until a counter starts.
 _EV_ROW, _EV_LAUNCH, _EV_LOAD, _EV_CALL, _EV_WAKE, _EV_COUNTER = range(6)
 
+#: The three feeders of :meth:`LaunchReplay._run`.
+_PLANNED, _BODIES, _TRANSFER = range(3)
+
+#: The items are exhausted / a body has ended.
 _DONE = object()
+#: The launcher has not fetched its next item yet.
+_PENDING = object()
 
 #: A horizon no commit reaches.
 _NO_HORIZON = 1 << 62
@@ -81,7 +89,8 @@ _Collect = ops.CollectReduction
 
 
 class Row:
-    """One iteration: a planned op list (batch) or a body generator."""
+    """One iteration: a planned op list (batch) or a body generator; or a
+    host READ transfer, whose next word index is :attr:`next_op`."""
 
     __slots__ = ("tag", "ctx", "frame", "ops", "next_op", "issued_at",
                  "body")
@@ -117,7 +126,8 @@ class _Wake:
     def succeed(self, value: Any = None) -> None:
         self.triggered = True
         replay = self.replay
-        replay._push(replay.sim._now, _EV_WAKE, self, value)
+        heapq.heappush(replay.heap, (replay.sim._now, next(replay.counter),
+                                     _EV_WAKE, self, value))
 
 
 class LaunchReplay:
@@ -125,7 +135,7 @@ class LaunchReplay:
 
     Construct it, let a feeder fill :attr:`boxes`, :attr:`counts` and
     :attr:`traffic` as needed (batch Phase A does), then call
-    :meth:`run_planned` or :meth:`run_bodies` once.
+    :meth:`run_planned`, :meth:`run_bodies` or :meth:`run_transfer` once.
     """
 
     def __init__(self, engine: Any) -> None:
@@ -153,16 +163,11 @@ class LaunchReplay:
         #: Each commit's own cycle, when recorded (transfer windows).
         self.commit_cycles: Optional[List[int]] = None
         #: Commits ``(store, index, value, cycle)`` at or past the issue
-        #: horizon (see :meth:`_make_issue`), in issue order.
+        #: horizon (see :meth:`_run`), in issue order.
         self.late_commits: List[tuple] = []
         self.last_commit = 0
-        # Launcher state machine.
-        self._inflight = 0
+        #: The launch's finish cycle (None while rows still wait).
         self._finish: Optional[int] = None
-        self._launch_done = False
-        self._slot_armed = False
-        self._stall_start: Optional[int] = None
-        self._last_issue: Optional[int] = None
 
     def site_box(self, site: str, kind: str) -> list:
         """The state box of one LSU, created on first use."""
@@ -184,31 +189,8 @@ class LaunchReplay:
         Returns their LSUs in the order the sites first issue, which is
         the order stepping registers them in.
         """
-        heap = self.heap
-        counter = self.counter
-        heappush = heapq.heappush
-        issue = self._make_issue()
-        retire = self._retire
         first_issue: List[Any] = []
-
-        def step(row: Row, now: int, _value: Any) -> None:
-            ops_ = row.ops
-            position = row.next_op
-            if position >= len(ops_):
-                retire(row, now)
-                return
-            row.next_op = position + 1
-            box, address, store, element, value = ops_[position]
-            if not box[1]:                      # the site's first access
-                first_issue.append(box[6])
-            heappush(heap, (issue(now, box, address, store, element, value),
-                            next(counter), _EV_ROW, row, None))
-
-        def begin(row: Row, now: int) -> None:
-            row.issued_at = now
-            step(row, now, None)
-
-        self._run(rows, begin, step)
+        self._run(_PLANNED, rows, first_issue)
         self._flush()
         return first_issue
 
@@ -216,20 +198,16 @@ class LaunchReplay:
         """Run each tag's body generator, fed op by op on the replay."""
         engine = self.engine
         kernel = engine.kernel
-        instance = engine.instance
-        compute_id = instance.compute_id
+        compute_id = engine.instance.compute_id
         derive_site = engine._derive_site
         buffer_of = self.memory.buffer
-        sim = self.sim
         heap = self.heap
         counter = self.counter
         heappush = heapq.heappush
         site_box = self.site_box
         counts = self.counts
         traffic = self.traffic
-        retire = self._retire
         self._overlay = {}
-        issue = self._make_issue()
         # Per-site boxes and per-name buffers, resolved once per launch.
         load_boxes: Dict[str, list] = {}
         store_boxes: Dict[str, list] = {}
@@ -237,7 +215,12 @@ class LaunchReplay:
 
         hop = self.hop
 
-        def step(row: Row, now: int, value: Any) -> None:
+        def step(row: Row, now: int, value: Any) -> Any:
+            """Send ``value`` into ``row``'s body and run it to its next
+            access: ``(box, address, store, element, value, payload)``,
+            with ``store`` None and ``payload`` the ``(buffer, index)``
+            read at retirement for a load. ``_DONE`` when the body has
+            ended, None when it waits on an entry it pushed or a waker."""
             body = row.body
             send = body.send
             throw: Optional[BaseException] = None
@@ -248,15 +231,13 @@ class LaunchReplay:
                     else:
                         op, throw = body.throw(throw), None
                 except StopIteration:
-                    retire(row, now)
-                    return
+                    return _DONE
                 except Exception as exc:
                     # An unhandled body exception fails the launch, as in
                     # PipelineEngine._iteration.
                     if engine._failure is None:
                         engine._failure = exc
-                    retire(row, now)
-                    return
+                    return _DONE
                 cls = op.__class__
                 if cls is _Load or cls is _Store:
                     load = cls is _Load
@@ -292,20 +273,12 @@ class LaunchReplay:
                         counts[2] += itemsize
                         entry[0] += 1
                         entry[2] += itemsize
-                        retire_at = issue(now, box, address, None, index,
-                                          None)
-                        heappush(heap, (retire_at, next(counter), _EV_LOAD,
-                                        row, (store, index)))
-                    else:
-                        counts[1] += 1
-                        counts[3] += itemsize
-                        entry[1] += 1
-                        entry[3] += itemsize
-                        retire_at = issue(now, box, address, store, index,
-                                          op.value)
-                        heappush(heap, (retire_at, next(counter), _EV_ROW,
-                                        row, None))
-                    return
+                        return box, address, None, index, None, (store, index)
+                    counts[1] += 1
+                    counts[3] += itemsize
+                    entry[1] += 1
+                    entry[3] += itemsize
+                    return box, address, store, index, op.value, None
                 if cls is _Compute:
                     cycles = op.cycles
                     if not cycles:
@@ -313,7 +286,7 @@ class LaunchReplay:
                         continue
                     heappush(heap, (now + cycles, next(counter), _EV_ROW, row,
                                     op.value))
-                    return
+                    return None
                 if cls is _ReadChannel:
                     channel = op.channel
                     if type(channel) is SequenceChannel:
@@ -322,7 +295,7 @@ class LaunchReplay:
                             channel.note_read(0)
                             continue
                         channel.wait(_Wake(self, row, channel))
-                        return
+                        return None
                     if type(channel) is CounterRegisterChannel:
                         if channel.has_data:
                             value = channel.value()
@@ -330,7 +303,7 @@ class LaunchReplay:
                             continue
                         heappush(heap, (channel.start_cycle, next(counter),
                                         _EV_COUNTER, row, (channel, now)))
-                        return
+                        return None
                 elif cls is _MemFence:
                     value = None
                     continue
@@ -341,22 +314,15 @@ class LaunchReplay:
                     except KernelError as exc:
                         throw, value = exc, None
                         continue
-                    return
+                    return None
                 raise KernelBuildError(
                     f"kernel {kernel.name!r} declares a replayable body but "
                     f"yielded {op!r}; the analytic replay runs only "
                     "Load/Store/Compute/MemFence/CollectReduction and "
                     "blocking reads of lazy timestamp or sequence channels")
 
-        def begin(tag: Any, now: int) -> None:
-            ctx = KernelContext(instance, iteration=tag)
-            row = Row(tag, ctx)
-            row.body = kernel.body(ctx)
-            row.issued_at = now
-            step(row, now, None)
-
-        self._run(tags, begin, step)
-        if sim.pending_events:
+        self._run(_BODIES, tags, step)
+        if self.sim.pending_events:
             raise KernelBuildError(
                 f"kernel {kernel.name!r} declares a replayable body but "
                 "scheduled simulator events while it was replayed")
@@ -379,35 +345,29 @@ class LaunchReplay:
         as stepping leaves them. Returns ``(next k, last retire cycle)``.
         """
         sim = self.sim
-        start = retire = sim._now
         stop = sim.stop_cycle
         # Reads at cycle r retire by r + posted (the LSU's tail is the
         # previous read's cycle), so every store retires before `end`.
         end = (_NO_HORIZON if stop is None
                else stop - self.memory.config.posted_write_latency)
-        through = sim.last_late_phase()
-        box = self.site_box(site, "store")
+        # One row, with its next word index in `next_op`.
+        row = Row(None, None)
+        row.next_op = k
         self.commit_cycles = []
-        issue = self._make_issue(stop)
-        base = store.base_address
-        itemsize = store.itemsize
-        first = k
-        while k < limit and retire < end:
-            word, ok = channel.take_fed(through)
-            if not ok:
-                break
-            retire = issue(retire, box, base + k * itemsize, store, k, word)
-            k += 1
-            if retire != start:
-                through = retire - 1
-        stored = k - first
+        retire = self._run(
+            _TRANSFER, (),
+            (row, channel, store, self.site_box(site, "store"), limit, end,
+             sim.last_late_phase()),
+            _NO_HORIZON if stop is None else stop)
+        stored = row.next_op - k
         if stored:
+            itemsize = store.itemsize
             counts = self.counts
             counts[1] += stored
             counts[3] += stored * itemsize
             self.traffic[store.name] = [0, stored, 0, stored * itemsize]
             self.flush_effects()
-        return k, retire
+        return row.next_op, retire
 
     # -- the shared core ------------------------------------------------------
 
@@ -423,101 +383,6 @@ class LaunchReplay:
         else:
             heapq.heappush(self.heap, (self.sim._now, next(self.counter),
                                        _EV_CALL, call, PRIORITY_NORMAL))
-
-    def _push(self, when: int, kind: int, row: Any, value: Any) -> None:
-        heapq.heappush(self.heap, (when, next(self.counter), kind, row,
-                                   value))
-
-    def _make_issue(self, horizon: Optional[int] = None
-                    ) -> Callable[..., int]:
-        """Build ``issue(now, box, address, store, element, value)``: issue
-        one access at cycle ``now`` and return its retire cycle.
-
-        The memory controller's bank model and the LSU's in-order retire,
-        inlined: same arithmetic and call order as
-        :meth:`GlobalMemory.load_timing` / :meth:`~GlobalMemory.
-        store_timing` and :meth:`LoadStoreUnit.issue`. ``store`` is None
-        for a load; for a store the commit is recorded at the full
-        latency, while the pipeline resumes after the posted latency
-        only. A commit that lands at or after ``horizon`` is recorded in
-        :attr:`late_commits` instead, with its cycle.
-        """
-        memory = self.memory
-        config = memory.config
-        row_bytes = config.row_bytes
-        banks = config.banks
-        busy = config.bank_busy_cycles
-        hit_cycles = config.row_hit_cycles
-        miss_cycles = config.row_miss_cycles
-        pipe = config.pipe_latency
-        posted = config.posted_write_latency
-        bank_ready = memory._bank_ready
-        bank_open_row = memory._bank_open_row
-        latency_acc = self.latency
-        commits = self.commits
-        cycles = self.commit_cycles
-        overlay = self._overlay
-        counter = self.counter
-        late = self.late_commits
-        if horizon is None:
-            horizon = _NO_HORIZON
-
-        def issue(now: int, box: list, address: int, store: Any,
-                  element: int, value: Any) -> int:
-            dram_row = address // row_bytes
-            bank = dram_row % banks
-            start = bank_ready[bank]
-            if now > start:
-                start = now
-            if bank_open_row[bank] == dram_row:
-                access = hit_cycles
-                latency_acc[0] += 1
-            else:
-                access = miss_cycles
-                latency_acc[1] += 1
-                bank_open_row[bank] = dram_row
-            finish = start + access + busy
-            bank_ready[bank] = finish
-            latency = finish - now + pipe
-            if store is None:
-                latency_acc[2] += latency
-            elif now + latency >= horizon:
-                late.append((store, element, value, now + latency))
-                if latency > posted:
-                    latency = posted
-            else:
-                commit = now + latency
-                commits.append((store, element, value))
-                if cycles is not None:
-                    cycles.append(commit)
-                if commit > self.last_commit:
-                    self.last_commit = commit
-                if overlay is not None:
-                    # The commit event is scheduled before the store's
-                    # retirement, so it takes the earlier sequence number.
-                    key = (store, element)
-                    landed = overlay.get(key)
-                    if landed is None:
-                        landed = overlay[key] = []
-                    landed.append((commit, next(counter), value))
-                if latency > posted:
-                    latency = posted
-            raw_retire = now + latency
-            tail = box[0]
-            retire = raw_retire if raw_retire >= tail else tail
-            box[0] = retire
-            total = retire - now
-            box[1] += 1
-            box[2] += total
-            if total > box[3]:
-                box[3] = total
-            box[4] += retire - raw_retire
-            samples = box[5]
-            if samples is not None:
-                samples.append(total)
-            return retire
-
-        return issue
 
     _overlay: Optional[dict] = None
     _contents: Optional[dict] = None
@@ -540,86 +405,253 @@ class LaunchReplay:
             values = contents[store] = store.data.tolist()
         return values[element]
 
-    def _run(self, items: Iterable[Any], begin: Callable[[Any, int], None],
-             step: Callable[[Row, int, Any], None]) -> None:
+    def _run(self, mode: int, items: Iterable[Any], feeder: Any,
+             horizon: int = _NO_HORIZON) -> int:
+        """The issue loop of every feeder; returns the last cycle.
+
+        It pops entries in ``(time, seq)`` order and runs the launcher's
+        turns inline: issue until a gap, a full pipeline, or no items
+        left. A row begun or resumed yields its next access: the next
+        planned op, the access the body step returns, or the transfer's
+        next fed word (a transfer is one row, and has no launcher). The
+        loop issues the access with the memory controller's bank model
+        and the LSU's in-order retire inlined, with exactly
+        :meth:`GlobalMemory.load_timing` / :meth:`~GlobalMemory.
+        store_timing` and :meth:`LoadStoreUnit.issue`'s arithmetic and
+        call order, and pushes the row's resumption at the retire cycle.
+        A store's commit is recorded at the full latency, while the row
+        resumes after the posted latency only; a commit that lands at or
+        after ``horizon`` is recorded in :attr:`late_commits` instead,
+        with its cycle.
+
+        ``feeder`` is, per mode: the list the planned rows' LSUs join at
+        their site's first issue; the body step (see :meth:`run_bodies`);
+        the transfer's ``(row, channel, store, box, limit, end,
+        through)`` (see :meth:`run_transfer`).
+        """
         sim = self.sim
-        start = sim._now
-        self._items = iter(items)
-        self._next = next(self._items, _DONE)
-        self._begin = begin
+        start = now = sim._now
         heap = self.heap
+        push = heapq.heappush
         pop = heapq.heappop
+        counter = self.counter
+        loaded = self._loaded
+        # The bank model and the commit record.
+        memory = self.memory
+        config = memory.config
+        row_bytes = config.row_bytes
+        banks = config.banks
+        busy = config.bank_busy_cycles
+        hit_cycles = config.row_hit_cycles
+        miss_cycles = config.row_miss_cycles
+        pipe = config.pipe_latency
+        posted = config.posted_write_latency
+        bank_ready = memory._bank_ready
+        bank_open_row = memory._bank_open_row
+        hits, misses, load_latency = self.latency
+        last_commit = self.last_commit
+        commits = self.commits
+        cycles = self.commit_cycles
+        overlay = self._overlay
+        late = self.late_commits
+        # The launcher.
+        engine = self.engine
+        stats = engine.stats
+        ii = engine.config.ii
+        max_inflight = engine.config.max_inflight
+        trace = stats.iteration_trace if self.keep_samples else None
+        items = iter(items)
+        pending = _PENDING
+        inflight = 0
+        launch_done = slot_armed = False
+        stall_start = finish = None
+        # The first cycle the next item may issue at (II after the last).
+        next_issue = start
+        launching = mode != _TRANSFER
+        planned = mode == _PLANNED
+        bodies = mode == _BODIES
+        # What an access resumes its row with: planned rows and the
+        # transfer always resume as a row, a body load reads its value.
+        resume, payload = _EV_ROW, None
+        if planned:
+            first_issue = feeder
+        elif bodies:
+            step = feeder
+            kernel = engine.kernel
+            instance = engine.instance
+        else:
+            row, channel, to, to_box, limit, end, through = feeder
+            take_fed = channel.take_fed
+            to_base = to.base_address
+            itemsize = to.itemsize
+            push(heap, (start, next(counter), _EV_ROW, row, None))
         try:
-            self._launch_turn(start)
-            while heap and self._finish is None:
-                when, seq, kind, row, value = pop(heap)
-                sim._now = when
-                if kind == _EV_ROW:
-                    step(row, when, value)
-                elif kind == _EV_LOAD:
-                    step(row, when, self._loaded(when, seq, *value))
-                elif kind == _EV_LAUNCH:
-                    if self._stall_start is not None:
-                        self.engine.stats.issue_stall_cycles += (
-                            when - self._stall_start)
-                        self._stall_start = None
-                    self._launch_turn(when)
-                elif kind == _EV_WAKE:
-                    if row.channel is not None:
-                        row.channel.note_read(when - row.since)
-                    step(row.row, when, value)
-                elif kind == _EV_CALL:
-                    row()
-                else:                                       # _EV_COUNTER
-                    channel, since = value
-                    channel.note_read(when - since)
-                    step(row, when, channel.value())
+            while True:
+                if launching:
+                    if pending is _PENDING:
+                        pending = next(items, _DONE)
+                    if pending is _DONE:
+                        launching = False
+                        launch_done = True
+                        if inflight == 0:
+                            finish = now
+                        continue
+                    if next_issue > now:
+                        push(heap, (next_issue, next(counter), _EV_LAUNCH,
+                                    None, None))
+                        launching = False
+                        continue
+                    if inflight >= max_inflight:
+                        slot_armed = True
+                        stall_start = now
+                        launching = False
+                        continue
+                    inflight += 1
+                    stats.iterations_issued += 1
+                    next_issue = now + ii
+                    # Inline start: the first op issues at the issue cycle
+                    # itself, and op-free rows retire synchronously (as
+                    # `inline=True` iteration processes do).
+                    if planned:
+                        row = pending
+                    else:
+                        ctx = KernelContext(instance, iteration=pending)
+                        row = Row(pending, ctx)
+                        row.body = kernel.body(ctx)
+                    row.issued_at = now
+                    pending = _PENDING
+                    value = None
+                else:
+                    if finish is not None or not heap:
+                        break
+                    when, seq, kind, row, value = pop(heap)
+                    sim._now = now = when
+                    if kind:                        # not a plain resume
+                        if kind == _EV_LOAD:
+                            value = loaded(when, seq, *value)
+                        elif kind == _EV_LAUNCH:
+                            if stall_start is not None:
+                                stats.issue_stall_cycles += now - stall_start
+                                stall_start = None
+                            launching = True
+                            continue
+                        elif kind == _EV_WAKE:
+                            if row.channel is not None:
+                                row.channel.note_read(now - row.since)
+                            row = row.row
+                        elif kind == _EV_CALL:
+                            row()
+                            continue
+                        else:                               # _EV_COUNTER
+                            counter_channel, since = value
+                            counter_channel.note_read(now - since)
+                            value = counter_channel.value()
+                # The row's next access; box None when the row retires.
+                if planned:
+                    position = row.next_op
+                    ops_ = row.ops
+                    if position == len(ops_):
+                        box = None
+                    else:
+                        row.next_op = position + 1
+                        box, address, store, element, value = ops_[position]
+                        if not box[1]:          # the site's first access
+                            first_issue.append(box[6])
+                elif bodies:
+                    access = step(row, now, value)
+                    if access is None:
+                        continue
+                    if access is _DONE:
+                        box = None
+                    else:
+                        box, address, store, element, value, payload = access
+                        resume = _EV_ROW if payload is None else _EV_LOAD
+                else:                                       # _TRANSFER
+                    element = row.next_op
+                    if element >= limit or now >= end:
+                        continue
+                    value, ok = take_fed(through if now == start else now - 1)
+                    if not ok:
+                        continue
+                    row.next_op = element + 1
+                    box = to_box
+                    address = to_base + element * itemsize
+                    store = to
+                if box is None:
+                    if trace is not None:
+                        trace.append((row.tag, row.issued_at, now))
+                    inflight -= 1
+                    stats.iterations_retired += 1
+                    if slot_armed:
+                        # The real retire succeeds the launcher's slot
+                        # event (delay 0): the launcher resumes this cycle,
+                        # after already-queued events.
+                        slot_armed = False
+                        push(heap, (now, next(counter), _EV_LAUNCH, None,
+                                    None))
+                    if launch_done and inflight == 0:
+                        finish = now
+                    continue
+                # The access: the bank model, then the LSU's in-order retire.
+                dram_row = address // row_bytes
+                bank = dram_row % banks
+                begins = bank_ready[bank]
+                if now > begins:
+                    begins = now
+                if bank_open_row[bank] == dram_row:
+                    done = begins + hit_cycles + busy
+                    hits += 1
+                else:
+                    done = begins + miss_cycles + busy
+                    misses += 1
+                    bank_open_row[bank] = dram_row
+                bank_ready[bank] = done
+                latency = done - now + pipe
+                if store is None:
+                    load_latency += latency
+                elif now + latency >= horizon:
+                    late.append((store, element, value, now + latency))
+                    if latency > posted:
+                        latency = posted
+                else:
+                    commit = now + latency
+                    commits.append((store, element, value))
+                    if cycles is not None:
+                        cycles.append(commit)
+                    if commit > last_commit:
+                        last_commit = commit
+                    if overlay is not None:
+                        # The commit event is scheduled before the store's
+                        # retirement, so it takes the earlier sequence
+                        # number.
+                        key = (store, element)
+                        landed = overlay.get(key)
+                        if landed is None:
+                            landed = overlay[key] = []
+                        landed.append((commit, next(counter), value))
+                    if latency > posted:
+                        latency = posted
+                raw_retire = now + latency
+                retire = box[0]
+                if raw_retire > retire:
+                    retire = raw_retire
+                box[0] = retire
+                total = retire - now
+                box[1] += 1
+                box[2] += total
+                if total > box[3]:
+                    box[3] = total
+                box[4] += retire - raw_retire
+                samples = box[5]
+                if samples is not None:
+                    samples.append(total)
+                push(heap, (retire, next(counter), resume, row, payload))
         finally:
             sim._now = start
-
-    def _launch_turn(self, now: int) -> None:
-        """One launcher wake: issue until a gap, a full pipeline, or done."""
-        engine = self.engine
-        config = engine.config
-        stats = engine.stats
-        while True:
-            item = self._next
-            if item is _DONE:
-                self._launch_done = True
-                if self._inflight == 0 and self._finish is None:
-                    self._finish = now
-                return
-            if self._last_issue is not None:
-                gap = self._last_issue + config.ii - now
-                if gap > 0:
-                    self._push(now + gap, _EV_LAUNCH, None, None)
-                    return
-            if self._inflight >= config.max_inflight:
-                self._slot_armed = True
-                self._stall_start = now
-                return
-            self._inflight += 1
-            stats.iterations_issued += 1
-            # Inline start: the first op issues at the issue cycle itself,
-            # and op-free rows retire synchronously (as `inline=True`
-            # iteration processes do).
-            self._begin(item, now)
-            self._last_issue = now
-            self._next = next(self._items, _DONE)
-
-    def _retire(self, row: Row, now: int) -> None:
-        stats = self.engine.stats
-        if self.keep_samples:
-            stats.iteration_trace.append((row.tag, row.issued_at, now))
-        self._inflight -= 1
-        stats.iterations_retired += 1
-        if self._slot_armed:
-            # The real retire succeeds the launcher's slot event (delay 0):
-            # the launcher resumes this cycle, after already-queued events.
-            self._slot_armed = False
-            self._push(now, _EV_LAUNCH, None, None)
-        if self._launch_done and self._inflight == 0:
-            self._finish = now
+            self.latency = [hits, misses, load_latency]
+            self.last_commit = last_commit
+        self._finish = finish
+        return now
 
     def flush_effects(self) -> None:
         """Hand the accumulated statistics, traffic and LSU state to the

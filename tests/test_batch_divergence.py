@@ -25,6 +25,7 @@ import pytest
 from repro.errors import AddressError, ProcessError
 from repro.frontend import compile_source, program_cache_clear
 from repro.kernels.vecadd import VecAddKernel
+from repro.pipeline.batch import BatchPipelineEngine
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.ops import ALL_OPS
 from repro.trace import TraceHub
@@ -381,6 +382,43 @@ class TestDynamicDivergence:
             cause = cause.__cause__
         assert isinstance(cause, AddressError)
         assert "index 8 out of range [0, 8)" in str(exc_info.value)
+
+    def test_interrupt_in_phase_a_propagates_without_a_fallback(
+            self, monkeypatch):
+        """A KeyboardInterrupt raised by a plan closure is no divergence:
+        it ends the launch (the simulator delivers it as the launcher's
+        crash), with no abort record and no stepped re-run."""
+        program_cache_clear()
+        fabric = Fabric(trace=TraceHub())
+        kernel = compile_source(fabric, _CONVERGENT).kernel("conv")
+        plan, _ = kernel.batch_plan()
+
+        def interrupted(frame, ctx):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            next(node for node in plan.nodes if node.kind == 0), "fn",
+            interrupted)
+        fallbacks = []
+        fallback = BatchPipelineEngine._fallback
+
+        def recording(self, *args, **kwargs):
+            fallbacks.append(args)
+            return fallback(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchPipelineEngine, "_fallback", recording)
+        fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
+        fabric.memory.allocate("OUT", 8)
+        args = {"in": "IN", "out": "OUT", "n": 8, "__global_size": 8}
+        with pytest.raises((ProcessError, KeyboardInterrupt)) as exc_info:
+            run_kernel(fabric, kernel, args, executor="batch")
+        error = exc_info.value
+        assert isinstance(error, KeyboardInterrupt) or \
+            isinstance(error.__cause__, KeyboardInterrupt)
+        assert fallbacks == []
+        assert fabric.trace.count("batch.divergence") == 0
+        assert fabric.trace.count("batch.launch") == 0
+        assert list(fabric.memory.buffer("OUT").snapshot()) == [0] * 8
 
 
 class TestOpCoverage:

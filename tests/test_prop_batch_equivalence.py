@@ -30,6 +30,7 @@ from hypothesis import find, given, settings, strategies as st
 
 from repro.frontend import FrontendError, compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
+from repro.pipeline.kernel import PipelineConfig
 from tests.executor_oracle import run_kernel
 
 MAX_EXAMPLES = int(os.environ.get("BATCH_EQUIV_EXAMPLES", "60"))
@@ -75,7 +76,7 @@ def _exprs(draw, depth=0):
 
 
 @st.composite
-def _stmts(draw, depth=0, loop_depth=0):
+def _stmts(draw, depth=0, loop_depth=0, convergent=False):
     """One source-text statement (possibly a nested block construct).
 
     Branch conditions and loop bounds that read ``gid`` or ``in[...]``
@@ -85,6 +86,10 @@ def _stmts(draw, depth=0, loop_depth=0):
     the launch back to stepping. ``out[...] op=`` statements read and
     write the output buffer, tripping the batch hazard detector. The
     property holds whichever path executes the launch.
+
+    ``convergent`` leaves out both: no ``out[...] op=`` and no partial
+    ``return``, ``break`` or ``continue``, so batch Phase A plans the
+    whole launch (branches and loop trips may still differ per row).
     """
     node = draw(st.integers(0, 16))
     if node <= 2:
@@ -94,25 +99,27 @@ def _stmts(draw, depth=0, loop_depth=0):
     if node == 3:
         return f"acc[((gid + a) & {_ACC - 1})] = {draw(_exprs())};"
     if node == 4:
-        op = draw(st.sampled_from(["=", "+=", "-="]))
+        op = draw(st.sampled_from(["="] if convergent else ["=", "+=", "-="]))
         return f"out[(b & {_BUF - 1})] {op} {draw(_exprs())};"
     if node == 5:
         target = draw(st.sampled_from(["a", "b", "c"]))
         return f"{target}{draw(st.sampled_from(['++', '--']))};"
     if node == 6:
         return f"out[(c & {_BUF - 1})] = in[(a & {_BUF - 1})];"
-    if node == 13:
+    if node == 13 and not convergent:
         return f"if ((({draw(_exprs())}) & 3) == (gid & 3)) {{ return; }}"
-    if node == 14 and loop_depth > 0:
+    if node == 14 and loop_depth > 0 and not convergent:
         keyword = draw(st.sampled_from(["break", "continue"]))
         return f"if ({draw(_exprs())}) {{ {keyword}; }}"
     if depth >= 2 or node <= 8 or node == 14:
         return f"a = {draw(_exprs())};"
     if node == 9:
         block = " ".join(draw(st.lists(
-            _stmts(depth=depth + 1, loop_depth=loop_depth),
+            _stmts(depth=depth + 1, loop_depth=loop_depth,
+                   convergent=convergent),
             min_size=1, max_size=3)))
-        other = draw(st.lists(_stmts(depth=depth + 1, loop_depth=loop_depth),
+        other = draw(st.lists(_stmts(depth=depth + 1, loop_depth=loop_depth,
+                                     convergent=convergent),
                               min_size=0, max_size=2))
         else_block = (" else { " + " ".join(other) + " }") if other else ""
         return f"if ({draw(_exprs())}) {{ {block} }}{else_block}"
@@ -123,7 +130,8 @@ def _stmts(draw, depth=0, loop_depth=0):
         else:
             bound = f"(({draw(_exprs())}) & 3)"     # data-dependent trips
         inner = draw(st.lists(
-            _stmts(depth=depth + 1, loop_depth=loop_depth + 1),
+            _stmts(depth=depth + 1, loop_depth=loop_depth + 1,
+                   convergent=convergent),
             min_size=1, max_size=3))
         return (f"for (int {var} = 0; {var} < {bound}; {var}++) "
                 f"{{ {' '.join(inner)} c += {var}; }}")
@@ -131,7 +139,8 @@ def _stmts(draw, depth=0, loop_depth=0):
         # The counter steps first, so a generated ``continue`` still ends.
         var = f"w{loop_depth}"
         inner = draw(st.lists(
-            _stmts(depth=depth + 1, loop_depth=loop_depth + 1),
+            _stmts(depth=depth + 1, loop_depth=loop_depth + 1,
+                   convergent=convergent),
             min_size=1, max_size=3))
         return (f"{{ int {var} = 0; while ({var} < ((gid + a) & 3)) "
                 f"{{ {var}++; {' '.join(inner)} }} }}")
@@ -165,8 +174,9 @@ def test_generator_draws_every_statement_shape(shape):
 
 
 @st.composite
-def _kernel_sources(draw):
-    body = draw(st.lists(_stmts(), min_size=1, max_size=8))
+def _kernel_sources(draw, convergent=False):
+    body = draw(st.lists(_stmts(convergent=convergent), min_size=1,
+                         max_size=8))
     lines = [
         "int gid = get_global_id(0);",
         f"int a = {draw(st.integers(0, 9))};",
@@ -176,9 +186,14 @@ def _kernel_sources(draw):
     ] + body + [
         f"out[(gid & {_BUF - 1})] = c + acc[((gid + b) & {_ACC - 1})];",
     ]
-    return (
+    source = (
         "__kernel void k(__global int* in, __global int* out, int n) {\n"
         + "\n".join("    " + line for line in lines) + "\n}\n")
+    if convergent:
+        # Phase A cannot plan a short-circuit operator whose operand
+        # reads memory: make them bitwise.
+        source = source.replace("&&", "&").replace("||", "|")
+    return source
 
 
 def _lsu_snapshot(engine):
@@ -221,7 +236,8 @@ def _memory_snapshot(fabric):
 
 
 def _run_generated(source, global_size, executor, kernel="k",
-                   buffers=(("IN", "in"), ("OUT", "out")), n=7):
+                   buffers=(("IN", "in"), ("OUT", "out")), n=7,
+                   pipeline=None):
     fabric = Fabric(keep_lsu_samples=True)
     program = compile_source(fabric, source)
     args = {"n": n, "__global_size": global_size}
@@ -229,8 +245,10 @@ def _run_generated(source, global_size, executor, kernel="k",
         fabric.memory.allocate(alloc_name, _BUF).fill(
             np.arange(_BUF) * 3 - 5)
         args[arg_name] = alloc_name
-    engine = run_kernel(fabric, program.kernel(kernel), args,
-                        executor=executor)
+    compiled = program.kernel(kernel)
+    if pipeline is not None:
+        compiled.pipeline = pipeline
+    engine = run_kernel(fabric, compiled, args, executor=executor)
     return fabric, engine
 
 
@@ -293,6 +311,73 @@ class TestBatchEquivalence:
         _assert_equivalent(batch, ref, ["IN", "OUT"])
         assert list(batch[0].memory.buffer("OUT").snapshot())[:n] == \
             list(batch[0].memory.buffer("IN").snapshot())[:n][::-1]
+
+
+#: Narrow pipelines: an initiation interval above 1 leaves gaps between
+#: issues, and a few slots fill before the first row retires.
+_PIPELINES = st.builds(PipelineConfig, ii=st.integers(1, 3),
+                       max_inflight=st.sampled_from([1, 2, 5, 64]))
+
+
+class TestBatchEquivalenceUnderPressure:
+    """Table mode under launcher pressure: up to 80 rows through a
+    pipeline of 1, 2, 5 or 64 slots at II 1-3, so the replay's
+    full-pipeline stall, its slot re-arm at a retire and its II gap all
+    meet the oracle."""
+
+    @given(source=st.one_of(_kernel_sources(),
+                            _kernel_sources(convergent=True)),
+           global_size=st.integers(0, 80), pipeline=_PIPELINES)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_batch_matches_reference_under_pressure(self, source,
+                                                    global_size, pipeline):
+        program_cache_clear()
+        batch = _run_generated(source, global_size, "batch",
+                               pipeline=pipeline)
+        ref = _run_generated(source, global_size, "reference",
+                             pipeline=pipeline)
+        _assert_equivalent(batch, ref, ["IN", "OUT"])
+
+    def test_narrow_pipeline_stalls_in_table_mode(self):
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            out[gid & 15] = in[(gid * 5) & 15] + in[gid & 15] * n;
+        }
+        """
+        pipeline = PipelineConfig(ii=2, max_inflight=2)
+        program_cache_clear()
+        batch = _run_generated(source, 80, "batch", pipeline=pipeline)
+        ref = _run_generated(source, 80, "reference", pipeline=pipeline)
+        assert batch[1].batch.mode == "table"
+        assert batch[1].stats.issue_stall_cycles > 0
+        _assert_equivalent(batch, ref, ["IN", "OUT"])
+
+
+class TestPlannedMatchesBodies:
+    """The replay's two launch feeders against each other and the
+    oracle. A convergent kernel without ``__local`` memory or a barrier
+    runs three ways: ``executor="batch"`` plans it in Phase A and times
+    the op lists (``LaunchReplay.run_planned``); ``executor="fast"``
+    replays the compiled body generators (``LaunchReplay.run_bodies``);
+    the reference executor steps it."""
+
+    @given(source=_kernel_sources(convergent=True),
+           global_size=st.integers(0, 40), pipeline=_PIPELINES)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_planned_bodies_and_reference_agree(self, source, global_size,
+                                                pipeline):
+        program_cache_clear()
+        planned = _run_generated(source, global_size, "batch",
+                                 pipeline=pipeline)
+        bodies = _run_generated(source, global_size, "fast",
+                                pipeline=pipeline)
+        ref = _run_generated(source, global_size, "reference",
+                             pipeline=pipeline)
+        assert planned[1].batch.mode == "table", planned[1].batch
+        assert bodies[1].stepped_reason is None
+        _assert_equivalent(planned, ref, ["IN", "OUT"])
+        _assert_equivalent(bodies, ref, ["IN", "OUT"])
 
 
 def _cpus() -> int:
