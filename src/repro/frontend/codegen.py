@@ -1389,14 +1389,14 @@ def compile_kernel_body(definition: ast.KernelDef, *,
 
 
 # ---------------------------------------------------------------------------
-# Batch plans: the op-stream segmenter behind ``executor="batch"``.
+# Batch plans: the op-stream segmenter behind the batch table.
 #
 # A :class:`BatchPlan` is the same kernel body lowered one level further:
 # instead of one generator closure that *yields* memory ops, the body
 # becomes a flat program of plan nodes in which every global-memory
 # access is a first-class node (:class:`BLoad`/:class:`BStore`) and all
 # code between accesses is collapsed into straight-line pure segments
-# (:class:`BPure`). The batch engine (:mod:`repro.pipeline.batch`) runs
+# (:class:`BPure`). The batch table (:mod:`repro.pipeline.batch`) runs
 # each segment once per work-item *row* over plain frame lists — no
 # generator frames, no scheduler round-trips — and replays the recorded
 # access stream analytically through the normal LSU path.
@@ -1581,63 +1581,57 @@ def _merge_pure(nodes) -> tuple:
     return tuple(out)
 
 
-def _batch_bail_reason(root: ast.Node, hdl_names) -> Optional[str]:
-    """Static pre-scan for constructs a plan can never contain.
+def tier_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
+        Optional[str], Tuple[str, ...], Optional[str]]:
+    """``(replay_reason, channels, batch_reason)`` from one walk of a
+    kernel body (``nodes``: its
+    :func:`~repro.frontend.ast_nodes.all_nodes`): the first construct
+    that keeps a launch off each tier (None when there is none), and the
+    channels its blocking reads name.
 
-    Non-blocking channel builtins compile to *pure* closures that mutate
-    shared channel state, so a purity probe alone cannot reject them —
-    this scan must run before plan compilation.
-    """
-    hdl = frozenset(hdl_names)
-    for node in ast.all_nodes(root):
-        if isinstance(node, ast.Call):
-            if node.func == "barrier":
-                return "work-group barrier"
-            if node.func in CHANNEL_BUILTINS:
-                return "channel operation"
-            if node.func in hdl:
-                return "HDL library call"
-        elif isinstance(node, ast.Declaration) and node.is_local:
-            return "__local memory"
-    return None
-
-
-def replay_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
-        Optional[str], Tuple[str, ...]]:
-    """``(reason, channels)``: why a launched kernel body (``nodes``: its
-    :func:`~repro.frontend.ast_nodes.all_nodes`) cannot run on the
-    analytic launch replay (None when it can), and the channels its
-    blocking reads name.
-
-    The replay runs bodies that yield only global loads and stores and
-    blocking channel reads (:mod:`repro.pipeline.replay`); whether each
-    read channel is a lazy service is decided per launch
-    (:meth:`~repro.frontend.compiler._CompiledMixin.replay_gate`).
+    The analytic launch replay runs bodies that yield only global loads
+    and stores and blocking channel reads (:mod:`repro.pipeline.replay`);
+    whether each read channel is a lazy service is decided per launch
+    (:meth:`~repro.frontend.compiler._CompiledMixin.replay_gate`). A
+    batch plan can contain no channel use at all: non-blocking channel
+    builtins compile to *pure* closures that mutate shared channel
+    state, so the plan compiler's purity probe alone cannot reject them.
     """
     hdl = frozenset(hdl_names)
     reads: List[str] = []
+    replay_reason = batch_reason = None
     for node in nodes:
         if isinstance(node, ast.Call):
             func = node.func
             if func == "barrier":
-                return "work-group barrier", ()
-            if func in CHANNEL_BUILTINS:
+                blocker = replay_blocker = "work-group barrier"
+            elif func in CHANNEL_BUILTINS:
+                blocker, replay_blocker = "channel operation", None
                 if "_nb_" in func:
-                    return "non-blocking channel builtin", ()
-                if func.startswith("write"):
-                    return "channel write", ()
-                target = node.args[0] if node.args else None
-                if isinstance(target, ast.Subscript):
-                    target = target.base
-                if not isinstance(target, ast.Name):
-                    return "blocking read of a computed channel", ()
-                if target.ident not in reads:
-                    reads.append(target.ident)
+                    replay_blocker = "non-blocking channel builtin"
+                elif func.startswith("write"):
+                    replay_blocker = "channel write"
+                else:
+                    target = node.args[0] if node.args else None
+                    if isinstance(target, ast.Subscript):
+                        target = target.base
+                    if not isinstance(target, ast.Name):
+                        replay_blocker = "blocking read of a computed channel"
+                    elif target.ident not in reads:
+                        reads.append(target.ident)
             elif func in hdl:
-                return "HDL library call", ()
+                blocker = replay_blocker = "HDL library call"
+            else:
+                continue
         elif isinstance(node, ast.Declaration) and node.is_local:
-            return "__local memory", ()
-    return None, tuple(reads)
+            blocker = replay_blocker = "__local memory"
+        else:
+            continue
+        batch_reason = batch_reason or blocker
+        replay_reason = replay_reason or replay_blocker
+        if replay_reason is not None:
+            return replay_reason, (), batch_reason
+    return None, tuple(reads), batch_reason
 
 
 class _PlanCompiler(_BodyCompiler):
@@ -2026,21 +2020,23 @@ def compile_batch_plan(definition: ast.KernelDef, *,
                        defines: Dict[str, int],
                        channel_kinds: Dict[str, int],
                        hdl_names,
-                       autorun: bool) -> Tuple[Optional[BatchPlan], str]:
+                       autorun: bool,
+                       blocker: Optional[str]
+                       ) -> Tuple[Optional[BatchPlan], str]:
     """Lower one kernel definition to a :class:`BatchPlan` if possible.
 
     Returns ``(plan, "")`` on success or ``(None, reason)`` when the body
-    contains a construct the batch executor cannot replay analytically.
-    The arguments mirror :func:`compile_kernel_body` and must be the same
+    contains a construct the batch table cannot time analytically;
+    ``blocker`` is the first one :func:`tier_scan` found. The other
+    arguments mirror :func:`compile_kernel_body` and must be the same
     values, so plan sites match the closure backend's LSU identities.
     """
     if autorun:
         # Also the static rejection of the autorun-only ops (cycle
         # boundaries, ``await_data`` parking, ``drain`` feeds).
         return None, "autorun kernel"
-    reason = _batch_bail_reason(definition.body, hdl_names)
-    if reason is not None:
-        return None, reason
+    if blocker is not None:
+        return None, blocker
     compiler = _PlanCompiler(definition, site_table, defines, channel_kinds,
                              hdl_names, autorun)
     try:

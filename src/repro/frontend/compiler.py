@@ -45,7 +45,7 @@ from repro.frontend.codegen import (
     CompiledBody,
     compile_batch_plan,
     compile_kernel_body,
-    replay_scan,
+    tier_scan,
 )
 from repro.frontend.lexer import FrontendError
 from repro.frontend.parser import parse
@@ -312,26 +312,28 @@ class KernelArtifacts:
         self.local_arrays = local_arrays
         self.compiled_body = compiled_body
         #: Why a launch can never replay (None when it can), and the
-        #: channels its blocking reads name (see :func:`replay_scan`).
+        #: channels its blocking reads name (see :func:`tier_scan`).
         self.replay_reason, self.read_channels = replay
-        self._plan_inputs = plan_inputs       # (defines, channel_kinds, hdl)
-        # Batch plan, compiled lazily so closure-only workloads (and the
-        # cold-compile path the benchmarks measure) never pay for it.
+        # (defines, channel_kinds, hdl, the first construct no plan holds)
+        self._plan_inputs = plan_inputs
+        # Batch plan, compiled at the kernel's first launch, so a
+        # compile_source that launches nothing never pays for it.
         self._batch_plan = None
         self._batch_reason: Optional[str] = None   # None = not compiled yet
 
     def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for the batch executor, compiled on first
+        """``(plan, reason)`` for the batch table, compiled on first
         request and cached on the artifact (shared by the program LRU)."""
         if self._batch_reason is None:
-            defines, channel_kinds, hdl_names = self._plan_inputs
+            defines, channel_kinds, hdl_names, blocker = self._plan_inputs
             self._batch_plan, self._batch_reason = compile_batch_plan(
                 self.definition,
                 site_table=self.site_table,
                 defines=defines,
                 channel_kinds=channel_kinds,
                 hdl_names=hdl_names,
-                autorun=self.kind == "autorun")
+                autorun=self.kind == "autorun",
+                blocker=blocker)
         return self._batch_plan, self._batch_reason
 
 
@@ -356,10 +358,12 @@ def build_kernel_artifacts(definition: ast.KernelDef,
         channel_kinds=channel_kinds,
         hdl_names=hdl_names,
         autorun=kind == "autorun")
+    replay_reason, read_channels, batch_blocker = tier_scan(nodes,
+                                                            hdl_names)
     return KernelArtifacts(definition, kind, site_table, local_arrays,
-                           compiled_body, replay_scan(nodes, hdl_names),
+                           compiled_body, (replay_reason, read_channels),
                            plan_inputs=(dict(defines), dict(channel_kinds),
-                                        tuple(hdl_names)))
+                                        tuple(hdl_names), batch_blocker))
 
 
 class _ProgramImage:
@@ -519,13 +523,13 @@ class _CompiledMixin:
                                         self._hdl_modules)
 
     def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for ``executor="batch"`` (lazily compiled)."""
+        """``(plan, reason)`` for the batch table (lazily compiled)."""
         return self._artifacts.batch_plan()
 
     @property
     def replayable(self) -> bool:
         """True when the body yields only global loads and stores and
-        blocking channel reads (:func:`replay_scan`)."""
+        blocking channel reads (:func:`tier_scan`)."""
         return self._artifacts.replay_reason is None
 
     @property

@@ -32,6 +32,12 @@ per-cycle event at all (a ``Drain`` unit also hands its remaining words
 to its output channel as a feed). See ``docs/PERFORMANCE.md``, "Op
 dispatch and cycle fusion". The original one-generator-per-op loop it
 replaced is kept as a test oracle (``tests/executor_oracle.py``).
+
+A launch that owns the simulator need not step at all. Each launch is
+timed on the cheapest exact tier, decided once in
+:meth:`PipelineEngine._launch_space`: the batch table
+(:mod:`repro.pipeline.batch`), the analytic replay of its bodies
+(:mod:`repro.pipeline.replay`), or stepping.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from repro.errors import KernelBuildError, KernelError
 from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline import ops
 from repro.pipeline.accumulator import Accumulator
+from repro.pipeline.batch import BatchAbort, BatchStats, PhaseA
 from repro.pipeline.context import KernelContext
-from repro.pipeline.kernel import AutorunKernel, Kernel
+from repro.pipeline.kernel import NO_PLAN_COMPILER, AutorunKernel, Kernel
 from repro.pipeline.replay import LaunchReplay
 from repro.sim.core import (
     PRIORITY_LATE,
@@ -66,6 +73,11 @@ _LoadLocal = ops.LoadLocal
 _StoreLocal = ops.StoreLocal
 _MemFence = ops.MemFence
 _AwaitData = ops.AwaitData
+
+#: The ops :meth:`_OpExecutor._drive` runs inline; every other concrete
+#: op goes through :data:`OP_DISPATCH`.
+INLINED_OPS = (_Compute, _CycleBoundary, _Load, _Store, _LoadLocal,
+               _StoreLocal, _MemFence, _AwaitData)
 
 
 class _NonOpYield(Exception):
@@ -264,7 +276,7 @@ class _OpExecutor:
         lsus = self._lsus
         send = generator.send
         send_value: Any = None
-        throw_exc: Optional[BaseException] = None
+        throw_exc: Optional[Exception] = None
         while True:
             try:
                 if throw_exc is not None:
@@ -317,7 +329,7 @@ class _OpExecutor:
                 elif cls is _MemFence:
                     send_value = None
                 else:
-                    handler = OP_DISPATCH.get(cls) or _resolve_handler(cls)
+                    handler = OP_DISPATCH.get(cls)
                     if handler is None:
                         if isinstance(op, ops.Op):
                             raise KernelBuildError(
@@ -335,41 +347,17 @@ class _OpExecutor:
                     f"kernel {self.kernel.name!r} yielded {bad.args[0]!r}; "
                     "kernel bodies must yield Op objects built via the "
                     "KernelContext") from None
-            except BaseException as exc:
+            except Exception as exc:
                 send_value = None
                 throw_exc = exc
 
-    # -- dispatch-table handlers (one per op type; the drive loop inlines
-    # -- the hot ones) -------------------------------------------------
+    # -- dispatch-table handlers (one per op type the drive loop does not
+    # -- inline) --------------------------------------------------------
 
     def _op_barrier(self, generator: Generator, op: ops.Op, compute_id: int,
                     ctx: Optional[KernelContext]) -> Generator:
         site = op.site or self._derive_site(generator, op, compute_id)
         yield self._barrier_arrive(site, ctx)
-        return None
-
-    def _op_load(self, generator: Generator, op: ops.Op, compute_id: int,
-                 ctx: Optional[KernelContext]) -> Generator:
-        site = op.site or self._derive_site(generator, op, compute_id)
-        value = yield self.lsu(site, "load").issue(op.buffer, op.index)
-        return value
-
-    def _op_store(self, generator: Generator, op: ops.Op, compute_id: int,
-                  ctx: Optional[KernelContext]) -> Generator:
-        site = op.site or self._derive_site(generator, op, compute_id)
-        yield self.lsu(site, "store").issue(op.buffer, op.index, op.value)
-        return None
-
-    def _op_load_local(self, generator: Generator, op: ops.Op,
-                       compute_id: int,
-                       ctx: Optional[KernelContext]) -> Generator:
-        value = yield op.memory.load(op.index)
-        return value
-
-    def _op_store_local(self, generator: Generator, op: ops.Op,
-                        compute_id: int,
-                        ctx: Optional[KernelContext]) -> Generator:
-        yield op.memory.store(op.index, op.value)
         return None
 
     def _op_read_channel(self, generator: Generator, op: ops.Op,
@@ -389,39 +377,10 @@ class _OpExecutor:
         value = yield from op.module.invoke(op.args)
         return value
 
-    def _op_compute(self, generator: Generator, op: ops.Op, compute_id: int,
-                    ctx: Optional[KernelContext]) -> Generator:
-        if op.cycles == 1:
-            yield self.sim.tick()
-        elif op.cycles:
-            yield self.sim.timeout(op.cycles)
-        return op.value
-
     def _op_collect(self, generator: Generator, op: ops.Op, compute_id: int,
                     ctx: Optional[KernelContext]) -> Generator:
         value = yield op.accumulator.collect(op.key, op.expected)
         return value
-
-    def _op_mem_fence(self, generator: Generator, op: ops.Op,
-                      compute_id: int,
-                      ctx: Optional[KernelContext]) -> Generator:
-        return None
-        yield  # pragma: no cover - makes this a generator, never reached
-
-    def _op_cycle_boundary(self, generator: Generator, op: ops.Op,
-                           compute_id: int,
-                           ctx: Optional[KernelContext]) -> Generator:
-        yield self.sim.broadcast_tick(self._tick_priority)
-        return None
-
-    def _op_await_data(self, generator: Generator, op: ops.Op,
-                       compute_id: int,
-                       ctx: Optional[KernelContext]) -> Generator:
-        wake = self._park(op.channels, compute_id, None, op.sink,
-                          op.first)[0]
-        if wake is not None:
-            yield wake
-        return None
 
     def _op_drain(self, generator: Generator, op: ops.Op, compute_id: int,
                   ctx: Optional[KernelContext]) -> Generator:
@@ -510,38 +469,20 @@ class _OpExecutor:
 
 
 #: Type-keyed op dispatch: every concrete :class:`~repro.pipeline.ops.Op`
-#: subclass maps to its executor handler. The fast drive loop consults it
-#: for ops it does not inline; the exhaustiveness test
-#: (tests/test_op_dispatch.py) asserts a newly added op can never silently
-#: fall through. Handlers are generator methods with the uniform signature
-#: ``(self, generator, op, compute_id, ctx)`` returning the op's result.
+#: the drive loop does not inline (:data:`INLINED_OPS`) maps to its
+#: handler; the exhaustiveness test (tests/test_op_dispatch.py) asserts a
+#: newly added op can never silently fall through. Handlers are generator
+#: methods with the uniform signature ``(self, generator, op, compute_id,
+#: ctx)`` returning the op's result.
 OP_DISPATCH: Dict[type, Any] = {
     ops.Barrier: _OpExecutor._op_barrier,
-    ops.Load: _OpExecutor._op_load,
-    ops.Store: _OpExecutor._op_store,
-    ops.LoadLocal: _OpExecutor._op_load_local,
-    ops.StoreLocal: _OpExecutor._op_store_local,
     ops.ReadChannel: _OpExecutor._op_read_channel,
     ops.WriteChannel: _OpExecutor._op_write_channel,
     ops.Call: _OpExecutor._op_call,
-    ops.Compute: _OpExecutor._op_compute,
     ops.CollectReduction: _OpExecutor._op_collect,
-    ops.MemFence: _OpExecutor._op_mem_fence,
-    ops.CycleBoundary: _OpExecutor._op_cycle_boundary,
-    ops.AwaitData: _OpExecutor._op_await_data,
     ops.Drain: _OpExecutor._op_drain,
     ops.Transfer: _OpExecutor._op_transfer,
 }
-
-
-def _resolve_handler(cls: type) -> Optional[Any]:
-    """MRO fallback for Op *subclasses* (memoized into the table)."""
-    for base in getattr(cls, "__mro__", ()):
-        handler = OP_DISPATCH.get(base)
-        if handler is not None:
-            OP_DISPATCH[cls] = handler
-            return handler
-    return None
 
 
 class PipelineEngine(_OpExecutor):
@@ -563,13 +504,17 @@ class PipelineEngine(_OpExecutor):
         #: Why the launch was stepped instead of replayed analytically
         #: (None when it was not stepped).
         self.stepped_reason: Optional[str] = None
+        #: The launch's batch-table attempt (see :meth:`_launch_space`).
+        self.batch = BatchStats()
+        # Bound trace writers per schema (rebuilt if the fabric hub swaps).
+        self._writers: Dict[str, Any] = {}
         self.stats = EngineStats()
         self.completion: Event = self.sim.event()
         self._inflight = 0
         self._launch_done = False
         self._slot_event: Optional[Event] = None
         self._started = False
-        self._failure: Optional[BaseException] = None
+        self._failure: Optional[Exception] = None
         #: Barrier rendezvous state: (site, group) -> {"arrived", "event"}.
         self._barriers: Dict[Tuple[str, int], Dict[str, Any]] = {}
 
@@ -588,18 +533,73 @@ class PipelineEngine(_OpExecutor):
         yield from self._launch_space(self._iteration_tags())
 
     def _launch_space(self, space: Any) -> Generator:
-        """Walk ``space``: replayed analytically when the kernel is
-        replayable and the launch owns the simulator, else stepped
-        (:attr:`stepped_reason` says why)."""
-        if not self.kernel.replayable:
-            self.stepped_reason = self.kernel.replay_blocker
+        """Walk ``space`` on the cheapest exact tier, decided once:
+
+        1. the batch table (:mod:`repro.pipeline.batch`), when the kernel
+           has a plan, the launch owns the simulator and Phase A
+           completes (:attr:`batch` says which, or why not);
+        2. else the analytic replay of the bodies, when the kernel is
+           replayable, the launch owns the simulator and the kernel's
+           replay gate passes;
+        3. else stepping (:attr:`stepped_reason` says why).
+        """
+        kernel = self.kernel
+        exclusive = self.sim.exclusive_reason()
+        plan, reason = kernel.batch_plan()
+        rows = ops_count = divergence = 0
+        if plan is not None:
+            ops_count = plan.op_count
+            reason = exclusive
+            if reason is None:
+                space = list(space)
+                replay = LaunchReplay(self)
+                try:
+                    planned = PhaseA(self, replay).rows(plan, space)
+                except BatchAbort as abort:
+                    # Phase A is side-effect-free, so the materialized tag
+                    # list can go to the next tier verbatim. Its LSUs go
+                    # too: stepping registers each at its first issue.
+                    self._lsus = {}
+                    reason = abort.reason
+                    rows = len(space)
+                    divergence = 1
+                    self._emit("batch.divergence", reason, rows)
+                else:
+                    self.batch = BatchStats("table", "", len(space),
+                                            ops_count)
+                    self._emit("batch.launch", "", 1, len(space), ops_count)
+                    # Phase A registered the LSUs in plan order; rows that
+                    # disagree at a branch or loop test may first issue
+                    # them in another order.
+                    self._lsus = {(lsu.site, lsu.kind): lsu
+                                  for lsu in replay.run_planned(planned)}
+                    return
+        self.batch = BatchStats("fallback", reason, rows, ops_count,
+                                divergence)
+        if reason != NO_PLAN_COMPILER:
+            self._emit("batch.launch", reason, 0, rows, ops_count)
+        if not kernel.replayable:
+            self.stepped_reason = kernel.replay_blocker
         else:
-            self.stepped_reason = (self.sim.exclusive_reason()
-                                   or self.kernel.replay_gate())
+            self.stepped_reason = exclusive or kernel.replay_gate()
         if self.stepped_reason is None:
             LaunchReplay(self).run_bodies(space)
             return
         yield from self._launch_tags(space)
+
+    def _emit(self, schema: str, site: str = "", *values: int) -> None:
+        # Values are positional in schema field order (batch.launch:
+        # mode/rows/ops; batch.divergence: rows), via a bound writer per
+        # schema so a launch skips record construction.
+        hub = self.fabric.trace
+        if hub is None:
+            return
+        writer = self._writers.get(schema)
+        if writer is None or writer.hub is not hub:
+            writer = hub.writer(schema, kernel=self.kernel.name,
+                                cu=self.instance.compute_id)
+            self._writers[schema] = writer
+        writer.write_to(site, self.sim.now, *values)
 
     def _iteration_tags(self) -> Any:
         """The iteration space this launch walks (honouring any CU share)."""
@@ -648,10 +648,11 @@ class PipelineEngine(_OpExecutor):
             # is gone, so the iteration neither fails nor retires.
             closed = True
             raise
-        except BaseException as exc:
+        except Exception as exc:
             # An unhandled kernel exception fails the whole launch; the
             # failure reaches the host at the completion event, like an
-            # aborted command on a real runtime.
+            # aborted command on a real runtime. KeyboardInterrupt and
+            # SystemExit are no kernel failure: they propagate.
             if self._failure is None:
                 self._failure = exc
         finally:

@@ -20,7 +20,8 @@ from repro.pipeline.kernel import AutorunKernel, Kernel
 from repro.sim.core import _HORIZON, Event, Simulator
 
 
-#: Pipeline-engine tiers a launch may ask for (see :meth:`Fabric.launch`).
+#: The ``executor`` names a launch accepts. They select nothing: every
+#: launch takes the cheapest exact tier (see :meth:`Fabric.launch`).
 EXECUTORS = ("fast", "batch")
 
 
@@ -96,29 +97,18 @@ class Fabric:
                compute_id: int = 0, executor: str = "fast") -> PipelineEngine:
         """Launch a single-task or NDRange kernel; returns its engine.
 
-        ``executor="batch"`` runs eligible launches columnar-style across
-        all work-items at once, falling back to the default ``"fast"``
-        engine otherwise (see :mod:`repro.pipeline.batch`).
+        The engine times the launch on the cheapest exact tier: the batch
+        table, the analytic replay or stepping (see
+        :meth:`PipelineEngine._launch_space`). ``executor`` selects
+        nothing; it is still checked against :data:`EXECUTORS`.
         """
-        engine = self._make_engine(kernel, args, compute_id, None, executor)
+        if executor not in EXECUTORS:
+            raise KernelBuildError(
+                f"unknown executor {executor!r} (use 'fast' or 'batch')")
+        engine = PipelineEngine(self, kernel, args, compute_id=compute_id)
         engine.start()
         self.engines.append(engine)
         return engine
-
-    def _make_engine(self, kernel: Kernel, args: Optional[Dict[str, Any]],
-                     compute_id: int, space: Optional[Any],
-                     executor: str) -> PipelineEngine:
-        if executor == "fast":
-            return PipelineEngine(self, kernel, args, compute_id=compute_id,
-                                  space=space)
-        if executor == "batch":
-            # Imported lazily: repro.frontend (which batch needs for plan
-            # node types) itself imports this module at package init.
-            from repro.pipeline.batch import BatchPipelineEngine
-            return BatchPipelineEngine(self, kernel, args,
-                                       compute_id=compute_id, space=space)
-        raise KernelBuildError(
-            f"unknown executor {executor!r} (use 'fast' or 'batch')")
 
     def launch_replicated(self, kernel: Kernel,
                           args: Optional[Dict[str, Any]] = None
@@ -135,8 +125,8 @@ class Fabric:
         engines = []
         for compute_id in range(count):
             share = space[compute_id::count]
-            engine = self._make_engine(kernel, args, compute_id, share,
-                                       "fast")
+            engine = PipelineEngine(self, kernel, args,
+                                    compute_id=compute_id, space=share)
             engine.start()
             self.engines.append(engine)
             engines.append(engine)

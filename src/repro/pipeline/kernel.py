@@ -117,6 +117,11 @@ class PipelineConfig:
                 f"max_inflight must be >= 1, got {self.max_inflight}")
 
 
+#: Why a Python-IR kernel has no batch-table plan (see
+#: :meth:`Kernel.batch_plan`).
+NO_PLAN_COMPILER = "Python-IR kernel (no op-stream plan)"
+
+
 class Kernel:
     """Base kernel. Subclasses implement :meth:`body` (a generator)."""
 
@@ -132,9 +137,9 @@ class Kernel:
 
     #: True when every :meth:`body` yields only ``Load``, ``Store``,
     #: ``Compute``, ``MemFence`` and ``CollectReduction`` ops and
-    #: blocking reads of lazy timestamp or sequence channels. The fast
-    #: executor (and the batch tier's Python-IR fallback) then replays a
-    #: launch that owns the simulator analytically instead of stepping it
+    #: blocking reads of lazy timestamp or sequence channels. A launch
+    #: that owns the simulator and does not run in the batch table is
+    #: then replayed analytically instead of stepped
     #: (see :mod:`repro.pipeline.replay`); a replayed body that yields any
     #: other op raises :class:`~repro.errors.KernelBuildError`. It may
     #: depend on the instrumentation attached to the kernel.
@@ -177,16 +182,17 @@ class Kernel:
         return None
 
     def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for ``executor="batch"``.
+        """``(plan, reason)``: the batch-table plan of every launch, or
+        None and why there is none.
 
-        Python-IR kernels have no op-stream plan — their bodies are
-        opaque generators — so the batch engine transparently falls back
-        to the fast path for them, which replays a :attr:`replayable`
-        kernel's launch analytically and steps any other. Frontend-compiled
-        kernels override this
+        Python-IR kernels have no plan compiler — their bodies are
+        opaque generators — so their launches skip the table
+        (:data:`NO_PLAN_COMPILER`, with no ``batch.*`` trace row): a
+        :attr:`replayable` kernel's launch replays analytically, any
+        other steps. Frontend-compiled kernels override this
         (:meth:`repro.frontend.compiler._CompiledMixin.batch_plan`).
         """
-        return None, "Python-IR kernel (no op-stream plan)"
+        return None, NO_PLAN_COMPILER
 
     def resource_profile(self) -> ResourceProfile:
         """Static per-compute-unit hardware content (default: tiny FSM)."""

@@ -256,7 +256,7 @@ class Transfer(Op):
         self.count = int(count)
 
 
-#: Every concrete op class a kernel body may yield. The batch executor's
+#: Every concrete op class a kernel body may yield. The batch table's
 #: plan compiler must either lower or statically reject each of these;
 #: ``tests/test_batch_divergence.py`` holds an exhaustiveness guard over
 #: this tuple so a new op cannot silently miss batch handling.

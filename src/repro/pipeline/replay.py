@@ -223,7 +223,7 @@ class LaunchReplay:
             ended, None when it waits on an entry it pushed or a waker."""
             body = row.body
             send = body.send
-            throw: Optional[BaseException] = None
+            throw: Optional[Exception] = None
             while True:
                 try:
                     if throw is None:

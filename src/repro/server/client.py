@@ -28,7 +28,7 @@ close).
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import ServerError
@@ -193,18 +193,6 @@ class Client:
         return self.call("trace.query", params or None)
 
     # -- streamed-trace persistence -----------------------------------------
-
-    def streamed_records(self) -> Tuple[List[Any], Any]:
-        """``(records, registry)`` decoded from every streamed segment."""
-        from repro.trace.schema import SchemaRegistry
-
-        registry = SchemaRegistry()
-        records: List[Any] = []
-        for segment in self.segments:
-            registry.ensure(segment.schema, segment.fields)
-            for index in range(segment.rows):
-                records.append(segment.record(index))
-        return records, registry
 
     def save_trace(self, path: str) -> int:
         """Write every streamed segment to ``path`` as a ``.ctb`` bundle.

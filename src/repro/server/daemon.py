@@ -309,6 +309,8 @@ class ReproServer:
                               "kernel.run needs a 'kernel' name")
         from repro.pipeline.fabric import EXECUTORS
 
+        # Checked, though it selects nothing: every launch takes the
+        # cheapest exact tier.
         executor = params.get("executor", "fast")
         if executor not in EXECUTORS:
             raise ServerError(

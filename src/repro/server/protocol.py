@@ -130,30 +130,6 @@ def parse_address(address: str) -> Tuple[str, Any]:
 
 # -- trace record / segment wire forms ---------------------------------------
 
-def records_to_wire(records) -> List[List[Any]]:
-    """Serialize trace records as compact JSON arrays."""
-    return [[r.schema, r.ts, r.kernel, r.cu, r.site, list(r.values)]
-            for r in records]
-
-
-def records_from_wire(rows: List[List[Any]]):
-    """Rebuild :class:`~repro.trace.schema.TraceRecord` objects."""
-    from repro.trace.schema import TraceRecord
-
-    return [TraceRecord(schema=row[0], ts=row[1], kernel=row[2], cu=row[3],
-                        site=row[4], values=tuple(row[5])) for row in rows]
-
-
-def schemas_to_wire(schemas) -> List[List[Any]]:
-    """Serialize ``(name, fields, doc)`` schema layouts."""
-    return [[name, list(fields), doc] for name, fields, doc in schemas]
-
-
-def schemas_from_wire(rows: List[List[Any]]) -> List[Tuple[str, tuple, str]]:
-    """Rebuild schema layout triples from their wire form."""
-    return [(row[0], tuple(row[1]), row[2]) for row in rows]
-
-
 def segment_header(segment, length: int) -> Dict[str, Any]:
     """Binary-frame header for one segment whose raw payload follows.
 

@@ -296,7 +296,9 @@ class Process(Event):
                     self._value = stop.value
                     self._finish()
                     break
-                except BaseException as exc:
+                except Exception as exc:
+                    # KeyboardInterrupt and SystemExit are no crash of the
+                    # model: they reach the caller of run() as themselves.
                     self._ok = False
                     self._value = exc
                     self._defused = False

@@ -137,9 +137,11 @@ EMU_KERNEL = TraceSchema(
     ("iterations", "loads", "stores", "channel_reads", "channel_writes"),
     doc="Emulator per-kernel operation counts (timestamps are steps).")
 
-#: One record per batch-engine launch; ``mode`` is 1 when the launch ran
-#: columnar (table mode), 0 when it fell back to per-iteration stepping.
-#: ``site`` carries the human-readable fallback reason ("" in table mode).
+#: One record per launch of a frontend-compiled kernel (Python-IR
+#: kernels have no plan compiler and write none); ``mode`` is 1 when the
+#: launch ran in the batch table, 0 when it went to the next tier (the
+#: analytic replay or stepping). ``site`` carries the human-readable
+#: reason ("" in table mode).
 BATCH_LAUNCH = TraceSchema(
     "batch.launch", ("mode", "rows", "ops"),
     doc="Batch-executor launch outcome: mode, work-item rows, memory ops.")
@@ -148,8 +150,8 @@ BATCH_LAUNCH = TraceSchema(
 #: continue or return taken by only some rows ("control-flow
 #: divergence"), an intra-launch memory hazard, or a body exception.
 #: Rows that merely disagree at an if or a loop test stay in the table.
-#: ``site`` carries the abort reason. The launch then re-runs via
-#: fallback.
+#: ``site`` carries the abort reason. The launch then runs on the next
+#: tier.
 BATCH_DIVERGENCE = TraceSchema(
     "batch.divergence", ("rows",),
     doc="Batch-executor run-time divergence/hazard abort (pre-fallback).")

@@ -14,16 +14,20 @@ replaced, for tests to compare against:
   :class:`~repro.pipeline.engine.AutorunEngine` whose units never start
   parked and poll ``AwaitData``/``Drain`` once per cycle.
 * :class:`SteppedPipelineEngine` — the product drive loop with the
-  analytic replay switched off: every launch steps, one iteration at a
-  time (``stepped_reason == "stepping executor"``). The baseline of
-  speed gates that measure a tier against per-iteration stepping now
-  that the fast executor replays compiled kernels.
+  batch table and the analytic replay switched off: every launch steps,
+  one iteration at a time (``stepped_reason == "stepping executor"``).
+  The baseline of speed gates that measure a tier against
+  per-iteration stepping.
+* :class:`BodiesPipelineEngine` — the product engine with the batch
+  table switched off: a launch the table would time replays its body
+  generators (``LaunchReplay.run_bodies``) instead, so the replay's two
+  launch feeders can be compared.
 * :func:`launch` / :func:`run_kernel` — :meth:`Fabric.launch
   <repro.pipeline.fabric.Fabric.launch>` and :meth:`Fabric.run_kernel
-  <repro.pipeline.fabric.Fabric.run_kernel>` with two more executors,
-  ``"reference"`` and ``"stepped"``; any other executor goes to the
-  fabric unchanged. :func:`autorun_engine` builds either autorun engine
-  the same way.
+  <repro.pipeline.fabric.Fabric.run_kernel>` with three more executors,
+  ``"reference"``, ``"stepped"`` and ``"bodies"``; any other executor
+  goes to the fabric unchanged. :func:`autorun_engine` builds either
+  autorun engine the same way.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from repro.errors import KernelBuildError
 from repro.pipeline import ops
 from repro.pipeline.context import KernelContext
 from repro.pipeline.engine import AutorunEngine, PipelineEngine
+from repro.pipeline.replay import LaunchReplay
 from repro.sim.core import Interrupt
 
 REFERENCE = "reference"
 STEPPED = "stepped"
+BODIES = "bodies"
 
 
 class _ReferenceDrive:
@@ -157,8 +163,25 @@ class SteppedPipelineEngine(PipelineEngine):
         yield from self._launch_tags(space)
 
 
+class BodiesPipelineEngine(PipelineEngine):
+    """A pipelined launch that never runs in the batch table: it replays
+    its body generators when the kernel is replayable and the launch
+    owns the simulator, else steps."""
+
+    def _launch_space(self, space: Any) -> Generator:
+        kernel = self.kernel
+        self.stepped_reason = (
+            (self.sim.exclusive_reason() or kernel.replay_gate())
+            if kernel.replayable else kernel.replay_blocker)
+        if self.stepped_reason is None:
+            LaunchReplay(self).run_bodies(space)
+            return
+        yield from self._launch_tags(space)
+
+
 _ENGINES = {REFERENCE: ReferencePipelineEngine,
-            STEPPED: SteppedPipelineEngine}
+            STEPPED: SteppedPipelineEngine,
+            BODIES: BodiesPipelineEngine}
 
 
 class ReferenceAutorunEngine(_ReferenceDrive, AutorunEngine):
@@ -170,8 +193,8 @@ class ReferenceAutorunEngine(_ReferenceDrive, AutorunEngine):
 
 def launch(fabric: Any, kernel: Any, args: Optional[Dict[str, Any]] = None,
            executor: str = "fast", compute_id: int = 0) -> PipelineEngine:
-    """``fabric.launch`` with the ``"reference"`` and ``"stepped"``
-    executors."""
+    """``fabric.launch`` with the ``"reference"``, ``"stepped"`` and
+    ``"bodies"`` executors."""
     engine_class = _ENGINES.get(executor)
     if engine_class is None:
         return fabric.launch(kernel, args, compute_id=compute_id,
@@ -186,8 +209,8 @@ def run_kernel(fabric: Any, kernel: Any,
                args: Optional[Dict[str, Any]] = None,
                executor: str = "fast",
                max_cycles: int = 10_000_000) -> PipelineEngine:
-    """``fabric.run_kernel`` with the ``"reference"`` and ``"stepped"``
-    executors."""
+    """``fabric.run_kernel`` with the ``"reference"``, ``"stepped"`` and
+    ``"bodies"`` executors."""
     if executor not in _ENGINES:
         return fabric.run_kernel(kernel, args, max_cycles=max_cycles,
                                  executor=executor)

@@ -22,12 +22,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import AddressError, ProcessError
+from repro.errors import AddressError, KernelBuildError, ProcessError
 from repro.frontend import compile_source, program_cache_clear
 from repro.kernels.vecadd import VecAddKernel
-from repro.pipeline.batch import BatchPipelineEngine
+from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.ops import ALL_OPS
+from repro.pipeline.replay import LaunchReplay
+from repro.sim.core import Simulator
 from repro.trace import TraceHub
 from tests.executor_oracle import run_kernel
 
@@ -37,6 +39,24 @@ __kernel void conv(__global int* in, __global int* out, int n) {
     out[gid] = in[gid] * 2 + n;
 }
 """
+
+
+#: Rows 4.. return early: Phase A aborts ("control-flow divergence").
+_PARTIAL_RETURN = """
+__kernel void k(__global int* in, __global int* out, int n) {
+    int gid = get_global_id(0);
+    int x = in[gid];
+    if (x > 4) {
+        out[gid] = x;
+        return;
+    }
+    out[gid] = -x;
+}
+"""
+
+
+class _ReplayedVecAdd(VecAddKernel):
+    replayable = True
 
 
 def _run_source(source, kernel, n=8, executor="batch", fabric=None,
@@ -72,6 +92,56 @@ class TestTableMode:
         assert launches[0].values == (1, outcome.rows, outcome.ops)
         assert launches[0].site == ""
         assert hub.count("batch.divergence") == 0
+
+    def test_every_executor_name_takes_the_table(self):
+        """``executor`` selects nothing: a launch without it and launches
+        naming either tier all run in table mode, identically."""
+        seen = []
+        for options in ({}, {"executor": "fast"}, {"executor": "batch"}):
+            program_cache_clear()
+            fabric = Fabric()
+            program = compile_source(fabric, _CONVERGENT)
+            fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
+            fabric.memory.allocate("OUT", 8)
+            engine = fabric.run_kernel(program.kernel("conv"), {
+                "in": "IN", "out": "OUT", "n": 8, "__global_size": 8},
+                **options)
+            assert engine.batch.mode == "table"
+            assert engine.stepped_reason is None
+            seen.append((engine.batch, engine.stats, fabric.sim.now,
+                         list(fabric.memory.buffer("OUT").snapshot()),
+                         list(engine.lsus)))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("case", ["table", "phase-a-abort", "python-ir"])
+    def test_one_tier_decision_reads_the_gate_once(self, monkeypatch, case):
+        """A table launch, a launch whose Phase A aborts and a Python-IR
+        launch each read the exclusivity gate exactly once."""
+        reads = []
+        gate = Simulator.exclusive_reason
+
+        def counting(sim):
+            reads.append(sim.now)
+            return gate(sim)
+
+        monkeypatch.setattr(Simulator, "exclusive_reason", counting)
+        program_cache_clear()
+        if case == "python-ir":
+            fabric = Fabric()
+            for name in ("a", "b", "c"):
+                fabric.memory.allocate(name, 8)
+            engine = fabric.run_kernel(_ReplayedVecAdd(), {"n": 8})
+        elif case == "table":
+            fabric, engine = _run_source(_CONVERGENT, "conv")
+        else:
+            fabric, engine = _run_source(_PARTIAL_RETURN, "k")
+        assert (engine.batch.mode == "table") == (case == "table")
+        assert engine.stepped_reason is None
+        assert reads == [0]
+
+    def test_unknown_executor_is_rejected(self):
+        with pytest.raises(KernelBuildError, match="unknown executor"):
+            Fabric().launch(VecAddKernel(), {"n": 1}, executor="table")
 
 
 _DIVERGENT_BRANCH = """
@@ -155,16 +225,22 @@ class TestStaticBail:
         assert hub.count("batch.divergence") == 0
 
     def test_python_ir_kernel_has_no_plan(self):
-        hub = TraceHub()
-        fabric = Fabric(trace=hub)
-        for name in ("a", "b", "c"):
-            fabric.memory.allocate(name, 8).fill(np.arange(8))
-        engine = fabric.run_kernel(VecAddKernel(), {"n": 8},
-                                   executor="batch")
-        self._assert_static_fallback(
-            fabric, engine, "Python-IR kernel (no op-stream plan)")
-        assert list(fabric.memory.buffer("c").snapshot()) == \
-            [2 * i for i in range(8)]
+        """A Python-IR kernel has no plan compiler: every launch skips
+        the table and writes no ``batch.*`` trace row."""
+        for options in ({}, {"executor": "fast"}, {"executor": "batch"}):
+            hub = TraceHub()
+            fabric = Fabric(trace=hub)
+            for name in ("a", "b", "c"):
+                fabric.memory.allocate(name, 8).fill(np.arange(8))
+            engine = fabric.run_kernel(VecAddKernel(), {"n": 8}, **options)
+            assert engine.batch.mode == "fallback"
+            assert engine.batch.reason == \
+                "Python-IR kernel (no op-stream plan)"
+            assert engine.stepped_reason == "kernel is not replayable"
+            assert hub.count("batch.launch") == 0
+            assert hub.count("batch.divergence") == 0
+            assert list(fabric.memory.buffer("c").snapshot()) == \
+                [2 * i for i in range(8)]
 
     def test_barrier_bails_statically(self):
         program_cache_clear()
@@ -178,6 +254,44 @@ class TestStaticBail:
         """
         fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
         self._assert_static_fallback(fabric, engine, "work-group barrier")
+
+    @pytest.mark.parametrize("read_first,batch_reason", [
+        (True, "channel operation"), (False, "work-group barrier")])
+    def test_each_tier_names_its_first_blocker(self, read_first,
+                                               batch_reason):
+        """One scan finds each tier's first blocker: a blocking channel
+        read keeps a launch out of the table but not off the replay,
+        where the barrier after it is what blocks."""
+        program_cache_clear()
+        read = "int x = read_channel_altera(c);"
+        barrier = "barrier(CLK_GLOBAL_MEM_FENCE);"
+        first, second = (read, barrier) if read_first else (barrier, read)
+        source = f"""
+        channel int c __attribute__((depth(8)));
+        __kernel void fill(int n) {{
+            for (int i = 0; i < n; i++) {{
+                write_channel_altera(c, i * 3);
+            }}
+        }}
+        __kernel void k(__global int* in, __global int* out, int n) {{
+            int gid = get_global_id(0);
+            {first}
+            {second}
+            out[gid] = x + in[gid];
+        }}
+        """
+        fabric = Fabric()
+        program = compile_source(fabric, source)
+        fabric.run_kernel(program.kernel("fill"), {"n": 8})
+        fabric.enable_tracing()
+        fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
+        fabric.memory.allocate("OUT", 8)
+        engine = fabric.run_kernel(program.kernel("k"), {
+            "in": "IN", "out": "OUT", "n": 8, "__global_size": 8})
+        self._assert_static_fallback(fabric, engine, batch_reason)
+        assert engine.stepped_reason == "work-group barrier"
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [i * 3 + i + 1 for i in range(8)]
 
     def test_local_memory_bails_statically(self):
         program_cache_clear()
@@ -248,18 +362,8 @@ class TestDynamicDivergence:
 
     def test_partial_return_falls_back(self):
         program_cache_clear()
-        source = """
-        __kernel void k(__global int* in, __global int* out, int n) {
-            int gid = get_global_id(0);
-            int x = in[gid];
-            if (x > 4) {
-                out[gid] = x;
-                return;
-            }
-            out[gid] = -x;
-        }
-        """
-        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
+        fabric, engine = _run_source(_PARTIAL_RETURN, "k",
+                                     fabric=Fabric(trace=TraceHub()))
         self._assert_divergent_fallback(fabric, engine,
                                         "control-flow divergence")
         assert list(fabric.memory.buffer("OUT").snapshot()) == \
@@ -386,8 +490,8 @@ class TestDynamicDivergence:
     def test_interrupt_in_phase_a_propagates_without_a_fallback(
             self, monkeypatch):
         """A KeyboardInterrupt raised by a plan closure is no divergence:
-        it ends the launch (the simulator delivers it as the launcher's
-        crash), with no abort record and no stepped re-run."""
+        it reaches the caller as itself, with no abort record and no run
+        on the next tier."""
         program_cache_clear()
         fabric = Fabric(trace=TraceHub())
         kernel = compile_source(fabric, _CONVERGENT).kernel("conv")
@@ -399,26 +503,55 @@ class TestDynamicDivergence:
         monkeypatch.setattr(
             next(node for node in plan.nodes if node.kind == 0), "fn",
             interrupted)
-        fallbacks = []
-        fallback = BatchPipelineEngine._fallback
-
-        def recording(self, *args, **kwargs):
-            fallbacks.append(args)
-            return fallback(self, *args, **kwargs)
-
-        monkeypatch.setattr(BatchPipelineEngine, "_fallback", recording)
+        next_tier = []
+        monkeypatch.setattr(PipelineEngine, "_launch_tags",
+                            lambda self, space: next_tier.append(space))
+        monkeypatch.setattr(LaunchReplay, "run_bodies",
+                            lambda self, space: next_tier.append(space))
         fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
         fabric.memory.allocate("OUT", 8)
         args = {"in": "IN", "out": "OUT", "n": 8, "__global_size": 8}
-        with pytest.raises((ProcessError, KeyboardInterrupt)) as exc_info:
-            run_kernel(fabric, kernel, args, executor="batch")
-        error = exc_info.value
-        assert isinstance(error, KeyboardInterrupt) or \
-            isinstance(error.__cause__, KeyboardInterrupt)
-        assert fallbacks == []
+        with pytest.raises(KeyboardInterrupt):
+            fabric.run_kernel(kernel, args)
+        assert next_tier == []
         assert fabric.trace.count("batch.divergence") == 0
         assert fabric.trace.count("batch.launch") == 0
         assert list(fabric.memory.buffer("OUT").snapshot()) == [0] * 8
+
+
+class _InterruptedVecAdd(VecAddKernel):
+    """Raises KeyboardInterrupt in work-item 3's body, after a load."""
+
+    def body(self, ctx):
+        gid, _ = ctx.iteration
+        value = yield ctx.load("a", gid)
+        if gid == 3:
+            raise KeyboardInterrupt
+        yield ctx.store("c", gid, value)
+
+
+class _ReplayedInterruptedVecAdd(_InterruptedVecAdd):
+    replayable = True
+
+
+class TestKeyboardInterrupt:
+    """A Ctrl-C in a kernel body is no launch failure or process crash:
+    it reaches the caller of ``Fabric.run_kernel`` as itself."""
+
+    @pytest.mark.parametrize("kernel_class,stepped_reason", [
+        (_InterruptedVecAdd, "kernel is not replayable"),
+        (_ReplayedInterruptedVecAdd, None)])
+    def test_interrupt_in_a_body_propagates(self, kernel_class,
+                                            stepped_reason):
+        fabric = Fabric()
+        for name in ("a", "c"):
+            fabric.memory.allocate(name, 8).fill(np.arange(8))
+        kernel = kernel_class()
+        with pytest.raises(KeyboardInterrupt):
+            fabric.run_kernel(kernel, {"n": 8})
+        engine, = fabric.engines
+        assert engine.stepped_reason == stepped_reason
+        assert engine._failure is None
 
 
 class TestOpCoverage:
@@ -435,7 +568,7 @@ class TestOpCoverage:
         "Load": "table",
         "Store": "table",
         "Compute": "table",
-        # Static bail: _batch_bail_reason rejects the kernel up front.
+        # Static bail: tier_scan names the blocker up front.
         "LoadLocal": "static-bail (__local memory)",
         "StoreLocal": "static-bail (__local memory)",
         "ReadChannel": "static-bail (channel operation)",

@@ -1,10 +1,12 @@
-"""Exhaustiveness and fallback behaviour of the engine's op-dispatch table.
+"""Exhaustiveness of the engine's op execution.
 
-The fast drive loop routes every yielded op either through an inlined
-branch or through :data:`repro.pipeline.engine.OP_DISPATCH`. A new op
-class added to :mod:`repro.pipeline.ops` without a dispatch entry would
-silently fall back to the MRO walk (or, worse, to "unexpected yield"
-handling) — these tests make that omission a loud failure instead.
+The fast drive loop runs every yielded op either in an inlined branch
+(:data:`repro.pipeline.engine.INLINED_OPS`) or through
+:data:`repro.pipeline.engine.OP_DISPATCH`. A new op class added to
+:mod:`repro.pipeline.ops` with neither would fail at run time as an
+unknown op — these tests make that omission a loud failure instead. A
+yield that is no op at all fails the launch with a KernelBuildError
+(``tests/test_pipeline_engine.py``).
 """
 
 import inspect
@@ -33,9 +35,11 @@ def test_ops_module_defines_expected_surface():
 
 @pytest.mark.parametrize("name,cls", _concrete_op_classes())
 def test_every_op_class_has_a_dispatch_entry(name, cls):
-    assert cls in engine.OP_DISPATCH, (
-        f"ops.{name} has no OP_DISPATCH entry; add one in "
-        "repro/pipeline/engine.py (and an _op_* handler if needed)")
+    """Every concrete op is inlined or dispatched, never both."""
+    inlined = cls in engine.INLINED_OPS
+    assert inlined != (cls in engine.OP_DISPATCH), (
+        f"ops.{name} must be either inlined in _OpExecutor._drive or "
+        "mapped in OP_DISPATCH (repro/pipeline/engine.py), not both")
 
 
 def test_dispatch_handlers_are_executor_methods():
@@ -43,25 +47,3 @@ def test_dispatch_handlers_are_executor_methods():
         assert callable(handler), f"{cls.__name__} maps to non-callable"
         assert getattr(engine._OpExecutor, handler.__name__, None) is handler, (
             f"{cls.__name__} handler {handler!r} is not an _OpExecutor method")
-
-
-def test_resolve_handler_memoizes_subclasses():
-    class TracedLoad(ops.Load):
-        __slots__ = ()
-
-    try:
-        assert TracedLoad not in engine.OP_DISPATCH
-        handler = engine._resolve_handler(TracedLoad)
-        assert handler is engine.OP_DISPATCH[ops.Load]
-        # Memoized: the subclass now has a direct entry.
-        assert engine.OP_DISPATCH[TracedLoad] is handler
-    finally:
-        engine.OP_DISPATCH.pop(TracedLoad, None)
-
-
-def test_resolve_handler_rejects_non_ops():
-    class NotAnOp:
-        pass
-
-    assert engine._resolve_handler(NotAnOp) is None
-    assert NotAnOp not in engine.OP_DISPATCH

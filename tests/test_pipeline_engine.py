@@ -139,8 +139,9 @@ class TestSingleTaskExecution:
                 return [0]
             def body(self, ctx):
                 yield 42
-        with pytest.raises(ProcessError, match="must yield Op"):
+        with pytest.raises(ProcessError, match="must yield Op") as info:
             fabric.run_kernel(BadYield(name="bad"), {})
+        assert isinstance(info.value.__cause__.__cause__, KernelBuildError)
 
     def test_body_not_implemented(self, fabric):
         kernel = SingleTaskKernel(name="abstract")

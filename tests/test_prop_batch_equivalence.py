@@ -357,10 +357,11 @@ class TestBatchEquivalenceUnderPressure:
 class TestPlannedMatchesBodies:
     """The replay's two launch feeders against each other and the
     oracle. A convergent kernel without ``__local`` memory or a barrier
-    runs three ways: ``executor="batch"`` plans it in Phase A and times
-    the op lists (``LaunchReplay.run_planned``); ``executor="fast"``
-    replays the compiled body generators (``LaunchReplay.run_bodies``);
-    the reference executor steps it."""
+    runs three ways: the product engine plans it in Phase A and times
+    the op lists (``LaunchReplay.run_planned``); the test-side
+    ``"bodies"`` engine, with the table switched off, replays the
+    compiled body generators (``LaunchReplay.run_bodies``); the
+    reference executor steps it."""
 
     @given(source=_kernel_sources(convergent=True),
            global_size=st.integers(0, 40), pipeline=_PIPELINES)
@@ -370,12 +371,13 @@ class TestPlannedMatchesBodies:
         program_cache_clear()
         planned = _run_generated(source, global_size, "batch",
                                  pipeline=pipeline)
-        bodies = _run_generated(source, global_size, "fast",
+        bodies = _run_generated(source, global_size, "bodies",
                                 pipeline=pipeline)
         ref = _run_generated(source, global_size, "reference",
                              pipeline=pipeline)
         assert planned[1].batch.mode == "table", planned[1].batch
         assert bodies[1].stepped_reason is None
+        assert bodies[1].batch.mode == ""
         _assert_equivalent(planned, ref, ["IN", "OUT"])
         _assert_equivalent(bodies, ref, ["IN", "OUT"])
 
@@ -443,7 +445,7 @@ def _ndrange_batch_round(executor: str):
                             executor=executor)
         elapsed += time.perf_counter() - start
         cycles += fabric.sim.now
-        modes.append(engine.batch.mode if hasattr(engine, "batch") else "-")
+        modes.append(engine.batch.mode)
     return cycles, elapsed, modes
 
 
