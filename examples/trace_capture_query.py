@@ -29,7 +29,12 @@ from repro.trace.export import to_chrome_json, validate_chrome_events
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="repro-trace-")
+    # The bundle and the timeline live in a directory removed on exit.
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as workdir:
+        walkthrough(workdir)
+
+
+def walkthrough(workdir: str) -> None:
     bundle = os.path.join(workdir, "experiments.ctb")
 
     # 1. One hub, one on-disk bundle, three experiments.
@@ -42,7 +47,7 @@ def main() -> None:
     hub.close()   # seals buffered records into the .ctb file
 
     store = ColumnarStore.load(bundle)
-    print(f"\nbundle {bundle}:")
+    print(f"\nbundle {os.path.basename(bundle)}:")
     print(f"  {len(store.segments)} segments, {store.total_rows()} records, "
           f"schemas: {', '.join(store.schemas())}")
 
@@ -80,8 +85,10 @@ def main() -> None:
     out = os.path.join(workdir, "experiments.trace.json")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(document)
-    print(f"\nPerfetto timeline: {out} ({len(events)} events)")
-    print("open https://ui.perfetto.dev and load it to browse the run")
+    print(f"\nPerfetto timeline: {len(events)} events")
+    print("to browse a run, keep its timeline with `python -m repro run "
+          "fig2 --trace-out fig2.ctb` and `python -m repro trace export "
+          "fig2.ctb -o fig2.json`, then load it at https://ui.perfetto.dev")
 
 
 if __name__ == "__main__":

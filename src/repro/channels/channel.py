@@ -667,17 +667,19 @@ class CounterRegisterChannel(ServiceChannel):
     """A depth-0 channel driven by an *analytic* free-running counter.
 
     Listing 1's timer service writes ``count`` non-blockingly every cycle,
-    so the register provably holds ``now - start_cycle + 1`` whenever the
-    counter has started. Modelling that with a real per-cycle process costs
-    one urgent event per simulated cycle forever; this channel instead
-    computes the value on demand, making the counter free. Behaviour is
-    identical for every consumer that reads at normal/late priority (all
-    pipeline read sites) — pinned by the lazy-vs-eager regression tests.
+    so the register provably holds ``c - start_cycle + 1`` once cycle
+    ``c`` has begun (:meth:`~repro.sim.core.Simulator.last_begun_cycle`;
+    a host between cycles sees the last one). Modelling that with a real
+    per-cycle process costs one urgent event per simulated cycle forever;
+    this channel instead computes the value on demand, making the counter
+    free. Behaviour is identical for every consumer that reads at
+    normal/late priority (all pipeline read sites) and for the host —
+    pinned against the per-cycle oracle in ``tests/timer_oracle.py``.
 
     Only valid for the healthy depth-0 case: a compiled-depth override
     (§3.1 limitation 1) builds a real FIFO whose staleness depends on the
     actual write process, so :class:`~repro.core.timestamp.
-    PersistentTimestampService` falls back to the eager kernel there.
+    PersistentTimestampService` steps a real timer kernel there.
 
     The channel is read-only from kernels — the producer is the (virtual)
     counter. ``freeze()`` models tearing the service down: the register
@@ -698,21 +700,25 @@ class CounterRegisterChannel(ServiceChannel):
     # -- the analytic register --------------------------------------------
 
     def _elapsed(self) -> int:
-        """Number of counter increments so far (0 = not started)."""
-        now = self.sim.now
+        """Number of counter increments so far (0 = not started): one per
+        cycle begun since the start, as the early-phase writer makes one
+        at the head of each cycle."""
+        now = self.sim.last_begun_cycle()
         if self._frozen_at is not None and self._frozen_at < now:
             now = self._frozen_at
         return max(0, now - self.start_cycle + 1)
 
     def value(self) -> int:
-        """The register's value now: ``now - start_cycle + 1`` (0 before
-        the counter starts, frozen after teardown)."""
+        """The register's value now: ``now - start_cycle + 1`` once cycle
+        ``now`` has begun, one less between cycles (0 before the counter
+        starts, frozen after teardown)."""
         return self._elapsed()
 
     def freeze(self) -> None:
-        """Stop the counter (service teardown); the last value persists."""
+        """Stop the counter (service teardown); the value of the last
+        cycle begun persists."""
         if self._frozen_at is None:
-            self._frozen_at = self.sim.now
+            self._frozen_at = self.sim.last_begun_cycle()
 
     @property
     def occupancy(self) -> int:
@@ -726,9 +732,9 @@ class CounterRegisterChannel(ServiceChannel):
     def stats(self) -> ChannelStats:
         """Per-channel statistics, with the counter's writes synthesized.
 
-        The eager kernel performs one non-blocking write per running cycle;
-        report the same so the vendor-style profiler view is independent of
-        the lazy/eager mode.
+        Listing 1's kernel performs one non-blocking write per running
+        cycle; report the same, so the vendor-style profiler view is that
+        of the kernel.
         """
         elapsed = self._elapsed()
         self._stats.writes = elapsed

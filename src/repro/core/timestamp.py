@@ -61,42 +61,28 @@ class TimerServiceKernel(AutorunKernel):
 class PersistentTimestampService:
     """N free-running-counter kernels, one per read site (Listings 1–2).
 
-    ``mode`` selects how the counters are simulated:
-
-    * ``"lazy"`` (default) — the depth-0 register provably holds
-      ``now - skew + 1``, so each counter is a
-      :class:`~repro.channels.channel.CounterRegisterChannel` computing
-      that on demand: zero events per cycle. Falls back to eager
-      automatically when ``compiled_depth`` overrides the depth (the FIFO
-      staleness of §3.1 limitation 1 needs the real per-cycle writer).
-    * ``"eager"`` — real autorun kernels writing every cycle, as before.
-      Required by ablations that depend on genuine per-cycle processes;
-      both modes produce identical timestamps (pinned by
-      ``tests/test_lazy_counters.py``).
+    The depth-0 register provably holds ``c - skew + 1`` once cycle ``c``
+    has begun, so each counter is a :class:`~repro.channels.channel.
+    CounterRegisterChannel` computing that on demand: zero events per
+    cycle. A ``compiled_depth`` override instead builds the real FIFO fed
+    by a stepping :class:`TimerServiceKernel`: the staleness of §3.1
+    limitation 1 needs the actual per-cycle writer.
     """
 
     def __init__(self, fabric: Fabric, sites: int = 1,
                  name: str = "time", launch_skews: Optional[Sequence[int]] = None,
-                 compiled_depth: Optional[int] = None,
-                 mode: str = "lazy") -> None:
+                 compiled_depth: Optional[int] = None) -> None:
         if sites < 1:
             raise KernelError(f"need at least one timestamp site, got {sites}")
-        if mode not in ("lazy", "eager"):
-            raise KernelError(f"unknown timestamp service mode {mode!r}")
         skews = list(launch_skews or [0] * sites)
         if len(skews) != sites:
             raise KernelError(
                 f"{sites} sites but {len(skews)} launch skews given")
-        if compiled_depth is not None:
-            # A compiler-overridden depth builds a real FIFO whose stale
-            # contents depend on the actual write stream — must be eager.
-            mode = "eager"
         self.fabric = fabric
-        self.mode = mode
         self.channels: List[Channel] = []
         self.kernels: List[TimerServiceKernel] = []
         for site in range(sites):
-            if mode == "lazy":
+            if compiled_depth is None:
                 channel = fabric.channels.adopt(CounterRegisterChannel(
                     fabric.sim, f"{name}_ch{site + 1}",
                     start_cycle=fabric.sim.now + skews[site], width_bits=32))
@@ -106,7 +92,7 @@ class PersistentTimestampService:
                     compiled_depth=compiled_depth, width_bits=32)
             kernel = TimerServiceKernel(channel, name=f"{name}_srv{site + 1}",
                                         launch_skew=skews[site])
-            if mode == "lazy":
+            if compiled_depth is None:
                 # The kernel still exists (it occupies fabric resources and
                 # the emulator discovers it) but never runs: the channel
                 # computes its effect.
@@ -123,8 +109,9 @@ class PersistentTimestampService:
     def read(self, ctx: KernelContext, site: int = 0) -> int:
         """Kernel-side read site: returns the current timestamp (zero-time).
 
-        Uses the blocking read form of Listing 2; on a depth-0 register
-        channel this never stalls once the counter has started.
+        A non-blocking read of the register: 0 while it holds no value
+        (before the counter starts, or a stale-depth FIFO run empty).
+        :meth:`read_op` is Listing 2's blocking form.
         """
         value, valid = ctx.read_channel_nb(self.channels[site])
         return value if valid else 0

@@ -47,6 +47,7 @@ through the frame at :meth:`CompiledBody.make` time, which is what lets
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.channels.channel import Channel
@@ -181,6 +182,24 @@ class CompiledBody:
         return self.entry(frame, ctx)
 
 
+def _c_div(l: Any, r: Any) -> Any:
+    """C's truncating ``l / r``. Exact on integers (Python or numpy) of
+    any width, where ``int(l / r)`` would round through a 53-bit float;
+    float operands keep that float division."""
+    if type(l) is not int or type(r) is not int:
+        try:
+            l, r = operator.index(l), operator.index(r)
+        except TypeError:
+            return int(l / r)
+    quotient = abs(l) // abs(r)
+    return quotient if (l < 0) == (r < 0) else -quotient
+
+
+def _c_mod(l: Any, r: Any) -> Any:
+    """C's ``l % r``: ``l - (l / r) * r`` with the truncating quotient."""
+    return l - _c_div(l, r) * r
+
+
 def _compound_fn(op: str) -> Callable:
     """The update applied by ``target <op>= value``: C truncating
     division, with the bare ``ZeroDivisionError`` of ``/=`` and ``%=``
@@ -192,9 +211,9 @@ def _compound_fn(op: str) -> Callable:
     if op == "*=":
         return lambda cur, val: cur * val
     if op == "/=":
-        return lambda cur, val: int(cur / val)
+        return _c_div
     # "%=" — parser admits no other compound ops
-    return lambda cur, val: cur - int(cur / val) * val
+    return _c_mod
 
 
 def _binop_fn(op: str, node: ast.Node) -> Callable:
@@ -211,13 +230,13 @@ def _binop_fn(op: str, node: ast.Node) -> Callable:
         def div(l, r):
             if r == 0:
                 raise error_at("division by zero in kernel", node)
-            return int(l / r)           # C truncation semantics
+            return _c_div(l, r)
         return div
     if op == "%":
         def mod(l, r):
             if r == 0:
                 raise error_at("modulo by zero in kernel", node)
-            return l - int(l / r) * r
+            return _c_mod(l, r)
         return mod
     if op == "<":
         return lambda l, r: 1 if l < r else 0

@@ -27,32 +27,12 @@ class GetTimeModule(HDLModule):
 
     def __init__(self, sim: Simulator, name: str = "get_time",
                  start_offset: int = 0, width_bits: int = 64,
-                 mode: str = "synthesis", eager: bool = False) -> None:
+                 mode: str = "synthesis") -> None:
         if width_bits < 1:
             raise HDLError(f"counter {name!r}: width must be >= 1 bit")
         super().__init__(sim, name, latency=0, mode=mode)
         self.start_offset = start_offset
         self.width_bits = width_bits
-        #: Eager mode maintains the counter register with a real per-cycle
-        #: process, one increment per clock edge like the Verilog. Only for
-        #: ablations that need genuine per-cycle activity — the default
-        #: computes the identical value from ``sim.now`` for free (the
-        #: equivalence is pinned by tests/test_lazy_counters.py).
-        self.eager = eager
-        self._register = start_offset
-        self._stopped = False
-        if eager:
-            from repro.sim.core import at_each_cycle
-
-            def _edge(cycle: int):
-                self._register = ((cycle + self.start_offset)
-                                  % (1 << self.width_bits))
-                return self._stopped
-            at_each_cycle(sim, _edge, name=f"{name}.counter")
-
-    def stop(self) -> None:
-        """Stop an eager counter's per-cycle process (end of the design)."""
-        self._stopped = True
 
     def emulate(self, command: Any = 0) -> int:
         """Emulation definition (Listing 3): ``return command + 1``."""
@@ -61,10 +41,10 @@ class GetTimeModule(HDLModule):
     def synthesize_behavior(self, command: Any = 0) -> int:
         """Hardware definition: the counter value this cycle.
 
-        Wraps at ``2**width_bits`` like the real register would.
+        Wraps at ``2**width_bits`` like the real register would. The
+        value is computed from the clock, not kept by a per-cycle process
+        (``tests/timer_oracle.py`` pins the two equal).
         """
-        if self.eager:
-            return self._register
         return self.value_at(self.sim.now)
 
     def value_at(self, cycle: int) -> int:

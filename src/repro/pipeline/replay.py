@@ -26,8 +26,8 @@ Three feeders drive one issue loop (:meth:`LaunchReplay._run`):
   server's write completion one hop after the read (and a compiled
   server's re-offer at the head of the next cycle: an URGENT entry,
   ordered before every other entry of its cycle). While a body runs,
-  the simulator clock reads the replay cycle, so ``ctx.now`` and channel
-  values are those of stepping. A non-blocking write to a channel
+  the simulator clock reads the replay cycle, marked begun, so
+  ``ctx.now`` and channel values are those of stepping. A non-blocking write to a channel
   whose parked consumer has a sink (the stall monitor's snapshots, see
   :meth:`~repro.channels.channel.Channel.sink`) schedules nothing
   either. Any other op raises :class:`~repro.errors.KernelBuildError`;
@@ -431,6 +431,7 @@ class LaunchReplay:
         """
         sim = self.sim
         start = now = sim._now
+        begun = sim._begun_at
         heap = self.heap
         push = heapq.heappush
         pop = heapq.heappop
@@ -525,7 +526,9 @@ class LaunchReplay:
                     if finish is not None or not heap:
                         break
                     when, seq, kind, row, value = pop(heap)
-                    sim._now = now = when
+                    # The clock moves to the cycle this entry times, and
+                    # that cycle has begun.
+                    sim._now = sim._begun_at = now = when
                     if kind:                        # not a plain resume
                         if kind == _EV_LOAD:
                             value = loaded(when, seq, *value)
@@ -648,6 +651,7 @@ class LaunchReplay:
                 push(heap, (retire, next(counter), resume, row, payload))
         finally:
             sim._now = start
+            sim._begun_at = begun
             self.latency = [hits, misses, load_latency]
             self.last_commit = last_commit
         self._finish = finish

@@ -18,7 +18,6 @@ from repro.sim.core import (
     Process,
     Simulator,
     Timeout,
-    at_each_cycle,
 )
 from repro.sim.conditions import AllOf, AnyOf
 from repro.sim.resources import Resource, Store
@@ -32,7 +31,6 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
-    "at_each_cycle",
     "AllOf",
     "AnyOf",
     "Resource",

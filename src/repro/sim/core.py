@@ -353,6 +353,9 @@ class Simulator:
         self._tick_pool: List[_TickTimeout] = []
         #: Shared one-cycle ticks, one per priority lane: (created_at, event).
         self._broadcast_ticks: dict = {}
+        #: Equals ``now`` once the current cycle has begun (see
+        #: :meth:`last_begun_cycle`).
+        self._begun_at = -1
         #: Equals ``now`` once the current cycle's LATE phase is under way
         #: (see :meth:`last_late_phase`).
         self._late_phase_at = -1
@@ -388,8 +391,8 @@ class Simulator:
         the event object once its callbacks ran, avoiding an allocation per
         simulated cycle per pipeline. The returned event MUST be yielded
         directly by a single process (never stored, re-yielded, or wrapped
-        in a condition) — the engine's cycle-boundary stepping and
-        :func:`at_each_cycle` satisfy this by construction.
+        in a condition) — the engine's cycle-boundary stepping satisfies
+        this by construction.
         """
         pool = self._tick_pool
         if pool:
@@ -422,6 +425,18 @@ class Simulator:
         event = _BroadcastTick(self, 1, None, priority)
         self._broadcast_ticks[priority] = (self._now, event)
         return event
+
+    def last_begun_cycle(self) -> int:
+        """The latest cycle that has begun.
+
+        ``now`` once an event of the current cycle has been dequeued, or
+        while a launch replay times it (:mod:`repro.pipeline.replay`
+        moves the clock itself), else ``now - 1``: after
+        ``run(until=now)`` the host observes the model between cycles,
+        with no event of ``now`` run yet.
+        """
+        now = self._now
+        return now if self._begun_at == now else now - 1
 
     def last_late_phase(self) -> int:
         """The latest cycle whose LATE phase has begun.
@@ -642,6 +657,7 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event."""
         event = self._pop_next()
+        self._begun_at = self._now
         callbacks, event.callbacks = event.callbacks, None
         if (type(event) is _BroadcastTick and len(callbacks) > 1
                 and type(self._now) is int):
@@ -765,22 +781,3 @@ class Simulator:
             self.step()
             self._raise_crashed()
 
-
-def at_each_cycle(sim: Simulator, body: Callable[[int], Optional[bool]],
-                  priority: int = PRIORITY_URGENT, name: str = "cycle-driver"):
-    """Run ``body(cycle)`` once per cycle until it returns True.
-
-    Convenience used by per-cycle monitors; the body runs with urgent
-    priority so same-cycle consumers see its effects. Free-running counters
-    should prefer the lazy on-demand services (see ``docs/PERFORMANCE.md``)
-    — an eager per-cycle process costs one event per simulated cycle
-    forever.
-    """
-
-    def _driver():
-        while True:
-            if body(sim.now):
-                return
-            yield sim.tick(priority)
-
-    return sim.process(_driver(), name=name)

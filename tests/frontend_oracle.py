@@ -24,6 +24,7 @@ service channels and of compiled launches on the analytic replay.
 
 from __future__ import annotations
 
+import numbers
 import types
 from typing import Any, Dict, Generator, Optional
 
@@ -48,6 +49,19 @@ from repro.frontend.lexer import FrontendError, error_at
 from repro.memory.local_memory import LocalMemory
 from repro.pipeline import ops
 from repro.pipeline.context import KernelContext
+
+
+def _c_div(left: Any, right: Any) -> Any:
+    """C truncating division: exact on integers (floor division rounded
+    toward zero), through a float for float operands."""
+    if not (isinstance(left, numbers.Integral)
+            and isinstance(right, numbers.Integral)):
+        return int(left / right)
+    left, right = int(left), int(right)
+    quotient = left // right
+    if quotient < 0 and quotient * right != left:
+        quotient += 1
+    return quotient
 
 
 class _Return(Exception):
@@ -311,11 +325,11 @@ class Interpreter:
         if op == "/":
             if right == 0:
                 raise error_at("division by zero in kernel", node)
-            return int(left / right)           # C truncation semantics
+            return _c_div(left, right)
         if op == "%":
             if right == 0:
                 raise error_at("modulo by zero in kernel", node)
-            return left - int(left / right) * right
+            return left - _c_div(left, right) * right
         if op == "<":
             return 1 if left < right else 0
         if op == ">":
@@ -425,9 +439,9 @@ class Interpreter:
         if op == "*=":
             return current * value
         if op == "/=":
-            return int(current / value)
+            return _c_div(current, value)
         if op == "%=":
-            return current - int(current / value) * value
+            return current - _c_div(current, value) * value
         raise FrontendError(f"unknown compound assignment {op!r}")
 
     def _eval_call(self, node: ast.Call, scope: _Scope,

@@ -23,6 +23,11 @@ from repro.kernels.matvec import (
 from repro.kernels.pointer_chase import PointerChaseKernel, build_chain
 from repro.kernels.vecadd import VecAddKernel
 from repro.pipeline.fabric import Fabric
+from tests.timer_oracle import EagerTimestampService
+
+#: The product's analytic timer and its per-cycle oracle.
+SERVICES = {"lazy": PersistentTimestampService,
+            "eager": EagerTimestampService}
 
 
 class TestVecAdd:
@@ -127,8 +132,8 @@ class TestMatVecSites:
                 ("Store@L46", "store"), ("Store@L47", "store"),
                 ("Store@L48", "store"), ("Store@L51", "store")]
 
-    # An eager timestamp service keeps the simulator busy, so the launch
-    # is stepped instead of replayed.
+    # A stepping timestamp service (the per-cycle oracle) keeps the
+    # simulator busy, so the launch is stepped instead of replayed.
     @pytest.mark.parametrize("mode", ["lazy", "eager"])
     @pytest.mark.parametrize("cls,name", [
         (MatVecSingleTask, "matvec_single_task"),
@@ -143,7 +148,7 @@ class TestMatVecSites:
         monkeypatch.setattr(_OpExecutor, "_derive_site", refuse)
         fabric = Fabric()
         kernel = cls(SequenceService(fabric),
-                     PersistentTimestampService(fabric, mode=mode),
+                     SERVICES[mode](fabric),
                      probe_i=2)
         allocate_matvec_buffers(fabric, 2, 3, probe_i=2)
         engine = fabric.run_kernel(kernel, {"N": 2, "num": 3})

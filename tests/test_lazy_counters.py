@@ -1,26 +1,29 @@
 """Lazy free-running counters must be observationally identical to the
-eager per-cycle processes they replace (ISSUE: behaviour-preserving).
+per-cycle processes they replace (``tests/timer_oracle.py``).
 
 Covers the §3.1 ablation scenarios of ``bench_ablation_limitations`` —
 healthy, launch-skewed, and compiler-overridden depth — plus the HDL
-counter, the emulator's service discovery, and the counter channel's
-read-only/stats/freeze contract.
+counter, the emulator's service discovery, the counter channel's
+read-only/stats/freeze contract, and a host that reads or stops the
+timer between cycles.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.channels.channel import CounterRegisterChannel
-from repro.core.timestamp import (
-    HDLTimestampService,
-    PersistentTimestampService,
-)
+from repro.channels.channel import Channel, CounterRegisterChannel
+from repro.core.timestamp import PersistentTimestampService
 from repro.errors import ChannelUsageError
 from repro.experiments import limitations
 from repro.hdl.counter import GetTimeModule
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import SingleTaskKernel
+from tests.timer_oracle import EagerGetTimeModule, EagerTimestampService
+
+#: The product's analytic timer and its per-cycle oracle.
+SERVICES = {"lazy": PersistentTimestampService,
+            "eager": EagerTimestampService}
 
 
 class _Probe(SingleTaskKernel):
@@ -42,8 +45,7 @@ class _Probe(SingleTaskKernel):
 
 def _persistent_read(mode, delay, sites=1, launch_skews=None, site=0):
     fabric = Fabric()
-    service = PersistentTimestampService(fabric, sites=sites,
-                                         launch_skews=launch_skews, mode=mode)
+    service = SERVICES[mode](fabric, sites=sites, launch_skews=launch_skews)
     probe = _Probe(lambda ctx: service.read_op(ctx, site), delay)
     fabric.run_kernel(probe, {})
     return probe.values[0]
@@ -69,7 +71,7 @@ class TestPersistentLazyEqualsEager:
     def test_nonblocking_read_identical(self, delay):
         def run(mode):
             fabric = Fabric()
-            service = PersistentTimestampService(fabric, sites=1, mode=mode)
+            service = SERVICES[mode](fabric, sites=1)
             got = []
 
             class NB(SingleTaskKernel):
@@ -86,15 +88,15 @@ class TestPersistentLazyEqualsEager:
     def test_compiled_depth_falls_back_to_eager(self):
         fabric = Fabric()
         service = PersistentTimestampService(fabric, sites=1,
-                                             compiled_depth=8, mode="lazy")
+                                             compiled_depth=8)
         # FIFO staleness needs the real per-cycle writer.
-        assert service.mode == "eager"
+        assert type(service.channels[0]) is Channel
         assert fabric.service_kernels == []
         assert len(fabric.autorun_engines) == 1
 
     def test_lazy_mode_runs_no_per_cycle_processes(self):
         fabric = Fabric()
-        PersistentTimestampService(fabric, sites=3, mode="lazy")
+        PersistentTimestampService(fabric, sites=3)
         assert fabric.autorun_engines == []
         assert len(fabric.service_kernels) == 3
         # Nothing scheduled at all: the counters are free.
@@ -106,10 +108,9 @@ class TestLimitationsScenariosLazyEqualsEager:
 
     def _measure(self, mode, gap, compiled_depth=None, launch_skews=None):
         fabric = Fabric()
-        service = PersistentTimestampService(fabric, sites=2,
-                                             compiled_depth=compiled_depth,
-                                             launch_skews=launch_skews,
-                                             mode=mode)
+        service = SERVICES[mode](fabric, sites=2,
+                                 compiled_depth=compiled_depth,
+                                 launch_skews=launch_skews)
         probe = limitations._TwoSiteProbe(service.read_op, gap, "probe")
         fabric.advance(compiled_depth or 0)
         fabric.run_kernel(probe, {})
@@ -143,20 +144,17 @@ class TestLimitationsScenariosLazyEqualsEager:
 class TestHDLCounterLazyEqualsEager:
     @pytest.mark.parametrize("delay", [0, 5, 17, 300])
     def test_get_time_identical(self, delay):
-        def run(eager):
+        def run(module_cls):
             fabric = Fabric()
-            service = HDLTimestampService(fabric)
-            service.module.eager = False
-            module = GetTimeModule(fabric.sim, eager=eager)
+            module = module_cls(fabric.sim)
             probe = _Probe(lambda ctx: ctx.call(module, 0), delay)
             fabric.run_kernel(probe, {})
-            module.stop()
             return probe.values[0]
-        assert run(False) == run(True)
+        assert run(GetTimeModule) == run(EagerGetTimeModule)
 
     def test_eager_register_wraps_at_width(self):
         fabric = Fabric()
-        module = GetTimeModule(fabric.sim, width_bits=4, eager=True)
+        module = EagerGetTimeModule(fabric.sim, width_bits=4)
         probe = _Probe(lambda ctx: ctx.call(module, 0), delay=20)
         fabric.run_kernel(probe, {})
         module.stop()
@@ -198,7 +196,7 @@ class TestCounterRegisterChannel:
 
     def test_fabric_stop_autorun_freezes_lazy_counters(self):
         fabric = Fabric()
-        service = PersistentTimestampService(fabric, sites=1, mode="lazy")
+        service = PersistentTimestampService(fabric, sites=1)
         fabric.advance(20)
         fabric.stop_autorun()
         frozen, _ = service.channels[0].read_nb()
@@ -207,12 +205,44 @@ class TestCounterRegisterChannel:
         assert valid and value == frozen
 
 
+class TestHostBetweenCycles:
+    """After ``advance()`` the host observes the model between cycles: no
+    event of the new cycle has run, so the per-cycle writer has written
+    the previous cycle's count, and a stop made there freezes it."""
+
+    @pytest.mark.parametrize("mode", ["lazy", "eager"])
+    def test_advance_reads_the_last_begun_cycle(self, mode):
+        fabric = Fabric()
+        channel = SERVICES[mode](fabric).channels[0]
+        fabric.advance(10)
+        assert channel.read_nb() == (10, True)
+        assert channel.stats.writes == 10
+
+    @pytest.mark.parametrize("mode", ["lazy", "eager"])
+    def test_stop_between_cycles_freezes_the_last_write(self, mode):
+        fabric = Fabric()
+        channel = SERVICES[mode](fabric).channels[0]
+        fabric.advance(10)
+        fabric.stop_autorun()
+        fabric.advance(5)
+        assert channel.read_nb() == (10, True)
+        assert channel.stats.writes == 10
+
+    @pytest.mark.parametrize("mode", ["lazy", "eager"])
+    def test_nothing_written_before_the_first_cycle(self, mode):
+        fabric = Fabric()
+        channel = SERVICES[mode](fabric).channels[0]
+        fabric.advance(0)
+        assert channel.read_nb() == (None, False)
+        assert channel.stats.writes == 0
+
+
 class TestEmulatorDiscovery:
     def test_lazy_timer_service_discovered(self):
         from repro.host.emulation import Emulator
 
         fabric = Fabric()
-        service = PersistentTimestampService(fabric, sites=1, mode="lazy")
+        service = PersistentTimestampService(fabric, sites=1)
         emulator = Emulator(fabric)
         emulated = emulator._channels[id(service.channels[0])]
         assert emulated.service == "timer"

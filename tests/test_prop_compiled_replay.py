@@ -33,7 +33,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.timestamp import PersistentTimestampService
 from repro.errors import SimulationError
 from repro.frontend import compile_source
 from repro.frontend.listings import LISTING_2, LISTING_6, LISTING_7
@@ -46,28 +45,15 @@ from tests.test_prop_compiled_services import (SERVICES_AND_READER,
                                                reader_args)
 from tests.test_prop_replay import (_MEMORY_CONFIGS, _engine, _memory,
                                     replays)  # noqa: F401 - a fixture
+from tests.timer_oracle import EagerTimestampService
 
 MAX_EXAMPLES = int(os.environ.get("REPLAY_EQUIV_EXAMPLES", "25"))
 
 LISTINGS = {2: LISTING_2, 6: LISTING_6, 7: LISTING_7}
 
-#: Buffers and channels holding timer values. A stop made between
-#: cycles freezes the lazy timer one count past the eager one's last
-#: write, so from such a stop on they are not compared.
-_TIMER_BUFFERS = ("T", "I1")
-_TIMER_CHANNELS = ("time_ch1", "time_ch2", "time_ch")
-
-
-def _observe(fabric, engine, timer_exact=True):
-    memory = _memory(fabric)
-    stats = fabric.channels.stats_table()
-    if not timer_exact:
-        buffers = {name: values for name, values in memory[-1].items()
-                   if name not in _TIMER_BUFFERS}
-        memory = memory[:-1] + (buffers,)
-        stats = {name: row for name, row in stats.items()
-                 if name not in _TIMER_CHANNELS}
-    return fabric.sim.now, _engine(engine), memory, stats
+def _observe(fabric, engine):
+    return (fabric.sim.now, _engine(engine), _memory(fabric),
+            fabric.channels.stats_table())
 
 
 def _listing_launch(listing, size):
@@ -107,28 +93,24 @@ def _run(compiler, build, memory_config, keep_samples, pre, busy, post):
                     keep_lsu_samples=keep_samples)
     if busy:
         # A stepping autorun: no launch owns the simulator.
-        PersistentTimestampService(fabric, name="busy", mode="eager")
+        EagerTimestampService(fabric, name="busy")
     fabric.advance(pre)
     kernel, args = build(fabric, compiler)
     engine = fabric.run_kernel(kernel, args)
     first_reason = engine.stepped_reason
     seen = [_observe(fabric, engine)]
-    between_cycles, timer_exact = False, True
     for step in post:
         if step[0] == "advance":
             fabric.advance(step[1])
-            between_cycles = between_cycles or step[1] > 0
         elif step[0] == "stop":
             fabric.stop_autorun()
-            timer_exact = timer_exact and not between_cycles
         else:
             try:
                 engine = run_kernel(fabric, kernel, args, executor=step[1])
             except SimulationError as error:   # a sequence read after stop
                 seen.append(str(error)[:20])
                 break
-            between_cycles = False
-            seen.append(_observe(fabric, engine, timer_exact))
+            seen.append(_observe(fabric, engine))
     return seen, first_reason
 
 

@@ -1,7 +1,9 @@
 """Property-based tests for the OpenCL-C frontend.
 
 Random integer expressions compiled and executed on the fabric must agree
-with a Python reference using C semantics (truncating division).
+with a Python reference using C semantics (truncating division), and
+64-bit ``long`` division and modulo must be exact on the batch table and
+stepped tiers.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.frontend import compile_source, parse, tokenize
 from repro.pipeline.fabric import Fabric
+from tests.executor_oracle import run_kernel
 
 # -- expression generator ----------------------------------------------------
 
@@ -17,7 +20,11 @@ _literals = st.integers(min_value=0, max_value=200)
 
 
 def _c_div(a: int, b: int) -> int:
-    return int(a / b)
+    """Exact C truncating division: floor division, rounded toward 0."""
+    quotient = a // b
+    if quotient < 0 and quotient * b != a:
+        quotient += 1
+    return quotient
 
 
 def _c_mod(a: int, b: int) -> int:
@@ -72,6 +79,57 @@ class TestExpressionSemantics:
         fabric.memory.allocate("O", 1)
         fabric.run_kernel(program.kernel("k"), {"out": "O"})
         assert fabric.memory.buffer("O").read(0) == expected
+
+
+_LONG_DIVISION = """
+__kernel void k(__global long* out, long a, long b) {
+    out[0] = a / b;
+    out[1] = a % b;
+    long q = a;
+    q /= b;
+    out[2] = q;
+    long r = a;
+    r %= b;
+    out[3] = r;
+}
+"""
+
+_LONGS = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+#: Divisors: small ones give quotients above 2**53, where a float rounds.
+_DIVISORS = st.one_of(st.integers(-1000, 1000), _LONGS).filter(bool)
+
+
+class TestLongDivision:
+    """``/ % /= %=`` on 64-bit operands of both signs, where a division
+    through a 53-bit float would round."""
+
+    @staticmethod
+    def _run(a, b, executor):
+        fabric = Fabric()
+        program = compile_source(fabric, _LONG_DIVISION)
+        fabric.memory.allocate("O", 4)
+        engine = run_kernel(fabric, program.kernel("k"),
+                            {"out": "O", "a": a, "b": b}, executor=executor)
+        tier = ("table" if engine.batch.mode == "table"
+                else engine.stepped_reason)
+        return tier, [int(v) for v in fabric.memory.buffer("O").snapshot()]
+
+    @given(a=_LONGS, b=_DIVISORS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_c_truncation(self, a, b):
+        # The quotient 2**63 does not fit a long.
+        assume(not (a == -(1 << 63) and b == -1))
+        quotient, remainder = _c_div(a, b), _c_mod(a, b)
+        expected = [quotient, remainder, quotient, remainder]
+        assert self._run(a, b, "fast") == ("table", expected)
+        assert self._run(a, b, "stepped") == ("stepping executor", expected)
+
+    def test_pinned_values(self):
+        big = (1 << 62) + 1
+        assert self._run(big, 3, "fast")[1] == [1537228672809129301, 2] * 2
+        assert self._run(big, 10, "fast")[1] == [461168601842738790, 5] * 2
+        assert self._run(-big, 10, "stepped")[1] == [
+            -461168601842738790, -5] * 2
 
 
 class TestLexerProperties:

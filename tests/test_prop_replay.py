@@ -49,6 +49,7 @@ from repro.pipeline.kernel import PipelineConfig, SingleTaskKernel
 from repro.pipeline.schedule import NDRANGE_POLICIES
 from tests.executor_oracle import launch, run_kernel
 from tests.sequence_oracle import EagerSequenceService
+from tests.timer_oracle import EagerTimestampService
 
 MAX_EXAMPLES = int(os.environ.get("REPLAY_EQUIV_EXAMPLES", "25"))
 
@@ -386,7 +387,7 @@ class TestGate:
         observed = []
         for executor in ("fast", "reference"):
             fabric = Fabric()
-            timestamps = PersistentTimestampService(fabric, mode="eager")
+            timestamps = EagerTimestampService(fabric)
             kernel = self._matvec(fabric, timestamps)
             engine = run_kernel(fabric, kernel, {"N": 3, "num": 5},
                                 executor=executor)

@@ -10,8 +10,8 @@ from repro.sim.core import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     Interrupt,
-    at_each_cycle,
 )
+from tests.timer_oracle import at_each_cycle
 
 
 class TestEvent:
@@ -269,6 +269,26 @@ class TestPriorities:
             sim.process(body())
         sim.run()
         assert order == ["a", "b", "c"]
+
+
+class TestLastBegunCycle:
+    def test_a_dequeued_event_begins_its_cycle(self, sim):
+        assert sim.last_begun_cycle() == -1
+        seen = []
+        sim.timeout(3).add_callback(
+            lambda _event: seen.append(sim.last_begun_cycle()))
+        sim.run()
+        assert seen == [3] and sim.last_begun_cycle() == 3
+
+    def test_run_until_stops_between_cycles(self, sim):
+        sim.timeout(2)
+        sim.run(until=5)
+        assert sim.now == 5 and sim.last_begun_cycle() == 4
+        sim.run(until=5)
+        assert sim.last_begun_cycle() == 4
+        sim.timeout(0)
+        sim.run()
+        assert sim.now == 5 and sim.last_begun_cycle() == 5
 
 
 class TestAtEachCycle:
