@@ -55,7 +55,7 @@ from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import error_at
 from repro.memory.local_memory import LocalMemory
-from repro.pipeline import ops
+from repro.pipeline import columns, ops
 
 #: Built-in constants the listings reference.
 CONSTANTS = {
@@ -86,6 +86,11 @@ class _Continue(Exception):
 # Control codes threaded out of statement closures. ``None`` means the
 # statement completed normally.
 _BRK, _CNT, _RET = 1, 2, 3
+
+#: The diagnostic of an unsupported ``&``.
+_ADDRESS_OF_ONLY = ("& is only supported on __global buffer elements (and "
+                    "as the valid-flag argument of non-blocking channel "
+                    "reads)")
 
 #: Placeholder for a frame slot whose declaration has not executed yet on
 #: this path (only ever observable through hazard-checked slots).
@@ -214,6 +219,15 @@ def _compound_fn(op: str) -> Callable:
         return _c_div
     # "%=" — parser admits no other compound ops
     return _c_mod
+
+
+def _unop_fn(op: str) -> Callable:
+    """Value-level unary op: ``-``, ``!`` (0/1) or ``~``."""
+    if op == "-":
+        return lambda v: -v
+    if op == "!":
+        return lambda v: 0 if v else 1
+    return lambda v: ~v
 
 
 def _binop_fn(op: str, node: ast.Node) -> Callable:
@@ -474,13 +488,7 @@ class _BodyCompiler:
 
     def _unary(self, node: ast.Unary, scope: _SlotScope) -> _CExpr:
         operand = self._expr(node.operand, scope)
-        op = node.op
-        if op == "-":
-            value_fn = lambda v: -v                      # noqa: E731
-        elif op == "!":
-            value_fn = lambda v: 0 if v else 1           # noqa: E731
-        else:
-            value_fn = lambda v: ~v                      # noqa: E731
+        value_fn = _unop_fn(node.op)
         if operand.const is not _NOCONST:
             return _const(value_fn(operand.const))
         ofn, og = operand.fn, operand.gen
@@ -636,9 +644,7 @@ class _BodyCompiler:
 
     def _address_of(self, node: ast.AddressOf, scope: _SlotScope) -> _CExpr:
         target = node.target
-        message = ("& is only supported on __global buffer elements (and "
-                   "as the valid-flag argument of non-blocking channel "
-                   "reads)")
+        message = _ADDRESS_OF_ONLY
         if not isinstance(target, ast.Subscript):
             return _raise_expr(message, node)
         base = self._expr(target.base, scope)
@@ -1408,24 +1414,28 @@ def compile_kernel_body(definition: ast.KernelDef, *,
 
 
 # ---------------------------------------------------------------------------
-# Batch plans: the op-stream segmenter behind the batch table.
+# Batch plans: the column program behind the batch table.
 #
-# A :class:`BatchPlan` is the same kernel body lowered one level further:
-# instead of one generator closure that *yields* memory ops, the body
-# becomes a flat program of plan nodes in which every global-memory
-# access is a first-class node (:class:`BLoad`/:class:`BStore`) and all
-# code between accesses is collapsed into straight-line pure segments
-# (:class:`BPure`). The batch table (:mod:`repro.pipeline.batch`) runs
-# each segment once per work-item *row* over plain frame lists — no
-# generator frames, no scheduler round-trips — and replays the recorded
-# access stream analytically through the normal LSU path.
+# A :class:`BatchPlan` is the same kernel body lowered for the batch
+# table (:mod:`repro.pipeline.batch`), which runs it once per plan node
+# over every work-item of a launch. Each statement becomes plan nodes:
+# every global-memory access a :class:`BLoad`/:class:`BStore`, every
+# ``if`` a :class:`BIf`, every loop a :class:`BLoop` with a
+# :class:`BTest`, every ``break``/``continue``/``return`` a
+# :class:`BExit`, and the code between them straight-line
+# :class:`BPure` segments. Every expression is a *column closure*
+# ``fn(frame, rows)``: it evaluates the expression for the active
+# ``rows`` of a :class:`~repro.pipeline.columns.Columns` frame, through
+# the column forms of the same value-level operators the closure backend
+# uses (:mod:`repro.pipeline.columns`), so a plan computes exactly what
+# the closures compute or aborts.
 #
 # Plans are deliberately partial: anything whose timing or shared state
 # cannot be replayed analytically (channels, barriers, __local memory,
-# HDL calls, autorun cycle boundaries, statically unresolved subscripts)
-# makes the kernel unplannable and ``compile_batch_plan`` returns a
-# fallback reason instead. The closure backend remains the execution
-# oracle; a plan only ever *reorders bookkeeping*, never semantics.
+# HDL calls, autorun cycle boundaries, statically unresolved subscripts,
+# switch statements) makes the kernel unplannable and
+# ``compile_batch_plan`` returns a fallback reason instead. The closure
+# backend remains the execution oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -1445,7 +1455,7 @@ class _BNode:
 
 
 class BPure(_BNode):
-    """Straight-line pure segment: ``fn(frame, ctx) -> control code``."""
+    """Straight-line segment without memory access: ``fn(frame, rows)``."""
 
     __slots__ = ("fn",)
     kind = 0
@@ -1509,7 +1519,8 @@ class BLoop(_BNode):
 
 
 class BTest(_BNode):
-    """Loop-condition probe: a falsy value exits the enclosing loop."""
+    """Loop-condition probe: a row whose value is falsy leaves the
+    enclosing loop."""
 
     __slots__ = ("cond_fn",)
     kind = 5
@@ -1518,8 +1529,19 @@ class BTest(_BNode):
         self.cond_fn = cond_fn
 
 
+class BExit(_BNode):
+    """``break``, ``continue`` or ``return`` (``code``: ``_BRK``,
+    ``_CNT`` or ``_RET``): the rows reaching it leave."""
+
+    __slots__ = ("code",)
+    kind = 6
+
+    def __init__(self, code: int) -> None:
+        self.code = code
+
+
 class BatchPlan:
-    """A kernel body lowered to a flat plan-node program.
+    """A kernel body lowered to a plan-node program.
 
     ``binding_slots`` mirrors :attr:`CompiledBody.binding_slots`; frames
     are independent of the closure backend's (slot numbering differs)
@@ -1538,7 +1560,7 @@ class BatchPlan:
         self.op_count = _count_ops(nodes)
 
     def make_frame(self, bindings: Dict[str, Any]) -> list:
-        """Fresh frame row for one work-item."""
+        """The launch's slots: the bindings, every other slot undefined."""
         frame = [_UNDEF] * self.n_slots
         for name, slot in self.binding_slots:
             frame[slot] = bindings[name]
@@ -1559,11 +1581,7 @@ def _count_ops(nodes) -> int:
 
 
 def _merge_pure(nodes) -> tuple:
-    """Collapse adjacent :class:`BPure` nodes into one segment closure.
-
-    Control codes short-circuit exactly like :meth:`_BodyCompiler._block`
-    sequencing, so merging preserves break/continue/return semantics.
-    """
+    """Collapse adjacent :class:`BPure` nodes into one segment closure."""
     out: list = []
     run: list = []
 
@@ -1575,11 +1593,9 @@ def _merge_pure(nodes) -> tuple:
         else:
             fns = tuple(node.fn for node in run)
 
-            def fn(f, c, _fns=fns):
+            def fn(f, rows, _fns=fns):
                 for sfn in _fns:
-                    ctl = sfn(f, c)
-                    if ctl is not None:
-                        return ctl
+                    sfn(f, rows)
             out.append(BPure(fn))
         run.clear()
 
@@ -1612,9 +1628,8 @@ def tier_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
     and stores and blocking channel reads (:mod:`repro.pipeline.replay`);
     whether each read channel is a lazy service is decided per launch
     (:meth:`~repro.frontend.compiler._CompiledMixin.replay_gate`). A
-    batch plan can contain no channel use at all: non-blocking channel
-    builtins compile to *pure* closures that mutate shared channel
-    state, so the plan compiler's purity probe alone cannot reject them.
+    batch plan can contain no channel use at all: a non-blocking channel
+    builtin mutates shared channel state even though it yields no op.
     """
     hdl = frozenset(hdl_names)
     reads: List[str] = []
@@ -1653,36 +1668,52 @@ def tier_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
     return None, tuple(reads), batch_reason
 
 
-class _PlanCompiler(_BodyCompiler):
-    """Second lowering pass: closure segments + explicit memory-op nodes.
+# -- column helpers for the plan closures -------------------------------------
 
-    Strategy: *probe* each statement with the inherited closure compiler;
-    a non-generator result is already one maximal straight-line segment
-    and becomes a single :class:`BPure`. Generator statements are
-    decomposed structurally, hoisting each memory access into its own
-    plan node with pure ANF temporaries carrying values across the
-    splits. Because the pure fragments are compiled by the *same*
-    machinery as the closure backend, plan value semantics are equal by
-    construction.
+
+def _declare_fresh(f, s: int, rows, value) -> None:
+    """A declaration: the rows that did not run it never read the slot
+    before running it themselves."""
+    f[s] = columns.fresh(rows, value, f.n)
+
+
+def _declare_hazard(f, s: int, rows, value) -> None:
+    """A declaration whose slot another row may read undeclared (see
+    ``_UNDEF``): such a read must still fail, so a partly declared slot
+    aborts."""
+    if rows is not None:
+        old = f[s]
+        if old is _UNDEF:
+            raise columns.BatchAbort("declaration by only some rows")
+        value = columns.masked(old, rows, value, f.n)
+    f[s] = value
+
+
+class _PlanCompiler(_BodyCompiler):
+    """Second lowering pass: the body as plan nodes over column frames.
+
+    It reuses the closure compiler's scopes, slot kinds and site labels
+    (so plan sites match the closure backend's LSU identities) and its
+    value-level operators through their column forms; every closure it
+    emits is a column closure ``fn(frame, rows)``.
     """
 
-    # -- probe bookkeeping --------------------------------------------------
+    # -- slots --------------------------------------------------------------
 
     def _temp(self) -> int:
-        """Allocate an anonymous ANF temporary slot."""
+        """Allocate an anonymous temporary slot."""
         slot = self._n_slots
         self._n_slots += 1
         self._kinds.append(K_UNKNOWN)
         return slot
 
-    def _snapshot(self, scope: _SlotScope) -> tuple:
-        return (self._n_slots, list(self._kinds), set(self._hazard),
-                dict(self._hdl_slots), dict(scope.slots))
-
-    def _restore(self, scope: _SlotScope, snapshot: tuple) -> None:
-        (self._n_slots, self._kinds, self._hazard, self._hdl_slots,
-         slots) = snapshot
-        scope.slots = slots
+    def _slot_read(self, slot: int) -> _CExpr:
+        def fn(f, rows, _s=slot):
+            value = f[_s]
+            if rows is not None and type(value) is columns.ndarray:
+                return value[rows]
+            return value
+        return _CExpr(fn)
 
     def _spill(self, expr: _CExpr, steps: list) -> _CExpr:
         """Force ``expr``'s evaluation (and side effects) to happen *now*
@@ -1692,39 +1723,61 @@ class _PlanCompiler(_BodyCompiler):
         slot = self._temp()
         fn = expr.fn
 
-        def save(f, c, _s=slot, _fn=fn):
-            f[_s] = _fn(f, c)
+        def save(f, rows, _s=slot, _fn=fn):
+            _declare_fresh(f, _s, rows, _fn(f, rows))
         steps.append(BPure(save))
-        return _CExpr(lambda f, c, _s=slot: f[_s])
+        return self._slot_read(slot)
+
+    def _plan_name(self, ident: str, node: ast.Node,
+                   scope: _SlotScope) -> _CExpr:
+        slot = scope.resolve(ident)
+        if slot is None:
+            return self._read_name(ident, node, scope)
+        if slot not in self._hazard:
+            return self._slot_read(slot)
+
+        def fn(f, rows, _s=slot):
+            value = f[_s]
+            if value is _UNDEF:
+                raise error_at(f"undefined identifier {ident!r}", node)
+            if rows is not None and type(value) is columns.ndarray:
+                return value[rows]
+            return value
+        return _CExpr(fn)
+
+    def _plan_store(self, ident: str, node: ast.Node,
+                    scope: _SlotScope) -> Optional[Callable]:
+        """``fn(frame, rows, value)`` assigning the slot on the active
+        rows, or None if undeclared (see :meth:`_store_name`)."""
+        slot = scope.resolve(ident)
+        if slot is None:
+            return None
+        hazard = slot in self._hazard
+
+        def fn(f, rows, value, _s=slot):
+            old = f[_s]
+            if hazard and old is _UNDEF:
+                raise error_at(
+                    f"assignment to undeclared identifier {ident!r}", node)
+            f[_s] = value if rows is None else columns.masked(
+                old, rows, value, f.n)
+        return fn
 
     # -- statements ---------------------------------------------------------
 
     def _plan_stmt(self, node: ast.Node, scope: _SlotScope,
                    hazard: bool) -> list:
-        if isinstance(node, ast.Declaration):
-            # Never probed: a probe would pre-declare the names, and the
-            # decomposition pass would then resolve initializer reads to
-            # the *new* slots instead of the outer ones.
-            return self._plan_declaration(node, scope, hazard)
-        snapshot = self._snapshot(scope)
-        gen, fn = self._stmt(node, scope, hazard)
-        if not gen:
-            return [BPure(fn)]
-        self._restore(scope, snapshot)
         if isinstance(node, ast.Block):
             inner = _SlotScope(scope)
             nodes: list = []
             for statement in node.statements:
                 nodes.extend(self._plan_stmt(statement, inner, hazard=False))
             return nodes
+        if isinstance(node, ast.Declaration):
+            return self._plan_declaration(node, scope, hazard)
         if isinstance(node, ast.ExprStatement):
             steps: list = []
-            value = self._plan_expr(node.expr, scope, steps)
-            vfn = value.fn
-
-            def run(f, c, _fn=vfn):
-                _fn(f, c)
-            steps.append(BPure(run))
+            self._discard(self._plan_expr(node.expr, scope, steps), steps)
             return steps
         if isinstance(node, ast.If):
             return self._plan_if(node, scope)
@@ -1734,17 +1787,30 @@ class _PlanCompiler(_BodyCompiler):
             return self._plan_while(node, scope)
         if isinstance(node, ast.Return):
             steps = []
-            value = self._plan_expr(node.value, scope, steps)
-            vfn = value.fn
-
-            def run_ret(f, c, _fn=vfn):
-                _fn(f, c)
-                return _RET
-            steps.append(BPure(run_ret))
+            if node.value is not None:
+                self._discard(self._plan_expr(node.value, scope, steps), steps)
+            steps.append(BExit(_RET))
             return steps
+        if isinstance(node, ast.Break):
+            return [BExit(_BRK)]
+        if isinstance(node, ast.Continue):
+            return [BExit(_CNT)]
         if isinstance(node, ast.Switch):
-            raise _PlanBail("switch with memory operands")
-        raise _PlanBail(f"cannot batch {type(node).__name__}")
+            raise _PlanBail("switch statement")
+
+        def fail(f, rows):
+            raise error_at(f"cannot execute {type(node).__name__}", node)
+        return [BPure(fail)]
+
+    @staticmethod
+    def _discard(expr: _CExpr, steps: list) -> None:
+        """Evaluate ``expr`` for its side effects (and errors) only."""
+        if expr.const is _NOCONST:
+            fn = expr.fn
+
+            def run(f, rows, _fn=fn):
+                _fn(f, rows)
+            steps.append(BPure(run))
 
     def _plan_declaration(self, node: ast.Declaration, scope: _SlotScope,
                           hazard: bool) -> list:
@@ -1754,40 +1820,41 @@ class _PlanCompiler(_BodyCompiler):
                 raise _PlanBail("__local memory")
             if name in node.array_sizes:
                 size = node.array_sizes[name]
+                # Size resolution happens before the (re)declaration.
                 if isinstance(size, str):
-                    size_expr = self._read_name(size, node, scope)
+                    size_expr = self._plan_name(size, node, scope)
                 else:
                     size_expr = _const(size)
                 slot = self._declare(scope, name, K_PRIVATE, hazard)
+                declare = _declare_hazard if hazard else _declare_fresh
                 sfn = size_expr.fn
 
-                def fn(f, c, _s=slot, _n=name, _sfn=sfn, _node=node):
-                    size_value = _sfn(f, c)
+                def fn(f, rows, _s=slot, _n=name, _sfn=sfn, _node=node,
+                       _declare=declare):
+                    size_value = _sfn(f, rows)
+                    if type(size_value) is columns.ndarray:
+                        raise columns.BatchAbort("per-row private array size")
                     if not isinstance(size_value, int) or size_value < 1:
                         raise error_at(
                             f"array {_n!r}: invalid size {size_value!r}",
                             _node)
-                    f[_s] = [0] * size_value
+                    _declare(f, _s, rows, columns.PrivateArray(
+                        columns.np.zeros((f.n, size_value),
+                                         dtype=columns.np.int64)))
                 steps.append(BPure(fn))
                 continue
             if initializer is None:
+                value = _const(0)
                 slot = self._declare(scope, name, K_INT, hazard)
+            else:
+                kind = self._static_kind(initializer, scope)
+                value = self._plan_expr(initializer, scope, steps)
+                slot = self._declare(scope, name, kind, hazard)
+            declare = _declare_hazard if hazard else _declare_fresh
+            vfn = value.fn
 
-                def fn(f, c, _s=slot):
-                    f[_s] = 0
-                steps.append(BPure(fn))
-                continue
-            kind = self._static_kind(initializer, scope)
-            isteps: list = []
-            init = self._plan_expr(initializer, scope, isteps)
-            slot = self._declare(scope, name,
-                                 kind if kind != K_UNKNOWN else K_UNKNOWN,
-                                 hazard)
-            steps.extend(isteps)
-            vfn = init.fn
-
-            def fn(f, c, _s=slot, _vfn=vfn):
-                f[_s] = _vfn(f, c)
+            def fn(f, rows, _s=slot, _vfn=vfn, _declare=declare):
+                _declare(f, _s, rows, _vfn(f, rows))
             steps.append(BPure(fn))
         return steps
 
@@ -1835,12 +1902,8 @@ class _PlanCompiler(_BodyCompiler):
         body_nodes = self._plan_stmt(node.body, loop_scope, hazard=True)
         ssteps: list = []
         if node.step is not None:
-            step = self._plan_expr(node.step, loop_scope, ssteps)
-            sfn = step.fn
-
-            def run(f, c, _fn=sfn):
-                _fn(f, c)
-            ssteps.append(BPure(run))
+            self._discard(self._plan_expr(node.step, loop_scope, ssteps),
+                          ssteps)
         loop_nodes = list(csteps)
         if condition is not None:
             loop_nodes.append(BTest(condition.fn))
@@ -1854,30 +1917,29 @@ class _PlanCompiler(_BodyCompiler):
 
     def _plan_expr(self, node: ast.Node, scope: _SlotScope,
                    steps: list) -> _CExpr:
-        """Compile ``node`` so its memory accesses become plan nodes in
-        ``steps``; always returns a *pure* expression for the value.
+        """Compile ``node`` to a column closure; its memory accesses
+        become plan nodes in ``steps``.
 
         Invariant: the returned expression is consumed (evaluated exactly
         once) before any plan node appended after this call executes, so
-        pure side effects keep their program-order position."""
-        expr = self._expr(node, scope)
-        if not expr.gen:
-            return expr
+        side effects keep their program-order position."""
+        if isinstance(node, ast.IntLiteral):
+            return _const(node.value)
+        if isinstance(node, ast.Name):
+            return self._plan_name(node.ident, node, scope)
         if isinstance(node, ast.Cast):
             return self._plan_expr(node.operand, scope, steps)
         if isinstance(node, ast.Unary):
             operand = self._plan_expr(node.operand, scope, steps)
+            scalar = _unop_fn(node.op)
+            if operand.const is not _NOCONST:
+                return _const(scalar(operand.const))
+            ufn = columns.column_unary(node.op, scalar)
             ofn = operand.fn
-            if node.op == "-":
-                return _CExpr(lambda f, c, _fn=ofn: -_fn(f, c))
-            if node.op == "!":
-                return _CExpr(lambda f, c, _fn=ofn: 0 if _fn(f, c) else 1)
-            return _CExpr(lambda f, c, _fn=ofn: ~_fn(f, c))
+            return _CExpr(lambda f, rows: ufn(ofn(f, rows)))
         if isinstance(node, ast.Binary):
             if node.op in ("&&", "||"):
-                # A conditionally-evaluated side containing a memory op
-                # cannot be flattened into an unconditional schedule.
-                raise _PlanBail("short-circuit operator with memory operand")
+                return self._plan_logic(node, scope, steps)
             left = self._plan_expr(node.left, scope, steps)
             rsteps: list = []
             right = self._plan_expr(node.right, scope, rsteps)
@@ -1886,56 +1948,90 @@ class _PlanCompiler(_BodyCompiler):
                 # the right side's memory ops execute.
                 left = self._spill(left, steps)
                 steps.extend(rsteps)
-            op_fn = _binop_fn(node.op, node)
+            scalar = _binop_fn(node.op, node)
+            if scalar is None:
+                return _raise_expr(f"unknown operator {node.op!r}", node)
+            if left.const is not _NOCONST and right.const is not _NOCONST:
+                lc, rc = left.const, right.const
+                try:
+                    return _const(scalar(lc, rc))
+                except Exception:
+                    # e.g. constant division by zero: fail when *executed*.
+                    return _CExpr(lambda f, rows: scalar(lc, rc))
+            binop = columns.column_binop(node.op, scalar)
             lf, rf = left.fn, right.fn
-            return _CExpr(
-                lambda f, c, _op=op_fn, _lf=lf, _rf=rf: _op(_lf(f, c),
-                                                            _rf(f, c)))
+            return _CExpr(lambda f, rows: binop(lf(f, rows), rf(f, rows)))
         if isinstance(node, ast.Subscript):
             return self._plan_subscript(node, scope, steps)
         if isinstance(node, ast.Assign):
             return self._plan_assign(node, scope, steps)
+        if isinstance(node, ast.IncDec):
+            return self._plan_incdec(node, scope)
         if isinstance(node, ast.AddressOf):
             return self._plan_address_of(node, scope, steps)
         if isinstance(node, ast.Call):
-            name = node.func
-            if name == "barrier":
-                raise _PlanBail("work-group barrier")
-            if name in CHANNEL_BUILTINS:
-                raise _PlanBail("channel operation")
-            if name in self._hdl_names:
-                raise _PlanBail("HDL library call")
-            raise _PlanBail(f"call to {name!r}")
-        raise _PlanBail(
-            f"cannot batch {type(node).__name__} with memory operands")
+            return self._plan_call(node)
+        return _raise_expr(f"cannot evaluate {type(node).__name__}", node)
+
+    def _plan_logic(self, node: ast.Binary, scope: _SlotScope,
+                    steps: list) -> _CExpr:
+        """``&&``/``||``: the right side runs only on the rows the left
+        side does not decide."""
+        is_and = node.op == "&&"
+        side_steps: list = []
+        left = self._plan_expr(node.left, scope, side_steps)
+        right = self._plan_expr(node.right, scope, side_steps)
+        if side_steps:
+            # A conditionally-evaluated side containing a memory op
+            # cannot be flattened into an unconditional schedule.
+            raise _PlanBail("short-circuit operator with memory operand")
+        rf = right.fn
+        if left.const is not _NOCONST:
+            if bool(left.const) != is_and:
+                return _const(0 if is_and else 1)   # right never evaluated
+            if right.const is not _NOCONST:
+                return _const(1 if right.const else 0)
+            return _CExpr(lambda f, rows: columns.truth(rf(f, rows)))
+        lf = left.fn
+
+        def fn(f, rows):
+            value = lf(f, rows)
+            if type(value) is not columns.ndarray:
+                if bool(value) != is_and:
+                    return 0 if is_and else 1
+                return columns.truth(rf(f, rows))
+            truthy = value != 0
+            undecided = truthy if is_and else ~truthy
+            result = truthy.astype(columns.np.int64)
+            count = int(columns.np.count_nonzero(undecided))
+            if count:
+                if count == len(value):
+                    rest = rows
+                else:
+                    rest = (f.all_rows() if rows is None
+                            else rows)[undecided]
+                result[undecided] = columns.truth(rf(f, rest))
+            return result
+        return _CExpr(fn)
 
     def _plan_subscript(self, node: ast.Subscript, scope: _SlotScope,
                         steps: list) -> _CExpr:
         slot, kind = self._pristine_kind(node.base, scope)
         if kind == K_PRIVATE:
-            idx = self._plan_expr(node.index, scope, steps)
-            ifn = idx.fn
+            ifn = self._plan_expr(node.index, scope, steps).fn
 
-            def fn(f, c, _s=slot, _ifn=ifn, _node=node):
-                array = f[_s]
-                i = _ifn(f, c)
-                if not 0 <= i < len(array):
-                    raise error_at(
-                        f"private array index {i} out of range "
-                        f"[0, {len(array)})", _node)
-                return array[i]
+            def fn(f, rows, _s=slot):
+                return columns.private_get(f, rows, f[_s], ifn(f, rows))
             return _CExpr(fn)
-        if kind == K_CHANARR:
-            idx = self._plan_expr(node.index, scope, steps)
-            ifn = idx.fn
-            return _CExpr(lambda f, c, _s=slot, _ifn=ifn: f[_s][_ifn(f, c)])
         if kind == K_BUFFER:
             idx = self._plan_expr(node.index, scope, steps)
             dst = self._temp()
             steps.append(BLoad(slot, idx.fn, dst, self._site(node)))
-            return _CExpr(lambda f, c, _d=dst: f[_d])
+            return self._slot_read(dst)
         if kind == K_LOCAL:
             raise _PlanBail("__local memory")
+        if kind == K_CHANARR:
+            raise _PlanBail("channel array")
         raise _PlanBail("subscript with statically unresolved base")
 
     def _plan_assign(self, node: ast.Assign, scope: _SlotScope,
@@ -1943,10 +2039,9 @@ class _PlanCompiler(_BodyCompiler):
         target = node.target
         if isinstance(target, ast.Name):
             value = self._plan_expr(node.value, scope, steps)
-            # The inherited lowering handles store/compound/undeclared
-            # semantics; with a pure value it yields a pure expression.
-            return self._assign_name(node, target, value, scope)
-        compound = None if node.op == "=" else _compound_fn(node.op)
+            return self._plan_assign_name(node, target, value, scope)
+        compound = None if node.op == "=" else columns.column_compound(
+            node.op, _compound_fn(node.op))
         slot, kind = self._pristine_kind(target.base, scope)
         if kind == K_PRIVATE:
             value = self._plan_expr(node.value, scope, steps)
@@ -1957,18 +2052,13 @@ class _PlanCompiler(_BodyCompiler):
                 steps.extend(isteps)
             vfn, ifn = value.fn, idx.fn
 
-            def fn(f, c, _s=slot, _vfn=vfn, _ifn=ifn, _node=node,
-                   _cp=compound):
-                v = _vfn(f, c)
+            def fn(f, rows, _s=slot):
+                v = vfn(f, rows)
                 array = f[_s]
-                i = _ifn(f, c)
-                if not 0 <= i < len(array):
-                    raise error_at(
-                        f"private array index {i} out of range "
-                        f"[0, {len(array)})", _node)
-                if _cp is not None:
-                    v = _cp(array[i], v)
-                array[i] = v
+                i = ifn(f, rows)
+                if compound is not None:
+                    v = compound(columns.private_get(f, rows, array, i), v)
+                columns.private_set(f, rows, array, i, v)
                 return v
             return _CExpr(fn)
         if kind == K_BUFFER:
@@ -1976,32 +2066,77 @@ class _PlanCompiler(_BodyCompiler):
             # Value before index, both exactly once, both before the
             # memory ops — the closure's evaluation order.
             value = self._spill(value, steps)
-            isteps = []
-            idx = self._plan_expr(target.index, scope, isteps)
-            steps.extend(isteps)
+            idx = self._plan_expr(target.index, scope, steps)
             idx = self._spill(idx, steps)
-            result_fn = value.fn
+            result = value
             if compound is not None:
                 current = self._temp()
                 steps.append(BLoad(slot, idx.fn, current,
                                    self._site(target)))
                 combined = self._temp()
+                cfn = self._slot_read(current).fn
                 vfn = value.fn
 
-                def combine(f, c, _r=combined, _cur=current, _vfn=vfn,
-                            _cp=compound):
-                    f[_r] = _cp(f[_cur], _vfn(f, c))
+                def combine(f, rows, _r=combined):
+                    _declare_fresh(f, _r, rows,
+                                   compound(cfn(f, rows), vfn(f, rows)))
                 steps.append(BPure(combine))
-                result_fn = lambda f, c, _r=combined: f[_r]   # noqa: E731
-            steps.append(BStore(slot, idx.fn, result_fn, self._site(node)))
-            return _CExpr(result_fn)
+                result = self._slot_read(combined)
+            steps.append(BStore(slot, idx.fn, result.fn, self._site(node)))
+            return result
         if kind == K_LOCAL:
             raise _PlanBail("__local memory")
         raise _PlanBail("subscript store with statically unresolved base")
 
+    def _plan_assign_name(self, node: ast.Assign, target: ast.Name,
+                          value: _CExpr, scope: _SlotScope) -> _CExpr:
+        """:meth:`_assign_name` over columns."""
+        vf = value.fn
+        store = self._plan_store(target.ident, target, scope)
+        compound = None if node.op == "=" else columns.column_compound(
+            node.op, _compound_fn(node.op))
+        current = None
+        if compound is not None:
+            current = self._plan_name(target.ident, target, scope).fn
+        if store is None:
+            ident = target.ident
+
+            def fail(f, rows):
+                v = vf(f, rows)
+                if compound is not None:
+                    compound(current(f, rows), v)
+                raise error_at(
+                    f"assignment to undeclared identifier {ident!r}", target)
+            return _CExpr(fail)
+
+        def fn(f, rows):
+            v = vf(f, rows)           # rvalue first (it may mutate target)
+            if compound is not None:
+                v = compound(current(f, rows), v)
+            store(f, rows, v)
+            return v
+        return _CExpr(fn)
+
+    def _plan_incdec(self, node: ast.IncDec, scope: _SlotScope) -> _CExpr:
+        ident = node.target.ident
+        if scope.resolve(ident) is None:
+            return self._incdec(node, scope)    # fails when it runs
+        read = self._plan_name(ident, node.target, scope).fn
+        store = self._plan_store(ident, node.target, scope)
+        add = columns.column_binop("+", _binop_fn("+", node))
+        delta = 1 if node.op == "++" else -1
+
+        def fn(f, rows):
+            current = read(f, rows)
+            store(f, rows, add(current, delta))
+            return current
+        return _CExpr(fn)
+
     def _plan_address_of(self, node: ast.AddressOf, scope: _SlotScope,
                          steps: list) -> _CExpr:
-        target = node.target    # a Subscript: otherwise _expr is pure
+        target = node.target
+        if not isinstance(target, ast.Subscript):
+            return self._address_of(node, scope)    # fails when it runs
         base = self._plan_expr(target.base, scope, steps)
         isteps: list = []
         idx = self._plan_expr(target.index, scope, isteps)
@@ -2009,18 +2144,29 @@ class _PlanCompiler(_BodyCompiler):
             base = self._spill(base, steps)
             steps.extend(isteps)
         bf, ifn = base.fn, idx.fn
-        message = ("& is only supported on __global buffer elements (and "
-                   "as the valid-flag argument of non-blocking channel "
-                   "reads)")
 
-        def fn(f, c, _bf=bf, _ifn=ifn, _node=node):
-            b = _bf(f, c)
-            i = _ifn(f, c)
-            if isinstance(b, str):
-                store = c._instance.fabric.memory.buffer(b)
+        def fn(f, rows):
+            b = bf(f, rows)
+            i = ifn(f, rows)
+            if not isinstance(b, str):
+                raise error_at(_ADDRESS_OF_ONLY, node)
+            store = f.memory.buffer(b)
+            if type(i) is not columns.ndarray:
                 return store.address_of(i)
-            raise error_at(message, _node)
+            i = columns.index_of(i, store.size)
+            return store.base_address + i * store.itemsize
         return _CExpr(fn)
+
+    def _plan_call(self, node: ast.Call) -> _CExpr:
+        name = node.func
+        if name == "get_global_id":
+            return _CExpr(lambda f, rows: f.gid(rows))
+        if name == "get_compute_id":
+            return _CExpr(lambda f, rows: f.compute_id)
+        if name in ("get_global_size", "get_local_id", "mem_fence"):
+            return self._call(node, None)
+        # A barrier, channel or HDL call never gets here (see tier_scan).
+        return _raise_expr(f"unknown function {name!r}", node)
 
     # -- entry --------------------------------------------------------------
 

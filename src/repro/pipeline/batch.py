@@ -1,20 +1,37 @@
 """The batch table: columnar lockstep over a whole launch.
 
 The table is the first tier every
-:class:`~repro.pipeline.engine.PipelineEngine` launch tries. It runs the
-straight-line regions of a compiled kernel body once per *plan node*
-across every work-item of the compute unit, instead of once per
-work-item per op through the event loop. A table launch has two phases:
+:class:`~repro.pipeline.engine.PipelineEngine` launch tries. It runs a
+compiled kernel body once per *plan node* across every work-item of the
+compute unit, instead of once per work-item per op through the event
+loop. A table launch has two phases:
 
-* **Phase A (values)** — every work-item gets one frame row; plan nodes
-  execute columnar-style (node-major, rows inner). Pure segments touch
-  only per-row state; memory ops read the backing stores directly and
-  record ``(site, index)`` issue tuples per row. Rows that disagree at
-  an ``if`` are split, and each arm runs over its own rows; a loop runs
-  over a copy of its rows, from which the loop test drops each row
-  whose condition fails. This stays exact:
+* **Phase A (values)** — a column executor. Each frame slot holds one
+  value for every work-item: a uniform Python value, or a numpy column
+  with one entry per row (:mod:`repro.pipeline.columns`). The *active
+  rows* are a row-index set (every row at the top of the body); each
+  plan node runs once over them:
 
-  - a row's values depend only on its own frame and on plan-time
+  - a :class:`~repro.frontend.codegen.BPure` is a vector expression
+    over the active rows' columns;
+  - a ``BLoad`` gathers its elements from the plan-time buffer contents
+    (widened at once to ``int64``/``float64``), a ``BStore`` records
+    the elements and values it scatters; both record each row's access
+    for Phase B;
+  - a ``BIf`` splits the active rows by its condition and runs each arm
+    over its own rows; a ``BLoop`` runs its body while rows remain, and
+    its ``BTest`` drops the rows whose condition fails;
+  - a ``return`` clears the rows taking it from the rest of the body, a
+    ``break`` from the rest of its loop, a ``continue`` from the rest
+    of the loop's body (they rejoin at the loop's step).
+
+  Every column operation is exact-or-abort: for every active row it
+  yields what the closure backend's scalar operation yields, or it
+  raises :class:`BatchAbort` naming why (an ``int64`` overflow, a shift
+  count outside 0-63, a zero divisor, a value outside ``int64``, a
+  column mixing ints and floats). This stays exact:
+
+  - a row's values depend only on its own slots and on plan-time
     memory, because a load of an element this launch wrote aborts
     (read-after-write) and a store to an element it read aborts
     (write-after-read);
@@ -23,19 +40,20 @@ work-item per op through the event loop. A table launch has two phases:
   - the order of stores to one element is set by Phase B's issue
     order, not by Phase A.
 
-  This phase has **zero shared side effects**, so a ``break``,
-  ``continue`` or ``return`` taken by only some rows, a hazard, or any
-  exception can abort it and transparently hand the launch to the
-  engine's next tier — reproducing exact oracle semantics, including
-  the original failure mode.
+  This phase has **zero shared side effects**, so a hazard, an inexact
+  column or any exception can abort it and transparently hand the
+  launch to the engine's next tier — reproducing exact oracle
+  semantics, including the original failure mode.
 
 * **Phase B (timing)** — the analytic launch replay of
-  :mod:`repro.pipeline.replay` times the recorded ops: the launcher/LSU
-  event choreography on a private heap, in the same ``(cycle,
-  scheduling-order)`` sequence the real event loop would produce, with
-  the posted-store commits landing in one real flush event. The same
-  core replays replayable kernels from their body generators when
-  the table does not apply.
+  :mod:`repro.pipeline.replay` times the recorded accesses: the
+  launcher/LSU event choreography on a private heap, in the same
+  ``(cycle, scheduling-order)`` sequence the real event loop would
+  produce, with the posted-store commits landing in one real flush
+  event. Phase A hands it every row's accesses in body order as one
+  flat list, sorted by row once with numpy. The same core replays
+  replayable kernels from their body generators when the table does not
+  apply.
 
 The phases only run when the kernel lowered to a
 :class:`~repro.frontend.codegen.BatchPlan` and the launch owns the
@@ -49,30 +67,24 @@ compiler, so their launches never try the table and write no
 
 Equality with the reference op executor (``tests/executor_oracle.py``:
 buffers, ``sim.now``, engine and LSU stats, LSU registration order,
-iteration traces) is enforced by ``tests/test_prop_batch_equivalence.py``.
+iteration traces) is enforced by ``tests/test_prop_batch_equivalence.py``
+and ``tests/test_prop_batch_columns.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.pipeline.columns import (EMPTY, BatchAbort, Columns, fresh,
+                                    index_of, operand, split, whole, widen)
 from repro.pipeline.context import KernelContext
-from repro.pipeline.replay import LaunchReplay, Row
+from repro.pipeline.replay import LaunchReplay
 
-#: Phase A control codes 1..3 mirror the closure backend's
-#: ``_BRK/_CNT/_RET``; ``_EXIT`` is the loop-condition-failed code a
-#: ``BTest`` returns (it never escapes the enclosing ``BLoop``).
-_BRK, _CNT, _RET, _EXIT = 1, 2, 3, 4
-
-
-class BatchAbort(Exception):
-    """Phase A divergence/hazard: abort the table attempt; the engine's
-    next tier times the launch."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+#: ``BExit`` codes, the closure backend's ``_BRK/_CNT/_RET``.
+_BRK, _CNT, _RET = 1, 2, 3
 
 
 @dataclass
@@ -92,44 +104,49 @@ class BatchStats:
 
 
 class PhaseA:
-    """Phase A of one table launch: every work-item's memory ops and
-    values, columnar, with no shared side effects.
+    """Phase A of one table launch: every work-item's memory accesses
+    and values, a column at a time, with no shared side effects.
 
-    :meth:`rows` fills ``replay``'s LSU boxes and counters and returns
-    the rows :meth:`~repro.pipeline.replay.LaunchReplay.run_planned`
+    :meth:`run` fills ``replay``'s LSU boxes and counters and returns
+    the accesses :meth:`~repro.pipeline.replay.LaunchReplay.run_planned`
     times, or raises :class:`BatchAbort`.
     """
 
     def __init__(self, engine: Any, replay: LaunchReplay) -> None:
         self.engine = engine
         self.replay = replay
-        # Intra-launch hazard sets: buffer name -> element indices.
-        self._read: Dict[str, set] = {}
-        self._written: Dict[str, set] = {}
-        # Plan-time buffer snapshots: name -> (values-as-list, size). Loads
-        # never observe this launch's own stores (RAW aborts), so reading
-        # the plan-time contents is exact — and a plain list indexes far
-        # faster than per-element ``ndarray.item()`` calls.
-        self._data: Dict[str, tuple] = {}
+        self.frame: Optional[Columns] = None
+        # Per buffer name: (store, read flags, written flags, traffic).
+        # The flags mark the elements this launch read/wrote so far.
+        self._buffers: Dict[str, tuple] = {}
+        #: Accesses in execution order: (box, store or None for a load,
+        #: rows, elements, stored values (None for a load), backing store).
+        self._records: List[tuple] = []
+        # Rows leaving the innermost loop by break (or its test) and by
+        # continue; None outside every loop.
+        self._brk: Optional[list] = None
+        self._cnt: Optional[list] = None
 
-    def rows(self, plan: Any, tags: List[Any]) -> List[Row]:
+    def run(self, plan: Any, tags: List[Any]) -> Tuple[tuple, list]:
+        """``(accesses, starts)``: the columns ``(boxes, addresses,
+        stores, elements, values)`` of every row's accesses in body
+        order, each row's ended by a marker (see
+        :meth:`~repro.pipeline.replay.LaunchReplay.run_planned`), and the
+        position of each row's first entry."""
         try:
-            rows = []
-            template = None
-            instance = self.engine.instance
-            for tag in tags:
-                ctx = KernelContext(instance, iteration=tag)
-                if template is None:
-                    # Bindings depend only on launch args/defines/channels,
-                    # not the iteration tag: build one frame and copy it.
-                    template = plan.make_frame(
-                        self.engine.kernel._bindings(ctx))
-                rows.append(Row(tag, ctx, template[:]))
-            if rows:
-                ctl = self._exec_nodes(plan.nodes, rows)
-                if ctl is not None and ctl != _RET:
-                    raise BatchAbort("stray control code at body top level")
-            return rows
+            if not tags:
+                return ([], [], [], [], []), []
+            engine = self.engine
+            instance = engine.instance
+            # Bindings depend only on launch args/defines/channels, not
+            # the iteration tag.
+            bindings = engine.kernel._bindings(
+                KernelContext(instance, iteration=tags[0]))
+            self.frame = Columns(plan.make_frame(bindings), len(tags), tags,
+                                 engine.fabric.memory, instance.compute_id)
+            with np.errstate(all="ignore"):
+                self._exec(plan.nodes, None)
+                return self._issue_order()
         except BatchAbort:
             raise
         except Exception as exc:
@@ -139,152 +156,199 @@ class PhaseA:
             # KeyboardInterrupt and SystemExit propagate: no re-run.
             raise BatchAbort(f"body raised {type(exc).__name__}") from exc
 
-    def _exec_nodes(self, nodes: tuple, rows: List[Row],
-                    start: int = 0) -> Optional[int]:
-        memory = self.engine.fabric.memory
-        replay = self.replay
-        read, written = self._read, self._written
-        index = start
-        count = len(nodes)
-        while index < count:
-            node = nodes[index]
-            index += 1
+    # -- control flow --------------------------------------------------------
+
+    def _exec(self, nodes: tuple, rows: Any) -> Any:
+        """Run ``nodes`` over the active ``rows`` (None: every row);
+        returns the rows that reach the end (:data:`EMPTY` if none)."""
+        frame = self.frame
+        for node in nodes:
             kind = node.kind
             if kind == 0:                                   # BPure
-                fn = node.fn
-                first = rows[0]
-                ctl = fn(first.frame, first.ctx)
-                for row in rows[1:]:
-                    if fn(row.frame, row.ctx) != ctl:
-                        raise BatchAbort("control-flow divergence")
-                if ctl is not None:
-                    return ctl
+                node.fn(frame, rows)
             elif kind == 1:                                 # BLoad
-                index_fn = node.index_fn
-                base, dst = node.base_slot, node.dst_slot
-                box = replay.site_box(node.site, "load")
-                counts = replay.counts
-                name = None
-                for row in rows:
-                    frame = row.frame
-                    buffer_name = frame[base]
-                    if buffer_name is not name:
-                        name = buffer_name
-                        store = memory.buffer(name)
-                        itemsize = store.itemsize
-                        base_address = store.base_address
-                        values, size = self._buffer_values(name, store)
-                        traffic = replay.traffic.setdefault(
-                            name, [0, 0, 0, 0])
-                        read_set = read.setdefault(name, set())
-                        written_set = written.get(name)
-                    element = index_fn(frame, row.ctx)
-                    if type(element) is not int:
-                        element = int(element)
-                    if element < 0 or element >= size:
-                        raise BatchAbort("index out of range")
-                    if written_set is not None and element in written_set:
-                        raise BatchAbort("read-after-write hazard")
-                    read_set.add(element)
-                    frame[dst] = values[element]
-                    counts[0] += 1
-                    counts[2] += itemsize
-                    traffic[0] += 1
-                    traffic[2] += itemsize
-                    row.ops.append(
-                        (box, base_address + element * itemsize, None, 0,
-                         None))
+                self._load(node, rows)
             elif kind == 2:                                 # BStore
-                index_fn, value_fn = node.index_fn, node.value_fn
-                base = node.base_slot
-                box = replay.site_box(node.site, "store")
-                counts = replay.counts
-                name = None
-                for row in rows:
-                    frame = row.frame
-                    buffer_name = frame[base]
-                    if buffer_name is not name:
-                        name = buffer_name
-                        store = memory.buffer(name)
-                        itemsize = store.itemsize
-                        base_address = store.base_address
-                        size = store.size
-                        traffic = replay.traffic.setdefault(
-                            name, [0, 0, 0, 0])
-                        written_set = written.setdefault(name, set())
-                        read_set = read.get(name)
-                    element = index_fn(frame, row.ctx)
-                    if type(element) is not int:
-                        element = int(element)
-                    value = value_fn(frame, row.ctx)
-                    if element < 0 or element >= size:
-                        raise BatchAbort("index out of range")
-                    if read_set is not None and element in read_set:
-                        # The earlier load's in-flight completion could
-                        # land after this store's commit: value unsafe.
-                        raise BatchAbort("write-after-read hazard")
-                    written_set.add(element)
-                    counts[1] += 1
-                    counts[3] += itemsize
-                    traffic[1] += 1
-                    traffic[3] += itemsize
-                    row.ops.append(
-                        (box, base_address + element * itemsize, store,
-                         element, value))
+                self._store(node, rows)
             elif kind == 3:                                 # BIf
-                cond_fn = node.cond_fn
-                then_rows: List[Row] = []
-                else_rows: List[Row] = []
-                for row in rows:
-                    if cond_fn(row.frame, row.ctx):
-                        then_rows.append(row)
-                    else:
-                        else_rows.append(row)
-                if not else_rows:
-                    ctl = self._exec_nodes(node.then_nodes, rows)
-                elif not then_rows:
-                    ctl = self._exec_nodes(node.else_nodes, rows)
-                else:
-                    # Rows disagree: each arm runs over its own rows.
-                    ctl = self._exec_nodes(node.then_nodes, then_rows)
-                    if self._exec_nodes(node.else_nodes, else_rows) != ctl:
-                        # break/continue/return taken by only some rows.
-                        raise BatchAbort("control-flow divergence")
-                if ctl is not None:
-                    return ctl
+                taken, other = split(node.cond_fn(frame, rows), rows,
+                                     frame.all_rows)
+                if taken is not EMPTY:
+                    taken = self._exec(node.then_nodes, taken)
+                if other is not EMPTY:
+                    other = self._exec(node.else_nodes, other)
+                rows = self._join([taken, other])
             elif kind == 4:                                 # BLoop
-                body = node.nodes
-                continue_index = node.continue_index
-                # The body's BTest narrows this copy to the rows still
-                # looping; the nodes after the loop see all of ``rows``.
-                active = list(rows)
-                while True:
-                    ctl = self._exec_nodes(body, active)
-                    if ctl == _CNT:
-                        ctl = self._exec_nodes(body, active,
-                                               start=continue_index)
-                    if ctl is None:
-                        continue
-                    if ctl == _BRK or ctl == _EXIT:
-                        break
-                    if len(active) != len(rows):
-                        # Rows that left the loop earlier do not return.
-                        raise BatchAbort("control-flow divergence")
-                    return ctl                              # _RET propagates
-            else:                                           # BTest (kind 5)
-                # ``rows`` is the enclosing BLoop's ``active`` list: drop
-                # the rows whose condition fails, in place.
-                cond_fn = node.cond_fn
-                live = [row for row in rows if cond_fn(row.frame, row.ctx)]
-                if not live:
-                    return _EXIT
-                if len(live) != len(rows):
-                    rows[:] = live
-        return None
+                rows = self._loop(node, rows)
+            elif kind == 5:                                 # BTest
+                rows, failed = split(node.cond_fn(frame, rows), rows,
+                                     frame.all_rows)
+                if failed is not EMPTY:
+                    self._brk.append(failed)
+            else:                                           # BExit
+                code = node.code
+                if code != _RET:
+                    exits = self._brk if code == _BRK else self._cnt
+                    if exits is None:
+                        raise BatchAbort("break or continue outside a loop")
+                    exits.append(rows)
+                return EMPTY
+            if rows is EMPTY:
+                return EMPTY
+        return rows
 
-    def _buffer_values(self, name: str, store: Any) -> tuple:
-        """Plan-time contents of ``name`` as ``(plain-list, size)``."""
-        info = self._data.get(name)
-        if info is None:
-            info = self._data[name] = (store.data.tolist(), store.size)
-        return info
+    def _loop(self, node: Any, rows: Any) -> Any:
+        """Run a ``BLoop`` until no row is left in it; returns the rows
+        that left by its test or a ``break``."""
+        saved = self._brk, self._cnt
+        self._brk = left = []
+        head = node.nodes[:node.continue_index]
+        step = node.nodes[node.continue_index:]
+        while rows is not EMPTY:
+            self._cnt = continued = []
+            rows = self._exec(head, rows)
+            if continued:
+                rows = self._join([rows] + continued)
+            if rows is not EMPTY and step:
+                rows = self._exec(step, rows)
+        self._brk, self._cnt = saved
+        return self._join(left)
+
+    def _join(self, parts: list) -> Any:
+        """The union of disjoint row sets."""
+        parts = [part for part in parts if part is not EMPTY]
+        if not parts:
+            return EMPTY
+        if len(parts) == 1:
+            return parts[0]
+        if any(part is None for part in parts):
+            return None
+        rows = np.concatenate(parts)
+        return None if len(rows) == self.frame.n else rows
+
+    # -- memory --------------------------------------------------------------
+
+    def _buffer(self, name: Any) -> tuple:
+        entry = self._buffers.get(name)
+        if entry is None:
+            store = self.engine.fabric.memory.buffer(name)
+            entry = self._buffers[name] = (
+                store, np.zeros(store.size, dtype=bool),
+                np.zeros(store.size, dtype=bool),
+                self.replay.traffic.setdefault(name, [0, 0, 0, 0]))
+        return entry
+
+    def _elements(self, index: Any, rows: Any, store: Any) -> np.ndarray:
+        """The active rows' element indices, bounds-checked."""
+        index = index_of(whole(index), store.size)
+        if type(index) is np.ndarray:
+            return index
+        return np.full(self.frame.n if rows is None else len(rows), index,
+                       dtype=np.int64)
+
+    def _load(self, node: Any, rows: Any) -> None:
+        frame = self.frame
+        store, read, written, traffic = self._buffer(frame[node.base_slot])
+        elements = self._elements(node.index_fn(frame, rows), rows, store)
+        if written[elements].any():
+            raise BatchAbort("read-after-write hazard")
+        read[elements] = True
+        # The destination is a fresh temporary: only these rows read it.
+        frame[node.dst_slot] = fresh(rows, widen(store.data[elements]),
+                                     frame.n)
+        self._record(node.site, "load", store, traffic, rows, elements, None)
+
+    def _store(self, node: Any, rows: Any) -> None:
+        frame = self.frame
+        store, read, written, traffic = self._buffer(frame[node.base_slot])
+        elements = self._elements(node.index_fn(frame, rows), rows, store)
+        value = operand(node.value_fn(frame, rows))
+        if read[elements].any():
+            # The earlier load's in-flight completion could land after
+            # this store's commit: value unsafe.
+            raise BatchAbort("write-after-read hazard")
+        written[elements] = True
+        self._record(node.site, "store", store, traffic, rows, elements,
+                     value)
+
+    def _record(self, site: str, kind: str, store: Any, traffic: list,
+                rows: Any, elements: np.ndarray, values: Any) -> None:
+        replay = self.replay
+        count = len(elements)
+        size = count * store.itemsize
+        counts = replay.counts
+        if kind == "load":
+            counts[0] += count
+            counts[2] += size
+            traffic[0] += count
+            traffic[2] += size
+        else:
+            counts[1] += count
+            counts[3] += size
+            traffic[1] += count
+            traffic[3] += size
+        self._records.append((replay.site_box(site, kind),
+                              None if kind == "load" else store, rows,
+                              elements, values, store))
+
+    # -- Phase B's view ------------------------------------------------------
+
+    def _issue_order(self) -> Tuple[tuple, list]:
+        """Every row's accesses in body order, as flat columns, each
+        row's followed by its end marker: box None, the row's index as
+        its address."""
+        frame = self.frame
+        every = frame.all_rows()
+        records = self._records
+        width = len(records) + 1
+        if all(rec[2] is None for rec in records):
+            # Every row ran every access: a row's accesses are its row of
+            # an (n, width) grid.
+            n = frame.n
+            addresses = np.empty((n, width), dtype=np.int64)
+            elements = np.zeros((n, width), dtype=np.int64)
+            values = np.empty((n, width), dtype=object)
+            for position, (_, target, _, index, written, store) in \
+                    enumerate(records):
+                addresses[:, position] = \
+                    store.base_address + index * store.itemsize
+                if target is not None:
+                    elements[:, position] = index
+                    # Python scalars: BackingStore.write sees what
+                    # stepping writes.
+                    values[:, position] = written
+            addresses[:, -1] = every
+            return ((([rec[0] for rec in records] + [None]) * n,
+                     addresses.ravel().tolist(),
+                     ([rec[1] for rec in records] + [None]) * n,
+                     elements.ravel().tolist(), values.ravel().tolist()),
+                    list(range(0, n * width, width)))
+        # Phase A ran each row's accesses in its body order, so a stable
+        # sort of all records by row gives each row's sequence.
+        keys = [every if rec[2] is None else rec[2] for rec in records]
+        keys.append(every)
+        sizes = [len(key) for key in keys]
+        boxes = np.empty(width, dtype=object)
+        targets = np.empty(width, dtype=object)
+        values = np.empty(sum(sizes), dtype=object)
+        addresses = []
+        offset = 0
+        for position, (box, target, _, index, written, store) in \
+                enumerate(records):
+            boxes[position] = box
+            targets[position] = target
+            addresses.append(store.base_address + index * store.itemsize)
+            if target is not None:
+                values[offset:offset + sizes[position]] = written
+            offset += sizes[position]
+        addresses.append(every)
+        rows = np.concatenate(keys)
+        order = np.argsort(rows, kind="stable")
+        record_of = np.repeat(np.arange(width), sizes)[order]
+        elements = np.concatenate([rec[3] for rec in records] + [every])
+        per_row = np.bincount(rows, minlength=frame.n)
+        starts = np.concatenate(([0], np.cumsum(per_row)[:-1])).tolist()
+        return (boxes[record_of].tolist(),
+                np.concatenate(addresses)[order].tolist(),
+                targets[record_of].tolist(), elements[order].tolist(),
+                values[order].tolist()), starts

@@ -28,8 +28,7 @@ _CYCLE_BOUNDARY = ops.CycleBoundary()
 class KernelContext:
     """Per-iteration (or per-compute-unit) view of the machine."""
 
-    # One context is allocated per iteration instance — the batch engine
-    # materializes a whole launch's worth up front — so slots matter.
+    # One context is allocated per iteration instance, so slots matter.
     __slots__ = ("_instance", "_iteration")
 
     def __init__(self, instance: Any, iteration: Any = None) -> None:

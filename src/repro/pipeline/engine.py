@@ -554,7 +554,8 @@ class PipelineEngine(_OpExecutor):
                 space = list(space)
                 replay = LaunchReplay(self)
                 try:
-                    planned = PhaseA(self, replay).rows(plan, space)
+                    accesses, starts = PhaseA(self, replay).run(plan,
+                                                                space)
                 except BatchAbort as abort:
                     # Phase A is side-effect-free, so the materialized tag
                     # list can go to the next tier verbatim. Its LSUs go
@@ -571,8 +572,9 @@ class PipelineEngine(_OpExecutor):
                     # Phase A registered the LSUs in plan order; rows that
                     # disagree at a branch or loop test may first issue
                     # them in another order.
-                    self._lsus = {(lsu.site, lsu.kind): lsu
-                                  for lsu in replay.run_planned(planned)}
+                    self._lsus = {
+                        (lsu.site, lsu.kind): lsu
+                        for lsu in replay.run_planned(accesses, starts, space)}
                     return
         self.batch = BatchStats("fallback", reason, rows, ops_count,
                                 divergence)

@@ -12,9 +12,11 @@ pops replicate the wheel's FIFO-per-cycle merged order exactly.
 
 Three feeders drive one issue loop (:meth:`LaunchReplay._run`):
 
-* **planned rows** (:meth:`LaunchReplay.run_planned`): the batch tier's
-  Phase A has already computed every work-item's memory ops and values
-  (see :mod:`repro.pipeline.batch`); the replay only times them;
+* **planned accesses** (:meth:`LaunchReplay.run_planned`): the batch
+  tier's Phase A has already computed every work-item's memory accesses
+  and values (see :mod:`repro.pipeline.batch`) as flat columns, each
+  row's run of entries ended by a marker; the replay only times them,
+  and a row is just the position of its next entry;
 * **body generators** (:meth:`LaunchReplay.run_bodies`): a Python-IR
   kernel that declares :attr:`~repro.pipeline.kernel.Kernel.replayable`
   has each iteration's body generator fed op by op. Loads read their
@@ -89,20 +91,14 @@ _Collect = ops.CollectReduction
 
 
 class Row:
-    """One iteration: a planned op list (batch) or a body generator; or a
-    host READ transfer, whose next word index is :attr:`next_op`."""
+    """One iteration's body generator, or a host READ transfer, whose
+    next word index is :attr:`next_op`."""
 
-    __slots__ = ("tag", "ctx", "frame", "ops", "next_op", "issued_at",
-                 "body")
+    __slots__ = ("tag", "ctx", "next_op", "issued_at", "body")
 
-    def __init__(self, tag: Any, ctx: KernelContext,
-                 frame: Optional[list] = None) -> None:
+    def __init__(self, tag: Any, ctx: KernelContext) -> None:
         self.tag = tag
         self.ctx = ctx
-        self.frame = frame
-        #: Planned issue tuples ``(box, address, store, element, value)``
-        #: in body order (``store`` is None for loads).
-        self.ops: List[tuple] = []
         self.next_op = 0
         self.issued_at = 0
         self.body: Any = None
@@ -183,14 +179,20 @@ class LaunchReplay:
 
     # -- feeders -------------------------------------------------------------
 
-    def run_planned(self, rows: List[Row]) -> List[Any]:
-        """Time rows whose op lists batch Phase A computed.
+    def run_planned(self, accesses: tuple, starts: List[int],
+                    tags: List[Any]) -> List[Any]:
+        """Time the accesses batch Phase A computed for the rows of
+        ``tags``. ``accesses`` is five parallel lists: each access's LSU
+        box, address, store (None for a load), element and stored value;
+        each row's accesses are consecutive, in body order, and end with
+        a marker whose box is None and whose address is the row's index.
+        ``starts`` has each row's first position.
 
         Returns their LSUs in the order the sites first issue, which is
         the order stepping registers them in.
         """
         first_issue: List[Any] = []
-        self._run(_PLANNED, rows, first_issue)
+        self._run(_PLANNED, starts, (accesses, tags, first_issue))
         self._flush()
         return first_issue
 
@@ -424,10 +426,10 @@ class LaunchReplay:
         after ``horizon`` is recorded in :attr:`late_commits` instead,
         with its cycle.
 
-        ``feeder`` is, per mode: the list the planned rows' LSUs join at
-        their site's first issue; the body step (see :meth:`run_bodies`);
-        the transfer's ``(row, channel, store, box, limit, end,
-        through)`` (see :meth:`run_transfer`).
+        ``feeder`` is, per mode: the planned ``(accesses, tags, list the
+        LSUs join at their site's first issue)``; the body step (see
+        :meth:`run_bodies`); the transfer's ``(row, channel, store, box,
+        limit, end, through)`` (see :meth:`run_transfer`).
         """
         sim = self.sim
         start = now = sim._now
@@ -475,7 +477,10 @@ class LaunchReplay:
         # transfer always resume as a row, a body load reads its value.
         resume, payload = _EV_ROW, None
         if planned:
-            first_issue = feeder
+            (boxes, addresses, targets, elements, values), tags, \
+                first_issue = feeder
+            # Each planned row's issue cycle, for the iteration trace.
+            issued: List[int] = []
         elif bodies:
             step = feeder
             kernel = engine.kernel
@@ -514,12 +519,15 @@ class LaunchReplay:
                     # itself, and op-free rows retire synchronously (as
                     # `inline=True` iteration processes do).
                     if planned:
+                        # A planned row is the position of its next access.
                         row = pending
+                        if trace is not None:
+                            issued.append(now)
                     else:
                         ctx = KernelContext(instance, iteration=pending)
                         row = Row(pending, ctx)
                         row.body = kernel.body(ctx)
-                    row.issued_at = now
+                        row.issued_at = now
                     pending = _PENDING
                     value = None
                 else:
@@ -551,13 +559,16 @@ class LaunchReplay:
                             value = counter_channel.value()
                 # The row's next access; box None when the row retires.
                 if planned:
-                    position = row.next_op
-                    ops_ = row.ops
-                    if position == len(ops_):
-                        box = None
+                    box = boxes[row]
+                    if box is None:                 # the row's end marker
+                        element = addresses[row]
                     else:
-                        row.next_op = position + 1
-                        box, address, store, element, value = ops_[position]
+                        address = addresses[row]
+                        store = targets[row]
+                        if store is not None:
+                            element = elements[row]
+                            value = values[row]
+                        row += 1
                         if not box[1]:          # the site's first access
                             first_issue.append(box[6])
                 elif bodies:
@@ -582,7 +593,11 @@ class LaunchReplay:
                     store = to
                 if box is None:
                     if trace is not None:
-                        trace.append((row.tag, row.issued_at, now))
+                        if planned:
+                            trace.append((tags[element], issued[element],
+                                          now))
+                        else:
+                            trace.append((row.tag, row.issued_at, now))
                     inflight -= 1
                     stats.iterations_retired += 1
                     if slot_armed:

@@ -8,13 +8,15 @@ point of the batch tier.
 
 Rows that disagree at a data-dependent ``if`` or loop test stay in the
 table, and that is exact: Phase A values depend only on a row's own
-frame and on plan-time memory (a load of an element this launch wrote
+slots and on plan-time memory (a load of an element this launch wrote
 aborts as read-after-write, a store to an element it read aborts as
 write-after-read), so any read/write overlap on one element between two
 rows aborts whichever arm Phase A runs first; and the order of stores to
-one element is set by Phase B's issue order, not by Phase A. What still
-falls back is a ``break``, ``continue`` or ``return`` taken by only some
-rows — the pins below hold both sides of that line.
+one element is set by Phase B's issue order, not by Phase A. A
+``break``, ``continue`` or ``return`` taken by only some rows stays in
+the table too: those rows leave the rest of their loop or body. What
+falls back is a hazard, an out-of-range index, or a column operation
+that cannot be exact (``tests/test_prop_batch_columns.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __kernel void conv(__global int* in, __global int* out, int n) {
 """
 
 
-#: Rows 4.. return early: Phase A aborts ("control-flow divergence").
+#: Rows 4.. return early: Phase A clears them from the rest of the body.
 _PARTIAL_RETURN = """
 __kernel void k(__global int* in, __global int* out, int n) {
     int gid = get_global_id(0);
@@ -134,7 +136,7 @@ class TestTableMode:
         elif case == "table":
             fabric, engine = _run_source(_CONVERGENT, "conv")
         else:
-            fabric, engine = _run_source(_PARTIAL_RETURN, "k")
+            fabric, engine = _run_source(_READ_AFTER_WRITE, "k")
         assert (engine.batch.mode == "table") == (case == "table")
         assert engine.stepped_reason is None
         assert reads == [0]
@@ -152,6 +154,16 @@ __kernel void k(__global int* in, __global int* out, int n) {
     } else {
         out[gid] = -in[gid];
     }
+}
+"""
+
+#: Phase A aborts with a read-after-write hazard.
+_READ_AFTER_WRITE = """
+__kernel void k(__global int* in, __global int* out, int n) {
+    int gid = get_global_id(0);
+    out[gid] = in[gid] + 1;
+    int check = out[gid];
+    out[gid] = check * 2;
 }
 """
 
@@ -208,6 +220,100 @@ class TestDivergentTable:
             for gid in range(12)]
         self._assert_matches_reference(_DIVERGENT_TRIP_COUNT, fabric,
                                        engine, 12)
+
+    def _assert_table(self, source, n=8):
+        program_cache_clear()
+        hub = TraceHub()
+        fabric, engine = _run_source(source, "k", n=n,
+                                     fabric=Fabric(trace=hub))
+        outcome = engine.batch
+        assert (outcome.mode, outcome.reason, outcome.divergence) == \
+            ("table", "", 0)
+        assert hub.count("batch.divergence") == 0
+        self._assert_matches_reference(source, fabric, engine, n)
+        return fabric
+
+    def test_partial_return_stays_in_table(self):
+        """Rows 4.. return early and skip the store after the ``if``."""
+        fabric = self._assert_table(_PARTIAL_RETURN)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [-1, -2, -3, -4, 5, 6, 7, 8]
+
+    def test_bounds_guard_return_stays_in_table(self):
+        """The common ``if (gid >= n) return;`` guard over a launch wider
+        than the buffers."""
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            if (gid >= 5) return;
+            out[gid] = in[gid] * 3;
+        }
+        """
+        fabric = self._assert_table(source)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [3, 6, 9, 12, 15, 0, 0, 0]
+
+    def test_partial_break_stays_in_table(self):
+        """Row ``gid`` breaks out of the loop once an element exceeds it;
+        the others keep looping."""
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            int sum = 0;
+            for (int i = 0; i < n; i++) {
+                int x = in[i];
+                if (x > gid) {
+                    break;
+                }
+                sum += x;
+            }
+            out[gid] = sum;
+        }
+        """
+        fabric = self._assert_table(source)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [gid * (gid + 1) // 2 for gid in range(8)]
+
+    def test_partial_continue_stays_in_table(self):
+        """Rows that ``continue`` skip the rest of the body and rejoin
+        at the loop's step."""
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            int sum = 0;
+            for (int i = 0; i < 4; i++) {
+                if ((i + gid) % 3 == 0) {
+                    continue;
+                }
+                sum += in[(gid + i) % n];
+            }
+            out[gid] = sum;
+        }
+        """
+        fabric = self._assert_table(source)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == [
+            sum((gid + i) % 8 + 1 for i in range(4) if (i + gid) % 3)
+            for gid in range(8)]
+
+    def test_return_by_every_row_still_looping_stays_in_table(self):
+        """Rows 2.. return inside the loop; rows 0 and 1 left it earlier
+        and go on to the store after it."""
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            for (int i = 0; i < gid; i++) {
+                int x = in[i];
+                if (i == 1) {
+                    out[gid] = x;
+                    return;
+                }
+            }
+            out[gid] = -gid;
+        }
+        """
+        fabric = self._assert_table(source)
+        assert list(fabric.memory.buffer("OUT").snapshot()) == \
+            [0, -1] + [2] * 6
 
 
 class TestStaticBail:
@@ -360,60 +466,6 @@ class TestDynamicDivergence:
         assert len(launches) == 1
         assert launches[0].values == (0, rows, outcome.ops)
 
-    def test_partial_return_falls_back(self):
-        program_cache_clear()
-        fabric, engine = _run_source(_PARTIAL_RETURN, "k",
-                                     fabric=Fabric(trace=TraceHub()))
-        self._assert_divergent_fallback(fabric, engine,
-                                        "control-flow divergence")
-        assert list(fabric.memory.buffer("OUT").snapshot()) == \
-            [-1, -2, -3, -4, 5, 6, 7, 8]
-
-    def test_partial_break_falls_back(self):
-        program_cache_clear()
-        source = """
-        __kernel void k(__global int* in, __global int* out, int n) {
-            int gid = get_global_id(0);
-            int sum = 0;
-            for (int i = 0; i < n; i++) {
-                int x = in[i];
-                if (x > gid) {
-                    break;
-                }
-                sum += x;
-            }
-            out[gid] = sum;
-        }
-        """
-        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
-        self._assert_divergent_fallback(fabric, engine,
-                                        "control-flow divergence")
-        assert list(fabric.memory.buffer("OUT").snapshot()) == \
-            [gid * (gid + 1) // 2 for gid in range(8)]
-
-    def test_return_by_every_row_still_looping_falls_back(self):
-        """Rows 2.. return inside the loop; rows 0 and 1 left it earlier
-        and go on to the store after it."""
-        program_cache_clear()
-        source = """
-        __kernel void k(__global int* in, __global int* out, int n) {
-            int gid = get_global_id(0);
-            for (int i = 0; i < gid; i++) {
-                int x = in[i];
-                if (i == 1) {
-                    out[gid] = x;
-                    return;
-                }
-            }
-            out[gid] = -gid;
-        }
-        """
-        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
-        self._assert_divergent_fallback(fabric, engine,
-                                        "control-flow divergence")
-        assert list(fabric.memory.buffer("OUT").snapshot()) == \
-            [0, -1] + [2] * 6
-
     def test_hazard_after_a_split_keeps_stepping_lsu_order(self):
         """Phase A registered the loop's LSUs before aborting; the
         stepped re-run registers each at its first issue instead."""
@@ -439,15 +491,8 @@ class TestDynamicDivergence:
 
     def test_read_after_write_hazard_falls_back(self):
         program_cache_clear()
-        source = """
-        __kernel void k(__global int* in, __global int* out, int n) {
-            int gid = get_global_id(0);
-            out[gid] = in[gid] + 1;
-            int check = out[gid];
-            out[gid] = check * 2;
-        }
-        """
-        fabric, engine = _run_source(source, "k", fabric=Fabric(trace=TraceHub()))
+        fabric, engine = _run_source(_READ_AFTER_WRITE, "k",
+                                     fabric=Fabric(trace=TraceHub()))
         self._assert_divergent_fallback(fabric, engine,
                                         "read-after-write hazard")
         assert list(fabric.memory.buffer("OUT").snapshot()) == \

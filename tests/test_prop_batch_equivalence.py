@@ -10,7 +10,7 @@ observable surface must match exactly: buffer contents, ``sim.now``,
 engine statistics (including issue-stall cycles and the per-iteration
 trace), global-memory statistics and per-buffer traffic, and the
 per-(site, kind) LSU timing snapshots. Kernels the batch engine cannot
-table-execute (divergence, hazards, barriers, ``__local`` memory) must
+table-execute (hazards, barriers, ``__local`` memory) must
 fall back transparently and still match — ``executor="batch"`` is always
 safe to request.
 
@@ -81,10 +81,10 @@ def _stmts(draw, depth=0, loop_depth=0, convergent=False):
 
     Branch conditions and loop bounds that read ``gid`` or ``in[...]``
     make control flow diverge across work-items: the batch engine splits
-    its rows at such an ``if`` and drops rows out of such a loop, but a
-    ``return``, ``break`` or ``continue`` taken by only some rows sends
-    the launch back to stepping. ``out[...] op=`` statements read and
-    write the output buffer, tripping the batch hazard detector. The
+    its rows at such an ``if``, drops rows out of such a loop, and
+    clears the rows that take a ``return``, ``break`` or ``continue``
+    from the rest of the body or loop. ``out[...] op=`` statements read
+    and write the output buffer, tripping the batch hazard detector. The
     property holds whichever path executes the launch.
 
     ``convergent`` leaves out both: no ``out[...] op=`` and no partial
@@ -196,6 +196,49 @@ def _kernel_sources(draw, convergent=False):
     return source
 
 
+@st.composite
+def _float_exprs(draw, depth=0):
+    """A source-text expression over ``double`` buffer values (quarters
+    in [-1.25, 10]), small ints and ``gid``: ``+ - * /``, the
+    comparisons, ``!`` and unary ``-``. Divisors are at least 2."""
+    leaves = [
+        st.integers(-9, 9).map(str),
+        st.sampled_from(["x", "y", "gid"]),
+        st.sampled_from(["in[(gid & 15)]", "in[((gid + 3) & 15)]"]),
+    ]
+    node = draw(st.integers(0, 7))
+    if depth >= 3 or node <= 2:
+        return draw(st.one_of(leaves))
+    left = draw(_float_exprs(depth=depth + 1))
+    if node == 6:
+        return f"({draw(st.sampled_from(['!', '-']))}({left}))"
+    right = draw(_float_exprs(depth=depth + 1))
+    if node == 3:
+        return f"({left} {draw(st.sampled_from(['+', '-', '*']))} {right})"
+    if node == 4:
+        op = draw(st.sampled_from(["<", ">", "<=", ">=", "==", "!="]))
+        return f"({left} {op} {right})"
+    return f"({left} / (2 + ({right}) * ({right})))"
+
+
+@st.composite
+def _float_kernel_sources(draw):
+    """A straight-line kernel over ``double`` buffers: every row runs
+    every statement, so no column mixes ints and floats."""
+    body = []
+    for _ in range(draw(st.integers(1, 6))):
+        target = draw(st.sampled_from(
+            ["x", "y", "out[((gid + 1) & 15)]", "out[((gid + 2) & 15)]"]))
+        body.append(f"{target} = {draw(_float_exprs())};")
+    lines = ["int gid = get_global_id(0);",
+             "double x = in[(gid & 15)];",
+             "double y = in[((gid + 5) & 15)];"] + body + [
+        "out[(gid & 15)] = x + y;"]
+    return ("__kernel void k(__global double* in, __global double* out, "
+            "int n) {\n" + "\n".join("    " + line for line in lines)
+            + "\n}\n")
+
+
 def _lsu_snapshot(engine):
     """Per-LSU timing stats with *rank-normalized* site labels.
 
@@ -237,13 +280,15 @@ def _memory_snapshot(fabric):
 
 def _run_generated(source, global_size, executor, kernel="k",
                    buffers=(("IN", "in"), ("OUT", "out")), n=7,
-                   pipeline=None):
+                   pipeline=None, dtype="int64"):
     fabric = Fabric(keep_lsu_samples=True)
     program = compile_source(fabric, source)
     args = {"n": n, "__global_size": global_size}
+    values = np.arange(_BUF) * 3 - 5
+    if dtype == "float64":
+        values = values / 4
     for alloc_name, arg_name in buffers:
-        fabric.memory.allocate(alloc_name, _BUF).fill(
-            np.arange(_BUF) * 3 - 5)
+        fabric.memory.allocate(alloc_name, _BUF, dtype=dtype).fill(values)
         args[arg_name] = alloc_name
     compiled = program.kernel(kernel)
     if pipeline is not None:
@@ -378,6 +423,24 @@ class TestPlannedMatchesBodies:
         assert planned[1].batch.mode == "table", planned[1].batch
         assert bodies[1].stepped_reason is None
         assert bodies[1].batch.mode == ""
+        _assert_equivalent(planned, ref, ["IN", "OUT"])
+        _assert_equivalent(bodies, ref, ["IN", "OUT"])
+
+    @given(source=_float_kernel_sources(), global_size=st.integers(0, 40),
+           pipeline=_PIPELINES)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_float_planned_bodies_and_reference_agree(self, source,
+                                                      global_size, pipeline):
+        """The same over ``double`` buffers: float64 columns follow the
+        closures' float semantics, a ``/`` truncating to an int
+        included."""
+        program_cache_clear()
+        runs = [_run_generated(source, global_size, executor,
+                               pipeline=pipeline, dtype="float64")
+                for executor in ("batch", "bodies", "reference")]
+        planned, bodies, ref = runs
+        assert planned[1].batch.mode == "table", planned[1].batch
+        assert bodies[1].stepped_reason is None
         _assert_equivalent(planned, ref, ["IN", "OUT"])
         _assert_equivalent(bodies, ref, ["IN", "OUT"])
 
