@@ -216,7 +216,7 @@ def _run_experiments(args) -> int:
     if args.trace_out:
         from repro.trace.columnar import ColumnarSink
         from repro.trace.hub import TraceHub
-        hub = TraceHub(flush_rows=args.trace_flush_rows)
+        hub = TraceHub(keep_records=False, flush_rows=args.trace_flush_rows)
         sink = hub.attach(ColumnarSink(args.trace_out, hub.registry))
     names = _PAPER_ORDER if args.experiment == "all" else (args.experiment,)
     for name in names:
@@ -324,29 +324,14 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
     """Render ``trace query`` output lines (shared with the server).
 
     ``opts`` mirrors the query flags: schema, kernel, cu, site, since,
-    until, limit, agg, by. Bad aggregations raise ``ReproError`` — the
-    caller maps that to exit status 2 / a ``bad_request`` error.
+    until, limit, agg, by (see :func:`repro.trace.query.run_params`).
+    Bad params and aggregations raise ``ReproError`` — the caller maps
+    that to exit status 2 / a ``bad_request`` error.
     """
-    from repro.trace.query import TraceQuery
+    from repro.trace.query import run_params
 
-    def as_list(value):
-        return value if isinstance(value, (list, tuple)) else [value]
-
-    query = TraceQuery(store)
-    if opts.get("schema"):
-        query.schema(opts["schema"])
-    if opts.get("kernel"):
-        query.kernel(*as_list(opts["kernel"]))
-    if opts.get("cu"):
-        query.cu(*as_list(opts["cu"]))
-    if opts.get("site"):
-        query.site(*as_list(opts["site"]))
-    if opts.get("since") is not None or opts.get("until") is not None:
-        query.between(opts.get("since"), opts.get("until"))
+    result = run_params(store, opts)
     if opts.get("agg"):
-        result = query.aggregate(opts["agg"], by=opts.get("by"))
-        if not isinstance(result, dict):
-            result = {"(all)": result}
         lines = [f"{'group':36s} {'count':>8s} {'min':>10s} "
                  f"{'max':>10s} {'mean':>12s}"]
         for key in sorted(result, key=str):
@@ -354,10 +339,7 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
             lines.append(f"{str(key):36s} {agg.count:8d} {agg.minimum:10d} "
                          f"{agg.maximum:10d} {agg.mean:12.2f}")
         return lines
-    if opts.get("limit"):
-        query.limit(opts["limit"])
-    rows = query.rows()
-    return [str(row) for row in rows] + [f"({len(rows)} row(s))"]
+    return [str(row) for row in result] + [f"({len(result)} row(s))"]
 
 
 def _trace_query_opts(args) -> Dict[str, Any]:

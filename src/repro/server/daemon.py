@@ -28,13 +28,16 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
+from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.protocol import ServerError
 from repro.server.scheduler import JobScheduler
 from repro.server.session import Session, SessionQuota, Subscription
+from repro.trace.query import run_params
 
 
 @dataclass
@@ -57,11 +60,11 @@ class ServerConfig:
     max_sessions: int = 64
     #: Element quota across one session's named buffers.
     max_buffer_elems: int = 1 << 20
-    #: Retained trace records per session (older rows age out).
-    max_trace_records: int = 1 << 20
-    #: Default streamed-segment split: at most N rows per streamed
-    #: segment (0 = one segment per schema per batch). Sessions may
-    #: override via the ``session.open`` ``trace_flush_rows`` param.
+    #: Retained trace rows per session (the oldest rows age out).
+    max_trace_rows: int = 1 << 20
+    #: Default capture granularity: a traced job seals a segment every N
+    #: rows (0 = one segment per schema per job). Sessions may override
+    #: via the ``session.open`` ``trace_flush_rows`` param.
     trace_flush_rows: int = 0
 
 
@@ -270,25 +273,28 @@ class ReproServer:
         await conn.send(protocol.encode_binary_notification(
             "trace.segment", params, payloads))
 
-    async def _publish_records(self, conn: _Connection, session: Session,
-                               result: Dict[str, Any]) -> int:
-        """Retain a finished job's trace records and stream to subscribers.
+    async def _publish_segments(self, conn: _Connection, session: Session,
+                                result: Dict[str, Any]) -> int:
+        """Retain a finished job's trace segments and stream them.
 
-        Pops the records off the result (the response carries counts,
+        Pops the segments off the result (the response carries counts,
         not rows — subscribers stream them, ``trace.query`` filters
-        them). Returns the number of new records.
+        them); each subscriber gets the job's segments of the schemas
+        it asked for. Returns the number of new rows.
         """
-        records = result.pop("trace_records", None)
-        schemas = result.pop("trace_schemas", ())
-        if not records:
+        from repro.trace.columnar import SegmentCollector
+
+        segments = SegmentCollector.decode(result.pop("trace_segments", ()))
+        if not segments:
             return 0
-        added = session.add_records(schemas, records)
+        session.add_segments(segments)
         for subscription in list(session.subscriptions.values()):
-            segments = session.batch_segments(added, subscription)
-            if not segments:
-                continue
-            await self._send_segments(conn, session, subscription, segments)
-        return len(added)
+            wanted = [segment for segment in segments
+                      if subscription.wants(segment.schema)]
+            if wanted:
+                await self._send_segments(conn, session, subscription,
+                                          wanted)
+        return sum(segment.rows for segment in segments)
 
     def _kernel_payload(self, session: Session,
                         params: Dict[str, Any]) -> Dict[str, Any]:
@@ -342,6 +348,7 @@ class ReproServer:
             "executor": executor,
             "autorun_args": params.get("autorun_args"),
             "trace": bool(params.get("trace", False)),
+            "flush_rows": session.quota.trace_flush_rows,
         }
         if "max_cycles" in params:
             payload["max_cycles"] = int(params["max_cycles"])
@@ -354,7 +361,7 @@ class ReproServer:
         writebacks = payload.pop("__writebacks", {})
         result = await self.scheduler.execute(session, "kernel", payload)
         session.stats.cycles_total += int(result.get("sim_now", 0))
-        streamed = await self._publish_records(conn, session, result)
+        streamed = await self._publish_segments(conn, session, result)
         result["trace"] = {"records": streamed}
         for kernel_buffer, session_buffer in writebacks.items():
             if kernel_buffer in result["buffers"] and not session.closed:
@@ -418,7 +425,7 @@ class ReproServer:
         quota = SessionQuota(
             queue_limit=queue_limit,
             max_buffer_elems=self.config.max_buffer_elems,
-            max_trace_records=self.config.max_trace_records,
+            max_trace_rows=self.config.max_trace_rows,
             trace_flush_rows=trace_flush_rows)
         session = Session(session_id, quota=quota)
         self.sessions[session_id] = session
@@ -561,10 +568,11 @@ class ReproServer:
             "name": name,
             "params": dict(params.get("params") or {}),
             "trace": bool(params.get("trace", False)),
+            "flush_rows": session.quota.trace_flush_rows,
         }
         self.scheduler.admit(session)
         result = await self.scheduler.execute(session, "experiment", payload)
-        streamed = await self._publish_records(conn, session, result)
+        streamed = await self._publish_segments(conn, session, result)
         result["trace"] = {"records": streamed}
         return result
 
@@ -575,8 +583,13 @@ class ReproServer:
             subscription_id=session.next_id("sub"),
             schemas=set(schemas) if schemas else None)
         session.subscriptions[subscription.subscription_id] = subscription
-        if params.get("replay") and session.records:
-            segments = session.batch_segments(session.records, subscription)
+        if params.get("replay"):
+            # One segment per schema, as a single live batch has; with a
+            # trace_flush_rows cap the retained segments already fit it.
+            retained = (session.segments if session.quota.trace_flush_rows
+                        else session.trace_store().segments)
+            segments = [segment for segment in retained
+                        if subscription.wants(segment.schema)]
             if segments:
                 await self._send_segments(conn, session, subscription,
                                           segments, replay=True)
@@ -595,38 +608,16 @@ class ReproServer:
 
     async def _m_trace_query(self, conn, params):
         session = self._require_session(conn)
-        from repro.errors import ReproError
-        from repro.trace.query import TraceQuery
-
-        store = session.make_store()
-        try:
-            query = TraceQuery(store)
-            if params.get("schema"):
-                query.schema(params["schema"])
-            if params.get("kernel"):
-                query.kernel(*_as_list(params["kernel"]))
-            if params.get("cu"):
-                query.cu(*[int(value) for value in _as_list(params["cu"])])
-            if params.get("site"):
-                query.site(*_as_list(params["site"]))
-            if (params.get("since") is not None
-                    or params.get("until") is not None):
-                query.between(params.get("since"), params.get("until"))
-            if params.get("agg"):
-                result = query.aggregate(params["agg"], by=params.get("by"))
-                if not isinstance(result, dict):
-                    result = {"(all)": result}
-                return {"aggregate": {
-                    str(key): {"count": agg.count, "min": agg.minimum,
-                               "max": agg.maximum, "total": agg.total,
-                               "mean": agg.mean}
-                    for key, agg in result.items()}}
-            limit = params.get("limit")
-            if limit:
-                query.limit(int(limit))
-            return {"rows": query.rows(), "total_rows": store.total_rows()}
-        except ReproError as exc:
-            raise ServerError(protocol.E_BAD_REQUEST, str(exc)) from None
+        store = session.trace_store()
+        with _bad_query_params():
+            result = run_params(store, params)
+        if params.get("agg"):
+            return {"aggregate": {
+                str(key): {"count": agg.count, "min": agg.minimum,
+                           "max": agg.maximum, "total": agg.total,
+                           "mean": agg.mean}
+                for key, agg in result.items()}}
+        return {"rows": result, "total_rows": store.total_rows()}
 
     async def _m_trace_store_info(self, conn, params):
         store = _load_store(params)
@@ -637,12 +628,9 @@ class ReproServer:
     async def _m_trace_store_query(self, conn, params):
         store = _load_store(params)
         from repro.cli import format_trace_query
-        from repro.errors import ReproError
 
-        try:
+        with _bad_query_params():
             return {"lines": format_trace_query(store, params)}
-        except ReproError as exc:
-            raise ServerError(protocol.E_BAD_REQUEST, str(exc)) from None
 
     _HANDLERS = {
         "server.ping": _m_ping,
@@ -700,12 +688,19 @@ _PARAMS: Dict[str, frozenset] = {
 }
 
 
-def _as_list(value: Any) -> List[Any]:
-    return value if isinstance(value, list) else [value]
+@contextmanager
+def _bad_query_params() -> Iterator[None]:
+    """Answer a query's ``ReproError`` as ``bad_request``; a wrong-typed
+    param names itself in ``data``, as an unknown one does."""
+    try:
+        yield
+    except ReproError as exc:
+        param = getattr(exc, "param", None)
+        raise ServerError(protocol.E_BAD_REQUEST, str(exc),
+                          {"param": param} if param else None) from None
 
 
 def _load_store(params: Dict[str, Any]):
-    from repro.errors import ReproError
     from repro.trace.columnar import ColumnarStore
 
     path = params.get("path")

@@ -7,7 +7,11 @@ thread executor (``--workers 0``), in a warm
 :class:`~repro.sweep.runner.WorkerPool` process, or directly in a test.
 That single codepath is the server's determinism contract: a kernel run
 through the daemon is byte-identical (buffers, ``sim.now``,
-engine/LSU/memory stats, trace records) to the same run in-process.
+engine/LSU/memory stats, trace rows) to the same run in-process.
+
+A traced job captures through
+:meth:`~repro.trace.columnar.SegmentCollector.capture`, as a sweep
+point does: its result carries ``trace_segments`` pairs, no records.
 
 Failures a *user* can cause (compile diagnostics, bad launch args,
 simulated deadlocks) are returned as structured ``{"error": ...}`` dicts
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
 from repro.server import protocol
@@ -42,13 +46,6 @@ def _frontend_error_payload(exc) -> Dict[str, Any]:
         data["line"] = line
         data["column"] = column
     return _structured_error(protocol.E_COMPILE, str(exc), data)
-
-
-def _hub_schemas(hub) -> Tuple[Tuple[str, Tuple[str, ...], str], ...]:
-    """Layouts of every schema the hub actually saw (sweep-runner idiom)."""
-    return tuple((schema.name, schema.fields, schema.doc)
-                 for schema in (hub.registry.get(name)
-                                for name in sorted(hub.counts)))
 
 
 def _json_tag(tag: Any) -> Any:
@@ -96,13 +93,15 @@ def execute_kernel_job(source: str, kernel: str,
                        executor: str = "fast",
                        autorun_args: Optional[Dict[str, Dict[str, Any]]] = None,
                        trace: bool = False,
-                       max_cycles: int = 10_000_000) -> Dict[str, Any]:
+                       max_cycles: int = 10_000_000,
+                       flush_rows: int = 0) -> Dict[str, Any]:
     """Compile ``source`` and run one kernel launch on a private fabric.
 
     ``buffers`` maps global-buffer names to ``{"size": N}`` with an
     optional ``"fill": [ints]``; every buffer's final contents come back
     in the result. With ``trace=True`` the fabric publishes into a fresh
-    hub and the result carries the records + schema layouts (the caller
+    capture hub sealing every ``flush_rows`` rows (0: once, at the end)
+    and the result carries its ``trace_segments`` (the caller
     streams/stores them). Compilation hits the process-wide program
     cache, so a warm worker skips the frontend entirely.
     """
@@ -112,8 +111,8 @@ def execute_kernel_job(source: str, kernel: str,
 
     hub = None
     if trace:
-        from repro.trace.hub import TraceHub
-        hub = TraceHub()
+        from repro.trace.columnar import SegmentCollector
+        hub, collector = SegmentCollector.capture(flush_rows)
     fabric = Fabric(keep_lsu_samples=True, trace=hub)
     try:
         program = compile_source(fabric, source, defines=defines,
@@ -170,26 +169,28 @@ def execute_kernel_job(source: str, kernel: str,
     finally:
         fabric.stop_autorun()
     if hub is not None:
-        result["trace_records"] = list(hub.records)
-        result["trace_schemas"] = _hub_schemas(hub)
+        hub.close()
+        result["trace_segments"] = collector.segments
     return result
 
 
 def execute_experiment_job(name: str,
                            params: Optional[Dict[str, Any]] = None,
-                           trace: bool = False) -> Dict[str, Any]:
+                           trace: bool = False,
+                           flush_rows: int = 0) -> Dict[str, Any]:
     """Run one paper experiment; returns its rendered report text.
 
     Dispatches through :mod:`repro.experiments.registry` — the exact
     codepath the in-process CLI uses — so the rendered text matches the
-    local ``repro-fpga run`` output byte for byte.
+    local ``repro-fpga run`` output byte for byte. A traced run carries
+    ``trace_segments`` as :func:`execute_kernel_job` does.
     """
     from repro.experiments import registry
 
     hub = None
     if trace and name in registry.TRACEABLE:
-        from repro.trace.hub import TraceHub
-        hub = TraceHub()
+        from repro.trace.columnar import SegmentCollector
+        hub, collector = SegmentCollector.capture(flush_rows)
     try:
         rendered = registry.run_experiment(name, hub=hub,
                                            **dict(params or {}))
@@ -205,12 +206,27 @@ def execute_experiment_job(name: str,
         return _structured_error(
             protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}",
             {"traceback": traceback.format_exc()})
-    result: Dict[str, Any] = {"experiment": name, "rendered": rendered,
-                              "traceable": name in registry.TRACEABLE}
+    result = _ExperimentResult(experiment=name, rendered=rendered,
+                               traceable=name in registry.TRACEABLE)
     if hub is not None:
-        result["trace_records"] = list(hub.records)
-        result["trace_schemas"] = _hub_schemas(hub)
+        hub.close()
+        result["trace_segments"] = collector.segments
     return result
+
+
+class _ExperimentResult(dict):
+    """An experiment job's result dict whose ``["trace_records"]`` decodes
+    ``trace_segments`` into records (stored order) on demand — the
+    reference digests of ``perfbench/server_sessions.py`` count rows so.
+    The key is never stored, so no record list is built or shipped."""
+
+    def __missing__(self, key: str) -> Any:
+        if key != "trace_records" or "trace_segments" not in self:
+            raise KeyError(key)
+        from repro.trace.columnar import ColumnarStore, SegmentCollector
+
+        return ColumnarStore(SegmentCollector.decode(
+            self["trace_segments"])).records()
 
 
 #: Job kinds the scheduler accepts -> worker function import paths.

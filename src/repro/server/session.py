@@ -7,8 +7,9 @@ the cf4ocl-style *context* of this runtime. Each session owns
   program images live in the process-wide cache, shared across sessions),
 * **named buffers** (host-visible int arrays that persist across runs and
   can seed/collect kernel launches), bounded by an element quota,
-* a **private trace hub** accumulating every record its jobs produced,
-  with subscriptions that stream new records out as ``.ctb`` segments,
+* the **retained trace segments** its jobs shipped (sealed ``.ctb``
+  segments, never record objects), which ``trace.query`` reads and
+  subscriptions stream out,
 * job bookkeeping (queue depth for backpressure, completed counters,
   total simulated cycles).
 
@@ -24,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import ServerError
-from repro.trace.schema import SchemaRegistry, TraceRecord
+from repro.trace.columnar import ColumnarStore, Segment, merge_segments
 
 
 @dataclass
@@ -36,13 +37,11 @@ class SessionQuota:
     queue_limit: int = 8
     #: Total elements across all named session buffers.
     max_buffer_elems: int = 1 << 20
-    #: Retained trace records; older records are dropped (and counted)
-    #: once exceeded — subscribers already received them.
-    max_trace_records: int = 1 << 20
-    #: Streamed-segment granularity: split each subscriber batch into
-    #: segments of at most this many rows (0, the default, keeps one
-    #: segment per schema per batch — matching a local
-    #: ``ColumnarSink`` flush at hub close).
+    #: Retained trace rows; the oldest rows in stored order are dropped
+    #: (and counted) once exceeded — subscribers already received them.
+    max_trace_rows: int = 1 << 20
+    #: A traced job's hub seals a segment every this many rows, as a
+    #: local ``TraceHub(flush_rows=N)`` does (0: one per schema per job).
     trace_flush_rows: int = 0
 
 
@@ -83,9 +82,12 @@ class Session:
         self.programs: Dict[str, Dict[str, Any]] = {}
         #: named session buffers (plain int lists; fabric-independent).
         self.buffers: Dict[str, List[int]] = {}
-        #: accumulated trace records across this session's jobs.
-        self.records: List[TraceRecord] = []
-        self.registry = SchemaRegistry()
+        #: retained trace segments across this session's jobs, oldest
+        #: first (the stored order the quota drops in).
+        self.segments: List[Segment] = []
+        self._retained_rows = 0
+        #: ``self.segments`` merged per schema; rebuilt after each job.
+        self._store: Optional[ColumnarStore] = None
         self.subscriptions: Dict[str, Subscription] = {}
         #: async job results by job id (kernel.enqueue / job.wait).
         self.job_results: Dict[str, Dict[str, Any]] = {}
@@ -155,59 +157,34 @@ class Session:
 
     # -- trace accumulation -------------------------------------------------
 
-    def add_records(self, schemas, records) -> List[TraceRecord]:
-        """Register schema layouts, retain the records, return them.
+    def add_segments(self, segments: List[Segment]) -> None:
+        """Retain one job's segments; past the row quota drop exactly the
+        oldest overflowing rows in stored order (subscribers streamed them
+        already), rebuilding only a segment the cut falls inside."""
+        rows = sum(segment.rows for segment in segments)
+        self.segments.extend(segments)
+        self._store = None
+        self.stats.trace_rows += rows
+        self._retained_rows += rows
+        overflow = self._retained_rows - self.quota.max_trace_rows
+        if overflow <= 0:
+            return
+        self.stats.trace_rows_dropped += overflow
+        self._retained_rows -= overflow
+        whole = 0
+        while overflow and self.segments[whole].rows <= overflow:
+            overflow -= self.segments[whole].rows
+            whole += 1
+        del self.segments[:whole]
+        if overflow:
+            self.segments[0] = self.segments[0].tail(overflow)
 
-        Retention is bounded by the quota: the *oldest* records are
-        dropped (subscribers streamed them already; only ``trace.query``
-        over ancient history is affected) and the drop count surfaces in
-        ``server.stats``.
-        """
-        for name, fields, doc in schemas:
-            self.registry.ensure(name, tuple(fields), doc=doc)
-        self.records.extend(records)
-        self.stats.trace_rows += len(records)
-        overflow = len(self.records) - self.quota.max_trace_records
-        if overflow > 0:
-            del self.records[:overflow]
-            self.stats.trace_rows_dropped += overflow
-        return list(records)
-
-    def make_store(self):
-        """Seal the accumulated records into an in-memory columnar store."""
-        from repro.trace.columnar import ColumnarStore
-
-        return ColumnarStore.from_records(self.records, self.registry)
-
-    def batch_segments(self, records,
-                       subscription: Subscription) -> List[Any]:
-        """Seal one job's records into segments for one subscriber.
-
-        Grouping matches :meth:`ColumnarStore.append_records` (schema
-        first-appearance order), so a client that stitches batches back
-        together reproduces exactly what a local ``ColumnarSink`` flush
-        per run would have written. A non-zero ``quota.trace_flush_rows``
-        additionally splits each group into segments of at most that
-        many rows (clients merge them back with
-        :func:`repro.trace.columnar.merge_segments`).
-        """
-        from repro.trace.columnar import Segment
-
-        grouped: Dict[str, List[TraceRecord]] = {}
-        for record in records:
-            if subscription.wants(record.schema):
-                grouped.setdefault(record.schema, []).append(record)
-        limit = self.quota.trace_flush_rows
-        segments: List[Any] = []
-        for name, group in grouped.items():
-            schema = self.registry.get(name)
-            if limit and len(group) > limit:
-                segments.extend(
-                    Segment.from_records(schema, group[start:start + limit])
-                    for start in range(0, len(group), limit))
-            else:
-                segments.append(Segment.from_records(schema, group))
-        return segments
+    def trace_store(self) -> ColumnarStore:
+        """The retained rows merged per schema, cached until the next job:
+        the row order ``ColumnarStore.from_records`` gives the records."""
+        if self._store is None:
+            self._store = ColumnarStore(merge_segments(self.segments))
+        return self._store
 
     # -- summary -----------------------------------------------------------
 

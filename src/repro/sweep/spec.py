@@ -95,12 +95,10 @@ class PointResult:
     attempts: int = 1
     duration_s: float = 0.0
     worker: Optional[int] = None
-    trace_records: List[Any] = field(default_factory=list)
-    trace_schemas: Tuple[Tuple[str, Tuple[str, ...], str], ...] = ()
     #: Captured trace batches as ``(header, payload_bytes)`` pairs in
     #: seal order — the encoded-segment transport (workers ship raw
-    #: column bytes, never pickled record objects). ``trace_records``
-    #: stays for results built by older callers; the merger accepts both.
+    #: column bytes, never pickled record objects). Segments carry their
+    #: own field names, so no schema layout travels beside them.
     trace_segments: List[Tuple[Dict[str, Any], bytes]] = \
         field(default_factory=list)
 
@@ -184,8 +182,6 @@ class SweepOutcome:
         return self
 
     def trace_rows(self) -> int:
-        """Total trace rows captured across all points (segments + records)."""
-        return sum(
-            len(result.trace_records)
-            + sum(int(header["rows"]) for header, _ in result.trace_segments)
-            for result in self.results)
+        """Total trace rows captured across all points."""
+        return sum(int(header["rows"]) for result in self.results
+                   for header, _ in result.trace_segments)

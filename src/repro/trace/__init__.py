@@ -30,7 +30,12 @@ Quickstart::
                 .aggregate("latency", by="site"))
 """
 
-from repro.trace.columnar import ColumnarSink, ColumnarStore, Segment
+from repro.trace.columnar import (
+    ColumnarSink,
+    ColumnarStore,
+    Segment,
+    SegmentCollector,
+)
 from repro.trace.hub import MemorySink, TraceHub, TraceSink
 from repro.trace.query import (
     Aggregate,
@@ -53,6 +58,7 @@ __all__ = [
     "MemorySink",
     "SchemaRegistry",
     "Segment",
+    "SegmentCollector",
     "TraceHub",
     "TraceQuery",
     "TraceRecord",

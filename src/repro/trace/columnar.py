@@ -32,7 +32,9 @@ first time the ``ts`` column is actually decoded.
 
 :class:`ColumnarSink` is how a :class:`~repro.trace.hub.TraceHub` stream
 reaches disk: each hub flush hands it sealed column batches, and the
-sink appends their payload bytes to the bundle.
+sink appends their payload bytes to the bundle. :class:`SegmentCollector`
+is how a stream leaves a sweep point or a server job: the same sealed
+batches, kept as ``(header, payload)`` pairs for the trip to the parent.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from operator import le
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TraceStoreError
-from repro.trace.hub import TraceSink
+from repro.trace.hub import TraceHub, TraceSink
 from repro.trace.schema import (
     STANDARD_COLUMNS,
     SchemaRegistry,
@@ -430,6 +432,10 @@ class Segment:
                    max_ts=None if max_ts is None else int(max_ts),
                    ts_monotone=None if monotone is None else bool(monotone))
 
+    def tail(self, start: int) -> "Segment":
+        """A new segment holding rows ``start:`` (strings re-interned)."""
+        return _rebuild(self.schema, self.fields, [(self, start)])
+
 
 class ColumnarStore:
     """An ordered collection of segments, loadable/savable as one file."""
@@ -442,24 +448,13 @@ class ColumnarStore:
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord],
                      registry: SchemaRegistry) -> "ColumnarStore":
-        """Group records by schema (arrival order kept) into segments."""
-        store = cls()
-        store.append_records(records, registry)
-        return store
-
-    def append_records(self, records: Iterable[TraceRecord],
-                       registry: SchemaRegistry) -> int:
-        """Append new segments for the given records; returns rows added."""
+        """Group records by schema into segments: schemas in
+        first-appearance order, records in arrival order."""
         grouped: Dict[str, List[TraceRecord]] = {}
         for record in records:
             grouped.setdefault(record.schema, []).append(record)
-        added = 0
-        # Deterministic segment order: first-appearance order of schemas.
-        for name, group in grouped.items():
-            segment = Segment.from_records(registry.get(name), group)
-            self.segments.append(segment)
-            added += segment.rows
-        return added
+        return cls([Segment.from_records(registry.get(name), group)
+                    for name, group in grouped.items()])
 
     # -- shape -------------------------------------------------------------
 
@@ -647,44 +642,35 @@ def merge_segments(segments: Sequence[Segment]) -> List[Segment]:
                 raise TraceStoreError(
                     f"cannot merge segments of schema {name!r}: field "
                     f"layouts differ ({segment.fields} vs {fields})")
-        strings: List[str] = []
-        string_ids: Dict[str, int] = {}
-        columns: Dict[str, array] = {column: array("q")
-                                     for column in STANDARD_COLUMNS + fields}
-        kernel_out = columns["kernel"]
-        site_out = columns["site"]
-        for segment in group:
-            kernel_col = segment.column("kernel")
-            site_col = segment.column("site")
-            names = segment.strings
-            for index in range(segment.rows):
-                text = names[kernel_col[index]]
-                interned = string_ids.get(text)
-                if interned is None:
-                    interned = string_ids[text] = len(strings)
-                    strings.append(text)
-                kernel_out.append(interned)
-                text = names[site_col[index]]
-                interned = string_ids.get(text)
-                if interned is None:
-                    interned = string_ids[text] = len(strings)
-                    strings.append(text)
-                site_out.append(interned)
-            columns["ts"].extend(segment.column("ts"))
-            columns["cu"].extend(segment.column("cu"))
-            for field in fields:
-                columns[field].extend(segment.column(field))
-        ts = columns["ts"]
-        if len(ts):
-            min_ts, max_ts = min(ts), max(ts)
-            monotone = _is_monotone(ts)
-        else:  # pragma: no cover - empty segments are never produced
-            min_ts = max_ts = 0
-            monotone = True
-        merged.append(Segment(name, fields, strings, columns,
-                              min_ts=min_ts, max_ts=max_ts,
-                              ts_monotone=monotone))
+        merged.append(_rebuild(name, fields,
+                               [(segment, 0) for segment in group]))
     return merged
+
+
+def _rebuild(name: str, fields: Tuple[str, ...],
+             pieces: Sequence[Tuple[Segment, int]]) -> Segment:
+    """One segment from ``(segment, start)`` pieces, rows ``start:`` each,
+    its strings interned kernel-then-site per row as
+    :meth:`Segment.from_records` interns them."""
+    string_ids: Dict[str, int] = {}
+    columns: Dict[str, array] = {column: array("q")
+                                 for column in STANDARD_COLUMNS + fields}
+    kernel_out = columns["kernel"]
+    site_out = columns["site"]
+    for segment, start in pieces:
+        names = segment.strings
+        for kernel_id, site_id in zip(segment.column("kernel")[start:],
+                                      segment.column("site")[start:]):
+            text = names[kernel_id]
+            kernel_out.append(string_ids.setdefault(text, len(string_ids)))
+            text = names[site_id]
+            site_out.append(string_ids.setdefault(text, len(string_ids)))
+        for column in ("ts", "cu") + fields:
+            columns[column].extend(segment.column(column)[start:])
+    ts = columns["ts"]
+    return Segment(name, fields, list(string_ids), columns,
+                   min_ts=min(ts, default=0), max_ts=max(ts, default=0),
+                   ts_monotone=_is_monotone(ts))
 
 
 class ColumnarSink(TraceSink):
@@ -734,3 +720,37 @@ class ColumnarSink(TraceSink):
     def close(self) -> None:
         """Flush any buffered data (called by ``TraceHub.close``)."""
         self.flush()
+
+
+class SegmentCollector(TraceSink):
+    """Capture sink keeping each sealed batch as a ``(header, payload)`` pair.
+
+    The pair is how captured rows leave a sweep point or a server job:
+    encoded once, where they are published, and rebuilt zero-copy by
+    :meth:`decode` on the other side — never materialized as records.
+    """
+
+    accepts_batches = True
+
+    def __init__(self) -> None:
+        self.segments: List[Tuple[Dict[str, object], bytes]] = []
+
+    @classmethod
+    def capture(cls, flush_rows: int = 0
+                ) -> Tuple[TraceHub, "SegmentCollector"]:
+        """A capture-only hub sealing every ``flush_rows`` rows (0: at
+        close) and the collector it feeds; close the hub before reading
+        :attr:`segments`."""
+        hub = TraceHub(keep_records=False, flush_rows=flush_rows)
+        return hub, hub.attach(cls())
+
+    @staticmethod
+    def decode(pairs: Iterable[Tuple[Dict[str, object], bytes]]
+               ) -> List[Segment]:
+        """Rebuild shipped ``(header, payload)`` pairs into segments."""
+        return [Segment.from_payload(header, payload)
+                for header, payload in pairs]
+
+    def on_batch(self, schema: TraceSchema, segment: Segment) -> None:
+        """Keep one sealed batch in its transport form."""
+        self.segments.append((segment.header(), segment.payload_bytes()))

@@ -13,6 +13,10 @@ row-at-a-time scan it replaced lives on as a test oracle
 (``tests/trace_oracle.py``); ``tests/test_prop_trace_engine.py`` pins
 the two together.
 
+:func:`run_params` runs a query spelled as plain params — the
+``repro trace query`` flags and the ``trace.query`` /
+``trace.store_query`` wire params all go through it.
+
 The module also provides the bridges that reimplement the legacy
 in-memory analysis paths on top of stored traces:
 :func:`latency_samples` feeds :mod:`repro.analysis.latency` and
@@ -23,9 +27,9 @@ objects bit-for-bit identical to what the live instrumentation produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.errors import TraceStoreError
+from repro.errors import ReproError, TraceStoreError
 from repro.trace import engine as _vector
 from repro.trace.columnar import ColumnarStore, Segment
 from repro.trace.schema import TraceRecord
@@ -153,6 +157,73 @@ class TraceQuery:
         return {key: Aggregate(count=acc[0], minimum=acc[1],
                                maximum=acc[2], total=acc[3])
                 for key, acc in accumulators.items()}
+
+
+# -- plain-params queries -----------------------------------------------------
+
+class QueryParamError(ReproError):
+    """A query param holds a value of the wrong type; ``param`` names it."""
+
+    def __init__(self, param: str, value: Any) -> None:
+        kind = _PARAM_TYPES[param].__name__
+        super().__init__(f"query param {param!r} takes {kind} values, "
+                         f"got {value!r}")
+        self.param = param
+
+
+_PARAM_TYPES = {"schema": str, "kernel": str, "cu": int, "site": str,
+                "since": int, "until": int, "limit": int, "agg": str,
+                "by": str}
+_LIST_PARAMS = ("kernel", "cu", "site")
+
+
+def _param(params: Mapping[str, Any], name: str) -> Any:
+    """``params[name]`` type-checked (a list for kernel/cu/site)."""
+    value = params.get(name)
+    if value is None:
+        return None
+    many = name in _LIST_PARAMS
+    items = value if many and isinstance(value, (list, tuple)) else [value]
+    kind = _PARAM_TYPES[name]
+    # bool is an int subclass, but True is no row count or cycle.
+    if not all(isinstance(item, kind) and not isinstance(item, bool)
+               for item in items):
+        raise QueryParamError(name, value)
+    return items if many else value
+
+
+def run_params(store: ColumnarStore, params: Mapping[str, Any]
+               ) -> Union[List[Dict[str, object]], Dict[object, Aggregate]]:
+    """Run the query that plain ``params`` spell over ``store``.
+
+    Reads schema, kernel, cu, site, since, until, limit, agg and by; an
+    empty value leaves its filter unset, and kernel/cu/site take one
+    value or a list. With ``agg`` it returns ``{group: Aggregate}`` (one
+    ``"(all)"`` group unless ``by`` is given) and ignores ``limit``;
+    otherwise the matching rows. A wrong-typed value raises
+    :class:`QueryParamError`.
+    """
+    query = TraceQuery(store)
+    schema, kernels, cus, sites, since, until, limit, agg, by = (
+        _param(params, name) for name in (
+            "schema", "kernel", "cu", "site", "since", "until", "limit",
+            "agg", "by"))
+    if schema:
+        query.schema(schema)
+    if kernels:
+        query.kernel(*kernels)
+    if cus:
+        query.cu(*cus)
+    if sites:
+        query.site(*sites)
+    if since is not None or until is not None:
+        query.between(since, until)
+    if agg:
+        result = query.aggregate(agg, by=by)
+        return result if by is not None else {"(all)": result}
+    if limit:
+        query.limit(limit)
+    return query.rows()
 
 
 # -- legacy-analysis bridges --------------------------------------------------

@@ -8,8 +8,9 @@ byte-identical to the same work done in-process.
 
 from __future__ import annotations
 
-import io
 import contextlib
+import io
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.server.daemon import ReproServer, ServerConfig, start_server_thread
 from repro.server.jobs import execute_experiment_job, execute_kernel_job
 from repro.server.protocol import ServerError
 from repro.server.session import Session, SessionQuota
+from repro.trace.columnar import SegmentCollector
 
 SCALE = """
 __kernel void scale(__global int* data, int n, int factor) {
@@ -119,32 +121,78 @@ class TestSession:
             session.get_program("p9")
 
     def test_trace_retention_drops_oldest(self):
-        from repro.trace.schema import TraceRecord
-
-        session = Session("s1", SessionQuota(max_trace_records=4))
-        schemas = (("t.r", ("v",), ""),)
-        records = [TraceRecord(schema="t.r", ts=i, kernel="k", cu=0,
-                               site="s", values=(i,)) for i in range(6)]
-        session.add_records(schemas, records)
-        assert [r.ts for r in session.records] == [2, 3, 4, 5]
+        session = Session("s1", SessionQuota(max_trace_rows=4))
+        hub, collector = SegmentCollector.capture()
+        hub.ensure_schema("t.r", ("v",))
+        for i in range(6):
+            hub.emit("t.r", i, kernel="k", site="s", v=i)
+        hub.close()
+        session.add_segments(SegmentCollector.decode(collector.segments))
+        assert [r.ts for r in session.trace_store().records()] == \
+            [2, 3, 4, 5]
         assert session.stats.trace_rows == 6
         assert session.stats.trace_rows_dropped == 2
+
+    @staticmethod
+    def _job_segments(job, rows):
+        """One multi-schema job: ``rows`` rows alternating t.a / t.b."""
+        hub, collector = SegmentCollector.capture()
+        hub.ensure_schema("t.a", ("v",))
+        hub.ensure_schema("t.b", ("v",))
+        for i in range(rows):
+            hub.emit("t.a" if i % 2 == 0 else "t.b", 100 * job + i,
+                     kernel=f"k{job}", site=f"s{i % 3}", v=i)
+        hub.close()
+        return SegmentCollector.decode(collector.segments)
+
+    @pytest.mark.parametrize("quota", range(0, 13))
+    def test_quota_cut_inside_multi_schema_job(self, quota):
+        """The cut drops exactly ``overflow`` rows, oldest in stored order."""
+        jobs = [self._job_segments(job, rows)
+                for job, rows in ((1, 5), (2, 7))]
+        stored = [segment.record(index) for segments in jobs
+                  for segment in segments for index in range(segment.rows)]
+        session = Session("s1", SessionQuota(max_trace_rows=quota))
+        for segments in jobs:
+            session.add_segments(segments)
+        overflow = max(0, len(stored) - quota)
+        kept = [segment.record(index) for segment in session.segments
+                for index in range(segment.rows)]
+        assert kept == stored[overflow:]
+        assert session.stats.trace_rows == len(stored)
+        assert session.stats.trace_rows_dropped == overflow
+        assert session.trace_store().total_rows() == min(quota, len(stored))
+        # A rebuilt segment re-interns its strings as from_records does.
+        for segment in session.segments:
+            used = {segment.strings[i] for column in ("kernel", "site")
+                    for i in segment.column(column)}
+            assert set(segment.strings) == used
 
 
 class TestJobs:
     def test_kernel_job_matches_in_process_run(self):
+        from repro.core.vendor_profiler import VendorProfiler
         from repro.frontend.compiler import compile_source
         from repro.pipeline.fabric import Fabric
+        from repro.trace.capture import publish_run_span
+        from repro.trace.columnar import ColumnarStore
+        from repro.trace.hub import TraceHub
 
         result = execute_kernel_job(
             SCALE, "scale", args={"n": 8, "factor": 3},
-            buffers={"data": {"size": 8, "fill": list(range(8))}})
+            buffers={"data": {"size": 8, "fill": list(range(8))}},
+            trace=True)
 
-        fabric = Fabric(keep_lsu_samples=True)
+        hub = TraceHub()
+        fabric = Fabric(keep_lsu_samples=True, trace=hub)
         program = compile_source(fabric, SCALE)
         fabric.memory.allocate("data", 8).fill(list(range(8)))
+        profiler = VendorProfiler(fabric)
         engine = fabric.run_kernel(program.kernel("scale"),
                                    {"data": "data", "n": 8, "factor": 3})
+        publish_run_span(hub, "scale", engine.stats.start_cycle,
+                         engine.stats.finish_cycle)
+        profiler.report(engine)
         assert result["sim_now"] == fabric.sim.now
         assert result["buffers"]["data"] == [
             int(v) for v in fabric.memory.buffer("data").snapshot()]
@@ -152,6 +200,12 @@ class TestJobs:
             engine.stats.iterations_retired
         assert set(result["lsu"]) == {
             f"{site}|{kind}" for site, kind in engine.lsus}
+        # The shipped segments hold the in-process records, as the
+        # record list they replaced did.
+        shipped = SegmentCollector.decode(result["trace_segments"])
+        local = ColumnarStore.from_records(hub.records, hub.registry)
+        assert [(s.header(), s.payload_bytes()) for s in shipped] == \
+            [(s.header(), s.payload_bytes()) for s in local.segments]
 
     def test_compile_error_is_structured_not_raised(self):
         result = execute_kernel_job(BROKEN, "broken",
@@ -484,20 +538,14 @@ class TestWorkerPoolMode:
                 buffers={"data": {"size": 8,
                                   "fill": [1, 2, 3, 4, 5, 6, 7, 8]}},
                 trace=True)
-            records = local.pop("trace_records")
-            schemas = local.pop("trace_schemas")
-            local["trace"] = {"records": len(records)}
+            segments = SegmentCollector.decode(local.pop("trace_segments"))
+            local["trace"] = {"records": sum(s.rows for s in segments)}
             assert remote == local
 
             from repro.trace.columnar import ColumnarStore
-            from repro.trace.schema import SchemaRegistry
 
-            registry = SchemaRegistry()
-            for name, fields, doc in schemas:
-                registry.ensure(name, tuple(fields), doc=doc)
             local_path = tmp_path / "inline.ctb"
-            ColumnarStore.from_records(records, registry).save(
-                str(local_path))
+            ColumnarStore(segments).save(str(local_path))
             assert pool_path.read_bytes() == local_path.read_bytes()
         finally:
             handle.stop()
@@ -623,3 +671,133 @@ class TestParamValidation:
             assert excinfo.value.data == {"param": "engine"}
             c.open_session()
             self._assert_session_runs(c)
+
+    @pytest.mark.parametrize("param, value", [
+        ("since", "5"), ("until", 1.5), ("limit", "x"), ("limit", True),
+        ("cu", "0"), ("cu", [0, "1"]), ("kernel", 5), ("site", [1]),
+        ("schema", 5), ("agg", 5), ("by", 5)])
+    def test_wrong_typed_query_param_rejected(self, client, tmp_path,
+                                              param, value):
+        from repro import cli
+
+        path = tmp_path / "probe.ctb"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "fig2", "--n", "4", "--num", "6",
+                             "--trace-out", str(path)]) == 0
+        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
+        params = {"schema": "order.record", "agg": "seq", param: value} \
+            if param == "by" else {param: value}
+        self._assert_bad_param(client, "trace.query", params, param)
+        self._assert_bad_param(client, "trace.store_query",
+                               {"path": str(path), **params}, param)
+        self._assert_session_runs(client)
+        rows = client.query(schema="run.span")["rows"]
+        assert rows and all(row["schema"] == "run.span" for row in rows)
+
+
+class TestSessionTraceStore:
+    """``trace.query`` serves the retained segments merged per schema.
+
+    The pinned behaviour is the record-list session's: the query over
+    ``ColumnarStore.from_records`` of every record the session's jobs
+    published, in arrival order.
+    """
+
+    JOBS = [("fig2", {"n": 4, "num": 6}), ("sec52", {}),
+            ("fig2", {"n": 5, "num": 7})]
+    QUERIES = [
+        {}, {"schema": "order.record"}, {"limit": 7},
+        {"schema": "watch.event", "limit": 5},
+        {"kernel": ["single-task", "ndrange"]}, {"cu": [0]},
+        {"since": 100, "until": 4000}, {"site": "single-task"},
+        {"agg": "seq", "schema": "order.record"},
+        {"agg": "seq", "schema": "order.record", "by": "kernel"},
+        {"agg": "end", "schema": "run.span", "by": "kernel"},
+        {"agg": "ts", "by": "schema"},
+    ]
+
+    @staticmethod
+    def _expected(store, params):
+        """The reply the record-list session built for ``params``."""
+        from repro.trace.query import TraceQuery
+
+        query = TraceQuery(store)
+        if params.get("schema"):
+            query.schema(params["schema"])
+        if params.get("kernel"):
+            query.kernel(*params["kernel"])
+        if params.get("cu"):
+            query.cu(*params["cu"])
+        if params.get("site"):
+            query.site(params["site"])
+        if "since" in params:
+            query.between(params["since"], params["until"])
+        if params.get("agg"):
+            result = query.aggregate(params["agg"], by=params.get("by"))
+            if not isinstance(result, dict):
+                result = {"(all)": result}
+            return {"aggregate": {
+                str(key): {"count": agg.count, "min": agg.minimum,
+                           "max": agg.maximum, "total": agg.total,
+                           "mean": agg.mean}
+                for key, agg in result.items()}}
+        if params.get("limit"):
+            query.limit(params["limit"])
+        return {"rows": query.rows(), "total_rows": store.total_rows()}
+
+    @staticmethod
+    def _published(jobs):
+        """Every record ``jobs`` publish in-process, and their registry."""
+        from repro.experiments import registry
+        from repro.trace.hub import TraceHub
+        from repro.trace.schema import SchemaRegistry
+
+        records, schemas = [], SchemaRegistry()
+        for name, params in jobs:
+            hub = TraceHub()
+            registry.run_experiment(name, hub=hub, **params)
+            records.extend(hub.records)
+            for schema in map(hub.registry.get, hub.counts):
+                schemas.ensure(schema.name, schema.fields, doc=schema.doc)
+        return records, schemas
+
+    def test_query_equals_from_records_query(self, client):
+        from repro.trace.columnar import ColumnarStore
+
+        records, schemas = self._published(self.JOBS)
+        assert len({record.schema for record in records}) >= 2
+        store = ColumnarStore.from_records(records, schemas)
+        for name, params in self.JOBS:
+            client.run_experiment(name, params=params, trace=True)
+        for params in self.QUERIES:
+            assert client.query(**params) == \
+                json.loads(json.dumps(self._expected(store, params))), params
+
+    def test_quota_drops_oldest_rows_in_stored_order(self):
+        """Two fig2 jobs (50 rows each) under a 60-row quota: the cut
+        falls inside the first job's order.record segment."""
+        from repro.trace.columnar import ColumnarStore
+
+        jobs = [("fig2", {"n": 4, "num": 6})] * 2
+        stored = []
+        for name, params in jobs:
+            result = execute_experiment_job(name, params, trace=True)
+            stored.extend(ColumnarStore(SegmentCollector.decode(
+                result["trace_segments"])).records())
+        records, schemas = self._published(jobs)
+        assert sorted(stored, key=repr) == sorted(records, key=repr)
+        handle = start_server_thread(ServerConfig(workers=0,
+                                                  max_trace_rows=60))
+        try:
+            with Client(handle.address) as c:
+                c.open_session()
+                for name, params in jobs:
+                    c.run_experiment(name, params=params, trace=True)
+                stats = c.stats()["per_session"][c.session_id]
+                assert stats["trace_rows"] == len(stored) == 100
+                assert stats["trace_rows_dropped"] == 40
+                kept = ColumnarStore.from_records(stored[40:], schemas)
+                assert c.query() == json.loads(json.dumps(
+                    self._expected(kept, {})))
+        finally:
+            handle.stop()

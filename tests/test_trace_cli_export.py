@@ -95,6 +95,20 @@ class TestCliPipeline:
     def test_trace_tool_on_missing_file(self, tmp_path, capsys):
         assert main(["trace", "info", str(tmp_path / "absent.ctb")]) == 2
 
+    @pytest.mark.parametrize("param, value", [
+        ("since", "5"), ("limit", "x"), ("cu", [0, "1"]), ("agg", 3)])
+    def test_wrong_typed_query_param_names_it(self, fig2_bundle, param,
+                                              value):
+        from repro.cli import format_trace_query
+        from repro.trace.query import QueryParamError
+
+        store = ColumnarStore.load(fig2_bundle)
+        with pytest.raises(QueryParamError) as excinfo:
+            format_trace_query(store, {"schema": "order.record",
+                                       param: value})
+        assert excinfo.value.param == param
+        assert repr(value) in str(excinfo.value)
+
 
 class TestCliEngineParity:
     """CLI ``trace query``/``trace export`` output is byte-identical to the
