@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from repro.errors import AddressError
 from repro.memory.backing import AddressMap, BackingStore
 from repro.sim.core import PRIORITY_NORMAL, Event, Simulator
@@ -82,6 +84,115 @@ class BufferTraffic:
     stores: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
+
+
+class CommitColumns:
+    """Posted-store commits held as columns, for :meth:`GlobalMemory.
+    post_commit_batch`.
+
+    ``parts`` are ``(store, elements, values)``: an ``int64`` element
+    column and its values, a column of the same length or one uniform
+    value. ``order`` holds each commit's position in the parts'
+    concatenation, in commit order.
+    """
+
+    __slots__ = ("parts", "order")
+
+    def __init__(self, parts: list, order: np.ndarray) -> None:
+        self.parts = parts
+        self.order = order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def entries(self) -> list:
+        """The commits as ``(store, index, value)`` in commit order, the
+        values as an object column holds them (what stepping writes)."""
+        stores = []
+        values = []
+        for store, elements, value in self.parts:
+            column = np.empty(len(elements), dtype=object)
+            column[:] = value
+            values.append(column)
+            stores.append(np.full(len(elements), store, dtype=object))
+        order = self.order
+        return list(zip(
+            np.concatenate(stores)[order].tolist(),
+            np.concatenate([part[1] for part in self.parts])[order].tolist(),
+            np.concatenate(values)[order].tolist()))
+
+    def apply(self) -> None:
+        """Write every commit: one numpy scatter per buffer when that is
+        exact, else one :meth:`BackingStore.write` per commit in commit
+        order, so a bad store raises the same error after the same
+        stores."""
+        try:
+            scatters = self._scatters()
+        except Exception:
+            scatters = None
+        if scatters is None:
+            for store, index, value in self.entries():
+                store.write(index, value)
+            return
+        for data, elements, values in scatters:
+            data[elements] = values
+
+    def _scatters(self) -> Optional[list]:
+        """Per buffer ``(data, elements, values)`` holding only each
+        element's last write, or None when a scatter could differ from
+        the per-store writes: an element out of range, or a value column
+        whose dtype is not the buffer's (an integer column must fit it)."""
+        parts = self.parts
+        sizes = [len(part[1]) for part in parts]
+        ends = np.cumsum(sizes)
+        order = self.order
+        part_of = (None if len(parts) == 1
+                   else np.repeat(np.arange(len(parts)), sizes)[order])
+        groups: Dict[Any, list] = {}
+        for number, part in enumerate(parts):
+            groups.setdefault(part[0], []).append(number)
+        scatters = []
+        for store, members in groups.items():
+            target = store.dtype
+            natural = {np.asarray(parts[number][2]).dtype
+                       for number in members}
+            if natural == {target}:
+                work = target
+            elif target.kind in "iu" and all(dtype.kind == "i"
+                                             for dtype in natural):
+                work = np.dtype(np.int64)
+            else:
+                return None
+            column = np.empty(int(ends[-1]), dtype=work)
+            elements = np.empty(int(ends[-1]), dtype=np.int64)
+            for number in members:
+                begin = ends[number] - sizes[number]
+                column[begin:ends[number]] = parts[number][2]
+                elements[begin:ends[number]] = parts[number][1]
+            if part_of is None:
+                positions = order
+            else:
+                positions = order[np.isin(part_of, members)]
+            if not len(positions):
+                continue
+            elements = elements[positions]
+            column = column[positions]
+            if elements.min() < 0 or elements.max() >= store.size:
+                return None
+            if work != target:
+                limits = np.iinfo(target)
+                if column.min() < limits.min or column.max() > limits.max:
+                    return None
+                column = column.astype(target)
+            written = np.zeros(store.size, dtype=bool)
+            written[elements] = True
+            if np.count_nonzero(written) != len(elements):
+                # Repeated elements: numpy promises no order for them, so
+                # keep each element's last write explicitly.
+                elements, last = np.unique(elements[::-1], return_index=True)
+                column = column[::-1][last]
+            scatters.append((store.data, elements, column))
+        return scatters
 
 
 class GlobalMemory:
@@ -233,13 +344,14 @@ class GlobalMemory:
                           cycles: Optional[list] = None) -> None:
         """Schedule many posted stores' commits as one flush event.
 
-        ``commits`` is a list of ``(store, index, value)`` applied in
-        order at ``now + delay`` (the analytic callers pass their last
-        commit cycle). All entries stay pending until the flush —
+        ``commits`` is a list of ``(store, index, value)``, or a
+        :class:`CommitColumns`, applied in order at ``now + delay`` (the
+        analytic callers pass their last commit cycle). All entries stay pending until the flush —
         equivalent to per-store events whenever nothing can observe
         memory in between, which the callers' gates guarantee. With
         ``cycles``, each entry's own commit cycle, the batch is *timed*:
-        :meth:`land_commits` applies the entries due by a cycle early.
+        :meth:`land_commits` applies the entries due by a cycle early
+        (timed batches are lists).
         """
         count = len(commits)
         if not count:
@@ -254,8 +366,11 @@ class GlobalMemory:
             left = batch[0]
             if cycles is not None:
                 self._timed.remove(batch)
-            for store, index, value in left:
-                store.write(index, value)
+            if type(left) is CommitColumns:
+                left.apply()
+            else:
+                for store, index, value in left:
+                    store.write(index, value)
             self._commit_events -= 1
             self._landed(len(left))
 

@@ -50,10 +50,14 @@ loop. A table launch has two phases:
   launcher/LSU event choreography on a private heap, in the same
   ``(cycle, scheduling-order)`` sequence the real event loop would
   produce, with the posted-store commits landing in one real flush
-  event. Phase A hands it every row's accesses in body order as one
-  flat list, sorted by row once with numpy. The same core replays
-  replayable kernels from their body generators when the table does not
-  apply.
+  event. Phase A hands it its access records; on a miss of the
+  timeline memo they become every row's accesses in body order as flat
+  columns, sorted by row once with numpy. The memo's timing key holds
+  the records' sites, kinds, buffers, rows and elements but no value
+  (the loop never reads one), so a launch of an access stream already
+  timed from the same relative start state skips the issue loop and
+  still commits its own values. The same core replays replayable
+  kernels from their body generators when the table does not apply.
 
 The phases only run when the kernel lowered to a
 :class:`~repro.frontend.codegen.BatchPlan` and the launch owns the
@@ -74,7 +78,7 @@ and ``tests/test_prop_batch_columns.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,9 +111,10 @@ class PhaseA:
     """Phase A of one table launch: every work-item's memory accesses
     and values, a column at a time, with no shared side effects.
 
-    :meth:`run` fills ``replay``'s LSU boxes and counters and returns
-    the accesses :meth:`~repro.pipeline.replay.LaunchReplay.run_planned`
-    times, or raises :class:`BatchAbort`.
+    :meth:`run` fills ``replay``'s LSU boxes and counters and
+    :attr:`records`, the accesses
+    :meth:`~repro.pipeline.replay.LaunchReplay.run_planned` times, or
+    raises :class:`BatchAbort`.
     """
 
     def __init__(self, engine: Any, replay: LaunchReplay) -> None:
@@ -120,22 +125,20 @@ class PhaseA:
         # The flags mark the elements this launch read/wrote so far.
         self._buffers: Dict[str, tuple] = {}
         #: Accesses in execution order: (box, store or None for a load,
-        #: rows, elements, stored values (None for a load), backing store).
-        self._records: List[tuple] = []
+        #: rows (None: every row), elements, stored values (None for a
+        #: load), backing store).
+        self.records: List[tuple] = []
         # Rows leaving the innermost loop by break (or its test) and by
         # continue; None outside every loop.
         self._brk: Optional[list] = None
         self._cnt: Optional[list] = None
 
-    def run(self, plan: Any, tags: List[Any]) -> Tuple[tuple, list]:
-        """``(accesses, starts)``: the columns ``(boxes, addresses,
-        stores, elements, values)`` of every row's accesses in body
-        order, each row's ended by a marker (see
-        :meth:`~repro.pipeline.replay.LaunchReplay.run_planned`), and the
-        position of each row's first entry."""
+    def run(self, plan: Any, tags: Sequence[Any]) -> None:
+        """Run ``plan`` over the rows of ``tags``, filling :attr:`records`
+        (every access, in execution order) and the replay's counters."""
         try:
             if not tags:
-                return ([], [], [], [], []), []
+                return
             engine = self.engine
             instance = engine.instance
             # Bindings depend only on launch args/defines/channels, not
@@ -146,7 +149,6 @@ class PhaseA:
                                  engine.fabric.memory, instance.compute_id)
             with np.errstate(all="ignore"):
                 self._exec(plan.nodes, None)
-                return self._issue_order()
         except BatchAbort:
             raise
         except Exception as exc:
@@ -287,41 +289,51 @@ class PhaseA:
             counts[3] += size
             traffic[1] += count
             traffic[3] += size
-        self._records.append((replay.site_box(site, kind),
+        self.records.append((replay.site_box(site, kind),
                               None if kind == "load" else store, rows,
                               elements, values, store))
 
     # -- Phase B's view ------------------------------------------------------
 
-    def _issue_order(self) -> Tuple[tuple, list]:
-        """Every row's accesses in body order, as flat columns, each
-        row's followed by its end marker: box None, the row's index as
-        its address."""
+    def commit_parts(self) -> list:
+        """The stores' ``(backing store, elements, values)``, in record
+        order: a store's position among their elements is its commit's
+        (see :class:`~repro.memory.global_memory.CommitColumns`)."""
+        return [(rec[5], rec[3], rec[4]) for rec in self.records
+                if rec[1] is not None]
+
+    def issue_order(self) -> Tuple[tuple, list]:
+        """``(accesses, starts)``: the columns ``(boxes, addresses,
+        stores, elements)`` of every row's accesses in body order, each
+        row's followed by its end marker (box None, the row's index as
+        its address), and the position of each row's first entry. A
+        store's element entry is its position in :meth:`commit_parts`;
+        a load's is unused."""
         frame = self.frame
+        records = self.records
+        if frame is None:
+            return ([], [], [], []), []
         every = frame.all_rows()
-        records = self._records
+        n = frame.n
         width = len(records) + 1
+        stored = 0
         if all(rec[2] is None for rec in records):
             # Every row ran every access: a row's accesses are its row of
             # an (n, width) grid.
-            n = frame.n
             addresses = np.empty((n, width), dtype=np.int64)
             elements = np.zeros((n, width), dtype=np.int64)
-            values = np.empty((n, width), dtype=object)
-            for position, (_, target, _, index, written, store) in \
+            for position, (_, target, _, index, _, store) in \
                     enumerate(records):
                 addresses[:, position] = \
                     store.base_address + index * store.itemsize
                 if target is not None:
-                    elements[:, position] = index
-                    # Python scalars: BackingStore.write sees what
-                    # stepping writes.
-                    values[:, position] = written
+                    elements[:, position] = every + stored
+                    stored += n
             addresses[:, -1] = every
             return ((([rec[0] for rec in records] + [None]) * n,
                      addresses.ravel().tolist(),
                      ([rec[1] for rec in records] + [None]) * n,
-                     elements.ravel().tolist(), values.ravel().tolist()),
+                     elements.ravel().tolist()),
                     list(range(0, n * width, width)))
         # Phase A ran each row's accesses in its body order, so a stable
         # sort of all records by row gives each row's sequence.
@@ -330,25 +342,27 @@ class PhaseA:
         sizes = [len(key) for key in keys]
         boxes = np.empty(width, dtype=object)
         targets = np.empty(width, dtype=object)
-        values = np.empty(sum(sizes), dtype=object)
         addresses = []
-        offset = 0
-        for position, (box, target, _, index, written, store) in \
+        positions = []
+        for position, (box, target, _, index, _, store) in \
                 enumerate(records):
             boxes[position] = box
             targets[position] = target
             addresses.append(store.base_address + index * store.itemsize)
-            if target is not None:
-                values[offset:offset + sizes[position]] = written
-            offset += sizes[position]
+            if target is None:
+                positions.append(index)
+            else:
+                positions.append(np.arange(stored,
+                                           stored + sizes[position]))
+                stored += sizes[position]
         addresses.append(every)
+        positions.append(every)
         rows = np.concatenate(keys)
         order = np.argsort(rows, kind="stable")
         record_of = np.repeat(np.arange(width), sizes)[order]
-        elements = np.concatenate([rec[3] for rec in records] + [every])
-        per_row = np.bincount(rows, minlength=frame.n)
+        per_row = np.bincount(rows, minlength=n)
         starts = np.concatenate(([0], np.cumsum(per_row)[:-1])).tolist()
         return (boxes[record_of].tolist(),
                 np.concatenate(addresses)[order].tolist(),
-                targets[record_of].tolist(), elements[order].tolist(),
-                values[order].tolist()), starts
+                targets[record_of].tolist(),
+                np.concatenate(positions)[order].tolist()), starts

@@ -107,11 +107,12 @@ class Columns(list):
         gid = self._gid
         if gid is None:
             tags = self.tags
-            if type(tags[0]) is tuple:
-                ids = [tag[0] for tag in tags]
+            if hasattr(tags, "gids"):               # schedule.WorkItems
+                gid = tags.gids()
+            elif type(tags[0]) is tuple:
+                gid = np.array([tag[0] for tag in tags])
             else:
-                ids = list(tags)
-            gid = np.array(ids)
+                gid = np.array(list(tags))
             if gid.dtype != _INT:
                 raise BatchAbort("work-item id is not an int64")
             self._gid = gid

@@ -54,6 +54,7 @@ from repro.pipeline.batch import BatchAbort, BatchStats, PhaseA
 from repro.pipeline.context import KernelContext
 from repro.pipeline.kernel import NO_PLAN_COMPILER, AutorunKernel, Kernel
 from repro.pipeline.replay import LaunchReplay
+from repro.pipeline.schedule import WorkItems
 from repro.sim.core import (
     PRIORITY_LATE,
     PRIORITY_URGENT,
@@ -551,11 +552,12 @@ class PipelineEngine(_OpExecutor):
             ops_count = plan.op_count
             reason = exclusive
             if reason is None:
-                space = list(space)
+                if type(space) is not WorkItems:
+                    space = list(space)
                 replay = LaunchReplay(self)
+                phase = PhaseA(self, replay)
                 try:
-                    accesses, starts = PhaseA(self, replay).run(plan,
-                                                                space)
+                    phase.run(plan, space)
                 except BatchAbort as abort:
                     # Phase A is side-effect-free, so the materialized tag
                     # list can go to the next tier verbatim. Its LSUs go
@@ -574,7 +576,7 @@ class PipelineEngine(_OpExecutor):
                     # them in another order.
                     self._lsus = {
                         (lsu.site, lsu.kind): lsu
-                        for lsu in replay.run_planned(accesses, starts, space)}
+                        for lsu in replay.run_planned(phase, space)}
                     return
         self.batch = BatchStats("fallback", reason, rows, ops_count,
                                 divergence)

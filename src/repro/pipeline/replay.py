@@ -16,7 +16,9 @@ Three feeders drive one issue loop (:meth:`LaunchReplay._run`):
   tier's Phase A has already computed every work-item's memory accesses
   and values (see :mod:`repro.pipeline.batch`) as flat columns, each
   row's run of entries ended by a marker; the replay only times them,
-  and a row is just the position of its next entry;
+  and a row is just the position of its next entry. A store carries its
+  position among the launch's stores, resolved to an element and value
+  after the loop;
 * **body generators** (:meth:`LaunchReplay.run_bodies`): a Python-IR
   kernel that declares :attr:`~repro.pipeline.kernel.Kernel.replayable`
   has each iteration's body generator fed op by op. Loads read their
@@ -45,18 +47,38 @@ Summable statistics accumulate launch-wide and flush once at the end;
 posted-store commits land in one flush event at the last commit cycle;
 completion fires through one real event at the finish cycle, so
 ``Fabric.run`` steps the clock there exactly as it would stepping.
+
+**The timeline memo.** A planned launch's timeline is a pure function
+of its *timing key* (:func:`_timing_key`): Phase A's access records
+without their values (each record's LSU site and kind, load or store,
+buffer base address and item size, active rows and elements), the row
+count, the start state relative to the start cycle (each bank's
+``max(0, ready - start)`` and open row, each LSU's ``max(0, tail -
+start)``), the memory config, ``ii``/``max_inflight`` and
+``keep_lsu_samples``. Values are left out because the loop never reads
+one: the same stream over other data times the same. A process-wide,
+byte-bounded LRU maps the key's blake2b digest to what the loop
+changed (a :class:`_Timeline`); a hit skips the flat columns and the
+loop, applies the recorded timeline shifted to its start cycle, and
+resolves the commits from its own records, so its events, statistics
+and buffers are those of a miss. :func:`timeline_cache_info` and
+:func:`timeline_cache_clear` serve tests and capacity tuning.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.channels.channel import (CounterRegisterChannel, SequenceChannel,
                                     schedule_call)
 from repro.errors import KernelBuildError, KernelError, MemoryError_
-from repro.memory.global_memory import BufferTraffic
+from repro.memory.global_memory import BufferTraffic, CommitColumns
 from repro.pipeline import ops
 from repro.pipeline.context import KernelContext
 from repro.sim.core import PRIORITY_NORMAL, PRIORITY_URGENT, Event
@@ -88,6 +110,137 @@ _Compute = ops.Compute
 _ReadChannel = ops.ReadChannel
 _MemFence = ops.MemFence
 _Collect = ops.CollectReduction
+
+
+class _Timeline:
+    """What a planned launch's issue loop changes, cycles relative to
+    its start: per LSU box (in :attr:`LaunchReplay.boxes` order, None
+    when the box never issued) ``(tail, count, total, in-launch peak,
+    stall, samples)``; per touched bank ``(bank, ready, open row)``; the
+    row hits, misses and load latency; the engine's issued, retired and
+    stall deltas; the iteration trace rows ``(row, issue, retire)``; the
+    commit order as positions among the stores; the last commit and
+    finish cycles; the boxes in first-issue order. ``nbytes`` is None
+    when the timeline must not be memoized."""
+
+    __slots__ = ("boxes", "banks", "latency", "stats", "trace", "order",
+                 "last_commit", "finish", "first_issue", "nbytes")
+
+    def size(self) -> int:
+        """Bytes the memo charges for this timeline."""
+        arrays = [self.order] + ([] if self.trace is None else [self.trace])
+        arrays += [effect[5] for effect in self.boxes
+                   if effect is not None and effect[5] is not None]
+        return (_ENTRY_BYTES + 64 * (len(self.boxes) + len(self.banks))
+                + sum(array.nbytes for array in arrays))
+
+
+#: The timeline memo's byte budget, and what each entry costs beyond
+#: its arrays (key, tuples, bookkeeping).
+_TIMELINE_BUDGET = 32 << 20
+_ENTRY_BYTES = 1024
+
+#: Process-wide LRU of planned-launch timelines by timing key (see
+#: :func:`_timing_key`), modelled on the program cache
+#: (:func:`repro.frontend.compiler.program_cache_info`). Guarded by
+#: ``_TIMELINE_LOCK``: the server's sessions launch from several
+#: threads. The loop itself runs outside the lock, so two threads
+#: timing one new stream may both miss; the second insert is dropped.
+_TIMELINES: "OrderedDict[bytes, _Timeline]" = OrderedDict()
+_TIMELINE_LOCK = threading.Lock()
+_timeline_bytes = 0
+_timeline_hits = 0
+_timeline_misses = 0
+_timeline_evictions = 0
+
+
+def _timing_key(replay: "LaunchReplay", records: List[tuple],
+                rows: int) -> bytes:
+    """The blake2b-256 digest a planned launch's timeline is a function
+    of: Phase A's access records (each one's LSU ``(site, kind)``, load
+    or store, backing store ``base_address``/``itemsize``, active rows
+    and elements) and the row count; the start state relative to the
+    start cycle (each bank's ``max(0, ready - start)`` and open row,
+    each LSU box's ``max(0, tail - start)``); the memory config, the
+    pipeline's ``ii``/``max_inflight`` and ``keep_lsu_samples``. No
+    value is part of it: the loop never reads one."""
+    # Imported here: hashlib loads OpenSSL's libcrypto (~3.5 MB of RSS
+    # and start-up time), which a process with no table launch never
+    # needs.
+    import hashlib
+
+    start = replay.sim._now
+    memory = replay.memory
+    pipeline = replay.engine.config
+    number = {id(box): index
+              for index, box in enumerate(replay.boxes.values())}
+    head = [memory.config, pipeline.ii, pipeline.max_inflight,
+            replay.keep_samples, rows,
+            [max(0, ready - start) for ready in memory._bank_ready],
+            memory._bank_open_row,
+            [(site, kind, max(0, box[0] - start))
+             for (site, kind), box in replay.boxes.items()]]
+    for box, target, active, elements, _, store in records:
+        head.append((number[id(box)], target is not None, store.base_address,
+                     store.itemsize, None if active is None else len(active),
+                     len(elements)))
+    digest = hashlib.blake2b(repr(head).encode(), digest_size=32)
+    for _, _, active, elements, _, _ in records:
+        if active is not None:
+            digest.update(np.ascontiguousarray(active, dtype=np.int64))
+        digest.update(np.ascontiguousarray(elements, dtype=np.int64))
+    return digest.digest()
+
+
+def _timeline_get(key: bytes) -> Optional[_Timeline]:
+    global _timeline_hits, _timeline_misses
+    with _TIMELINE_LOCK:
+        timeline = _TIMELINES.get(key)
+        if timeline is None:
+            _timeline_misses += 1
+        else:
+            _timeline_hits += 1
+            _TIMELINES.move_to_end(key)
+        return timeline
+
+
+def _timeline_put(key: bytes, timeline: _Timeline) -> None:
+    global _timeline_bytes, _timeline_evictions
+    size = timeline.nbytes
+    with _TIMELINE_LOCK:
+        if size is None or size > _TIMELINE_BUDGET or key in _TIMELINES:
+            return
+        _TIMELINES[key] = timeline
+        _timeline_bytes += size
+        while _timeline_bytes > _TIMELINE_BUDGET:
+            _, evicted = _TIMELINES.popitem(last=False)
+            _timeline_bytes -= evicted.nbytes
+            _timeline_evictions += 1
+
+
+def timeline_cache_info() -> Dict[str, int]:
+    """Timeline memo statistics (for tests and capacity tuning).
+
+    ``hits``/``misses``/``evictions`` are monotonic counters (reset only
+    by :func:`timeline_cache_clear`); ``bytes`` is what the entries
+    charge against ``maxbytes``. The snapshot is taken under the memo
+    lock."""
+    with _TIMELINE_LOCK:
+        return {"hits": _timeline_hits, "misses": _timeline_misses,
+                "evictions": _timeline_evictions, "size": len(_TIMELINES),
+                "bytes": _timeline_bytes, "maxbytes": _TIMELINE_BUDGET}
+
+
+def timeline_cache_clear() -> None:
+    """Drop every memoized timeline and reset the counters."""
+    global _timeline_bytes, _timeline_hits, _timeline_misses, \
+        _timeline_evictions
+    with _TIMELINE_LOCK:
+        _TIMELINES.clear()
+        _timeline_bytes = 0
+        _timeline_hits = 0
+        _timeline_misses = 0
+        _timeline_evictions = 0
 
 
 class Row:
@@ -179,22 +332,138 @@ class LaunchReplay:
 
     # -- feeders -------------------------------------------------------------
 
-    def run_planned(self, accesses: tuple, starts: List[int],
-                    tags: List[Any]) -> List[Any]:
-        """Time the accesses batch Phase A computed for the rows of
-        ``tags``. ``accesses`` is five parallel lists: each access's LSU
-        box, address, store (None for a load), element and stored value;
-        each row's accesses are consecutive, in body order, and end with
-        a marker whose box is None and whose address is the row's index.
-        ``starts`` has each row's first position.
+    def run_planned(self, phase: Any, tags: Sequence[Any]) -> List[Any]:
+        """Time the accesses batch Phase A recorded (``phase``, a
+        :class:`~repro.pipeline.batch.PhaseA` that ran) for the rows of
+        ``tags``.
+
+        A launch whose timing key (see :func:`_timing_key`) is in the
+        timeline memo takes the recorded timeline instead of running the
+        issue loop; any other runs the loop over ``phase.issue_order()``
+        and records its timeline. Either way the commits are resolved
+        from this launch's records and flushed as one batch.
 
         Returns their LSUs in the order the sites first issue, which is
         the order stepping registers them in.
         """
-        first_issue: List[Any] = []
-        self._run(_PLANNED, starts, (accesses, tags, first_issue))
+        if self.keep_samples and type(tags) is not list:
+            # The iteration trace indexes the tags once per row.
+            tags = list(tags)
+        key = _timing_key(self, phase.records, len(tags))
+        timeline = _timeline_get(key)
+        if timeline is None:
+            timeline, first_issue = self._time_planned(phase, tags)
+            _timeline_put(key, timeline)
+        else:
+            first_issue = self._take_timeline(timeline, tags)
+        self.commits = CommitColumns(phase.commit_parts(), timeline.order)
         self._flush()
         return first_issue
+
+    def _time_planned(self, phase: Any, tags: Sequence[Any]) -> tuple:
+        """Run the issue loop over ``phase``'s accesses; returns
+        ``(timeline, LSUs in first-issue order)``. The timeline's
+        ``nbytes`` is None (not to be memoized) when anything is left on
+        the heap or a row never retires."""
+        start = self.sim._now
+        boxes = list(self.boxes.values())
+        peaks = [box[3] for box in boxes]
+        sampled = [0 if box[5] is None else len(box[5]) for box in boxes]
+        for box in boxes:
+            box[3] = 0                              # the in-launch peak
+        stats = self.engine.stats
+        before = (stats.iterations_issued, stats.iterations_retired,
+                  stats.issue_stall_cycles)
+        trace = stats.iteration_trace
+        if self.keep_samples:
+            # The loop traces row numbers; the tags are put in below.
+            stats.iteration_trace = []
+        accesses, starts = phase.issue_order()
+        first_issue: List[Any] = []
+        try:
+            self._run(_PLANNED, starts,
+                      (accesses, range(len(tags)), first_issue))
+        finally:
+            rows = stats.iteration_trace
+            stats.iteration_trace = trace
+        timeline = _Timeline()
+        timeline.boxes = tuple(
+            (box[0] - start, box[1], box[2], box[3], box[4],
+             None if box[5] is None
+             else np.array(box[5][count:], dtype=np.int64))
+            if box[1] else None
+            for box, count in zip(boxes, sampled))
+        for box, peak in zip(boxes, peaks):
+            if peak > box[3]:
+                box[3] = peak
+        memory = self.memory
+        config = memory.config
+        touched = set()
+        for record in phase.records:
+            store = record[5]
+            touched.update(np.unique(
+                (store.base_address + record[3] * store.itemsize)
+                // config.row_bytes % config.banks).tolist())
+        timeline.banks = tuple(
+            (bank, memory._bank_ready[bank] - start,
+             memory._bank_open_row[bank]) for bank in sorted(touched))
+        timeline.latency = tuple(self.latency)
+        timeline.stats = (stats.iterations_issued - before[0],
+                          stats.iterations_retired - before[1],
+                          stats.issue_stall_cycles - before[2])
+        timeline.trace = None
+        if self.keep_samples:
+            timeline.trace = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64,
+                count=3 * len(rows)).reshape(-1, 3) - (0, start, start)
+            trace.extend([(tags[row], issue, retire)
+                          for row, issue, retire in rows])
+        timeline.order = np.fromiter(
+            (commit[1] for commit in self.commits), dtype=np.int64,
+            count=len(self.commits))
+        timeline.last_commit = self.last_commit - start
+        timeline.finish = (None if self._finish is None
+                           else self._finish - start)
+        number = {id(box[6]): index for index, box in enumerate(boxes)}
+        timeline.first_issue = tuple(number[id(lsu)] for lsu in first_issue)
+        timeline.nbytes = (None if self.heap or self._finish is None
+                           else timeline.size())
+        return timeline, first_issue
+
+    def _take_timeline(self, timeline: "_Timeline",
+                       tags: Sequence[Any]) -> List[Any]:
+        """Apply what a planned launch's issue loop changes, ``timeline``
+        shifted to this launch's start cycle; returns the LSUs in first
+        issue order."""
+        start = self.sim._now
+        boxes = list(self.boxes.values())
+        for box, effect in zip(boxes, timeline.boxes):
+            if effect is not None:
+                tail, box[1], box[2], peak, box[4], samples = effect
+                box[0] = start + tail
+                if peak > box[3]:
+                    box[3] = peak
+                if samples is not None:
+                    box[5].extend(samples.tolist())
+        memory = self.memory
+        for bank, ready, open_row in timeline.banks:
+            memory._bank_ready[bank] = start + ready
+            memory._bank_open_row[bank] = open_row
+        self.latency = list(timeline.latency)
+        stats = self.engine.stats
+        issued, retired, stalled = timeline.stats
+        stats.iterations_issued += issued
+        stats.iterations_retired += retired
+        stats.issue_stall_cycles += stalled
+        if timeline.trace is not None:
+            rows, issue, retire = (timeline.trace + (0, start, start)).T
+            stats.iteration_trace.extend(zip(
+                map(tags.__getitem__, rows.tolist()), issue.tolist(),
+                retire.tolist()))
+        self.last_commit = start + timeline.last_commit
+        self._finish = (None if timeline.finish is None
+                        else start + timeline.finish)
+        return [boxes[number][6] for number in timeline.first_issue]
 
     def run_bodies(self, tags: Iterable[Any]) -> None:
         """Run each tag's body generator, fed op by op on the replay."""
@@ -477,8 +746,7 @@ class LaunchReplay:
         # transfer always resume as a row, a body load reads its value.
         resume, payload = _EV_ROW, None
         if planned:
-            (boxes, addresses, targets, elements, values), tags, \
-                first_issue = feeder
+            (boxes, addresses, targets, elements), tags, first_issue = feeder
             # Each planned row's issue cycle, for the iteration trace.
             issued: List[int] = []
         elif bodies:
@@ -566,8 +834,9 @@ class LaunchReplay:
                         address = addresses[row]
                         store = targets[row]
                         if store is not None:
+                            # Its position among the stores: the loop
+                            # never reads a value.
                             element = elements[row]
-                            value = values[row]
                         row += 1
                         if not box[1]:          # the site's first access
                             first_issue.append(box[6])

@@ -15,7 +15,11 @@ then *observes* them through sequence numbers and timestamps.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+import itertools
+from collections.abc import Sequence as _SequenceABC
+from typing import Any, Iterable, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import KernelBuildError
 
@@ -53,18 +57,38 @@ def flattened(extents: Sequence[int]) -> Iterator[Tuple[int, ...]]:
             yield (index,) + rest
 
 
-def _flat_workitems(global_size: int) -> Iterator[Tuple[int, int]]:
-    """Degenerate nest (``trip_count == 1``): one tag per work-item.
+class WorkItems(_SequenceABC):
+    """The degenerate nest (``trip_count == 1``): tag ``(gid, 0)`` for
+    each work-item ``gid`` in ``range(global_size)``, made as iterated or
+    indexed rather than held one tuple per work-item. Both policies
+    coincide here. :meth:`gids` is the tags' first components as a
+    column, for the batch table."""
 
-    Both policies coincide here; skipping the nested generator shaves a
-    frame per tag off the hottest NDRange launch path."""
-    _check_extent(global_size)
-    for gid in range(global_size):
-        yield (gid, 0)
+    __slots__ = ("size",)
+
+    def __init__(self, global_size: int) -> None:
+        _check_extent(global_size)
+        self.size = global_size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(self)[index]
+        return (range(self.size)[index], 0)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(range(self.size), itertools.repeat(0))
+
+    def gids(self) -> np.ndarray:
+        """``get_global_id(0)`` of every tag, in order."""
+        return np.arange(self.size, dtype=np.int64)
 
 
 def ndrange_schedule(global_size: int, trip_count: int,
-                     policy: str = "workitem-interleaved") -> Iterator[Tuple[int, int]]:
+                     policy: str = "workitem-interleaved"
+                     ) -> Iterable[Tuple[int, int]]:
     """Issue order of an NDRange kernel whose work-items run a loop.
 
     ``(gid, i)`` pairs; ``policy`` selects the compiler scheduling outcome:
@@ -78,7 +102,7 @@ def ndrange_schedule(global_size: int, trip_count: int,
             f"unknown NDRange policy {policy!r}; expected one of "
             f"{NDRANGE_POLICIES}")
     if trip_count == 1:
-        return _flat_workitems(global_size)
+        return WorkItems(global_size)
     if policy == "workitem-interleaved":
         return i_major(global_size, trip_count)
     return k_major(global_size, trip_count)

@@ -31,6 +31,7 @@ from hypothesis import find, given, settings, strategies as st
 from repro.frontend import FrontendError, compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import PipelineConfig
+from repro.pipeline.replay import timeline_cache_clear
 from tests.executor_oracle import run_kernel
 
 MAX_EXAMPLES = int(os.environ.get("BATCH_EQUIV_EXAMPLES", "60"))
@@ -480,7 +481,10 @@ def _ndrange_batch_round(executor: str):
     """One full run of both gate kernels under ``executor``.
 
     Returns (simulated cycles, wall seconds, per-launch batch modes).
+    The timeline memo is cleared first, so table launches run their
+    issue loop.
     """
+    timeline_cache_clear()
     vec_n = 8192
     rows, col_a, col_b = 24, 24, 24
     launches = (
