@@ -662,6 +662,31 @@ class ServiceChannel(Channel):
 
     write = write_nb
 
+    # -- a planned launch's timeline, reused (see repro.pipeline.replay) -----
+
+    def replay_state(self, start: int) -> Optional[tuple]:
+        """What a launch from cycle ``start`` reads of the channel beyond
+        its statistics, relative to ``start``: launches of one access
+        stream from equal states time alike. None when no launch's
+        timeline may be reused (a reader already waits on it)."""
+        raise NotImplementedError
+
+    def replay_counts(self) -> tuple:
+        """The statistics a launch's reads change."""
+        stats = self._stats
+        return (stats.reads, stats.read_stall_cycles, stats.writes,
+                stats.write_stall_cycles)
+
+    def restore(self, state: tuple, counts: tuple, start: int) -> None:
+        """Leave the channel as a launch from ``start`` left it: in
+        ``state`` (see :meth:`replay_state`), its statistics moved by
+        ``counts`` (differences of :meth:`replay_counts`)."""
+        stats = self._stats
+        stats.reads += counts[0]
+        stats.read_stall_cycles += counts[1]
+        stats.writes += counts[2]
+        stats.write_stall_cycles += counts[3]
+
 
 class CounterRegisterChannel(ServiceChannel):
     """A depth-0 channel driven by an *analytic* free-running counter.
@@ -719,6 +744,11 @@ class CounterRegisterChannel(ServiceChannel):
         cycle begun persists."""
         if self._frozen_at is None:
             self._frozen_at = self.sim.last_begun_cycle()
+
+    def replay_state(self, start: int) -> Optional[tuple]:
+        frozen = self._frozen_at
+        return (self.start_cycle - start,
+                None if frozen is None else frozen - start)
 
     @property
     def occupancy(self) -> int:
@@ -881,6 +911,23 @@ class SequenceChannel(ServiceChannel):
         """Queue ``reader`` for the next offer: its ``succeed(value)`` is
         called when the server writes."""
         self._pending_readers.append(reader)
+
+    @property
+    def next_number(self) -> int:
+        """The value the next read takes; the reads after it take the
+        numbers after it, in turn."""
+        return self._count
+
+    def replay_state(self, start: int) -> Optional[tuple]:
+        if self._pending_readers:
+            return None
+        return (self._count, self._offered, self._offer_cycle - start,
+                self._stopped, self._per_cycle)
+
+    def restore(self, state: tuple, counts: tuple, start: int) -> None:
+        super().restore(state, counts, start)
+        self._count, self._offered, offer_cycle = state[:3]
+        self._offer_cycle = start + offer_cycle
 
     # -- channel API --------------------------------------------------------
 

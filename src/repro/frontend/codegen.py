@@ -188,21 +188,25 @@ class CompiledBody:
 
 
 def _c_div(l: Any, r: Any) -> Any:
-    """C's truncating ``l / r``. Exact on integers (Python or numpy) of
-    any width, where ``int(l / r)`` would round through a 53-bit float;
-    float operands keep that float division."""
+    """C's ``l / r``: truncating and exact on integers (Python or numpy)
+    of any width, where ``int(l / r)`` would round through a 53-bit
+    float; a float operand divides as C's floating ``/`` does."""
     if type(l) is not int or type(r) is not int:
         try:
             l, r = operator.index(l), operator.index(r)
         except TypeError:
-            return int(l / r)
+            return l / r
     quotient = abs(l) // abs(r)
     return quotient if (l < 0) == (r < 0) else -quotient
 
 
 def _c_mod(l: Any, r: Any) -> Any:
-    """C's ``l % r``: ``l - (l / r) * r`` with the truncating quotient."""
-    return l - _c_div(l, r) * r
+    """C's ``l % r``: ``l - (l / r) * r`` with the truncating quotient
+    (for a float operand, ``int(l / r)``, as ``fmod`` truncates)."""
+    quotient = _c_div(l, r)
+    if type(quotient) is not int:
+        quotient = int(quotient)
+    return l - quotient * r
 
 
 def _compound_fn(op: str) -> Callable:
@@ -1422,8 +1426,8 @@ def compile_kernel_body(definition: ast.KernelDef, *,
 # every global-memory access a :class:`BLoad`/:class:`BStore`, every
 # ``if`` a :class:`BIf`, every loop a :class:`BLoop` with a
 # :class:`BTest`, every ``break``/``continue``/``return`` a
-# :class:`BExit`, and the code between them straight-line
-# :class:`BPure` segments. Every expression is a *column closure*
+# :class:`BExit`, every blocking channel read a :class:`BRead`, and the
+# code between them straight-line :class:`BPure` segments. Every expression is a *column closure*
 # ``fn(frame, rows)``: it evaluates the expression for the active
 # ``rows`` of a :class:`~repro.pipeline.columns.Columns` frame, through
 # the column forms of the same value-level operators the closure backend
@@ -1431,11 +1435,11 @@ def compile_kernel_body(definition: ast.KernelDef, *,
 # the closures compute or aborts.
 #
 # Plans are deliberately partial: anything whose timing or shared state
-# cannot be replayed analytically (channels, barriers, __local memory,
-# HDL calls, autorun cycle boundaries, statically unresolved subscripts,
-# switch statements) makes the kernel unplannable and
-# ``compile_batch_plan`` returns a fallback reason instead. The closure
-# backend remains the execution oracle.
+# cannot be replayed analytically (channel writes and non-blocking
+# builtins, barriers, __local memory, HDL calls, autorun cycle
+# boundaries, statically unresolved subscripts, switch statements) makes
+# the kernel unplannable and ``compile_batch_plan`` returns a fallback
+# reason instead. The closure backend remains the execution oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -1540,6 +1544,19 @@ class BExit(_BNode):
         self.code = code
 
 
+class BRead(_BNode):
+    """One blocking channel read: ``frame[dst]`` becomes a
+    :class:`~repro.pipeline.columns.Register` of ``channel_fn``'s
+    channel, filled in when the batch table's issue loop reads it."""
+
+    __slots__ = ("channel_fn", "dst_slot")
+    kind = 7
+
+    def __init__(self, channel_fn: Callable, dst_slot: int) -> None:
+        self.channel_fn = channel_fn
+        self.dst_slot = dst_slot
+
+
 class BatchPlan:
     """A kernel body lowered to a plan-node program.
 
@@ -1617,55 +1634,45 @@ def _merge_pure(nodes) -> tuple:
 
 
 def tier_scan(nodes: List[ast.Node], hdl_names) -> Tuple[
-        Optional[str], Tuple[str, ...], Optional[str]]:
-    """``(replay_reason, channels, batch_reason)`` from one walk of a
-    kernel body (``nodes``: its
-    :func:`~repro.frontend.ast_nodes.all_nodes`): the first construct
-    that keeps a launch off each tier (None when there is none), and the
-    channels its blocking reads name.
+        Optional[str], Tuple[str, ...]]:
+    """``(reason, channels)`` from one walk of a kernel body (``nodes``:
+    its :func:`~repro.frontend.ast_nodes.all_nodes`): the first
+    construct that keeps a launch off both analytic tiers (None when
+    there is none), and the channels its blocking reads name.
 
-    The analytic launch replay runs bodies that yield only global loads
-    and stores and blocking channel reads (:mod:`repro.pipeline.replay`);
-    whether each read channel is a lazy service is decided per launch
+    The batch table and the analytic launch replay run bodies whose only
+    shared effects are global loads and stores and blocking reads of a
+    named channel (:mod:`repro.pipeline.batch`,
+    :mod:`repro.pipeline.replay`); whether each read channel is a lazy
+    service is decided per launch
     (:meth:`~repro.frontend.compiler._CompiledMixin.replay_gate`). A
-    batch plan can contain no channel use at all: a non-blocking channel
-    builtin mutates shared channel state even though it yields no op.
+    non-blocking channel builtin mutates shared channel state even
+    though it yields no op.
     """
     hdl = frozenset(hdl_names)
     reads: List[str] = []
-    replay_reason = batch_reason = None
     for node in nodes:
         if isinstance(node, ast.Call):
             func = node.func
             if func == "barrier":
-                blocker = replay_blocker = "work-group barrier"
-            elif func in CHANNEL_BUILTINS:
-                blocker, replay_blocker = "channel operation", None
+                return "work-group barrier", ()
+            if func in CHANNEL_BUILTINS:
                 if "_nb_" in func:
-                    replay_blocker = "non-blocking channel builtin"
-                elif func.startswith("write"):
-                    replay_blocker = "channel write"
-                else:
-                    target = node.args[0] if node.args else None
-                    if isinstance(target, ast.Subscript):
-                        target = target.base
-                    if not isinstance(target, ast.Name):
-                        replay_blocker = "blocking read of a computed channel"
-                    elif target.ident not in reads:
-                        reads.append(target.ident)
+                    return "non-blocking channel builtin", ()
+                if func.startswith("write"):
+                    return "channel write", ()
+                target = node.args[0] if node.args else None
+                if isinstance(target, ast.Subscript):
+                    target = target.base
+                if not isinstance(target, ast.Name):
+                    return "blocking read of a computed channel", ()
+                if target.ident not in reads:
+                    reads.append(target.ident)
             elif func in hdl:
-                blocker = replay_blocker = "HDL library call"
-            else:
-                continue
+                return "HDL library call", ()
         elif isinstance(node, ast.Declaration) and node.is_local:
-            blocker = replay_blocker = "__local memory"
-        else:
-            continue
-        batch_reason = batch_reason or blocker
-        replay_reason = replay_reason or replay_blocker
-        if replay_reason is not None:
-            return replay_reason, (), batch_reason
-    return None, tuple(reads), batch_reason
+            return "__local memory", ()
+    return None, tuple(reads)
 
 
 # -- column helpers for the plan closures -------------------------------------
@@ -1970,7 +1977,7 @@ class _PlanCompiler(_BodyCompiler):
         if isinstance(node, ast.AddressOf):
             return self._plan_address_of(node, scope, steps)
         if isinstance(node, ast.Call):
-            return self._plan_call(node)
+            return self._plan_call(node, scope, steps)
         return _raise_expr(f"cannot evaluate {type(node).__name__}", node)
 
     def _plan_logic(self, node: ast.Binary, scope: _SlotScope,
@@ -2157,7 +2164,8 @@ class _PlanCompiler(_BodyCompiler):
             return store.base_address + i * store.itemsize
         return _CExpr(fn)
 
-    def _plan_call(self, node: ast.Call) -> _CExpr:
+    def _plan_call(self, node: ast.Call, scope: _SlotScope,
+                   steps: list) -> _CExpr:
         name = node.func
         if name == "get_global_id":
             return _CExpr(lambda f, rows: f.gid(rows))
@@ -2165,7 +2173,15 @@ class _PlanCompiler(_BodyCompiler):
             return _CExpr(lambda f, rows: f.compute_id)
         if name in ("get_global_size", "get_local_id", "mem_fence"):
             return self._call(node, None)
-        # A barrier, channel or HDL call never gets here (see tier_scan).
+        if name in CHANNEL_BUILTINS:
+            # Only a blocking read of a named channel gets here (see
+            # tier_scan); like the closure, it evaluates its first
+            # argument only.
+            channel = self._plan_expr(node.args[0], scope, steps)
+            dst = self._temp()
+            steps.append(BRead(channel.fn, dst))
+            return self._slot_read(dst)
+        # A barrier or HDL call never gets here (see tier_scan).
         return _raise_expr(f"unknown function {name!r}", node)
 
     # -- entry --------------------------------------------------------------

@@ -311,10 +311,11 @@ class KernelArtifacts:
         self.site_table = site_table
         self.local_arrays = local_arrays
         self.compiled_body = compiled_body
-        #: Why a launch can never replay (None when it can), and the
-        #: channels its blocking reads name (see :func:`tier_scan`).
+        #: Why a launch can never replay or run in the batch table (None
+        #: when it can), and the channels its blocking reads name (see
+        #: :func:`tier_scan`).
         self.replay_reason, self.read_channels = replay
-        # (defines, channel_kinds, hdl, the first construct no plan holds)
+        # (defines, channel_kinds, hdl)
         self._plan_inputs = plan_inputs
         # Batch plan, compiled at the kernel's first launch, so a
         # compile_source that launches nothing never pays for it.
@@ -325,7 +326,7 @@ class KernelArtifacts:
         """``(plan, reason)`` for the batch table, compiled on first
         request and cached on the artifact (shared by the program LRU)."""
         if self._batch_reason is None:
-            defines, channel_kinds, hdl_names, blocker = self._plan_inputs
+            defines, channel_kinds, hdl_names = self._plan_inputs
             self._batch_plan, self._batch_reason = compile_batch_plan(
                 self.definition,
                 site_table=self.site_table,
@@ -333,7 +334,7 @@ class KernelArtifacts:
                 channel_kinds=channel_kinds,
                 hdl_names=hdl_names,
                 autorun=self.kind == "autorun",
-                blocker=blocker)
+                blocker=self.replay_reason)
         return self._batch_plan, self._batch_reason
 
 
@@ -358,12 +359,10 @@ def build_kernel_artifacts(definition: ast.KernelDef,
         channel_kinds=channel_kinds,
         hdl_names=hdl_names,
         autorun=kind == "autorun")
-    replay_reason, read_channels, batch_blocker = tier_scan(nodes,
-                                                            hdl_names)
     return KernelArtifacts(definition, kind, site_table, local_arrays,
-                           compiled_body, (replay_reason, read_channels),
+                           compiled_body, tier_scan(nodes, hdl_names),
                            plan_inputs=(dict(defines), dict(channel_kinds),
-                                        tuple(hdl_names), batch_blocker))
+                                        tuple(hdl_names)))
 
 
 class _ProgramImage:
@@ -538,8 +537,9 @@ class _CompiledMixin:
         return self._artifacts.replay_reason or Kernel.replay_blocker
 
     def replay_gate(self) -> Optional[str]:
-        """A launch steps while a channel it reads is not a lazy service
-        (a plain channel's values come from a stepping producer)."""
+        """A launch stays off the batch table and the replay, and steps,
+        while a channel it reads is not a lazy service (a plain
+        channel's values come from a stepping producer)."""
         bindings = self._channel_bindings
         for name in self._artifacts.read_channels:
             if not isinstance(bindings.get(name), ServiceChannel):

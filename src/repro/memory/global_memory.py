@@ -172,7 +172,9 @@ class CommitColumns:
             if part_of is None:
                 positions = order
             else:
-                positions = order[np.isin(part_of, members)]
+                member = np.zeros(len(parts), dtype=bool)
+                member[members] = True
+                positions = order[member[part_of]]
             if not len(positions):
                 continue
             elements = elements[positions]

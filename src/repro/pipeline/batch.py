@@ -23,7 +23,13 @@ loop. A table launch has two phases:
     its ``BTest`` drops the rows whose condition fails;
   - a ``return`` clears the rows taking it from the rest of the body, a
     ``break`` from the rest of its loop, a ``continue`` from the rest
-    of the loop's body (they rejoin at the loop's step).
+    of the loop's body (they rejoin at the loop's step);
+  - a ``BRead`` (a blocking read of a lazy timer or sequence channel)
+    gives each active row a :class:`~repro.pipeline.columns.Register`,
+    which Phase B fills in when the row reads the channel. A slot may
+    hold it and a store may take it as its element or its value (a
+    store whose element is a register writes, for the hazard checks,
+    its whole buffer); any other use aborts, naming it.
 
   Every column operation is exact-or-abort: for every active row it
   yields what the closure backend's scalar operation yields, or it
@@ -60,12 +66,14 @@ loop. A table launch has two phases:
   kernels from their body generators when the table does not apply.
 
 The phases only run when the kernel lowered to a
-:class:`~repro.frontend.codegen.BatchPlan` and the launch owns the
+:class:`~repro.frontend.codegen.BatchPlan`, the launch owns the
 simulator (see :meth:`~repro.sim.core.Simulator.exclusive_reason`: an
 empty event queue — a posted store still in flight is a scheduled
-commit event — and no ``run(until=...)`` under way). Otherwise the
-engine's next tier times the launch: the analytic replay of a
-replayable kernel's bodies, or stepping. Python-IR kernels have no plan
+commit event — and no ``run(until=...)`` under way), every channel it
+reads is a lazy service, and it has more than one iteration (one row
+replays its body faster). Otherwise the engine's next tier times the
+launch: the analytic replay of a replayable kernel's bodies, or
+stepping. Python-IR kernels have no plan
 compiler, so their launches never try the table and write no
 ``batch.*`` trace rows.
 
@@ -82,8 +90,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pipeline.columns import (EMPTY, BatchAbort, Columns, fresh,
-                                    index_of, operand, split, whole, widen)
+from repro.channels.channel import CounterRegisterChannel, SequenceChannel
+from repro.pipeline.columns import (EMPTY, BatchAbort, Columns, Register,
+                                    fresh, index_of, operand, split, whole,
+                                    widen)
 from repro.pipeline.context import KernelContext
 from repro.pipeline.replay import LaunchReplay
 
@@ -126,8 +136,19 @@ class PhaseA:
         self._buffers: Dict[str, tuple] = {}
         #: Accesses in execution order: (box, store or None for a load,
         #: rows (None: every row), elements, stored values (None for a
-        #: load), backing store).
+        #: load), backing store, deferred). A channel read is one too:
+        #: (None, channel, rows, its register positions, None, None, 0).
+        #: ``deferred`` has bit 1 when a store's elements, bit 2 when its
+        #: values, are register positions instead.
         self.records: List[tuple] = []
+        #: Registers so far: each row's value of each channel read.
+        self.registers = 0
+        #: The channels read, in first-read order: how many values each
+        #: one's reads take.
+        self.channels: Dict[Any, int] = {}
+        # The sequence channels whose values index a store, with the
+        # buffer's size.
+        self._indexed: List[tuple] = []
         # Rows leaving the innermost loop by break (or its test) and by
         # continue; None outside every loop.
         self._brk: Optional[list] = None
@@ -149,6 +170,12 @@ class PhaseA:
                                  engine.fabric.memory, instance.compute_id)
             with np.errstate(all="ignore"):
                 self._exec(plan.nodes, None)
+            for channel, size in self._indexed:
+                # The launch's reads take consecutive sequence numbers,
+                # in an order only Phase B knows.
+                first = channel.next_number
+                if first < 0 or first + self.channels[channel] > size:
+                    raise BatchAbort("sequence number outside the buffer")
         except BatchAbort:
             raise
         except Exception as exc:
@@ -187,6 +214,8 @@ class PhaseA:
                                      frame.all_rows)
                 if failed is not EMPTY:
                     self._brk.append(failed)
+            elif kind == 7:                                 # BRead
+                self._read(node, rows)
             else:                                           # BExit
                 code = node.code
                 if code != _RET:
@@ -262,19 +291,69 @@ class PhaseA:
 
     def _store(self, node: Any, rows: Any) -> None:
         frame = self.frame
+        n = frame.n
         store, read, written, traffic = self._buffer(frame[node.base_slot])
-        elements = self._elements(node.index_fn(frame, rows), rows, store)
-        value = operand(node.value_fn(frame, rows))
-        if read[elements].any():
+        index = node.index_fn(frame, rows)
+        deferred = 0
+        if type(index) is Register:
+            if type(index.channel) is not SequenceChannel:
+                raise BatchAbort("timer value as a store index")
+            # Any element may be the one written: the whole buffer is.
+            self._indexed.append((index.channel, store.size))
+            elements = index.positions(rows, n)
+            deferred = 1
+            hazard = read.any()
+        else:
+            elements = self._elements(index, rows, store)
+            hazard = read[elements].any()
+        value = node.value_fn(frame, rows)
+        if type(value) is Register:
+            value = value.positions(rows, n)
+            deferred |= 2
+        else:
+            value = operand(value)
+        if hazard:
             # The earlier load's in-flight completion could land after
             # this store's commit: value unsafe.
             raise BatchAbort("write-after-read hazard")
-        written[elements] = True
+        if deferred & 1:
+            written[:] = True
+        else:
+            written[elements] = True
         self._record(node.site, "store", store, traffic, rows, elements,
-                     value)
+                     value, deferred)
+
+    def _read(self, node: Any, rows: Any) -> None:
+        """A blocking read of a lazy service channel: a register per
+        active row, filled in when Phase B issues the read."""
+        frame = self.frame
+        channel = node.channel_fn(frame, rows)
+        kind = type(channel)
+        if kind is not SequenceChannel and kind is not CounterRegisterChannel:
+            raise BatchAbort("blocking read of a channel that is no service")
+        count = frame.n if rows is None else len(rows)
+        base = self.registers
+        self.registers = base + count
+        self.channels[channel] = self.channels.get(channel, 0) + count
+        frame[node.dst_slot] = Register(base, rows, channel)
+        self.records.append((None, channel, rows,
+                             np.arange(base, base + count), None, None, 0))
+
+    @staticmethod
+    def _address(box: Any, index: np.ndarray, store: Any,
+                 deferred: int) -> Any:
+        """A record's entries' addresses: a read's are its register
+        positions; a store whose element is a register gets its address
+        when the register is filled in."""
+        if box is None:
+            return index
+        if deferred & 1:
+            return np.zeros_like(index)
+        return store.base_address + index * store.itemsize
 
     def _record(self, site: str, kind: str, store: Any, traffic: list,
-                rows: Any, elements: np.ndarray, values: Any) -> None:
+                rows: Any, elements: np.ndarray, values: Any,
+                deferred: int = 0) -> None:
         replay = self.replay
         count = len(elements)
         size = count * store.itemsize
@@ -291,78 +370,118 @@ class PhaseA:
             traffic[3] += size
         self.records.append((replay.site_box(site, kind),
                               None if kind == "load" else store, rows,
-                              elements, values, store))
+                              elements, values, store, deferred))
 
     # -- Phase B's view ------------------------------------------------------
 
-    def commit_parts(self) -> list:
+    def commit_parts(self, registers: np.ndarray) -> list:
         """The stores' ``(backing store, elements, values)``, in record
         order: a store's position among their elements is its commit's
-        (see :class:`~repro.memory.global_memory.CommitColumns`)."""
-        return [(rec[5], rec[3], rec[4]) for rec in self.records
-                if rec[1] is not None]
+        (see :class:`~repro.memory.global_memory.CommitColumns`).
+        ``registers`` is the register file Phase B filled: a deferred
+        element or value is read from it."""
+        parts = []
+        for box, target, _, elements, values, store, deferred in \
+                self.records:
+            if target is None or box is None:       # a load or a read
+                continue
+            if deferred & 1:
+                elements = registers[elements]
+            if deferred & 2:
+                values = registers[values]
+            parts.append((store, elements, values))
+        return parts
 
-    def issue_order(self) -> Tuple[tuple, list]:
-        """``(accesses, starts)``: the columns ``(boxes, addresses,
-        stores, elements)`` of every row's accesses in body order, each
-        row's followed by its end marker (box None, the row's index as
-        its address), and the position of each row's first entry. A
-        store's element entry is its position in :meth:`commit_parts`;
-        a load's is unused."""
+    def issue_order(self) -> Tuple[tuple, list, list]:
+        """``(accesses, starts, dependents)``: the columns ``(boxes,
+        addresses, targets, elements)`` of every row's accesses in body
+        order, each row's followed by its end marker (box and target
+        None, the row's index as its address), and the position of each
+        row's first entry.
+
+        A store's element entry is its position in :meth:`commit_parts`;
+        a load's is unused. A channel read's box is None, its target the
+        channel and its address its register's position. A store whose
+        element is a register has no address yet: ``dependents`` lists,
+        at each register's position, the ``(entry, base address, item
+        size)`` of each such store, which the read fills in."""
         frame = self.frame
         records = self.records
         if frame is None:
-            return ([], [], [], []), []
+            return ([], [], [], []), [], []
         every = frame.all_rows()
         n = frame.n
         width = len(records) + 1
-        stored = 0
+        boxes = [rec[0] for rec in records] + [None]
+        targets = [rec[1] for rec in records] + [None]
         if all(rec[2] is None for rec in records):
             # Every row ran every access: a row's accesses are its row of
             # an (n, width) grid.
             addresses = np.empty((n, width), dtype=np.int64)
-            elements = np.zeros((n, width), dtype=np.int64)
-            for position, (_, target, _, index, _, store) in \
+            positions = np.zeros((n, width), dtype=np.int64)
+            stored = 0
+            for number, (box, target, _, index, _, store, deferred) in \
                     enumerate(records):
-                addresses[:, position] = \
-                    store.base_address + index * store.itemsize
-                if target is not None:
-                    elements[:, position] = every + stored
+                addresses[:, number] = self._address(box, index, store,
+                                                     deferred)
+                if box is not None and target is not None:
+                    positions[:, number] = every + stored
                     stored += n
             addresses[:, -1] = every
-            return ((([rec[0] for rec in records] + [None]) * n,
-                     addresses.ravel().tolist(),
-                     ([rec[1] for rec in records] + [None]) * n,
-                     elements.ravel().tolist()),
-                    list(range(0, n * width, width)))
-        # Phase A ran each row's accesses in its body order, so a stable
-        # sort of all records by row gives each row's sequence.
-        keys = [every if rec[2] is None else rec[2] for rec in records]
-        keys.append(every)
-        sizes = [len(key) for key in keys]
-        boxes = np.empty(width, dtype=object)
-        targets = np.empty(width, dtype=object)
-        addresses = []
-        positions = []
-        for position, (box, target, _, index, _, store) in \
+            accesses = (boxes * n, addresses.ravel().tolist(),
+                        targets * n, positions.ravel().tolist())
+            starts = list(range(0, n * width, width))
+
+            def entries(number: int) -> np.ndarray:
+                return every * width + number
+        else:
+            # Phase A ran each row's accesses in its body order, so a
+            # stable sort of all records by row gives each row's
+            # sequence.
+            keys = [every if rec[2] is None else rec[2] for rec in records]
+            keys.append(every)
+            sizes = [len(key) for key in keys]
+            box_column = np.empty(width, dtype=object)
+            target_column = np.empty(width, dtype=object)
+            addresses = []
+            positions = []
+            stored = 0
+            for number, (box, target, _, index, _, store, deferred) in \
+                    enumerate(records):
+                box_column[number] = box
+                target_column[number] = target
+                addresses.append(self._address(box, index, store, deferred))
+                if box is None or target is None:
+                    positions.append(index)
+                else:
+                    positions.append(np.arange(stored,
+                                               stored + sizes[number]))
+                    stored += sizes[number]
+            addresses.append(every)
+            positions.append(every)
+            rows = np.concatenate(keys)
+            order = np.argsort(rows, kind="stable")
+            record_of = np.repeat(np.arange(width), sizes)[order]
+            per_row = np.bincount(rows, minlength=n)
+            starts = np.concatenate(([0], np.cumsum(per_row)[:-1])).tolist()
+            accesses = (box_column[record_of].tolist(),
+                        np.concatenate(addresses)[order].tolist(),
+                        target_column[record_of].tolist(),
+                        np.concatenate(positions)[order].tolist())
+            if self.registers:
+                # The concatenation's item i is entry where[i].
+                where = np.empty(len(order), dtype=np.int64)
+                where[order] = np.arange(len(order))
+                ends = np.cumsum(sizes)
+
+            def entries(number: int) -> np.ndarray:
+                return where[ends[number] - sizes[number]:ends[number]]
+        dependents: List[list] = [[] for _ in range(self.registers)]
+        for number, (box, _, _, index, _, store, deferred) in \
                 enumerate(records):
-            boxes[position] = box
-            targets[position] = target
-            addresses.append(store.base_address + index * store.itemsize)
-            if target is None:
-                positions.append(index)
-            else:
-                positions.append(np.arange(stored,
-                                           stored + sizes[position]))
-                stored += sizes[position]
-        addresses.append(every)
-        positions.append(every)
-        rows = np.concatenate(keys)
-        order = np.argsort(rows, kind="stable")
-        record_of = np.repeat(np.arange(width), sizes)[order]
-        per_row = np.bincount(rows, minlength=n)
-        starts = np.concatenate(([0], np.cumsum(per_row)[:-1])).tolist()
-        return (boxes[record_of].tolist(),
-                np.concatenate(addresses)[order].tolist(),
-                targets[record_of].tolist(),
-                np.concatenate(positions)[order].tolist()), starts
+            if box is not None and deferred & 1:
+                base, itemsize = store.base_address, store.itemsize
+                for position, entry in zip(index.tolist(),
+                                           entries(number).tolist()):
+                    dependents[position].append((entry, base, itemsize))
+        return accesses, starts, dependents

@@ -62,6 +62,58 @@ class BatchAbort(Exception):
         self.reason = reason
 
 
+def _refuse(reason: str) -> Callable:
+    def refuse(*_args: Any) -> Any:
+        raise BatchAbort(reason)
+    return refuse
+
+
+class Register:
+    """A blocking read of a lazy service channel: one value per row that
+    ran it, unknown until Phase B issues the read on that row.
+
+    ``base`` is the read's first position in the launch's register file
+    and ``rows`` the rows that ran it (None: every row), in register
+    order; ``channel`` is the channel read. A slot may hold it, and a
+    store may take it as its element or its value (see
+    :meth:`positions`); any other use aborts, naming it.
+    """
+
+    __slots__ = ("base", "rows", "channel")
+
+    def __init__(self, base: int, rows: Optional[ndarray],
+                 channel: Any) -> None:
+        self.base = base
+        self.rows = rows
+        self.channel = channel
+
+    def positions(self, rows: Optional[ndarray], n: int) -> ndarray:
+        """The register positions of the active ``rows``' values."""
+        mine = self.rows
+        if mine is None:
+            return self.base + (np.arange(n) if rows is None else rows)
+        if rows is mine:
+            return np.arange(self.base, self.base + len(mine))
+        inverse = np.full(n, -1, dtype=np.int64)
+        inverse[mine] = np.arange(len(mine))
+        found = inverse if rows is None else inverse[rows]
+        if found.min() < 0:
+            raise BatchAbort("channel value read on fewer rows")
+        return self.base + found
+
+    __bool__ = _refuse("channel value as a condition")
+    __int__ = __index__ = _refuse("channel value as an index")
+
+
+for _name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "and",
+              "or", "xor", "lshift", "rshift"):
+    setattr(Register, f"__{_name}__", _refuse("channel value in arithmetic"))
+    setattr(Register, f"__r{_name}__",
+            _refuse("channel value in arithmetic"))
+for _name in ("lt", "le", "gt", "ge", "eq", "ne", "neg", "invert"):
+    setattr(Register, f"__{_name}__", _refuse("channel value in arithmetic"))
+
+
 class PrivateArray:
     """A private array: ``data[row]`` holds one work-item's elements.
 
@@ -137,6 +189,8 @@ def operand(value: Any) -> Any:
         return value
     if isinstance(value, PrivateArray):
         raise BatchAbort("private array used as a value")
+    if kind is Register:
+        raise BatchAbort("channel value in arithmetic")
     raise BatchAbort(f"{kind.__name__} operand in a column")
 
 
@@ -307,17 +361,17 @@ def whole(value: Any) -> Any:
 
 
 def _float_quotient(l: Any, r: Any) -> ndarray:
-    """``int(l / r)`` per row, as float64 (the float branch of
-    :func:`~repro.frontend.codegen._c_div`)."""
+    """``int(l / r)`` per row, as float64 (the quotient of
+    :func:`~repro.frontend.codegen._c_mod`'s float branch)."""
     return _truncate(np.true_divide(l, r))
 
 
 def _div(l: Any, r: Any, op: str = "/") -> ndarray:
-    """C's truncating ``l / r`` over columns (``_c_div``; a zero divisor
-    aborts)."""
+    """C's ``l / r`` over columns (``_c_div``: exact on floats,
+    truncating on integers; a zero divisor aborts)."""
     _check_divisor(r, op)
     if _is_float(l) or _is_float(r):
-        return _float_quotient(l, r).astype(np.int64)
+        return np.true_divide(l, r)
     if _any((l == _I64_MIN) & (r == -1)):
         raise BatchAbort(f"int64 overflow on {op}")
     return (l - np.fmod(l, r)) // r

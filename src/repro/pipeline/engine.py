@@ -55,6 +55,9 @@ from repro.pipeline.context import KernelContext
 from repro.pipeline.kernel import NO_PLAN_COMPILER, AutorunKernel, Kernel
 from repro.pipeline.replay import LaunchReplay
 from repro.pipeline.schedule import WorkItems
+
+#: Why a one-iteration launch of a planned kernel skips the batch table.
+ONE_ITERATION = "one iteration"
 from repro.sim.core import (
     PRIORITY_LATE,
     PRIORITY_URGENT,
@@ -537,8 +540,9 @@ class PipelineEngine(_OpExecutor):
         """Walk ``space`` on the cheapest exact tier, decided once:
 
         1. the batch table (:mod:`repro.pipeline.batch`), when the kernel
-           has a plan, the launch owns the simulator and Phase A
-           completes (:attr:`batch` says which, or why not);
+           has a plan, the launch owns the simulator, the kernel's replay
+           gate passes, the launch has more than one iteration and Phase
+           A completes (:attr:`batch` says which, or why not);
         2. else the analytic replay of the bodies, when the kernel is
            replayable, the launch owns the simulator and the kernel's
            replay gate passes;
@@ -550,10 +554,15 @@ class PipelineEngine(_OpExecutor):
         rows = ops_count = divergence = 0
         if plan is not None:
             ops_count = plan.op_count
-            reason = exclusive
+            reason = exclusive or kernel.replay_gate()
             if reason is None:
                 if type(space) is not WorkItems:
                     space = list(space)
+                if len(space) == 1:
+                    # Phase A pays numpy's per-call cost at every access,
+                    # so the bodies replay times one iteration faster.
+                    reason = ONE_ITERATION
+            if reason is None:
                 replay = LaunchReplay(self)
                 phase = PhaseA(self, replay)
                 try:

@@ -18,7 +18,11 @@ Three feeders drive one issue loop (:meth:`LaunchReplay._run`):
   row's run of entries ended by a marker; the replay only times them,
   and a row is just the position of its next entry. A store carries its
   position among the launch's stores, resolved to an element and value
-  after the loop;
+  after the loop. A blocking read of a lazy service channel is an entry
+  too: the row reads it when it reaches it, as a body would, and the
+  value fills the row's register (see
+  :class:`~repro.pipeline.columns.Register`) and the address of each
+  store whose element it is;
 * **body generators** (:meth:`LaunchReplay.run_bodies`): a Python-IR
   kernel that declares :attr:`~repro.pipeline.kernel.Kernel.replayable`
   has each iteration's body generator fed op by op. Loads read their
@@ -54,14 +58,16 @@ without their values (each record's LSU site and kind, load or store,
 buffer base address and item size, active rows and elements), the row
 count, the start state relative to the start cycle (each bank's
 ``max(0, ready - start)`` and open row, each LSU's ``max(0, tail -
-start)``), the memory config, ``ii``/``max_inflight`` and
-``keep_lsu_samples``. Values are left out because the loop never reads
-one: the same stream over other data times the same. A process-wide,
+start)``, the state of each channel the launch reads and whether cycle
+``start`` has begun), the memory config, ``ii``/``max_inflight`` and
+``keep_lsu_samples``. Stored values are left out because the loop never
+reads one: the same stream over other data times the same. A process-wide,
 byte-bounded LRU maps the key's blake2b digest to what the loop
 changed (a :class:`_Timeline`); a hit skips the flat columns and the
-loop, applies the recorded timeline shifted to its start cycle, and
-resolves the commits from its own records, so its events, statistics
-and buffers are those of a miss. :func:`timeline_cache_info` and
+loop, applies the recorded timeline shifted to its start cycle (the
+channels' end states and statistics and the register file included),
+and resolves the commits from its own records, so its events,
+statistics and buffers are those of a miss. :func:`timeline_cache_info` and
 :func:`timeline_cache_clear` serve tests and capacity tuning.
 """
 
@@ -104,6 +110,9 @@ _NO_HORIZON = 1 << 62
 #: so such an entry pops before the NORMAL entries of its cycle.
 _URGENT_SEQ = -(1 << 62)
 
+#: The lazy service channels a replayed or planned read takes.
+_SERVICES = (CounterRegisterChannel, SequenceChannel)
+
 _Load = ops.Load
 _Store = ops.Store
 _Compute = ops.Compute
@@ -120,15 +129,21 @@ class _Timeline:
     row hits, misses and load latency; the engine's issued, retired and
     stall deltas; the iteration trace rows ``(row, issue, retire)``; the
     commit order as positions among the stores; the last commit and
-    finish cycles; the boxes in first-issue order. ``nbytes`` is None
-    when the timeline must not be memoized."""
+    finish cycles; the boxes in first-issue order; the register file
+    (each channel read's values); per channel read (in
+    :attr:`~repro.pipeline.batch.PhaseA.channels` order) its final
+    state and the change in its statistics. ``nbytes`` is None when the
+    timeline must not be memoized."""
 
     __slots__ = ("boxes", "banks", "latency", "stats", "trace", "order",
-                 "last_commit", "finish", "first_issue", "nbytes")
+                 "last_commit", "finish", "first_issue", "registers",
+                 "channels", "nbytes")
 
     def size(self) -> int:
         """Bytes the memo charges for this timeline."""
-        arrays = [self.order] + ([] if self.trace is None else [self.trace])
+        arrays = [self.order, self.registers]
+        if self.trace is not None:
+            arrays.append(self.trace)
         arrays += [effect[5] for effect in self.boxes
                    if effect is not None and effect[5] is not None]
         return (_ENTRY_BYTES + 64 * (len(self.boxes) + len(self.banks))
@@ -154,38 +169,53 @@ _timeline_misses = 0
 _timeline_evictions = 0
 
 
-def _timing_key(replay: "LaunchReplay", records: List[tuple],
-                rows: int) -> bytes:
+def _timing_key(replay: "LaunchReplay", phase: Any,
+                rows: int) -> Optional[bytes]:
     """The blake2b-256 digest a planned launch's timeline is a function
     of: Phase A's access records (each one's LSU ``(site, kind)``, load
     or store, backing store ``base_address``/``itemsize``, active rows
-    and elements) and the row count; the start state relative to the
-    start cycle (each bank's ``max(0, ready - start)`` and open row,
-    each LSU box's ``max(0, tail - start)``); the memory config, the
-    pipeline's ``ii``/``max_inflight`` and ``keep_lsu_samples``. No
-    value is part of it: the loop never reads one."""
+    and elements, or a channel read's channel) and the row count; the
+    start state relative to the start cycle (each bank's ``max(0, ready
+    - start)`` and open row, each LSU box's ``max(0, tail - start)``,
+    each channel's :meth:`~repro.channels.channel.ServiceChannel.
+    replay_state`, and whether cycle ``start`` has begun); the memory
+    config, the pipeline's ``ii``/``max_inflight`` and
+    ``keep_lsu_samples``. No stored value is part of it: the loop never
+    reads one. None when a channel's state rules reuse out."""
     # Imported here: hashlib loads OpenSSL's libcrypto (~3.5 MB of RSS
     # and start-up time), which a process with no table launch never
     # needs.
     import hashlib
 
-    start = replay.sim._now
+    sim = replay.sim
+    start = sim._now
     memory = replay.memory
     pipeline = replay.engine.config
     number = {id(box): index
               for index, box in enumerate(replay.boxes.values())}
+    channels = [channel.replay_state(start) for channel in phase.channels]
+    if None in channels:
+        return None
+    channel_of = {channel: index
+                  for index, channel in enumerate(phase.channels)}
     head = [memory.config, pipeline.ii, pipeline.max_inflight,
             replay.keep_samples, rows,
             [max(0, ready - start) for ready in memory._bank_ready],
             memory._bank_open_row,
             [(site, kind, max(0, box[0] - start))
-             for (site, kind), box in replay.boxes.items()]]
-    for box, target, active, elements, _, store in records:
-        head.append((number[id(box)], target is not None, store.base_address,
-                     store.itemsize, None if active is None else len(active),
-                     len(elements)))
+             for (site, kind), box in replay.boxes.items()],
+            channels, sim._begun_at == start]
+    records = phase.records
+    for box, target, active, elements, _, store, deferred in records:
+        size = None if active is None else len(active)
+        if box is None:
+            head.append((channel_of[target], size, len(elements)))
+        else:
+            head.append((number[id(box)], target is not None,
+                         store.base_address, store.itemsize, size,
+                         len(elements), deferred))
     digest = hashlib.blake2b(repr(head).encode(), digest_size=32)
-    for _, _, active, elements, _, _ in records:
+    for _, _, active, elements, _, _, _ in records:
         if active is not None:
             digest.update(np.ascontiguousarray(active, dtype=np.int64))
         digest.update(np.ascontiguousarray(elements, dtype=np.int64))
@@ -349,22 +379,26 @@ class LaunchReplay:
         if self.keep_samples and type(tags) is not list:
             # The iteration trace indexes the tags once per row.
             tags = list(tags)
-        key = _timing_key(self, phase.records, len(tags))
-        timeline = _timeline_get(key)
+        key = _timing_key(self, phase, len(tags))
+        timeline = None if key is None else _timeline_get(key)
         if timeline is None:
-            timeline, first_issue = self._time_planned(phase, tags)
-            _timeline_put(key, timeline)
+            timeline, first_issue = self._time_planned(phase, tags,
+                                                       key is not None)
+            if key is not None:
+                _timeline_put(key, timeline)
         else:
-            first_issue = self._take_timeline(timeline, tags)
-        self.commits = CommitColumns(phase.commit_parts(), timeline.order)
+            first_issue = self._take_timeline(timeline, phase, tags)
+        self.commits = CommitColumns(phase.commit_parts(timeline.registers),
+                                     timeline.order)
         self._flush()
         return first_issue
 
-    def _time_planned(self, phase: Any, tags: Sequence[Any]) -> tuple:
+    def _time_planned(self, phase: Any, tags: Sequence[Any],
+                      memo: bool) -> tuple:
         """Run the issue loop over ``phase``'s accesses; returns
         ``(timeline, LSUs in first-issue order)``. The timeline's
-        ``nbytes`` is None (not to be memoized) when anything is left on
-        the heap or a row never retires."""
+        ``nbytes`` is None (not to be memoized) when ``memo`` is false,
+        anything is left on the heap or a row never retires."""
         start = self.sim._now
         boxes = list(self.boxes.values())
         peaks = [box[3] for box in boxes]
@@ -378,11 +412,15 @@ class LaunchReplay:
         if self.keep_samples:
             # The loop traces row numbers; the tags are put in below.
             stats.iteration_trace = []
-        accesses, starts = phase.issue_order()
+        accesses, starts, dependents = phase.issue_order()
         first_issue: List[Any] = []
+        registers = [0] * phase.registers
+        channels = list(phase.channels)
+        counts = [channel.replay_counts() for channel in channels]
         try:
             self._run(_PLANNED, starts,
-                      (accesses, range(len(tags)), first_issue))
+                      (accesses, range(len(tags)), first_issue, registers,
+                       dependents))
         finally:
             rows = stats.iteration_trace
             stats.iteration_trace = trace
@@ -396,17 +434,30 @@ class LaunchReplay:
         for box, peak in zip(boxes, peaks):
             if peak > box[3]:
                 box[3] = peak
+        timeline.registers = np.array(registers, dtype=np.int64)
+        timeline.channels = tuple(
+            (channel.replay_state(start),
+             tuple(after - before for after, before
+                   in zip(channel.replay_counts(), before_counts)))
+            for channel, before_counts in zip(channels, counts))
         memory = self.memory
-        config = memory.config
-        touched = set()
-        for record in phase.records:
-            store = record[5]
-            touched.update(np.unique(
-                (store.base_address + record[3] * store.itemsize)
-                // config.row_bytes % config.banks).tolist())
-        timeline.banks = tuple(
-            (bank, memory._bank_ready[bank] - start,
-             memory._bank_open_row[bank]) for bank in sorted(touched))
+        timeline.banks = ()
+        accessed = [(store, elements, deferred)
+                    for box, _, _, elements, _, store, deferred
+                    in phase.records if box is not None]
+        if memo and accessed:
+            config = memory.config
+            registers = timeline.registers
+            addresses = np.concatenate([
+                store.base_address + store.itemsize * (
+                    registers[elements] if deferred & 1 else elements)
+                for store, elements, deferred in accessed])
+            touched = np.flatnonzero(np.bincount(
+                addresses // config.row_bytes % config.banks,
+                minlength=config.banks))
+            timeline.banks = tuple(
+                (bank, memory._bank_ready[bank] - start,
+                 memory._bank_open_row[bank]) for bank in touched.tolist())
         timeline.latency = tuple(self.latency)
         timeline.stats = (stats.iterations_issued - before[0],
                           stats.iterations_retired - before[1],
@@ -426,16 +477,19 @@ class LaunchReplay:
                            else self._finish - start)
         number = {id(box[6]): index for index, box in enumerate(boxes)}
         timeline.first_issue = tuple(number[id(lsu)] for lsu in first_issue)
-        timeline.nbytes = (None if self.heap or self._finish is None
-                           else timeline.size())
+        timeline.nbytes = (None if not memo or self.heap
+                           or self._finish is None else timeline.size())
         return timeline, first_issue
 
-    def _take_timeline(self, timeline: "_Timeline",
+    def _take_timeline(self, timeline: "_Timeline", phase: Any,
                        tags: Sequence[Any]) -> List[Any]:
         """Apply what a planned launch's issue loop changes, ``timeline``
         shifted to this launch's start cycle; returns the LSUs in first
         issue order."""
         start = self.sim._now
+        for channel, (state, counts) in zip(phase.channels,
+                                            timeline.channels):
+            channel.restore(state, counts, start)
         boxes = list(self.boxes.values())
         for box, effect in zip(boxes, timeline.boxes):
             if effect is not None:
@@ -484,7 +538,7 @@ class LaunchReplay:
         store_boxes: Dict[str, list] = {}
         stores: Dict[str, Any] = {}
 
-        hop = self.hop
+        read = self._read
 
         def step(row: Row, now: int, value: Any) -> Any:
             """Send ``value`` into ``row``'s body and run it to its next
@@ -560,21 +614,11 @@ class LaunchReplay:
                     return None
                 if cls is _ReadChannel:
                     channel = op.channel
-                    if type(channel) is SequenceChannel:
-                        if channel.has_data:
-                            value = channel.take(hop)
-                            channel.note_read(0)
-                            continue
-                        channel.wait(_Wake(self, row, channel))
-                        return None
-                    if type(channel) is CounterRegisterChannel:
-                        if channel.has_data:
-                            value = channel.value()
-                            channel.note_read(0)
-                            continue
-                        heappush(heap, (channel.start_cycle, next(counter),
-                                        _EV_COUNTER, row, (channel, now)))
-                        return None
+                    if type(channel) in _SERVICES:
+                        value = read(channel, row, now)
+                        if value is None:
+                            return None
+                        continue
                 elif cls is _MemFence:
                     value = None
                     continue
@@ -641,6 +685,26 @@ class LaunchReplay:
         return row.next_op, retire
 
     # -- the shared core ------------------------------------------------------
+
+    def _read(self, channel: Any, row: Any, now: int) -> Any:
+        """``row``'s blocking read of a lazy service channel at ``now``:
+        the value, or None when the row waits for it (it then resumes
+        with the value: a sequence read at the server's next offer, a
+        timer read when the counter starts)."""
+        if type(channel) is SequenceChannel:
+            if channel.has_data:
+                value = channel.take(self.hop)
+                channel.note_read(0)
+                return value
+            channel.wait(_Wake(self, row, channel))
+            return None
+        value = channel.value()
+        if value:
+            channel.note_read(0)
+            return value
+        heapq.heappush(self.heap, (channel.start_cycle, next(self.counter),
+                                   _EV_COUNTER, row, (channel, now)))
+        return None
 
     def hop(self, call: Callable[[], None], next_cycle: bool = False) -> None:
         """A channel callback on the replay's timeline: ``call`` runs one
@@ -746,9 +810,30 @@ class LaunchReplay:
         # transfer always resume as a row, a body load reads its value.
         resume, payload = _EV_ROW, None
         if planned:
-            (boxes, addresses, targets, elements), tags, first_issue = feeder
+            ((boxes, addresses, targets, elements), tags, first_issue,
+             registers, dependents) = feeder
             # Each planned row's issue cycle, for the iteration trace.
             issued: List[int] = []
+            read = self._read
+
+            def take_reads(row: int, value: Any, now: int) -> Any:
+                """Run the channel reads from entry ``row`` on (``value``:
+                the first one's, when it woke the row): each fills its
+                register and the address of every store it indexes.
+                Returns the row's next entry, or None while it waits."""
+                while True:
+                    if value is None:
+                        value = read(targets[row], row, now)
+                        if value is None:
+                            return None
+                    position = addresses[row]
+                    registers[position] = value
+                    for entry, base, itemsize in dependents[position]:
+                        addresses[entry] = base + value * itemsize
+                    row += 1
+                    if boxes[row] is not None or targets[row] is None:
+                        return row
+                    value = None
         elif bodies:
             step = feeder
             kernel = engine.kernel
@@ -828,6 +913,11 @@ class LaunchReplay:
                 # The row's next access; box None when the row retires.
                 if planned:
                     box = boxes[row]
+                    if box is None and targets[row] is not None:
+                        row = take_reads(row, value, now)
+                        if row is None:
+                            continue
+                        box = boxes[row]
                     if box is None:                 # the row's end marker
                         element = addresses[row]
                     else:

@@ -52,16 +52,22 @@ from repro.pipeline.context import KernelContext
 
 
 def _c_div(left: Any, right: Any) -> Any:
-    """C truncating division: exact on integers (floor division rounded
-    toward zero), through a float for float operands."""
+    """C division: truncating and exact on integers (floor division
+    rounded toward zero), floating for a float operand."""
     if not (isinstance(left, numbers.Integral)
             and isinstance(right, numbers.Integral)):
-        return int(left / right)
+        return left / right
     left, right = int(left), int(right)
     quotient = left // right
     if quotient < 0 and quotient * right != left:
         quotient += 1
     return quotient
+
+
+def _c_mod(left: Any, right: Any) -> Any:
+    """C's ``%``: ``left`` less the truncated quotient times ``right``
+    (``fmod`` for a float operand)."""
+    return left - int(_c_div(left, right)) * right
 
 
 class _Return(Exception):
@@ -329,7 +335,7 @@ class Interpreter:
         if op == "%":
             if right == 0:
                 raise error_at("modulo by zero in kernel", node)
-            return left - _c_div(left, right) * right
+            return _c_mod(left, right)
         if op == "<":
             return 1 if left < right else 0
         if op == ">":
@@ -441,7 +447,7 @@ class Interpreter:
         if op == "/=":
             return _c_div(current, value)
         if op == "%=":
-            return current - _c_div(current, value) * value
+            return _c_mod(current, value)
         raise FrontendError(f"unknown compound assignment {op!r}")
 
     def _eval_call(self, node: ast.Call, scope: _Scope,

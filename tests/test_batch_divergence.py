@@ -362,12 +362,13 @@ class TestStaticBail:
         self._assert_static_fallback(fabric, engine, "work-group barrier")
 
     @pytest.mark.parametrize("read_first,batch_reason", [
-        (True, "channel operation"), (False, "work-group barrier")])
+        (True, "work-group barrier"), (False, "work-group barrier")])
     def test_each_tier_names_its_first_blocker(self, read_first,
                                                batch_reason):
-        """One scan finds each tier's first blocker: a blocking channel
-        read keeps a launch out of the table but not off the replay,
-        where the barrier after it is what blocks."""
+        """One scan finds the first blocker of both analytic tiers: a
+        blocking read of a named channel blocks neither (a plan reads it
+        as a register), so the barrier, before or after it, is what
+        keeps the launch out of the table and off the replay."""
         program_cache_clear()
         read = "int x = read_channel_altera(c);"
         barrier = "barrier(CLK_GLOBAL_MEM_FENCE);"
@@ -616,8 +617,12 @@ class TestOpCoverage:
         # Static bail: tier_scan names the blocker up front.
         "LoadLocal": "static-bail (__local memory)",
         "StoreLocal": "static-bail (__local memory)",
-        "ReadChannel": "static-bail (channel operation)",
-        "WriteChannel": "static-bail (channel operation)",
+        # A blocking read of a named channel: a BRead node whose
+        # register Phase B fills in; the launch falls back per launch
+        # when the channel is no lazy service (the replay gate) or the
+        # value is used other than as a store's element or value.
+        "ReadChannel": "table (BRead register)",
+        "WriteChannel": "static-bail (channel write)",
         "Call": "static-bail (HDL library call)",
         "Barrier": "static-bail (work-group barrier)",
         # Park late-phase autorun units only; compile_batch_plan rejects

@@ -29,6 +29,8 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from repro.frontend import FrontendError, compile_source, program_cache_clear
+from repro.frontend.listings import LISTING_6, LISTING_7
+from repro.pipeline.engine import ONE_ITERATION
 from repro.pipeline.fabric import Fabric
 from repro.pipeline.kernel import PipelineConfig
 from repro.pipeline.replay import timeline_cache_clear
@@ -400,6 +402,17 @@ class TestBatchEquivalenceUnderPressure:
         _assert_equivalent(batch, ref, ["IN", "OUT"])
 
 
+def _assert_planned(run, global_size):
+    """A convergent launch runs in the table, but for one work-item,
+    which takes the bodies replay."""
+    outcome = run[1].batch
+    if global_size == 1:
+        assert (outcome.mode, outcome.reason) == ("fallback", ONE_ITERATION)
+        assert run[1].stepped_reason is None
+    else:
+        assert outcome.mode == "table", outcome
+
+
 class TestPlannedMatchesBodies:
     """The replay's two launch feeders against each other and the
     oracle. A convergent kernel without ``__local`` memory or a barrier
@@ -421,7 +434,7 @@ class TestPlannedMatchesBodies:
                                 pipeline=pipeline)
         ref = _run_generated(source, global_size, "reference",
                              pipeline=pipeline)
-        assert planned[1].batch.mode == "table", planned[1].batch
+        _assert_planned(planned, global_size)
         assert bodies[1].stepped_reason is None
         assert bodies[1].batch.mode == ""
         _assert_equivalent(planned, ref, ["IN", "OUT"])
@@ -433,17 +446,61 @@ class TestPlannedMatchesBodies:
     def test_float_planned_bodies_and_reference_agree(self, source,
                                                       global_size, pipeline):
         """The same over ``double`` buffers: float64 columns follow the
-        closures' float semantics, a ``/`` truncating to an int
-        included."""
+        closures' float semantics, C's floating ``/`` included."""
         program_cache_clear()
         runs = [_run_generated(source, global_size, executor,
                                pipeline=pipeline, dtype="float64")
                 for executor in ("batch", "bodies", "reference")]
         planned, bodies, ref = runs
-        assert planned[1].batch.mode == "table", planned[1].batch
+        _assert_planned(planned, global_size)
         assert bodies[1].stepped_reason is None
         _assert_equivalent(planned, ref, ["IN", "OUT"])
         _assert_equivalent(bodies, ref, ["IN", "OUT"])
+
+    @pytest.mark.parametrize("listing,rows,num", [
+        (6, 3, 12), (7, 2, 5), (7, 6, 16), (7, 16, 32)])
+    def test_listings_planned_bodies_and_reference_agree(self, listing,
+                                                         rows, num):
+        """Listings 6/7 with their timer and sequence probes: Listing
+        7's work-items run as planned rows whose channel reads the loop
+        fills in (Listing 6, one iteration, replays its body), against
+        the replayed bodies and stepping; the channels' statistics
+        too."""
+        runs = [_run_listing(listing, rows, num, executor)
+                for executor in ("batch", "bodies", "reference")]
+        planned, bodies, ref = runs
+        if listing == 7:
+            assert planned[1].batch.mode == "table", planned[1].batch
+        else:
+            assert planned[1].batch.reason == ONE_ITERATION
+        buffers = ["Z", "I1", "I2", "I3"]
+        _assert_equivalent(planned, ref, buffers)
+        _assert_equivalent(bodies, ref, buffers)
+        tables = [fabric.channels.stats_table() for fabric, _ in runs]
+        assert tables[0] == tables[1] == tables[2]
+
+
+def _run_listing(listing, rows, num, executor):
+    """Listing 6 (``n = rows``) or 7 (``rows`` work-items) with its
+    compiled timer and sequence services, on a fresh fabric."""
+    fabric = Fabric(keep_lsu_samples=True)
+    program = compile_source(
+        fabric, LISTING_6 if listing == 6 else LISTING_7)
+    memory = fabric.memory
+    memory.allocate("X", rows * num).fill(np.arange(rows * num) % 11)
+    memory.allocate("Y", num).fill(np.arange(num) % 5 - 2)
+    memory.allocate("Z", rows)
+    for name in ("I1", "I2", "I3"):
+        memory.allocate(name, rows * min(num, 10) + 1)
+    args = {"x": "X", "y": "Y", "z": "Z", "info1": "I1", "info2": "I2",
+            "info3": "I3", "num": num}
+    if listing == 6:
+        args["n"] = rows
+    else:
+        args["__global_size"] = rows
+    engine = run_kernel(fabric, program.kernel("matvec"), args,
+                        executor=executor)
+    return fabric, engine
 
 
 def _cpus() -> int:

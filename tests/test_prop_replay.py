@@ -70,15 +70,24 @@ _SLOTS = 4
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Count the launches the analytic replay runs from body generators."""
+    """Count the launches the analytic replay times, from body generators
+    or from batch Phase A's planned accesses."""
     count = [0]
     run_bodies = replay_module.LaunchReplay.run_bodies
+    run_planned = replay_module.LaunchReplay.run_planned
 
-    def counting(replay, tags):
+    def counting_bodies(replay, tags):
         count[0] += 1
         return run_bodies(replay, tags)
 
-    monkeypatch.setattr(replay_module.LaunchReplay, "run_bodies", counting)
+    def counting_planned(replay, phase, tags):
+        count[0] += 1
+        return run_planned(replay, phase, tags)
+
+    monkeypatch.setattr(replay_module.LaunchReplay, "run_bodies",
+                        counting_bodies)
+    monkeypatch.setattr(replay_module.LaunchReplay, "run_planned",
+                        counting_planned)
     return count
 
 
